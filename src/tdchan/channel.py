@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import BadDimension, DimensionMismatch, NotPSD, OutOfRange
 
-# Validation tolerances for density matrices.  Module-level so callers
-# (notably the CLI --tol flag) can tighten or relax them in one place.
+# Validation tolerances for density matrices.  No CLI flag sets them: --tol
+# is the tolerance of the spectrum, min-entropy and additivity checks only.
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = -1e-10

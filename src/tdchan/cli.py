@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from . import serialize
-from .channel import new_channel, apply
+from .channel import apply, new_channel, t_range
 from .entropy import (
     OptimizerConfig,
     additivity_gap,
@@ -286,8 +286,8 @@ def _cmd_min_entropy(args) -> int:
 
 
 def _cmd_additivity(args) -> int:
+    lo, hi = t_range(args.d)
     tol = args.tol if args.tol is not None else 1e-6
-    lo, hi = -1.0 / (args.d - 1), 1.0 / (args.d + 1)
     grid = args.t if args.t is not None else np.linspace(lo, hi, 9)
     rows = []
     worst = np.inf

@@ -112,27 +112,43 @@ def t_transform(lam: "SchmidtVector | np.ndarray", i: int, j: int, eps: float) -
     return SchmidtVector(v)
 
 
+def _elem_sym_table(m: np.ndarray) -> np.ndarray:
+    """s_0..s_n of the last axis of m, via the product recurrence; (..., n + 1)."""
+    n = m.shape[-1]
+    e = np.zeros(m.shape[:-1] + (n + 1,))
+    e[..., 0] = 1.0
+    for c in range(n):
+        x = m[..., c, None]
+        e[..., 1 : c + 2] = e[..., 1 : c + 2] + x * e[..., : c + 1]
+    return e
+
+
+def _loo_elem_sym(m: np.ndarray, table: np.ndarray, q: int) -> np.ndarray:
+    """s_0..s_q with coordinate l removed, for every l; (..., n, q + 1).
+
+    table holds s_0..s_q of the full vector on its last axis; leading
+    axes broadcast against m.  Downdate recurrence
+    b_r(l) = s_r - m_l b_{r-1}(l), stable for |m_l| <= 1, which holds on
+    the nu box.  Applied to a leave-one-out table it gives the
+    leave-two-out values s_r(m \\ {i, l}).
+    """
+    shape = np.broadcast_shapes(m.shape, table.shape[:-1] + m.shape[-1:])
+    b = np.empty(shape + (q + 1,))
+    b[..., 0] = 1.0
+    for r in range(1, q + 1):
+        b[..., r] = table[..., r, None] - m * b[..., r - 1]
+    return b
+
+
 def elem_sym(values, q: int) -> float:
     """Elementary symmetric polynomial s_q via the incremental product recurrence.
 
-    s_0 = 1; q outside [0, len(values)] gives 0.  O(n q) time.
+    s_0 = 1; q outside [0, len(values)] gives 0.  O(n^2) time.
     """
     vals = np.asarray(values, dtype=float).reshape(-1)
-    n = vals.size
-    if q < 0 or q > n:
+    if q < 0 or q > vals.size:
         return 0.0
-    e = np.zeros(q + 1)
-    e[0] = 1.0
-    for m, x in enumerate(vals, start=1):
-        top = min(m, q)
-        for r in range(top, 0, -1):
-            e[r] += x * e[r - 1]
-    return float(e[q])
-
-
-def _elem_sym_without(values: np.ndarray, skip: tuple[int, ...], q: int) -> float:
-    keep = [values[m] for m in range(values.size) if m not in skip]
-    return elem_sym(keep, q)
+    return float(_elem_sym_table(vals)[q])
 
 
 def _check_phi_args(nu: NuVector, k: int, ch: Channel) -> None:
@@ -144,16 +160,55 @@ def _check_phi_args(nu: NuVector, k: int, ch: Channel) -> None:
         raise BadK(f"k={k} outside [0, {ch.d - 1}]")
 
 
+def _check_phi_batch(nu: np.ndarray, ch: Channel) -> np.ndarray:
+    if ch.t == 0.0:
+        raise ZeroT("phi_k needs t != 0 (c2 appears in a denominator)")
+    nu = np.asarray(nu, dtype=float)
+    if nu.ndim != 2 or nu.shape[1] != ch.d:
+        raise BadLength(f"nu rows have shape {nu.shape}, expected (N, {ch.d})")
+    return nu
+
+
+def phi_k_batch(nu: np.ndarray, ch: Channel) -> np.ndarray:
+    """phi_k for every row of an (N, d) nu array and every k; (N, d), column k."""
+    nu = _check_phi_batch(nu, ch)
+    d = ch.d
+    table = _elem_sym_table(nu)
+    loo = _loo_elem_sym(nu, table, d - 1)
+    inner = np.sum((nu - 1.0)[..., None] * loo, axis=-2)  # sum_l (nu_l - 1) s_r(nu \ l)
+    k = np.arange(d)
+    return table[:, d - k] + (ch.t**2 / ch.c2) * inner[:, d - 1 - k]
+
+
+def partial_phi_k_batch(nu: np.ndarray, ch: Channel) -> np.ndarray:
+    """d phi_k / d nu_i for every row, i and k; (N, d, d) indexed [row, i, k]."""
+    nu = _check_phi_batch(nu, ch)
+    count, d = nu.shape
+    coef = ch.t**2 / ch.c2
+    loo = _loo_elem_sym(nu, _elem_sym_table(nu), d - 1)  # [row, i, r]
+    loo2 = _loo_elem_sym(nu[:, None, :], loo, d - 2)  # [row, i, l, r], l != i
+    others = ~np.eye(d, dtype=bool)[None, :, :, None]
+    inner = np.sum(np.where(others, (nu[:, None, :] - 1.0)[..., None] * loo2, 0.0), axis=2)
+    # s_{d-2-k} vanishes at k = d - 1: pad r = -1 with a zero column.
+    inner = np.concatenate([np.zeros((count, d, 1)), inner], axis=2)
+    k = np.arange(d)
+    return (1.0 + coef) * loo[:, :, d - 1 - k] + coef * inner[:, :, d - 1 - k]
+
+
+def schur_defect_batch(nu: np.ndarray, k, i, j, ch: Channel) -> np.ndarray:
+    """schur_defect per row, with per-row index arrays k, i and j; (N,)."""
+    nu = np.asarray(nu, dtype=float)
+    partial = partial_phi_k_batch(nu, ch)
+    rows = np.arange(nu.shape[0])
+    di = partial[rows, i, k]
+    dj = partial[rows, j, k]
+    return (nu[rows, i] - nu[rows, j]) * (di - dj)
+
+
 def phi_k(nu: NuVector, k: int, ch: Channel) -> float:
     """s_{d-k}(nu) + (t^2/c2) sum_l s_{d-1-k}(nu \\ l)(nu_l - 1)."""
     _check_phi_args(nu, k, ch)
-    d = ch.d
-    coef = ch.t**2 / ch.c2
-    v = nu.nu
-    total = elem_sym(v, d - k)
-    for l in range(d):
-        total += coef * _elem_sym_without(v, (l,), d - 1 - k) * (v[l] - 1.0)
-    return total
+    return float(phi_k_batch(nu.nu[None, :], ch)[0, k])
 
 
 def sympol_defect(ch: Channel, lam: "SchmidtVector | np.ndarray", k: int) -> float:
@@ -167,23 +222,17 @@ def sympol_defect(ch: Channel, lam: "SchmidtVector | np.ndarray", k: int) -> flo
 def partial_phi_k(nu: NuVector, k: int, i: int, ch: Channel) -> float:
     """Exact partial derivative of phi_k with respect to nu_i."""
     _check_phi_args(nu, k, ch)
-    d = ch.d
-    if not (0 <= i < d):
-        raise IndexError(f"index i={i} outside [0, {d})")
-    coef = ch.t**2 / ch.c2
-    v = nu.nu
-    total = (1.0 + coef) * _elem_sym_without(v, (i,), d - 1 - k)
-    for l in range(d):
-        if l == i:
-            continue
-        total += coef * (v[l] - 1.0) * _elem_sym_without(v, (i, l), d - 2 - k)
-    return total
+    if not (0 <= i < ch.d):
+        raise IndexError(f"index i={i} outside [0, {ch.d})")
+    return float(partial_phi_k_batch(nu.nu[None, :], ch)[0, i, k])
 
 
 def schur_defect(nu: NuVector, k: int, i: int, j: int, ch: Channel) -> float:
     """(nu_i - nu_j)(d phi_k/d nu_i - d phi_k/d nu_j); <= 0 when Schur-concave."""
     if i == j:
         raise IndexError("need distinct indices")
-    di = partial_phi_k(nu, k, i, ch)
-    dj = partial_phi_k(nu, k, j, ch)
-    return float((nu.nu[i] - nu.nu[j]) * (di - dj))
+    _check_phi_args(nu, k, ch)
+    for idx in (i, j):
+        if not (0 <= idx < ch.d):
+            raise IndexError(f"index {idx} outside [0, {ch.d})")
+    return float(schur_defect_batch(nu.nu[None, :], [k], [i], [j], ch)[0])

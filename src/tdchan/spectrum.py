@@ -30,10 +30,33 @@ from .channel import Channel, DensityMatrix
 from .errors import ConvergenceFailure, OutOfRange, SumMismatch
 
 SCHMIDT_SUM_TOL = 1e-12
-ZERO_WEIGHT_TOL = 1e-14  # lam at or below this contributes a deflated root
+# lam at or below this contributes a deflated root at c1.  Deflation drops
+# the couplings t^2 sqrt(lam_a lam_b), which moves a root by up to
+# sqrt(lam_a) when a reduced root sits at c1 (d = 3, t = -1/2), so the
+# bound is sqrt(1e-30) = 1e-15.
+ZERO_WEIGHT_TOL = 1e-30
 POLE_MERGE_TOL = 1e-12  # poles closer than this are treated as one
 BISECT_REL_TOL = 1e-14
 BISECT_MAX_ITER = 200
+
+
+def _check_schmidt_rows(rows: np.ndarray) -> None:
+    """Each row finite, nonnegative and summing to one."""
+    if rows.size == 0:
+        return
+    low = rows.min()
+    # False for NaN.  Past it no entry is negative, so the sums raise no
+    # floating-point warning, and an infinite entry fails the sum test.
+    if low >= 0.0:
+        sums = rows.sum(axis=1)
+        off = np.abs(sums - 1.0)
+        if off.max() <= SCHMIDT_SUM_TOL:
+            return
+    if not np.isfinite(rows).all():
+        raise OutOfRange("Schmidt coefficients must be finite")
+    if low < 0.0:
+        raise OutOfRange(f"negative Schmidt coefficient {low}")
+    raise SumMismatch(f"coefficients sum to {sums[off.argmax()]}, expected 1")
 
 
 @dataclass(frozen=True)
@@ -47,10 +70,7 @@ class SchmidtVector:
         object.__setattr__(self, "values", v)
         if v.size < 2:
             raise OutOfRange("need at least two Schmidt coefficients")
-        if np.min(v) < 0.0:
-            raise OutOfRange(f"negative Schmidt coefficient {np.min(v)}")
-        if abs(float(np.sum(v)) - 1.0) > SCHMIDT_SUM_TOL:
-            raise SumMismatch(f"coefficients sum to {np.sum(v)}, expected 1")
+        _check_schmidt_rows(v[None, :])
 
     @property
     def d(self) -> int:
@@ -171,6 +191,11 @@ def secular_roots(ch: Channel, lam: "SchmidtVector | np.ndarray") -> np.ndarray:
     than 1e-12 (a merged pole of multiplicity m keeps m-1 exact roots);
     one root is bracketed between consecutive distinct poles and one above
     the largest pole, each found by bisection.
+
+    This is the per-vector path, for callers that hold one vector at a
+    time (the entropy optimizer).  Scans that hold many vectors use
+    secular_roots_batch, whose numpy set-up costs more than this whole
+    loop for a single vector.  The two share only the tolerance constants.
     """
     lam = _as_schmidt(ch, lam)
     d, t = ch.d, ch.t
@@ -206,7 +231,8 @@ def secular_roots(ch: Channel, lam: "SchmidtVector | np.ndarray") -> np.ndarray:
         # Extreme root above the top pole, within total weight of it.
         top = poles[-1]
         width = max(sum(weights), 1e-300)
-        hi = top + width * (1.0 + 1e-9)
+        # Strictly above the top pole even when t^2 underflows the weights.
+        hi = max(top + width * (1.0 + 1e-9), float(np.nextafter(top, np.inf)))
         for _ in range(BISECT_MAX_ITER):
             if _secular_value(hi, poles, weights) >= 0.0:
                 break
@@ -218,6 +244,98 @@ def secular_roots(ch: Channel, lam: "SchmidtVector | np.ndarray") -> np.ndarray:
 
     out = np.array(sorted(roots, reverse=True), dtype=float)
     return out
+
+
+def _as_schmidt_rows(ch: Channel, lams) -> np.ndarray:
+    rows = np.asarray(lams, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != ch.d:
+        raise OutOfRange(f"Schmidt rows have shape {rows.shape}, expected (N, {ch.d})")
+    _check_schmidt_rows(rows)
+    return rows
+
+
+def secular_roots_batch(ch: Channel, lams) -> np.ndarray:
+    """secular_roots for every row of an (N, d) array; (N, d), rows descending.
+
+    The same deflation, pole merging and interlacing brackets as
+    secular_roots, as array masks:
+
+    * a weight at or below ZERO_WEIGHT_TOL gives the exact root c1;
+    * consecutive sorted poles within POLE_MERGE_TOL become one pole at
+      the group mean with weight t^2 sum(lam), and leave m-1 roots there;
+    * the remaining roots are bisected all at once, one bracket per
+      slot, with the scalar path's stopping rule.  Slots without a
+      bracket are frozen at zero width, and their poles are kept out of
+      the secular sum, so no iterate divides by zero.
+
+    This is the path for scans, which hold many vectors.  A single
+    vector is faster through secular_roots: the array set-up here costs
+    more than that scalar loop, so the optimizer keeps the scalar path.
+    """
+    rows = _as_schmidt_rows(ch, lams)
+    count, d = rows.shape
+    t = ch.t
+    if t == 0.0:
+        return np.full((count, d), 1.0 / d**2)
+
+    # Deflated coordinates sort to the front, active poles follow ascending.
+    active = rows > ZERO_WEIGHT_TOL
+    poles = ch.c1 + ch.c2 * rows
+    order = np.argsort(np.where(active, poles, -np.inf), axis=1, kind="stable")
+    p = np.take_along_axis(poles, order, axis=1)
+    lam = np.take_along_axis(rows, order, axis=1)
+    act = np.take_along_axis(active, order, axis=1)
+
+    # Merge groups: running sums of pole, lam and group size left to
+    # right, then the group mean copied right to left.
+    joins = act[:, 1:] & act[:, :-1] & (np.diff(p, axis=1) <= POLE_MERGE_TOL)
+    acc = np.stack([p, lam, np.ones((count, d))])
+    for j in range(1, d):
+        acc[:, :, j] += np.where(joins[:, j - 1], acc[:, :, j - 1], 0.0)
+    psum, lsum, size = acc
+    last = act & np.concatenate([~joins, np.ones((count, 1), dtype=bool)], axis=1)
+    mean = psum / size
+    for j in range(d - 2, -1, -1):
+        mean[:, j] = np.where(joins[:, j], mean[:, j + 1], mean[:, j])
+
+    # One bracket per group, at the group's last column; compact them to
+    # the front so slot s < K brackets (pole_s, pole_{s+1}) or the top.
+    slot = np.argsort(~last, axis=1, kind="stable")
+    bisect = np.take_along_axis(last, slot, axis=1)
+    pole = np.take_along_axis(np.where(last, mean, np.inf), slot, axis=1)
+    weight = np.take_along_axis(np.where(last, t * t * lsum, 0.0), slot, axis=1)
+    fixed = np.take_along_axis(np.where(act, mean, ch.c1), slot, axis=1)
+    top = np.max(np.where(last, mean, -np.inf), axis=1)
+    width = np.maximum(weight.sum(axis=1), 1e-300)
+    top_hi = np.nextafter(top + width * (1.0 + 1e-9), np.inf)
+    next_pole = np.concatenate([pole[:, 1:], np.full((count, 1), np.inf)], axis=1)
+    lo = np.where(bisect, pole, fixed)
+    hi = np.where(bisect, np.where(np.isfinite(next_pole), next_pole, top_hi[:, None]), fixed)
+
+    live = bisect.copy()
+    for _ in range(BISECT_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        done = live & (
+            (mid <= lo)
+            | (mid >= hi)
+            | (hi - lo <= BISECT_REL_TOL * np.maximum(np.abs(lo), np.abs(hi)) + 1e-30)
+        )
+        lo = np.where(done, mid, lo)
+        hi = np.where(done, mid, hi)
+        live &= ~done
+        if not np.any(live):
+            break
+        # Slots off the bisection evaluate at top_hi, above every pole.
+        g = np.where(live, mid, top_hi[:, None])
+        f = 1.0 + np.sum(weight[:, None, :] / (pole[:, None, :] - g[:, :, None]), axis=2)
+        below = f < 0.0
+        lo = np.where(live & below, mid, lo)
+        hi = np.where(live & ~below, mid, hi)
+    else:
+        raise ConvergenceFailure(
+            f"secular bisection did not converge in {BISECT_MAX_ITER} iterations"
+        )
+    return np.sort(0.5 * (lo + hi), axis=1)[:, ::-1]
 
 
 def full_spectrum(ch: Channel, lam: "SchmidtVector | np.ndarray") -> Spectrum:

@@ -42,9 +42,17 @@ from .errors import (
     ConfigError,
     NearZeroNu,
 )
-from .majorization import NuVector, elem_sym, lambda_to_nu, phi_k, schur_defect, scaled_secular_roots
+from .channel import Channel, new_channel
+from .majorization import (
+    NuVector,
+    _elem_sym_table,
+    _loo_elem_sym,
+    elem_sym,
+    phi_k_batch,
+    schur_defect_batch,
+)
 from .sampling import exponentials_from_uniforms, philox_stream
-from .spectrum import SchmidtVector
+from .spectrum import secular_roots_batch
 
 VIOLATION_TOL = 1e-9  # a margin below -1e-9 counts as a violation
 NEAR_ZERO_NU = 1e-12
@@ -333,36 +341,10 @@ def _cell_key(kind: str, d: int, t_idx: int, k: int) -> int:
     return ((kind_idx * 256 + d) * 65536 + t_idx) * 256 + (k + 1)
 
 
-def _elem_sym_table(m: np.ndarray) -> np.ndarray:
-    """All s_0..s_n per row of m, via the product recurrence."""
-    count, n = m.shape
-    e = np.zeros((count, n + 1))
-    e[:, 0] = 1.0
-    for c in range(n):
-        x = m[:, c]
-        for r in range(min(c + 1, n), 0, -1):
-            e[:, r] += x * e[:, r - 1]
-    return e
-
-
-def _loo_elem_sym(m: np.ndarray, table: np.ndarray, q: int) -> np.ndarray:
-    """s_q with coordinate l removed, for every l; shape of m.
-
-    Downdate recurrence b_r(l) = s_r - nu_l b_{r-1}(l), stable here since
-    |nu_l| <= 1 on the box.
-    """
-    if q < 0:
-        return np.zeros_like(m)
-    b = np.ones_like(m)
-    for r in range(1, q + 1):
-        b = table[:, r][:, None] - m * b
-    return b
-
-
 def _margins_main(nu: np.ndarray, k: int, d: int, t: float) -> np.ndarray:
     n = nu.shape[1]
     table = _elem_sym_table(nu)
-    loo = _loo_elem_sym(nu, table, n - k - 1)
+    loo = _loo_elem_sym(nu, table, n - k - 1)[..., -1]
     first = ((1.0 - nu) * loo).sum(axis=1)
     return first - _rhs_coefficient(d, t) * table[:, n - k]
 
@@ -373,8 +355,24 @@ def _lambda_batch(gen: np.random.Generator, d: int, count: int) -> np.ndarray:
     return expo / total[:, None]
 
 
-def _rel_defect(lhs: float, rhs: float) -> float:
-    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+def _sympol_margins(ch: Channel, lams: np.ndarray) -> np.ndarray:
+    """Minus the worst relative defect over k of s_{d-k}(gamma) = phi_k(nu), per row."""
+    d = ch.d
+    gamma = secular_roots_batch(ch, lams) / ch.c1
+    lhs = _elem_sym_table(gamma)[:, d - np.arange(d)]
+    rhs = phi_k_batch(1.0 + ch.ratio * lams, ch)
+    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    return -np.max(np.abs(lhs - rhs) / scale, axis=1)
+
+
+def _schur_margins(ch: Channel, lams: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    """Minus the Schur defect at one (k, a, b) per row, drawn from picks in [0, 1)^3."""
+    d = ch.d
+    k = np.minimum((picks[:, 0] * d).astype(int), d - 1)
+    a = np.minimum((picks[:, 1] * d).astype(int), d - 1)
+    b = np.minimum((picks[:, 2] * (d - 1)).astype(int), d - 2)
+    b += b >= a
+    return -schur_defect_batch(1.0 + ch.ratio * lams, k, a, b, ch)
 
 
 def _scan_cell_group(kind: str, d: int, t: float, t_idx: int, samples: int, seed: int):
@@ -424,42 +422,15 @@ def _scan_cell_group(kind: str, d: int, t: float, t_idx: int, samples: int, seed
     elif kind == "final_poly":
         margins_all.append(np.array([final_polynomial(d, t)]))
     elif kind == "sympol":
-        from .channel import new_channel
-
-        ch = new_channel(d, t)
         gen = philox_stream(seed, _cell_key(kind, d, t_idx, -1))
-        lams = _lambda_batch(gen, d, samples)
         k_values.extend(range(d))
-        vals = np.empty(samples)
-        for i in range(samples):
-            lam = SchmidtVector(lams[i])
-            gamma = scaled_secular_roots(ch, lam).gamma
-            nu = lambda_to_nu(ch, lam)
-            worst = 0.0
-            for k in range(d):
-                lhs = elem_sym(gamma, d - k)
-                rhs = phi_k(nu, k, ch)
-                worst = max(worst, _rel_defect(lhs, rhs))
-            vals[i] = -worst
-        margins_all.append(vals)
+        margins_all.append(_sympol_margins(new_channel(d, t), _lambda_batch(gen, d, samples)))
     elif kind == "schur":
-        from .channel import new_channel
-
-        ch = new_channel(d, t)
         gen = philox_stream(seed, _cell_key(kind, d, t_idx, -1))
         lams = _lambda_batch(gen, d, samples)
         picks = gen.random((samples, 3))
         k_values.extend(range(d))
-        vals = np.empty(samples)
-        for i in range(samples):
-            nu = lambda_to_nu(ch, SchmidtVector(lams[i]))
-            k = min(int(picks[i, 0] * d), d - 1)
-            a = min(int(picks[i, 1] * d), d - 1)
-            b = min(int(picks[i, 2] * (d - 1)), d - 2)
-            if b >= a:
-                b += 1
-            vals[i] = -schur_defect(nu, k, a, b, ch)
-        margins_all.append(vals)
+        margins_all.append(_schur_margins(new_channel(d, t), lams, picks))
     else:
         raise ConfigError(f"unknown scan kind {kind!r}")
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 
+import mpmath
 import numpy as np
 
 from tdchan.channel import Channel, channel_kraus
@@ -30,15 +31,21 @@ def apply_defining_formula(ch: Channel, mat: np.ndarray) -> np.ndarray:
 
 
 def kraus_two_copy_output(ch: Channel, state: np.ndarray) -> np.ndarray:
-    """(Phi x Phi)(|state><state|) via explicit tensor-product Kraus sums."""
+    """(Phi x Phi)(|state><state|) via explicit Kraus sums, one tensor factor at a time.
+
+    Phi x Phi = (Phi x id)(id x Phi): the Kraus sum of K x I applied to the
+    Kraus sum of I x K, which is O(K) products instead of O(K^2).
+    """
     rho = np.outer(state, np.conj(state))
     ops = channel_kraus(ch)
-    out = np.zeros_like(rho, dtype=complex)
-    for ka in ops:
-        for kb in ops:
-            k = np.kron(ka, kb)
-            out += k @ rho @ k.conj().T
-    return out
+    eye = np.eye(ch.d)
+    for lift in (lambda k: np.kron(eye, k), lambda k: np.kron(k, eye)):
+        out = np.zeros_like(rho, dtype=complex)
+        for k in ops:
+            big = lift(k)
+            out += big @ rho @ big.conj().T
+        rho = out
+    return rho
 
 
 def dense_two_copy_spectrum(ch: Channel, lam: np.ndarray) -> np.ndarray:
@@ -85,3 +92,30 @@ def central_difference(f, x: np.ndarray, i: int, step: float = 1e-6) -> float:
     xp[i] += step
     xm[i] -= step
     return (f(xp) - f(xm)) / (2.0 * step)
+
+
+def mp_secular_block_roots(t: float, lam, dps: int = 50, pole_lam=None) -> np.ndarray:
+    """Eigenvalues (descending) of the diagonal-plus-rank-one block at dps digits.
+
+    The block diag(c1 + c2 lam) + t^2 sqrt(lam) sqrt(lam)^T is built from
+    t and lam in mpmath arithmetic and diagonalized by mpmath's Jacobi
+    solver, so this route shares nothing with LAPACK, with
+    dense_secular_block_roots or with the library's secular solver.
+    pole_lam, when given, replaces lam in the diagonal only.
+    """
+    lam = [float(x) for x in lam]
+    pole_lam = lam if pole_lam is None else [float(x) for x in pole_lam]
+    d = len(lam)
+    with mpmath.workdps(dps):
+        tt = mpmath.mpf(t)
+        c1 = (1 - tt) ** 2 / d**2
+        c2 = 2 * tt * (1 - tt) / d
+        root = [mpmath.sqrt(mpmath.mpf(x)) for x in lam]
+        block = mpmath.matrix(d, d)
+        for a in range(d):
+            for b in range(d):
+                block[a, b] = tt**2 * root[a] * root[b]
+            block[a, a] += c1 + c2 * mpmath.mpf(pole_lam[a])
+        values = mpmath.eigsy(block, eigvals_only=True)
+        out = sorted((float(values[i]) for i in range(d)), reverse=True)
+    return np.array(out)

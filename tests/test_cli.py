@@ -200,6 +200,22 @@ def test_bad_channel_parameters_exit_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("lam", ["nan,nan", "inf,0", "0.5,nan"])
+def test_non_finite_lambda_exit_3(capsys, lam):
+    code, out, err = run_cli(capsys, "spectrum", "--d", "2", "--t", "-0.5", "--lambda", lam)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("d", ["1", "0", "-3"])
+def test_additivity_bad_dimension_exit_3(capsys, d):
+    code, out, err = run_cli(capsys, "additivity", "--d", d, "--restarts", "1", "--n-random", "1")
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
+
+
 def test_unknown_kind_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--kind", "bogus", "--d", "3"])

@@ -1,0 +1,252 @@
+"""Property tests for the batched spectrum and symmetric-polynomial kernels.
+
+Inputs come from hypothesis and force the degenerate cases: poles closer
+than POLE_MERGE_TOL, weights exactly zero and at ZERO_WEIGHT_TOL, and t at
+both endpoints and at zero.  The spectrum is checked against the scalar
+path and a 50-digit mpmath oracle; the leave-one-out downdates against
+brute-force sums; the scan margins against the per-sample scalar route.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import tdchan as td
+from tdchan.errors import OutOfRange, SumMismatch
+from tdchan.majorization import _elem_sym_table, _loo_elem_sym
+from tdchan.sampling import philox_stream
+from tdchan.spectrum import POLE_MERGE_TOL, ZERO_WEIGHT_TOL, secular_roots_batch
+from tdchan.verification import _lambda_batch, _schur_margins, _sympol_margins
+
+from oracles import elem_sym_brute, mp_secular_block_roots
+
+ROOT_TOL = 1e-13
+MARGIN_TOL = 1e-12
+# Tiny weights: exact zeros and the deflation threshold deflate; 1e-20 and
+# 1e-14 are small but not negligible, so they go through the bisection.
+TINY = (0.0, ZERO_WEIGHT_TOL, 1e-20, 1e-14, 2e-14)
+
+
+@st.composite
+def t_values(draw, d):
+    lo, hi = td.t_range(d)
+    return draw(st.one_of(st.sampled_from([lo, hi, 0.0]), st.floats(lo, hi)))
+
+
+@st.composite
+def schmidt_rows(draw, d):
+    """One Schmidt vector with forced tiny weights and a near-coincident pair.
+
+    The pair differs by at most 1e-13 in lam, so its poles differ by at
+    most 1e-13 |c2| < POLE_MERGE_TOL and get merged; merging moves a root
+    by at most half that gap.
+    """
+    bulk = draw(st.lists(st.floats(0.01, 1.0), min_size=d, max_size=d))
+    tiny = draw(st.lists(st.sampled_from((None,) + TINY), min_size=d, max_size=d))
+    tiny[0] = None
+    lam = np.array(bulk)
+    free = np.array([x is None for x in tiny])
+    fixed = np.array([0.0 if x is None else x for x in tiny])
+    lam = np.where(free, lam / lam[free].sum() * (1.0 - fixed.sum()), fixed)
+    gap = draw(st.one_of(st.none(), st.just(0.0), st.floats(0.0, 1e-13)))
+    if gap is not None and d >= 2 and free[1]:
+        mid = 0.5 * (lam[0] + lam[1])
+        lam[0], lam[1] = mid - 0.5 * gap, mid + 0.5 * gap
+    order = draw(st.permutations(range(d)))
+    return lam[list(order)]
+
+
+@st.composite
+def secular_cases(draw):
+    d = draw(st.integers(2, 8))
+    t = draw(t_values(d))
+    rows = draw(st.lists(schmidt_rows(d), min_size=1, max_size=3))
+    return d, t, np.array(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(secular_cases())
+def test_secular_batch_matches_scalar_and_mpmath(case):
+    d, t, rows = case
+    ch = td.new_channel(d, t)
+    batch = secular_roots_batch(ch, rows)
+    assert batch.shape == rows.shape
+    for lam, got in zip(rows, batch):
+        scalar = td.secular_roots(ch, lam)
+        oracle = mp_secular_block_roots(t, lam)
+        assert np.max(np.abs(got - scalar)) <= ROOT_TOL
+        assert np.max(np.abs(got - oracle)) <= ROOT_TOL
+        assert np.max(np.abs(scalar - oracle)) <= ROOT_TOL
+
+
+def test_secular_batch_forced_cases():
+    """Endpoints, t = 0, zero weights, the deflation threshold, merged poles."""
+    for d in range(2, 9):
+        lo, hi = td.t_range(d)
+        rows = [np.full(d, 1.0 / d), np.eye(d)[0]]
+        lam = np.arange(1.0, d + 1.0)
+        lam /= lam.sum()
+        rows.append(lam)
+        tiny = lam.copy()
+        tiny[0] = ZERO_WEIGHT_TOL
+        tiny[1] += lam[0] - ZERO_WEIGHT_TOL
+        rows.append(tiny)
+        for t in (lo, hi, 0.0, 0.5 * lo):
+            ch = td.new_channel(d, t)
+            batch = secular_roots_batch(ch, np.array(rows))
+            for lam, got in zip(rows, batch):
+                assert np.max(np.abs(got - mp_secular_block_roots(t, lam))) <= ROOT_TOL, (d, t, lam)
+                assert np.max(np.abs(got - td.secular_roots(ch, lam))) <= ROOT_TOL
+            if t == 0.0:
+                assert np.all(batch == 1.0 / d**2)
+
+
+def test_secular_tiny_weight_at_degenerate_t():
+    # At d = 3, t = -1/2 the reduced top root sits at c1 for every lam, so
+    # deflating a weight of 1e-14 would move a root by ~2e-8.
+    ch = td.new_channel(3, -0.5)
+    lam = np.array([1e-14, 0.6, 0.4 - 1e-14])
+    oracle = mp_secular_block_roots(-0.5, lam)
+    assert np.max(np.abs(td.secular_roots(ch, lam) - oracle)) <= ROOT_TOL
+    assert np.max(np.abs(secular_roots_batch(ch, lam[None, :])[0] - oracle)) <= ROOT_TOL
+
+
+def test_secular_merge_solves_the_mean_pole_block():
+    # Poles up to POLE_MERGE_TOL apart are merged at their mean: the roots
+    # are those of the block with both poles at the mean, so every root
+    # moves by at most half the pole gap (Weyl).
+    d, t = 4, -0.3
+    ch = td.new_channel(d, t)
+    for pole_gap in (2e-13, 5e-13, 0.99 * POLE_MERGE_TOL):
+        dlam = pole_gap / abs(ch.c2)
+        lam = np.array([0.3, 0.3 + dlam, 0.25, 0.15 - dlam])
+        mean_poles = np.array([0.3 + 0.5 * dlam, 0.3 + 0.5 * dlam, 0.25, 0.15 - dlam])
+        merged = mp_secular_block_roots(t, lam, pole_lam=mean_poles)
+        exact = mp_secular_block_roots(t, lam)
+        for got in (td.secular_roots(ch, lam), secular_roots_batch(ch, lam[None, :])[0]):
+            assert np.max(np.abs(got - merged)) <= ROOT_TOL
+            assert np.max(np.abs(got - exact)) <= ROOT_TOL + 0.5 * pole_gap
+
+
+def test_secular_batch_validation():
+    ch = td.new_channel(3, -0.25)
+    with pytest.raises(OutOfRange):
+        secular_roots_batch(ch, np.array([0.5, 0.3, 0.2]))
+    with pytest.raises(OutOfRange):
+        secular_roots_batch(ch, np.array([[0.5, 0.5]]))
+    with pytest.raises(OutOfRange):
+        secular_roots_batch(ch, np.array([[np.nan, 0.5, 0.5]]))
+    with pytest.raises(OutOfRange):
+        secular_roots_batch(ch, np.array([[1.1, -0.1, 0.0]]))
+    with pytest.raises(SumMismatch):
+        secular_roots_batch(ch, np.array([[0.5, 0.3, 0.2], [0.5, 0.3, 0.3]]))
+    assert secular_roots_batch(ch, np.empty((0, 3))).shape == (0, 3)
+
+
+# --------------------------------------------------------- symmetric tables
+
+unit_vectors = st.integers(1, 10).flatmap(
+    lambda n: st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)
+)
+
+
+def _drop(values, *idx):
+    return [x for m, x in enumerate(values) if m not in idx]
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit_vectors)
+def test_single_downdate_matches_brute(values):
+    m = np.array(values)
+    n = m.size
+    table = _elem_sym_table(m)
+    for q in range(n + 1):
+        assert table[q] == pytest.approx(elem_sym_brute(values, q), abs=1e-12 * math.comb(n, q))
+    loo = _loo_elem_sym(m, table, n - 1)
+    assert loo.shape == (n, n)
+    for l, r in itertools.product(range(n), range(n)):
+        ref = elem_sym_brute(_drop(values, l), r)
+        assert loo[l, r] == pytest.approx(ref, abs=1e-12 * math.comb(n - 1, r))
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_vectors.filter(lambda v: len(v) >= 2))
+def test_double_downdate_matches_brute(values):
+    m = np.array(values)
+    n = m.size
+    loo = _loo_elem_sym(m, _elem_sym_table(m), n - 1)
+    loo2 = _loo_elem_sym(m[None, :], loo, n - 2)
+    assert loo2.shape == (n, n, n - 1)
+    for i, l in itertools.permutations(range(n), 2):
+        for r in range(n - 1):
+            ref = elem_sym_brute(_drop(values, i, l), r)
+            assert loo2[i, l, r] == pytest.approx(ref, abs=1e-12 * math.comb(n - 2, r))
+
+
+# ------------------------------------------------------------- scan margins
+
+
+@st.composite
+def scan_cells(draw):
+    d = draw(st.integers(3, 6))
+    t = draw(st.one_of(st.just(-1.0 / (d - 1)), st.floats(-1.0 / (d - 1), -1e-6)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return d, t, seed
+
+
+@settings(max_examples=40, deadline=None)
+@given(scan_cells())
+def test_sympol_margins_match_scalar_route(cell):
+    d, t, seed = cell
+    ch = td.new_channel(d, t)
+    lams = _lambda_batch(philox_stream(seed, 0), d, 25)
+    got = _sympol_margins(ch, lams)
+    for lam, margin in zip(lams, got):
+        sv = td.SchmidtVector(lam)
+        gamma = td.scaled_secular_roots(ch, sv).gamma
+        nu = td.lambda_to_nu(ch, sv)
+        worst = 0.0
+        for k in range(d):
+            lhs = td.elem_sym(gamma, d - k)
+            rhs = td.phi_k(nu, k, ch)
+            worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
+        assert abs(margin + worst) <= MARGIN_TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(scan_cells())
+def test_schur_margins_match_scalar_route(cell):
+    d, t, seed = cell
+    ch = td.new_channel(d, t)
+    gen = philox_stream(seed, 0)
+    lams = _lambda_batch(gen, d, 25)
+    picks = gen.random((25, 3))
+    got = _schur_margins(ch, lams, picks)
+    for lam, pick, margin in zip(lams, picks, got):
+        nu = td.lambda_to_nu(ch, td.SchmidtVector(lam))
+        k = min(int(pick[0] * d), d - 1)
+        a = min(int(pick[1] * d), d - 1)
+        b = min(int(pick[2] * (d - 1)), d - 2)
+        if b >= a:
+            b += 1
+        assert abs(margin + td.schur_defect(nu, k, a, b, ch)) <= MARGIN_TOL
+
+
+def test_phi_batches_match_wrappers():
+    rng = np.random.default_rng(11)
+    for d in (2, 3, 5, 7):
+        ch = td.new_channel(d, -0.5 / (d - 1))
+        nu = 1.0 + ch.ratio * rng.dirichlet(np.ones(d), size=6)
+        phis = td.phi_k_batch(nu, ch)
+        partials = td.partial_phi_k_batch(nu, ch)
+        assert phis.shape == (6, d) and partials.shape == (6, d, d)
+        for row in range(6):
+            vec = td.NuVector(nu[row], ch.ratio)
+            for k in range(d):
+                assert phis[row, k] == td.phi_k(vec, k, ch)
+                for i in range(d):
+                    assert partials[row, i, k] == td.partial_phi_k(vec, k, i, ch)

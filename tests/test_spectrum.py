@@ -43,6 +43,12 @@ def test_schmidt_vector_validation():
         td.SchmidtVector(np.array([1.0]))
 
 
+def test_schmidt_vector_rejects_non_finite():
+    for bad in ([np.nan, np.nan], [np.inf, 0.0], [0.5, 0.5, np.nan], [-np.inf, np.inf]):
+        with pytest.raises(OutOfRange):
+            td.SchmidtVector(np.array(bad))
+
+
 # ---------------------------------------------------------------------- sigma12
 
 
