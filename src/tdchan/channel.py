@@ -34,6 +34,12 @@ TRACE_TOL = 1e-12
 PSD_TOL = -1e-10
 
 
+def check_finite(values: np.ndarray, what: str) -> None:
+    """Raise OutOfRange unless every entry of values is finite (no NaN, no inf)."""
+    if not np.isfinite(values).all():
+        raise OutOfRange(f"{what} must be finite")
+
+
 def t_range(d: int) -> tuple[float, float]:
     """Admissible parameter interval [-1/(d-1), 1/(d+1)] for dimension d."""
     if not isinstance(d, (int, np.integer)) or d < 2:
@@ -83,7 +89,7 @@ def new_channel(d: int, t: float) -> Channel:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """State validated at construction: Hermitian, unit trace, PSD.
+    """State validated at construction: finite, Hermitian, unit trace, PSD.
 
     Eigenvalues may dip to -1e-10 to tolerate floating point noise from
     upstream arithmetic.
@@ -98,6 +104,7 @@ class DensityMatrix:
         if m.shape[0] < 2:
             raise BadDimension("dimension must be >= 2")
         object.__setattr__(self, "mat", m)
+        check_finite(m, "density matrix entries")
         if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
             raise NotPSD("matrix is not Hermitian within 1e-12")
         if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:

@@ -81,17 +81,24 @@ def _parse_lambda(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"expected comma-separated reals, got {text!r}")
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker threads; default TDCHAN_THREADS or the CPU count",
-    )
-    p.add_argument("--log-base", choices=("e", "2"), default="e", help="entropy unit")
+def _common_flags(
+    p: argparse.ArgumentParser, *, seed=False, threads=False, log_base=False, tol=False
+) -> None:
+    """--format on every subcommand; each other flag only where it is read."""
+    if seed:
+        p.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
+    if threads:
+        p.add_argument(
+            "--threads",
+            type=int,
+            default=None,
+            help="worker threads; default TDCHAN_THREADS or the CPU count",
+        )
+    if log_base:
+        p.add_argument("--log-base", choices=("e", "2"), default="e", help="entropy unit")
+    if tol:
+        p.add_argument("--tol", type=float, default=None, help="override the check tolerance")
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    p.add_argument("--tol", type=float, default=None, help="override the check tolerance")
 
 
 def _resolve_threads(value: int | None) -> int:
@@ -126,32 +133,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--lambda", dest="lam", type=_parse_lambda, required=True)
-    _common_flags(p)
+    _common_flags(p, tol=True)
 
     p = sub.add_parser("entropy", help="S1/S2 entropy split of the two-copy output")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--lambda", dest="lam", type=_parse_lambda, required=True)
-    _common_flags(p)
+    _common_flags(p, log_base=True)
 
     p = sub.add_parser("min-entropy", help="minimum output entropy, sampled vs exact")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--restarts", type=int, default=50)
-    _common_flags(p)
+    _common_flags(p, seed=True, log_base=True, tol=True)
 
     p = sub.add_parser("additivity", help="two-copy additivity certificate")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--t", type=_parse_t_grid, default=None, help="T or A:B:STEPS")
     p.add_argument("--restarts", type=int, default=50)
     p.add_argument("--n-random", type=int, default=200)
-    _common_flags(p)
+    _common_flags(p, seed=True, log_base=True, tol=True)
 
     p = sub.add_parser("schur-scan", help="Schur criterion scan")
     p.add_argument("--d", type=_parse_int_range, required=True, help="D or LO:HI")
     p.add_argument("--t-grid", type=_parse_t_grid, default=None)
     p.add_argument("--samples", type=int, default=1000)
-    _common_flags(p)
+    _common_flags(p, seed=True, threads=True)
 
     p = sub.add_parser("verify", help="inequality scans")
     kinds = [k.replace("_", "-") for k in SCAN_KINDS] + ["all"]
@@ -159,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_parse_int_range, required=True, help="D or LO:HI")
     p.add_argument("--t-grid", type=_parse_t_grid, default=None)
     p.add_argument("--samples", type=int, default=1000)
-    _common_flags(p)
+    _common_flags(p, seed=True, threads=True)
 
     return parser
 
@@ -271,7 +278,7 @@ def _emit_record(result: dict, fmt: str) -> None:
 
 def _cmd_min_entropy(args) -> int:
     ch = new_channel(args.d, args.t)
-    cfg = OptimizerConfig(restarts=args.restarts, seed=args.seed, log_base=args.log_base)
+    cfg = OptimizerConfig(restarts=args.restarts, seed=args.seed)
     h, argmin = min_output_entropy(ch, cfg)
     exact = min_entropy_closed_form(ch)
     tol = args.tol if args.tol is not None else 1e-6

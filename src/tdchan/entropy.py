@@ -56,7 +56,6 @@ class OptimizerConfig:
     tol: float = 1e-6
     n_random: int = 200
     seed: int = 0
-    log_base: str = "e"
 
 
 @dataclass(frozen=True)

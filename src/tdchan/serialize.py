@@ -102,5 +102,10 @@ def density_from_obj(obj) -> DensityMatrix:
         for j, entry in enumerate(row):
             if not isinstance(entry, list) or len(entry) != 2:
                 raise BadDimension(f"entry ({i},{j}) is not an [re, im] pair")
-            m[i, j] = complex(float(entry[0]), float(entry[1]))
+            if not all(type(x) in (int, float) for x in entry):
+                raise BadDimension(f"entry ({i},{j}) is not a pair of numbers")
+            try:
+                m[i, j] = complex(entry[0], entry[1])
+            except OverflowError:  # an integer past the double range
+                m[i, j] = np.inf  # rejected by DensityMatrix as non-finite
     return DensityMatrix(m)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import Channel, DensityMatrix
+from .channel import Channel, DensityMatrix, check_finite
 from .errors import ConvergenceFailure, OutOfRange, SumMismatch
 
 SCHMIDT_SUM_TOL = 1e-12
@@ -52,8 +52,7 @@ def _check_schmidt_rows(rows: np.ndarray) -> None:
         off = np.abs(sums - 1.0)
         if off.max() <= SCHMIDT_SUM_TOL:
             return
-    if not np.isfinite(rows).all():
-        raise OutOfRange("Schmidt coefficients must be finite")
+    check_finite(rows, "Schmidt coefficients")
     if low < 0.0:
         raise OutOfRange(f"negative Schmidt coefficient {low}")
     raise SumMismatch(f"coefficients sum to {sums[off.argmax()]}, expected 1")

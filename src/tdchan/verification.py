@@ -3,10 +3,19 @@
 For n = d - 2 and t < 0 the transformed coordinates nu live in the
 polytope
 
-    nu_l <= 1  for all l,      sum_l nu_l >= n + 2td/(1-t),
+    nu_l <= 1  for all l,      sum_l nu_l >= n + 2td/(1-t).
 
-on which at most one coordinate can be negative.  The central inequality
-(margin reported by the "main" scan) is, for 0 <= k <= n-1,
+With y = 1 - nu and R = -2td/(1-t), which lies in (0, 2] on the range
+t in [-1/(d-1), 0), this is exactly the simplex {y >= 0, sum y <= R}
+with vertices 0 and R e_l; the box floor nu_l >= 1 - R follows from the
+sum.  At most one coordinate can be negative, and the one-negative part
+is the union of the corner simplices {y_pos >= 1} = e_pos + (R-1) Delta,
+non-empty only for R > 1.  The polytope kinds sample two strata exactly
+by normalized exponential spacings (Devroye 1986, Non-Uniform Random
+Variate Generation, ch. V): the whole simplex, and a corner simplex.
+
+The central inequality (margin reported by the "main" scan) is, for
+0 <= k <= n-1,
 
     sum_l (1 - nu_l) s_{n-k-1}(nu \\ l)
         - [2 (1 + t(d-1)) / (t d)] s_{n-k}(nu)  >=  0.
@@ -22,9 +31,9 @@ positive quadratic 3(td)^2 + 3(1-t)(td) + (1-t)^2, the secular
 symmetric-polynomial identity, and the Schur criterion.
 
 Determinism: every scan cell draws from a counter-based Philox stream
-keyed by (seed, kind, d, t index, k), and each sample's values occupy
-fixed positions in that stream, so reports are identical across runs and
-across any thread count.
+keyed by (seed, kind, d, t index, k), and each sample reads a fixed
+number of consecutive doubles from it (n + 3 for a polytope row), so
+reports are identical across runs and across any thread count.
 """
 
 from __future__ import annotations
@@ -56,8 +65,6 @@ from .spectrum import secular_roots_batch
 
 VIOLATION_TOL = 1e-9  # a margin below -1e-9 counts as a violation
 NEAR_ZERO_NU = 1e-12
-REJECTION_CAP = 10_000  # scalar sampler bound before the jitter fallback
-BATCH_ROUNDS_CAP = 64  # vectorized engine bound (see decisions notes)
 
 SCAN_KINDS = ("main", "k0", "second_term", "extreme", "final_poly", "sympol", "schur")
 _NEEDS_POLYTOPE = ("main", "k0", "second_term")
@@ -161,141 +168,61 @@ def final_polynomial(d: int, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def sample_polytope(n: int, d: int, t: float, rng: np.random.Generator) -> NuVector:
-    """One stratified sample from the nu polytope.
+def _simplex_rows(u: np.ndarray) -> np.ndarray:
+    """Uniform points of the probability simplex, one per row of uniforms u.
 
-    With probability 1/2 all coordinates are nonnegative; otherwise one
-    chosen coordinate is drawn negative (when the box floor allows it).
-    Rejection on the sum constraint is capped at 10^4 tries, after which
-    a jittered feasible point near the all-ones vertex is constructed
-    from the same stream.
+    Normalized exponential spacings; dropping the last coordinate of a
+    row gives a uniform point of the solid simplex {w >= 0, sum w <= 1}.
+    """
+    expo = exponentials_from_uniforms(u)
+    return expo / np.maximum(expo.sum(axis=1), 1e-300)[:, None]
+
+
+def _polytope_batch(
+    gen: np.random.Generator, n: int, radius: float, count: int, corner_only: bool = False
+) -> np.ndarray:
+    """count exact samples of the nu polytope whose simplex has radius R.
+
+    Every row reads n + 3 consecutive stream doubles: a stratum double, a
+    position double, then n + 1 uniforms for w.  The corner stratum
+    y = (R - 1) w + e_pos is drawn when the stratum double is >= 1/2 and
+    R > 1, or always with corner_only (which returns no rows when R <= 1);
+    otherwise the whole-polytope stratum y = R w.  Returns nu = 1 - y.
+    """
+    if corner_only and radius <= 1.0:
+        return np.empty((0, n))
+    block = gen.random((count, n + 3))
+    w = _simplex_rows(block[:, 2:])[:, :n]
+    corner = corner_only | ((block[:, 0] >= 0.5) & (radius > 1.0))
+    scale = np.where(corner, radius - 1.0, radius)
+    nu = 1.0 - scale[:, None] * w
+    rows = np.flatnonzero(corner)
+    pos = np.minimum((block[rows, 1] * n).astype(int), n - 1)
+    nu[rows, pos] = -scale[rows] * w[rows, pos]  # 1 - y_pos without cancellation
+    return nu
+
+
+def sample_polytope(n: int, d: int, t: float, rng: np.random.Generator) -> NuVector:
+    """One exact stratified sample from the nu polytope.
+
+    With probability 1/2, when the one-negative part is non-empty, the
+    sample is uniform on a uniformly chosen corner simplex (one negative
+    coordinate); otherwise it is uniform on the whole polytope.  Reads
+    n + 3 doubles from rng.
     """
     if n < 1:
         raise ConfigError(f"need n >= 1, got {n}")
     _check_t(d, t)
     ratio = box_ratio(d, t)
-    lower = 1.0 + ratio
-    bound = n + ratio
-    negative_possible = lower < 0.0
-    use_negative = negative_possible and rng.random() >= 0.5
-    pos = int(rng.random() * n) if use_negative else 0
-    pos = min(pos, n - 1)
-    low_a = max(lower, 0.0)
-    for _ in range(REJECTION_CAP):
-        if use_negative:
-            x = rng.random(n)
-            x[pos] = lower * (1.0 - rng.random())
-        else:
-            x = low_a + rng.random(n) * (1.0 - low_a)
-        if float(np.sum(x)) >= bound:
-            return NuVector(x, ratio)
-    # Jitter off the all-ones vertex; always feasible by construction.
-    if use_negative:
-        xneg = lower * (1.0 - rng.random())
-        budget = xneg - lower
-        u = rng.random(n)
-        deltas = u / max(float(np.sum(u)), 1e-300) * (rng.random() * budget)
-        x = 1.0 - deltas
-        x[pos] = xneg
-    else:
-        u = rng.random(n)
-        deltas = u / max(float(np.sum(u)), 1e-300) * (rng.random() * (-ratio))
-        x = 1.0 - deltas
-    return NuVector(x, ratio)
-
-
-def _batch_polytope(
-    gen: np.random.Generator,
-    n: int,
-    ratio: float,
-    count: int,
-    force_negative: bool = False,
-) -> np.ndarray:
-    """Vectorized stratified sampler; same strata as sample_polytope.
-
-    Stream layout is fixed up front (header block, fallback block, then
-    one block per rejection round) so each row is a pure function of its
-    position in the Philox stream.  Rounds are generated lazily but their
-    positions never move; the round cap trades the scalar sampler's 10^4
-    rejections for a bounded number of vectorized rounds.
-    """
-    lower = 1.0 + ratio
-    bound = n + ratio
-    low_a = max(lower, 0.0)
-    header = gen.random((count, 2))
-    fallback = gen.random((count, n + 2))
-    if force_negative:
-        if lower >= 0.0:
-            return np.empty((0, n))
-        strat_b = np.ones(count, dtype=bool)
-    else:
-        strat_b = (header[:, 0] >= 0.5) & (lower < 0.0)
-    pos = np.minimum((header[:, 1] * n).astype(int), n - 1)
-    rows = np.arange(count)
-
-    out = np.empty((count, n))
-    accepted = np.zeros(count, dtype=bool)
-    for _ in range(BATCH_ROUNDS_CAP):
-        if bool(np.all(accepted)):
-            break
-        block = gen.random((count, n))
-        cand = low_a + block * (1.0 - low_a)
-        if bool(np.any(strat_b)):
-            cand[strat_b] = block[strat_b]
-            cand[strat_b, pos[strat_b]] = lower * (1.0 - block[strat_b, pos[strat_b]])
-        newly = ~accepted & (cand.sum(axis=1) >= bound)
-        out[newly] = cand[newly]
-        accepted |= newly
-
-    pending = ~accepted
-    if bool(np.any(pending)):
-        u = fallback[:, :n]
-        scale = np.maximum(u.sum(axis=1), 1e-300)
-        xneg = lower * (1.0 - fallback[:, n])
-        budget = np.where(strat_b, xneg - lower, -ratio)
-        deltas = u / scale[:, None] * (fallback[:, n + 1] * budget)[:, None]
-        cand = 1.0 - deltas
-        if bool(np.any(strat_b)):
-            cand[strat_b, pos[strat_b]] = xneg[strat_b]
-        out[pending] = cand[pending]
-    return out
+    return NuVector(_polytope_batch(rng, n, -ratio, 1)[0], ratio)
 
 
 def polytope_vertices(n: int, d: int, t: float) -> np.ndarray:
-    """Exact vertex enumeration of the nu polytope for n <= 4.
-
-    Vertices are the box corners {floor, 1}^n satisfying the sum
-    constraint plus the points where the sum hyperplane crosses a box
-    edge.
-    """
-    if n < 1 or n > 4:
-        raise ConfigError(f"vertex enumeration supports 1 <= n <= 4, got {n}")
+    """Vertices of the nu polytope: ones(n) and 1 - R e_l, i.e. y = 0 and y = R e_l."""
+    if n < 1:
+        raise ConfigError(f"need n >= 1, got {n}")
     _check_t(d, t)
-    ratio = box_ratio(d, t)
-    lower = 1.0 + ratio
-    bound = n + ratio
-    points: list[np.ndarray] = []
-
-    for bits in range(2**n):
-        corner = np.array([(lower if (bits >> i) & 1 else 1.0) for i in range(n)])
-        if corner.sum() >= bound - 1e-12:
-            points.append(corner)
-    for free in range(n):
-        for bits in range(2 ** (n - 1)):
-            corner = np.empty(n)
-            others = [i for i in range(n) if i != free]
-            for m, i in enumerate(others):
-                corner[i] = lower if (bits >> m) & 1 else 1.0
-            val = bound - corner[others].sum() if n > 1 else bound
-            if lower - 1e-12 <= val <= 1.0 + 1e-12:
-                corner[free] = min(max(val, lower), 1.0)
-                points.append(corner)
-
-    kept: list[np.ndarray] = []
-    for p in points:
-        if not any(np.max(np.abs(p - q)) < 1e-10 for q in kept):
-            kept.append(p)
-    return np.array(kept)
+    return np.vstack([np.ones(n), 1.0 + box_ratio(d, t) * np.eye(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +277,7 @@ def _margins_main(nu: np.ndarray, k: int, d: int, t: float) -> np.ndarray:
 
 
 def _lambda_batch(gen: np.random.Generator, d: int, count: int) -> np.ndarray:
-    expo = exponentials_from_uniforms(gen.random((count, d)))
-    total = np.maximum(expo.sum(axis=1), 1e-300)
-    return expo / total[:, None]
+    return _simplex_rows(gen.random((count, d)))
 
 
 def _sympol_margins(ch: Channel, lams: np.ndarray) -> np.ndarray:
@@ -383,38 +308,30 @@ def _scan_cell_group(kind: str, d: int, t: float, t_idx: int, samples: int, seed
     n = d - 2
     if kind in ("main", "k0", "second_term", "sympol", "schur"):
         _check_t(d, t)
-    ratio = box_ratio(d, t)
+    radius = -box_ratio(d, t)
     margins_all: list[np.ndarray] = []
     k_values: list[int] = []
 
     if kind == "main":
-        vertices = polytope_vertices(n, d, t) if n <= 4 else np.empty((0, n))
+        vertices = polytope_vertices(n, d, t)
         for k in range(n):
             gen = philox_stream(seed, _cell_key(kind, d, t_idx, k))
-            nu = _batch_polytope(gen, n, ratio, samples)
-            margins = _margins_main(nu, k, d, t)
-            if vertices.size:
-                margins = np.concatenate([margins, _margins_main(vertices, k, d, t)])
-            margins_all.append(margins)
+            nu = np.vstack([_polytope_batch(gen, n, radius, samples), vertices])
+            margins_all.append(_margins_main(nu, k, d, t))
             k_values.append(k)
     elif kind == "second_term":
         for k in range(1, n + 1):
             gen = philox_stream(seed, _cell_key(kind, d, t_idx, k))
-            nu = _batch_polytope(gen, n, ratio, samples)
-            table = _elem_sym_table(nu)
-            margins_all.append(table[:, n - k].copy())
+            nu = _polytope_batch(gen, n, radius, samples)
+            margins_all.append(_elem_sym_table(nu)[:, n - k].copy())
             k_values.append(k)
     elif kind == "k0":
         gen = philox_stream(seed, _cell_key(kind, d, t_idx, -1))
-        nu = _batch_polytope(gen, n, ratio, samples, force_negative=True)
+        nu = _polytope_batch(gen, n, radius, samples, corner_only=True)
         k_values.append(0)
-        if nu.shape[0]:
-            neg_count = (nu < 0.0).sum(axis=1)
-            valid = (neg_count == 1) & (np.abs(nu).min(axis=1) > NEAR_ZERO_NU)
-            nu = nu[valid]
-            if nu.shape[0]:
-                vals = _rhs_coefficient(d, t) - ((1.0 - nu) / nu).sum(axis=1)
-                margins_all.append(vals)
+        valid = ((nu < 0.0).sum(axis=1) == 1) & (np.abs(nu).min(axis=1) > NEAR_ZERO_NU)
+        nu = nu[valid]
+        margins_all.append(_rhs_coefficient(d, t) - ((1.0 - nu) / nu).sum(axis=1))
     elif kind == "extreme":
         value = extreme_point_defect(d, t)
         if value is not None:

@@ -74,6 +74,18 @@ def test_density_matrix_validation():
     assert rho.dim == 4
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_density_matrix_rejects_non_finite(bad):
+    m = np.eye(2, dtype=complex) / 2.0
+    m[0, 1] = m[1, 0] = bad
+    with pytest.raises(OutOfRange):
+        td.DensityMatrix(m)
+    m = np.eye(2, dtype=complex) / 2.0
+    m[0, 0] = bad
+    with pytest.raises(OutOfRange):
+        td.DensityMatrix(m)
+
+
 def test_pure_state():
     rho = td.pure_state(np.array([1.0, 1.0j]) / np.sqrt(2.0))
     assert rho.dim == 2

@@ -114,6 +114,29 @@ def test_apply_command_invalid_state(tmp_path, capsys):
     assert code == 3
 
 
+def _apply_entry(tmp_path, capsys, entry: str):
+    text = '{"dim": 2, "rows": [[[%s, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}' % entry
+    path = tmp_path / "rho.json"
+    path.write_text(text)
+    return run_cli(capsys, "apply", "--d", "2", "--t", "-0.5", "--input", str(path))
+
+
+@pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400])
+def test_apply_command_non_finite_entry_exit_3(tmp_path, capsys, entry):
+    code, out, err = _apply_entry(tmp_path, capsys, entry)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("entry", ['"a"', '"0.5"', "null", "true", "[0.5]"])
+def test_apply_command_non_numeric_entry_exit_3(tmp_path, capsys, entry):
+    code, out, err = _apply_entry(tmp_path, capsys, entry)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
+
+
 def test_min_entropy_command(capsys):
     code, out, _ = run_cli(capsys, "min-entropy", "--d", "3", "--t", "-0.5", "--restarts", "4")
     assert code == 0
@@ -219,6 +242,27 @@ def test_additivity_bad_dimension_exit_3(capsys, d):
 def test_unknown_kind_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--kind", "bogus", "--d", "3"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--kind", "second-term", "--d", "5", "--samples", "20", "--tol", "1e9"],
+        ["schur-scan", "--d", "3", "--samples", "2", "--tol", "1e9"],
+        ["verify", "--kind", "main", "--d", "3", "--samples", "2", "--log-base", "2"],
+        ["apply", "--d", "2", "--t", "-0.5", "--input", "-", "--seed", "1"],
+        ["spectrum", "--d", "2", "--t", "-0.5", "--lambda", "1,0", "--threads", "2"],
+        ["spectrum", "--d", "2", "--t", "-0.5", "--lambda", "1,0", "--log-base", "2"],
+        ["entropy", "--d", "2", "--t", "-0.5", "--lambda", "1,0", "--seed", "3"],
+        ["entropy", "--d", "2", "--t", "-0.5", "--lambda", "1,0", "--tol", "1"],
+        ["min-entropy", "--d", "2", "--t", "-0.5", "--threads", "2"],
+        ["additivity", "--d", "2", "--threads", "2"],
+    ],
+)
+def test_flags_a_command_does_not_read_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
     assert exc.value.code == 2
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import optimize, stats
 
 import tdchan as td
 from tdchan.errors import (
@@ -13,8 +14,8 @@ from tdchan.errors import (
 from tdchan.sampling import philox_stream
 from tdchan.verification import (
     SCAN_KINDS,
-    _batch_polytope,
     _cell_key,
+    _polytope_batch,
     _rhs_coefficient,
     box_ratio,
     default_t_grid,
@@ -175,17 +176,20 @@ def test_sample_polytope_deterministic():
 
 
 def test_batch_polytope_feasibility_and_determinism():
-    for d, t, force in ((5, -0.25, False), (5, -0.25, True), (6, -0.19, False), (4, -0.01, True)):
+    cases = [(5, -0.25, False), (5, -0.25, True), (6, -0.19, False), (4, -0.01, True)]
+    for d in range(3, 9):
+        cases += [(d, float(t), force) for t in default_t_grid(d) for force in (False, True)]
+    for d, t, force in cases:
         n = d - 2
         ratio = box_ratio(d, t)
         lower = 1.0 + ratio
         gen_a = philox_stream(42, _cell_key("main", d, 0, 1))
         gen_b = philox_stream(42, _cell_key("main", d, 0, 1))
-        rows_a = _batch_polytope(gen_a, n, ratio, 512, force)
-        rows_b = _batch_polytope(gen_b, n, ratio, 512, force)
+        rows_a = _polytope_batch(gen_a, n, -ratio, 512, force)
+        rows_b = _polytope_batch(gen_b, n, -ratio, 512, force)
         assert np.array_equal(rows_a, rows_b)
         if force and lower >= 0.0:
-            assert rows_a.shape == (0, n)
+            assert rows_a.shape == (0, n)  # the corner stratum is empty
             continue
         assert rows_a.shape == (512, n)
         assert np.all(rows_a <= 1.0 + 1e-12)
@@ -194,6 +198,51 @@ def test_batch_polytope_feasibility_and_determinism():
         assert np.all(np.sum(rows_a < 0.0, axis=1) <= 1)
         if force:
             assert np.all(np.sum(rows_a < 0.0, axis=1) == 1)
+
+
+def _ks_pvalue(values, a, b):
+    return stats.kstest(values, "beta", args=(a, b)).pvalue
+
+
+def test_polytope_batch_strata_are_uniform():
+    # With y = 1 - nu, a uniform point of the corner simplex e_pos + (R-1) Delta
+    # has (sum y - 1)/(R - 1) ~ Beta(n, 1), and its offsets from e_pos,
+    # normalized to sum 1, are uniform on the probability simplex, so each one
+    # is Beta(1, n - 1).  The whole stratum has sum y / R ~ Beta(n, 1).
+    d, t = 5, -0.125
+    n = d - 2
+    radius = -box_ratio(d, t)
+    assert 1.0 < radius < 2.0
+    gen = philox_stream(2024, _cell_key("k0", d, 0, -1))
+    y = 1.0 - _polytope_batch(gen, n, radius, 4000, corner_only=True)
+    pos = np.argmax(y, axis=1)
+    assert np.all(y[np.arange(y.shape[0]), pos] >= 1.0)
+    radial = (y.sum(axis=1) - 1.0) / (radius - 1.0)
+    assert _ks_pvalue(radial, n, 1) > 0.01
+    offsets = y.copy()
+    offsets[np.arange(y.shape[0]), pos] -= 1.0
+    direction = offsets / offsets.sum(axis=1, keepdims=True)
+    assert _ks_pvalue(direction[:, 0], 1, n - 1) > 0.01
+    assert np.all(np.abs(np.bincount(pos, minlength=n) / y.shape[0] - 1.0 / n) < 0.05)
+
+    # each stratum has probability 1/2; the corners fill n ((R-1)/R)^n of the whole
+    gen = philox_stream(2024, _cell_key("main", d, 0, 0))
+    y = 1.0 - _polytope_batch(gen, n, radius, 8000)
+    no_negative = 0.5 * (1.0 - n * ((radius - 1.0) / radius) ** n)
+    assert abs(np.mean(y.max(axis=1) < 1.0) - no_negative) < 0.03
+    gen = philox_stream(7, 1)
+    y = 1.0 - _polytope_batch(gen, n, 0.9, 4000)  # R < 1: only the whole stratum
+    assert _ks_pvalue(y.sum(axis=1) / 0.9, n, 1) > 0.01
+    assert _ks_pvalue(y[:, 0] / y.sum(axis=1), 1, n - 1) > 0.01
+
+
+@pytest.mark.parametrize("n,count,force", [(1, 5, False), (3, 64, False), (6, 17, True)])
+def test_polytope_batch_stream_advance(n, count, force):
+    # each row reads exactly n + 3 doubles, whatever stratum it lands in
+    gen = philox_stream(5, 77)
+    _polytope_batch(gen, n, 1.5, count, force)
+    fresh = philox_stream(5, 77).random(count * (n + 3) + 4)
+    assert np.array_equal(gen.random(4), fresh[-4:])
 
 
 def test_polytope_vertices_frozen():
@@ -209,8 +258,13 @@ def test_polytope_vertices_frozen():
         (1.0, round(lo, 8)),
         (1.0, 1.0),
     ]
+    # closed form for any n: ones(n) and 1 - R e_l
+    v = polytope_vertices(5, 7, -0.1)
+    radius = 2.0 * 0.1 * 7 / 1.1
+    assert np.array_equal(v[0], np.ones(5))
+    assert np.allclose(v[1:], 1.0 - radius * np.eye(5), rtol=0.0, atol=1e-15)
     with pytest.raises(ConfigError):
-        polytope_vertices(5, 7, -0.1)
+        polytope_vertices(0, 2, -0.5)
 
 
 def test_polytope_vertices_feasible():
@@ -224,6 +278,29 @@ def test_polytope_vertices_feasible():
                 assert np.all(v <= 1.0 + 1e-9)
                 assert np.all(v >= lower - 1e-9)
                 assert np.sum(v) >= n + box_ratio(d, t) - 1e-9
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_polytope_vertices_closed_form_matches_linear_programs(n):
+    # The minimum of a linear function over the polytope, given by its
+    # inequalities {nu <= 1, nu >= 1 + ratio, sum nu >= n + ratio}, is
+    # attained at a vertex, so it must equal the minimum over the list.
+    d = n + 2
+    rng = np.random.default_rng(n)
+    for t in default_t_grid(d, points=4):
+        ratio = box_ratio(d, float(t))
+        verts = polytope_vertices(n, d, float(t))
+        assert verts.shape == (n + 1, n)
+        for _ in range(10):
+            c = rng.standard_normal(n)
+            lp = optimize.linprog(
+                c,
+                A_ub=-np.ones((1, n)),
+                b_ub=[-(n + ratio)],
+                bounds=[(1.0 + ratio, 1.0)] * n,
+            )
+            assert lp.status == 0
+            assert lp.fun == pytest.approx(float(np.min(verts @ c)), abs=1e-9)
 
 
 # ------------------------------------------------------------------- run_scan
