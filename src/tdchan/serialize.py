@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from .channel import DensityMatrix
-from .errors import BadDimension
+from .errors import BadDimension, OutOfRange
 
 
 def fmt_float(x: float) -> str:
@@ -107,5 +107,5 @@ def density_from_obj(obj) -> DensityMatrix:
             try:
                 m[i, j] = complex(entry[0], entry[1])
             except OverflowError:  # an integer past the double range
-                m[i, j] = np.inf  # rejected by DensityMatrix as non-finite
+                raise OutOfRange(f"entry ({i},{j}) is not finite") from None
     return DensityMatrix(m)

@@ -35,7 +35,12 @@ SCHMIDT_SUM_TOL = 1e-12
 # sqrt(lam_a) when a reduced root sits at c1 (d = 3, t = -1/2), so the
 # bound is sqrt(1e-30) = 1e-15.
 ZERO_WEIGHT_TOL = 1e-30
-POLE_MERGE_TOL = 1e-12  # poles closer than this are treated as one
+# Consecutive poles merge when they lie within POLE_MERGE_TOL and their
+# weights lam within LAM_MERGE_TOL.  Merging moves a root by at most half
+# the pole gap (Weyl).  The lam condition keeps small |t|, where
+# c2 = 2 t (1-t) / d shrinks every pole gap, from merging unrelated weights.
+POLE_MERGE_TOL = 1e-12
+LAM_MERGE_TOL = 1e-10
 BISECT_REL_TOL = 1e-14
 BISECT_MAX_ITER = 200
 
@@ -186,8 +191,9 @@ def secular_roots(ch: Channel, lam: "SchmidtVector | np.ndarray") -> np.ndarray:
     """All d eigenvalues of the diagonal-plus-rank-one block, descending.
 
     Strategy: coordinates with negligible weight deflate to exact roots at
-    c1; remaining poles c1 + c2 lam_a are sorted and merged when closer
-    than 1e-12 (a merged pole of multiplicity m keeps m-1 exact roots);
+    c1; remaining poles c1 + c2 lam_a are sorted and merged when both
+    the poles and the weights are close (a merged pole of multiplicity m
+    keeps m-1 exact roots);
     one root is bracketed between consecutive distinct poles and one above
     the largest pole, each found by bisection.
 
@@ -215,7 +221,11 @@ def secular_roots(ch: Channel, lam: "SchmidtVector | np.ndarray") -> np.ndarray:
     i = 0
     while i < sorted_poles.size:
         j = i
-        while j + 1 < sorted_poles.size and sorted_poles[j + 1] - sorted_poles[j] <= POLE_MERGE_TOL:
+        while (
+            j + 1 < sorted_poles.size
+            and sorted_poles[j + 1] - sorted_poles[j] <= POLE_MERGE_TOL
+            and abs(sorted_lam[j + 1] - sorted_lam[j]) <= LAM_MERGE_TOL
+        ):
             j += 1
         group = sorted_poles[i : j + 1]
         pole = float(np.mean(group))
@@ -260,8 +270,9 @@ def secular_roots_batch(ch: Channel, lams) -> np.ndarray:
     secular_roots, as array masks:
 
     * a weight at or below ZERO_WEIGHT_TOL gives the exact root c1;
-    * consecutive sorted poles within POLE_MERGE_TOL become one pole at
-      the group mean with weight t^2 sum(lam), and leave m-1 roots there;
+    * consecutive sorted poles within POLE_MERGE_TOL, whose weights lie
+      within LAM_MERGE_TOL, become one pole at the group mean with
+      weight t^2 sum(lam), and leave m-1 roots there;
     * the remaining roots are bisected all at once, one bracket per
       slot, with the scalar path's stopping rule.  Slots without a
       bracket are frozen at zero width, and their poles are kept out of
@@ -287,7 +298,12 @@ def secular_roots_batch(ch: Channel, lams) -> np.ndarray:
 
     # Merge groups: running sums of pole, lam and group size left to
     # right, then the group mean copied right to left.
-    joins = act[:, 1:] & act[:, :-1] & (np.diff(p, axis=1) <= POLE_MERGE_TOL)
+    joins = (
+        act[:, 1:]
+        & act[:, :-1]
+        & (np.diff(p, axis=1) <= POLE_MERGE_TOL)
+        & (np.abs(np.diff(lam, axis=1)) <= LAM_MERGE_TOL)
+    )
     acc = np.stack([p, lam, np.ones((count, d))])
     for j in range(1, d):
         acc[:, :, j] += np.where(joins[:, j - 1], acc[:, :, j - 1], 0.0)

@@ -68,18 +68,6 @@ def secular_cases(draw):
     return d, t, np.array(rows)
 
 
-def _merge_shift(ch, lam) -> float:
-    """Largest distance of a pole from the mean of its merged group.
-
-    Both solvers merge consecutive sorted poles within POLE_MERGE_TOL at
-    their mean, so by Weyl's bound a root moves by at most this much.
-    Small |t| shrinks c2 until poles of unrelated weights merge too.
-    """
-    poles = np.sort(ch.c1 + ch.c2 * lam[lam > ZERO_WEIGHT_TOL])
-    groups = np.split(poles, np.flatnonzero(np.diff(poles) > POLE_MERGE_TOL) + 1)
-    return max((float(np.max(np.abs(g - g.mean()))) for g in groups if g.size), default=0.0)
-
-
 @settings(max_examples=200, deadline=None)
 @given(secular_cases())
 @example(case=(2, 1e-12, np.array([[2.0 / 3.0, 1.0 / 3.0]])))  # poles 3.3e-13 apart merge
@@ -91,10 +79,9 @@ def test_secular_batch_matches_scalar_and_mpmath(case):
     for lam, got in zip(rows, batch):
         scalar = td.secular_roots(ch, lam)
         oracle = mp_secular_block_roots(t, lam)
-        tol = ROOT_TOL + _merge_shift(ch, lam)
         assert np.max(np.abs(got - scalar)) <= ROOT_TOL
-        assert np.max(np.abs(got - oracle)) <= tol
-        assert np.max(np.abs(scalar - oracle)) <= tol
+        assert np.max(np.abs(got - oracle)) <= ROOT_TOL
+        assert np.max(np.abs(scalar - oracle)) <= ROOT_TOL
 
 
 def test_secular_batch_forced_cases():
