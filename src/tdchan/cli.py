@@ -11,7 +11,9 @@ schur-scan   Schur criterion scan for the secular symmetric polynomials
 verify       inequality scans; --kind all runs every family
 
 Exit codes: 0 success, 1 a checked quantity violated its tolerance,
-2 usage or parse error, 3 input validation error.
+2 usage or parse error, 3 input validation error, 4 internal failure (a
+solver that did not converge, or any error outside the package's
+validation errors).
 
 Output is deterministic for a fixed seed: scan sampling uses
 counter-based streams, so --threads never changes the bytes printed.
@@ -35,7 +37,7 @@ from .entropy import (
     min_entropy_closed_form,
     min_output_entropy,
 )
-from .errors import TdchanError
+from .errors import ConvergenceFailure, TdchanError
 from .spectrum import SchmidtVector, full_spectrum, sigma12
 from .verification import SCAN_KINDS, run_scan
 
@@ -344,6 +346,10 @@ def _cmd_verify(args, kind: str | None = None) -> int:
     return _emit_reports(reports, args.format)
 
 
+def _one_line(exc: Exception) -> str:
+    return " ".join(str(exc).split())
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -359,9 +365,15 @@ def main(argv=None) -> int:
         if args.command == "schur-scan":
             return _cmd_verify(args, kind="schur")
         return handlers[args.command](args)
+    except ConvergenceFailure as exc:
+        print(f"error: internal failure: {_one_line(exc)}", file=sys.stderr)
+        return 4
     except TdchanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        print(f"error: internal failure: {type(exc).__name__}: {_one_line(exc)}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ from scipy.optimize import minimize
 from .channel import Channel, DensityMatrix, apply_two_copies
 from .errors import NotPSD
 from .sampling import dirichlet_flat, haar_state, rng_stream
-from .spectrum import SchmidtVector, full_spectrum
+from .spectrum import SchmidtVector, _as_schmidt, _pair_values, secular_roots
 
 ENTROPY_CLAMP = 1e-15  # eigenvalues at or below this contribute 0 ln 0 := 0
 EIGENVALUE_FLOOR = -1e-10
@@ -73,10 +73,10 @@ def entropy_of(values: np.ndarray) -> float:
     Entries below -1e-10 indicate a genuinely non-PSD input and raise.
     """
     v = np.asarray(values, dtype=float)
-    if v.size and float(np.min(v)) < EIGENVALUE_FLOOR:
-        raise NotPSD(f"entropy of a vector with entry {np.min(v)}")
+    if v.size and v.min() < EIGENVALUE_FLOOR:
+        raise NotPSD(f"entropy of a vector with entry {v.min()}")
     v = v[v > ENTROPY_CLAMP]
-    return float(-np.sum(v * np.log(v)))
+    return float(-(v * np.log(v)).sum())
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -85,11 +85,16 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 
 def entropy_split(ch: Channel, lam: SchmidtVector) -> EntropyReport:
-    """S1, S2 and their sum for the two-copy output, from the closed form."""
-    spec = full_spectrum(ch, lam)
-    s1 = entropy_of(spec.offdiag)
-    s2 = entropy_of(spec.secular)
-    return EntropyReport(s_total=s1 + s2, s1=s1, s2=s2, c=spec.offdiag_sum)
+    """S1, S2 and their sum for the two-copy output, from the closed form.
+
+    Built from the two families directly, with no Spectrum record: through
+    simplex_output_entropy this is the optimizer's objective.
+    """
+    lam = _as_schmidt(ch, lam)
+    s1 = entropy_of(_pair_values(ch, lam.values))
+    s2 = entropy_of(secular_roots(ch, lam))
+    c = (ch.d - 1) * (1.0 - ch.t**2) / ch.d
+    return EntropyReport(s_total=s1 + s2, s1=s1, s2=s2, c=c)
 
 
 def simplex_output_entropy(ch: Channel, lam: SchmidtVector) -> float:
@@ -148,10 +153,10 @@ def project_to_simplex(x: np.ndarray) -> np.ndarray:
 
 def _objective(ch: Channel):
     def fun(x: np.ndarray) -> float:
-        full = np.append(x, 1.0 - np.sum(x))
+        full = np.append(x, 1.0 - x.sum())
         lam = project_to_simplex(full)
         # Projection can leave the sum a few ulp off 1; renormalize.
-        lam = lam / np.sum(lam)
+        lam = lam / lam.sum()
         return simplex_output_entropy(ch, SchmidtVector(lam))
 
     return fun

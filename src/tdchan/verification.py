@@ -85,15 +85,13 @@ def _check_t(d: int, t: float) -> None:
 
 
 def first_term_value(nu, k: int) -> float:
-    """sum_l (1 - nu_l) s_{n-k-1}(nu \\ l); nonnegative already under
-    the weaker constraint sum nu >= n - 2."""
-    v = np.asarray(nu, dtype=float).reshape(-1)
-    n = v.size
-    total = 0.0
-    for l in range(n):
-        rest = np.delete(v, l)
-        total += (1.0 - v[l]) * elem_sym(rest, n - k - 1)
-    return total
+    """sum_l (1 - nu_l) s_{n-k-1}(nu \\ l) for 0 <= k <= n-1; nonnegative
+    already under the weaker constraint sum nu >= n - 2."""
+    v = np.asarray(nu, dtype=float).reshape(1, -1)
+    n = v.shape[1]
+    if not (0 <= k <= n - 1):
+        raise BadK(f"k={k} outside [0, {n - 1}]")
+    return float(_first_terms(v, _elem_sym_table(v), k)[0])
 
 
 def main_inequality_lhs(nu, k: int, d: int, t: float) -> float:
@@ -107,7 +105,7 @@ def main_inequality_lhs(nu, k: int, d: int, t: float) -> float:
     if not (0 <= k <= n - 1):
         raise BadK(f"k={k} outside [0, {n - 1}]")
     _check_t(d, t)
-    return first_term_value(v, k) - _rhs_coefficient(d, t) * elem_sym(v, n - k)
+    return float(_margins_main(v[None, :], k, d, t)[0])
 
 
 def second_term_value(nu, k: int) -> float:
@@ -268,12 +266,16 @@ def _cell_key(kind: str, d: int, t_idx: int, k: int) -> int:
     return ((kind_idx * 256 + d) * 65536 + t_idx) * 256 + (k + 1)
 
 
+def _first_terms(nu: np.ndarray, table: np.ndarray, k: int) -> np.ndarray:
+    """sum_l (1 - nu_l) s_{n-k-1}(nu \\ l) per row of an (N, n) nu, from its s table."""
+    loo = _loo_elem_sym(nu, table, nu.shape[1] - k - 1)[..., -1]
+    return ((1.0 - nu) * loo).sum(axis=1)
+
+
 def _margins_main(nu: np.ndarray, k: int, d: int, t: float) -> np.ndarray:
-    n = nu.shape[1]
+    """main_inequality_lhs per row of an (N, n) nu array."""
     table = _elem_sym_table(nu)
-    loo = _loo_elem_sym(nu, table, n - k - 1)[..., -1]
-    first = ((1.0 - nu) * loo).sum(axis=1)
-    return first - _rhs_coefficient(d, t) * table[:, n - k]
+    return _first_terms(nu, table, k) - _rhs_coefficient(d, t) * table[:, nu.shape[1] - k]
 
 
 def _lambda_batch(gen: np.random.Generator, d: int, count: int) -> np.ndarray:

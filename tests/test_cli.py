@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import tdchan as td
+from tdchan import spectrum
 from tdchan.cli import main
+from tdchan.errors import ConvergenceFailure
 from tdchan.serialize import density_from_obj, density_to_obj, fmt_float, to_json
 
 
@@ -53,11 +55,13 @@ def test_spectrum_command(capsys):
 
 
 def test_spectrum_command_tol_failure(capsys):
+    # dense_delta is a maximum of absolute differences, so no input meets a
+    # negative tolerance; the closed form may agree with eigvalsh exactly.
     code, out, _ = run_cli(
-        capsys, "spectrum", "--d", "3", "--t", "-0.5", "--lambda", "1,0,0", "--tol", "1e-18"
+        capsys, "spectrum", "--d", "3", "--t", "-0.5", "--lambda", "1,0,0", "--tol=-1e-18"
     )
     assert code == 1
-    assert json.loads(out)["dense_delta"] > 1e-18
+    assert json.loads(out)["dense_delta"] > -1e-18
 
 
 def test_spectrum_command_bad_lambda(capsys):
@@ -237,6 +241,22 @@ def test_additivity_bad_dimension_exit_3(capsys, d):
     assert code == 3
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [ConvergenceFailure("secular iteration did not converge"), ZeroDivisionError("float\ndivision")],
+)
+def test_internal_failure_exit_4(capsys, monkeypatch, exc):
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(spectrum, "_secular_root", fail)
+    code, out, err = run_cli(capsys, "spectrum", "--d", "3", "--t", "-0.5", "--lambda", "0.5,0.3,0.2")
+    assert code == 4
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: internal failure")
+    assert "Traceback" not in err
 
 
 def test_unknown_kind_is_usage_error(capsys):

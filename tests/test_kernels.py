@@ -9,6 +9,7 @@ brute-force sums; the scan margins against the per-sample scalar route.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tdchan as td
+from tdchan import spectrum
 from tdchan.errors import OutOfRange, SumMismatch
 from tdchan.majorization import _elem_sym_table, _loo_elem_sym
 from tdchan.sampling import philox_stream
@@ -27,7 +29,7 @@ from oracles import elem_sym_brute, mp_secular_block_roots
 ROOT_TOL = 1e-13
 MARGIN_TOL = 1e-12
 # Tiny weights: exact zeros and the deflation threshold deflate; 1e-20 and
-# 1e-14 are small but not negligible, so they go through the bisection.
+# 1e-14 are small but not negligible, so they go through the iteration.
 TINY = (0.0, ZERO_WEIGHT_TOL, 1e-20, 1e-14, 2e-14)
 
 
@@ -68,9 +70,16 @@ def secular_cases(draw):
     return d, t, np.array(rows)
 
 
+# Near-vertex Schmidt vectors at t = -1/(d-1): the root between the two
+# active poles sits at g = 0, where a relative step test cannot fire.
+NEAR_VERTEX = 3.0517578106348256e-08
+
+
 @settings(max_examples=200, deadline=None)
 @given(secular_cases())
 @example(case=(2, 1e-12, np.array([[2.0 / 3.0, 1.0 / 3.0]])))  # poles 3.3e-13 apart merge
+@example(case=(3, -0.5, np.array([[1.0 - NEAR_VERTEX, NEAR_VERTEX, 0.0]])))
+@example(case=(4, -1.0 / 3.0, np.array([[1.0 - NEAR_VERTEX, NEAR_VERTEX, 0.0, 0.0]])))
 def test_secular_batch_matches_scalar_and_mpmath(case):
     d, t, rows = case
     ch = td.new_channel(d, t)
@@ -106,6 +115,82 @@ def test_secular_batch_forced_cases():
                 assert np.all(batch == 1.0 / d**2)
 
 
+def _forced_rows(d):
+    """Uniform (one merged pole), a vertex (zero weights), distinct weights,
+    a weight at the deflation threshold, a weight whose root lies within a
+    float of its pole, a merged pair, and a near vertex."""
+    lam = np.arange(1.0, d + 1.0)
+    lam /= lam.sum()
+    tiny = lam.copy()
+    tiny[0] = ZERO_WEIGHT_TOL
+    tiny[1] += lam[0] - ZERO_WEIGHT_TOL
+    small = lam.copy()
+    small[0] = 1e-20
+    small[1] += lam[0] - 1e-20
+    pair = lam.copy()
+    pair[0] = pair[1] = 0.5 * (lam[0] + lam[1])
+    near = np.zeros(d)
+    near[0], near[1] = 1.0 - NEAR_VERTEX, NEAR_VERTEX
+    return np.array([np.full(d, 1.0 / d), np.eye(d)[0], lam, tiny, small, pair, near])
+
+
+# At t = -1/(d-1) these put a root at g = 0 off the bracket's midpoint.
+# There |f| bottoms out at its rounding error before the relative step
+# test can fire; without the rounding test the iteration falls back to
+# bisection, about 50 evaluations.
+ZERO_ROOT_CASES = [
+    (2, -1.0, [0.1814920343498257, 0.8185079656501744]),
+    (3, -0.5, [0.990661763599945, 0.009338236400054998, 0.0]),
+    (3, -0.5, [0.9999999993168853, 6.477581292000623e-14, 6.830499001238157e-10]),
+]
+
+
+def test_secular_iteration_is_not_bisection(monkeypatch):
+    # Bisection needs about 50 evaluations of the secular function per root
+    # to reach SECULAR_REL_TOL; the rational iteration needs a handful.
+    evals, per_root = [0], []
+    terms, root = spectrum._secular_terms, spectrum._secular_root
+
+    def counted_terms(*args):
+        evals[0] += 1
+        return terms(*args)
+
+    def counted_root(*args):
+        start = evals[0]
+        out = root(*args)
+        per_root.append(evals[0] - start)
+        return out
+
+    batch_terms = spectrum._secular_terms_batch
+    steps = [0]
+
+    def counted_batch(*args):
+        steps[0] += 1
+        return batch_terms(*args)
+
+    monkeypatch.setattr(spectrum, "_secular_terms", counted_terms)
+    monkeypatch.setattr(spectrum, "_secular_root", counted_root)
+    monkeypatch.setattr(spectrum, "_secular_terms_batch", counted_batch)
+    for d in range(2, 9):
+        lo, hi = td.t_range(d)
+        rows = _forced_rows(d)
+        for t in (lo, hi, 1e-12, 0.5 * lo):
+            ch = td.new_channel(d, t)
+            for lam in rows:
+                td.secular_roots(ch, lam)
+            steps[0] = 0
+            secular_roots_batch(ch, rows)
+            assert steps[0] <= 40, (d, t)
+    for d, t, lam in ZERO_ROOT_CASES:
+        ch = td.new_channel(d, t)
+        td.secular_roots(ch, np.array(lam))
+        steps[0] = 0
+        secular_roots_batch(ch, np.array([lam]))
+        assert steps[0] <= 40, (d, t, lam)
+    assert max(per_root) <= 40
+    assert sum(per_root) / len(per_root) <= 6
+
+
 def test_secular_tiny_weight_at_degenerate_t():
     # At d = 3, t = -1/2 the reduced top root sits at c1 for every lam, so
     # deflating a weight of 1e-14 would move a root by ~2e-8.
@@ -131,6 +216,45 @@ def test_secular_merge_solves_the_mean_pole_block():
         for got in (td.secular_roots(ch, lam), secular_roots_batch(ch, lam[None, :])[0]):
             assert np.max(np.abs(got - merged)) <= ROOT_TOL
             assert np.max(np.abs(got - exact)) <= ROOT_TOL + 0.5 * pole_gap
+
+
+def test_secular_merged_pole_stays_inside_its_group():
+    # At t = 1e-12 the first four poles round to one float, but the fourth
+    # weight lies 2e-10 > LAM_MERGE_TOL from the others, so it stays a
+    # pole of its own.  The mean of the other three, (3a)/3, rounds one
+    # float above a unless clamped, which puts a pole inside the next
+    # bracket, where the iteration steps to the float next to a.
+    x = 0.056146028590429206
+    lam = np.array([x, x, x, x + 2e-10, 0.012815791137555614, 0.7626000943007275])
+    ch = td.new_channel(6, 1e-12)
+    oracle = mp_secular_block_roots(1e-12, lam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.max(np.abs(td.secular_roots(ch, lam) - oracle)) <= ROOT_TOL
+        assert np.max(np.abs(secular_roots_batch(ch, lam[None, :])[0] - oracle)) <= ROOT_TOL
+
+
+UNMERGED_CLUSTERS = [
+    (7, -1.0 / 6.0, [9.74510905e-14, 8.61077780e-25, 0.708932437, 5.84655862e-08,
+                     2.99396693e-16, 8.41706055e-15, 0.291067505]),
+    (8, -1.0 / 7.0, [7.91170697e-04, 4.65266116e-16, 7.81416307e-25, 2.38734736e-18,
+                     0.999208817, 1.18996153e-08, 1.47034853e-24, 5.79637897e-24]),
+]
+
+
+@pytest.mark.parametrize("d, t, lam", UNMERGED_CLUSTERS)
+def test_secular_unmerged_pole_clusters(monkeypatch, d, t, lam):
+    # With merging off, tiny weights leave poles a few floats apart.  One
+    # float above such a cluster the model step is below SECULAR_REL_TOL
+    # while the root lies 1e-7 to 1e-5 higher, so a step is trusted only
+    # when it is also shorter than the distance to the nearest pole.
+    monkeypatch.setattr(spectrum, "POLE_MERGE_TOL", 0.0)
+    lam = np.array(lam)
+    lam[np.argmax(lam)] += 1.0 - lam.sum()
+    ch = td.new_channel(d, t)
+    oracle = mp_secular_block_roots(t, lam)
+    assert np.max(np.abs(td.secular_roots(ch, lam) - oracle)) <= ROOT_TOL
+    assert np.max(np.abs(secular_roots_batch(ch, lam[None, :])[0] - oracle)) <= ROOT_TOL
 
 
 def test_secular_batch_validation():

@@ -15,6 +15,7 @@ from tdchan.sampling import philox_stream
 from tdchan.verification import (
     SCAN_KINDS,
     _cell_key,
+    _margins_main,
     _polytope_batch,
     _rhs_coefficient,
     box_ratio,
@@ -29,6 +30,8 @@ from tdchan.verification import (
     sample_polytope,
     second_term_value,
 )
+
+from oracles import elem_sym_brute
 
 
 # ------------------------------------------------------------- scalar formulas
@@ -87,6 +90,34 @@ def test_first_and_second_term_frozen():
         second_term_value(np.array([-1.0, 1.0]), 0)
     with pytest.raises(BadK):
         second_term_value(np.array([-1.0, 1.0]), 3)
+
+
+def test_main_margin_routes_match_brute_force():
+    # The one-row wrappers and the batched scan margin against explicit
+    # combinations, on polytope samples and vertices for n = 1..6.
+    for d in range(3, 9):
+        n = d - 2
+        for t in default_t_grid(d, 4)[:-1]:
+            t = float(t)
+            nu = np.vstack(
+                [
+                    _polytope_batch(philox_stream(d, 0), n, -box_ratio(d, t), 6),
+                    polytope_vertices(n, d, t),
+                ]
+            )
+            for k in range(n):
+                batch = _margins_main(nu, k, d, t)
+                for row, margin in zip(nu, batch):
+                    first = sum(
+                        (1.0 - row[l]) * elem_sym_brute(np.delete(row, l), n - k - 1)
+                        for l in range(n)
+                    )
+                    brute = first - _rhs_coefficient(d, t) * elem_sym_brute(row, n - k)
+                    assert first_term_value(row, k) == pytest.approx(first, abs=1e-12)
+                    assert main_inequality_lhs(row, k, d, t) == pytest.approx(brute, abs=1e-12)
+                    assert margin == pytest.approx(brute, abs=1e-12)
+    with pytest.raises(BadK):
+        first_term_value(np.array([-1.0, 1.0]), 2)
 
 
 def test_second_term_can_go_negative_on_feasible_points():
