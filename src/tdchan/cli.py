@@ -201,15 +201,17 @@ def _emit_reports(reports, fmt: str) -> int:
 
 def _cmd_apply(args) -> int:
     ch = new_channel(args.d, args.t)
-    if args.input == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if args.input == "-":
+            if sys.stdin is None:  # the process was started with stdin closed
+                raise OSError("standard input is closed")
+            text = sys.stdin.read()
+        else:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-            return 2
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
+        return 2
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -19,23 +19,29 @@ over Schmidt coefficients plus Haar-random bipartite pure states, both
 compared against 2h.
 
 Natural logarithms throughout; CLI handles base conversion on output.
+
+The simplex search evaluates the objective some 10^4 times per channel on
+vectors of d <= 8 entries, where numpy's per-call overhead outweighs the
+arithmetic, so its Nelder-Mead loop, projection and entropies run on
+Python floats.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channel import Channel, DensityMatrix, apply_two_copies
 from .errors import NotPSD
 from .sampling import dirichlet_flat, haar_state, rng_stream
-from .spectrum import SchmidtVector, _as_schmidt, _pair_values, secular_roots
+from .spectrum import SchmidtVector, _as_schmidt, secular_roots
 
 ENTROPY_CLAMP = 1e-15  # eigenvalues at or below this contribute 0 ln 0 := 0
 EIGENVALUE_FLOOR = -1e-10
 NELDER_MEAD_TOL = 1e-10
+NELDER_MEAD_MAXFEV = 2000
 
 # Substream tags so the optimizer families never collide.
 _TAG_SIMPLEX = 1
@@ -66,17 +72,24 @@ class EntropyReport:
     c: float
 
 
+def _entropy(values) -> float:
+    """-sum p ln p over an iterable of floats; entropy_of without numpy."""
+    total = 0.0
+    for p in values:
+        if p > ENTROPY_CLAMP:
+            total -= p * math.log(p)
+        elif p < EIGENVALUE_FLOOR:
+            raise NotPSD(f"entropy of a vector with entry {p}")
+    return total
+
+
 def entropy_of(values: np.ndarray) -> float:
     """Shannon entropy -sum p ln p of a nonnegative vector.
 
     Entries at or below the clamp threshold are treated as exact zeros.
     Entries below -1e-10 indicate a genuinely non-PSD input and raise.
     """
-    v = np.asarray(values, dtype=float)
-    if v.size and v.min() < EIGENVALUE_FLOOR:
-        raise NotPSD(f"entropy of a vector with entry {v.min()}")
-    v = v[v > ENTROPY_CLAMP]
-    return float(-(v * np.log(v)).sum())
+    return _entropy(np.asarray(values, dtype=float).ravel().tolist())
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -88,11 +101,14 @@ def entropy_split(ch: Channel, lam: SchmidtVector) -> EntropyReport:
     """S1, S2 and their sum for the two-copy output, from the closed form.
 
     Built from the two families directly, with no Spectrum record: through
-    simplex_output_entropy this is the optimizer's objective.
+    simplex_output_entropy this is the optimizer's objective.  gamma_ab is
+    symmetric in (a, b), so S1 sums the unordered pairs and doubles.
     """
     lam = _as_schmidt(ch, lam)
-    s1 = entropy_of(_pair_values(ch, lam.values))
-    s2 = entropy_of(secular_roots(ch, lam))
+    v = lam.values.tolist()
+    c1, half = ch.c1, 0.5 * ch.c2
+    s1 = 2.0 * _entropy([c1 + half * (v[a] + v[b]) for a in range(len(v)) for b in range(a)])
+    s2 = _entropy(secular_roots(ch, lam).tolist())
     c = (ch.d - 1) * (1.0 - ch.t**2) / ch.d
     return EntropyReport(s_total=s1 + s2, s1=s1, s2=s2, c=c)
 
@@ -139,27 +155,137 @@ def min_output_entropy(ch: Channel, cfg: OptimizerConfig = OptimizerConfig()) ->
     return best, argmin
 
 
+def _project(x: list[float]) -> list[float]:
+    """Euclidean projection of x onto the probability simplex (sort-based).
+
+    theta is (sum of the i largest entries - 1) / i for the largest i at
+    which the i-th largest entry still exceeds it.  The result is
+    renormalized, since the projection can leave its sum a few ulp off 1.
+    """
+    css = theta = 0.0
+    for i, u in enumerate(sorted(x, reverse=True), 1):
+        css += u
+        if u - (css - 1.0) / i > 0.0:
+            theta = (css - 1.0) / i
+    lam = [max(v - theta, 0.0) for v in x]
+    total = math.fsum(lam)
+    return [v / total for v in lam]
+
+
 def project_to_simplex(x: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex (sort-based)."""
-    x = np.asarray(x, dtype=float)
-    u = np.sort(x)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, x.size + 1)
-    cond = u - css / idx > 0
-    rho = idx[cond][-1]
-    theta = css[cond][-1] / rho
-    return np.maximum(x - theta, 0.0)
+    return np.array(_project(np.asarray(x, dtype=float).ravel().tolist()))
+
+
+def _schmidt_of(x: list[float]) -> list[float]:
+    """The Schmidt vector of an optimizer point: lam_d = 1 - sum x, projected."""
+    return _project(x + [1.0 - math.fsum(x)])
 
 
 def _objective(ch: Channel):
-    def fun(x: np.ndarray) -> float:
-        full = np.append(x, 1.0 - x.sum())
-        lam = project_to_simplex(full)
-        # Projection can leave the sum a few ulp off 1; renormalize.
-        lam = lam / lam.sum()
-        return simplex_output_entropy(ch, SchmidtVector(lam))
+    def fun(x: list[float]) -> float:
+        return simplex_output_entropy(ch, SchmidtVector(_schmidt_of(x)))
 
     return fun
+
+
+class _OutOfEvaluations(Exception):
+    """The evaluation budget of _nelder_mead is spent."""
+
+
+def _nelder_mead(fun, x0: list[float], xatol: float, fatol: float, maxfev: int):
+    """Minimize fun from x0 by Nelder-Mead; (x, fun(x), evaluations).
+
+    A port, on Python lists, of scipy.optimize.minimize(method="Nelder-Mead",
+    options={"xatol", "fatol", "maxfev"}) in its default form (not
+    adaptive, no bounds, no iteration cap), step for step and rounding for
+    rounding, so both return the same x, value and evaluation count:
+
+    * reflection, expansion, contraction and shrink coefficients 1, 2,
+      1/2 and 1/2;
+    * the initial simplex steps each coordinate of x0 by 5 %, or to
+      0.00025 where it is zero;
+    * the centroid sums the vertices one at a time, then divides;
+    * the vertices are sorted by value after every iteration; ties keep
+      their order (scipy's np.argsort agrees wherever it is stable);
+    * once maxfev evaluations are spent the next one stops the search,
+      even inside the initial simplex or partway through a shrink, and
+      the best vertex found so far is returned.
+
+    fun takes a list it must not modify.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    n = len(x0)
+    nfev = 0
+
+    def f(x: list[float]) -> float:
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _OutOfEvaluations
+        nfev += 1
+        return fun(x)
+
+    sim = [list(x0)]
+    for k in range(n):
+        y = list(x0)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    fsim = [math.inf] * (n + 1)
+
+    def sort() -> None:
+        order = sorted(range(n + 1), key=fsim.__getitem__)
+        sim[:] = [sim[i] for i in order]
+        fsim[:] = [fsim[i] for i in order]
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _OutOfEvaluations:
+        pass
+    sort()
+
+    while nfev < maxfev:
+        best, worst = sim[0], sim[-1]
+        if (
+            max(abs(v - b) for x in sim[1:] for v, b in zip(x, best)) <= xatol
+            and max(abs(fsim[0] - fx) for fx in fsim[1:]) <= fatol
+        ):
+            break
+        xbar = list(sim[0])
+        for x in sim[1:-1]:
+            xbar = [s + v for s, v in zip(xbar, x)]
+        xbar = [s / n for s in xbar]
+        try:
+            xr = [(1 + rho) * b - rho * w for b, w in zip(xbar, worst)]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = [(1 + rho * chi) * b - rho * chi * w for b, w in zip(xbar, worst)]
+                fxe = f(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = [(1 + psi * rho) * b - psi * rho * w for b, w in zip(xbar, worst)]
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:  # inside contraction
+                    xc = [(1 - psi) * b + psi * w for b, w in zip(xbar, worst)]
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = [b + sigma * (v - b) for v, b in zip(sim[j], best)]
+                        fsim[j] = f(sim[j])
+        except _OutOfEvaluations:
+            pass
+        sort()
+    return sim[0], fsim[0], nfev
 
 
 def minimize_simplex_entropy(
@@ -178,29 +304,18 @@ def minimize_simplex_entropy(
 
     starts = []
     for r in range(cfg.restarts):
-        starts.append(dirichlet_flat(d, rng_stream(cfg.seed, _TAG_SIMPLEX, r)))
+        starts.append(dirichlet_flat(d, rng_stream(cfg.seed, _TAG_SIMPLEX, r)).tolist())
     vertices = [SchmidtVector.vertex(d, a).values for a in range(d)]
-    starts.extend(vertices)
-    starts.append(np.full(d, 1.0 / d))
+    starts.extend(v.tolist() for v in vertices)
+    starts.append([1.0 / d] * d)
 
-    best_val = np.inf
-    best_lam = np.full(d, 1.0 / d)
+    best_val = math.inf
+    best_lam = [1.0 / d] * d
     for lam0 in starts:
-        res = minimize(
-            fun,
-            lam0[:-1],
-            method="Nelder-Mead",
-            options={
-                "xatol": NELDER_MEAD_TOL,
-                "fatol": NELDER_MEAD_TOL,
-                "maxfev": 2000,
-            },
-        )
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            full = np.append(res.x, 1.0 - np.sum(res.x))
-            lam = project_to_simplex(full)
-            best_lam = lam / np.sum(lam)
+        x, val, _ = _nelder_mead(fun, lam0[:-1], NELDER_MEAD_TOL, NELDER_MEAD_TOL, NELDER_MEAD_MAXFEV)
+        if val < best_val:
+            best_val = val
+            best_lam = _schmidt_of(x)
 
     # Exact vertex evaluations as candidates; prefer them on a tie.
     vertex_vals = [simplex_output_entropy(ch, SchmidtVector(v)) for v in vertices]

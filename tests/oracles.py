@@ -75,6 +75,26 @@ def entropy_brute(values: np.ndarray, clamp: float = 1e-15) -> float:
     return total
 
 
+def simplex_projection_bisect(x) -> np.ndarray:
+    """Euclidean projection onto the probability simplex by bisection.
+
+    The projection is max(x - theta, 0) for the theta at which it sums to
+    one; that sum falls as theta rises, so theta is bisected in
+    [min(x) - 1, max(x)] until the bracket stops shrinking.
+    """
+    x = np.asarray(x, dtype=float)
+    lo, hi = float(x.min()) - 1.0, float(x.max())
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if np.maximum(x - mid, 0.0).sum() > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return np.maximum(x - mid, 0.0)
+
+
 def elem_sym_brute(values, q: int) -> float:
     """Elementary symmetric polynomial by explicit combinations."""
     values = list(values)

@@ -1,8 +1,16 @@
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tdchan as td
 from tdchan import spectrum
@@ -108,6 +116,23 @@ def test_apply_command_missing_file(tmp_path, capsys):
         capsys, "apply", "--d", "3", "--t", "-0.5", "--input", str(tmp_path / "none.json")
     )
     assert code == 2
+
+
+def test_apply_command_undecodable_file(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"dim": 2, "rows": "\xe9"}')
+    code, out, err = run_cli(capsys, "apply", "--d", "2", "--t", "-0.5", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: cannot read")
+
+
+def test_apply_command_closed_stdin(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", None)
+    code, out, err = run_cli(capsys, "apply", "--d", "2", "--t", "-0.5", "--input", "-")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: cannot read -")
 
 
 def test_apply_command_invalid_state(tmp_path, capsys):
@@ -294,3 +319,108 @@ def test_threads_env_override(monkeypatch):
     assert _resolve_threads(2) == 2
     monkeypatch.delenv("TDCHAN_THREADS")
     assert _resolve_threads(None) >= 1
+
+
+# ------------------------------------------------------------------- start-up
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, tdchan, tdchan.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(td.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+# ------------------------------------------------------------------ argv fuzz
+
+
+def _flag(name, values):
+    return st.tuples(st.just(name), values).map(list)
+
+
+def _mostly(valid, invalid):
+    """Valid tokens three times as often as invalid ones."""
+    return st.sampled_from(valid * 3 + invalid)
+
+
+_INTS = _mostly(["2", "3", "4"], ["-1", "0", "1", "5", "x", ""])
+_DIMS = st.one_of(_INTS, _mostly(["2:3", "3:4"], ["4:3", "1:3", "3:", "a:b"]))
+_REALS = st.one_of(
+    _mostly(["-0.5", "-0.25", "-0.1", "0", "0.1", "0.2"], ["-1", "1", "nan", "inf", "-inf", "1e400", "x", ""]),
+    st.floats(-1.5, 1.5, allow_nan=False).map(repr),
+)
+_GRIDS = st.one_of(
+    _REALS,
+    _mostly(["-0.5:0:3", "-0.3:0.2:2", "-0.1:-0.1:2"], ["0:1:1", "0:1", "a:b:3", "nan:0:2", "-1:1:3"]),
+)
+_LAMBDAS = st.one_of(
+    _mostly(["1,0", "0.5,0.5", "1,0,0", "0.2,0.3,0.5", "0.25,0.25,0.25,0.25"],
+            ["nan,nan", "0.5,0.6", "-0.1,1.1", "", "1,x", "1"]),
+    st.lists(_REALS, max_size=5).map(",".join),
+)
+_SMALL = _mostly(["0", "1", "2", "3"], ["-2", "x"])
+_FILES = ("valid.json", "bad.json", "latin1.json", "missing.json", "dir")
+_INPUTS = st.sampled_from(_FILES + ("-",))
+
+_COMMON = [
+    _flag("--format", st.sampled_from(["json", "csv", "text", "xml"])),
+    _flag("--seed", st.sampled_from(["0", "-1", "18446744073709551617", "x"])),
+    _flag("--threads", st.sampled_from(["1", "2", "0", "-4", "x"])),
+    _flag("--log-base", st.sampled_from(["e", "2", "10"])),
+    _flag("--tol", _REALS),
+]
+_FLAGS = {
+    "apply": [_flag("--d", _INTS), _flag("--t", _REALS), _flag("--input", _INPUTS)],
+    "spectrum": [_flag("--d", _INTS), _flag("--t", _REALS), _flag("--lambda", _LAMBDAS)],
+    "entropy": [_flag("--d", _INTS), _flag("--t", _REALS), _flag("--lambda", _LAMBDAS)],
+    "min-entropy": [_flag("--d", _INTS), _flag("--t", _REALS), _flag("--restarts", _SMALL)],
+    "additivity": [
+        _flag("--d", st.integers(-1, 3).map(str)),
+        _flag("--t", _GRIDS),
+        _flag("--restarts", _SMALL),
+        _flag("--n-random", _SMALL),
+    ],
+    "schur-scan": [_flag("--d", _DIMS), _flag("--t-grid", _GRIDS), _flag("--samples", _SMALL)],
+    "verify": [
+        _flag("--kind", st.sampled_from(["main", "k0", "second-term", "extreme", "final-poly",
+                                         "sympol", "schur", "all", "bogus"])),
+        _flag("--d", _DIMS),
+        _flag("--t-grid", _GRIDS),
+        _flag("--samples", _SMALL),
+    ],
+}
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand, most of its own flags and a few shared ones, shuffled."""
+    command = draw(st.sampled_from(sorted(_FLAGS) + ["bogus"]))
+    flags = [f for f in _FLAGS.get(command, []) if draw(st.integers(0, 7))]
+    flags += draw(st.lists(st.sampled_from(_COMMON), max_size=1))
+    flags = draw(st.permutations(flags))
+    return [command] + [token for flag in flags for token in draw(flag)]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "valid.json").write_text(json.dumps(density_to_obj(td.pure_state(np.array([1.0, 0.0])))))
+    (root / "bad.json").write_text("{not json")
+    (root / "latin1.json").write_bytes(b'{"dim": 2, "rows": "\xe9"}')
+    (root / "dir").mkdir()
+    return root
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=argvs())
+def test_argv_fuzz_exits_with_a_documented_code(fuzz_dir, argv):
+    argv = [str(fuzz_dir / a) if a in _FILES else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

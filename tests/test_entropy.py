@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import tdchan as td
-from tdchan.entropy import project_to_simplex
+from tdchan.entropy import _project, _schmidt_of, project_to_simplex
 from tdchan.errors import NotPSD
 
-from oracles import entropy_brute
+from oracles import dense_two_copy_spectrum, entropy_brute, simplex_projection_bisect
 
 LN2 = math.log(2.0)
 
@@ -121,6 +121,47 @@ def test_project_to_simplex():
         p = project_to_simplex(x)
         assert np.all(p >= -1e-15)
         assert np.sum(p) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_float_projection_is_project_to_simplex():
+    rng = np.random.default_rng(233)
+    for d in (2, 3, 5, 8):
+        for scale in (0.1, 1.0, 100.0):
+            x = (rng.normal(size=d) * scale).tolist()
+            p = _project(x)
+            assert p == project_to_simplex(np.array(x)).tolist()
+            # Both find theta to rounding at the scale of x.
+            tol = 8.0 * np.finfo(float).eps * max(1.0, float(np.abs(x).max()))
+            assert p == pytest.approx(simplex_projection_bisect(x), abs=tol)
+            # The optimizer's map from its d-1 free coordinates.
+            free = x[:-1]
+            full = np.append(free, 1.0 - np.sum(free))
+            assert _schmidt_of(free) == pytest.approx(project_to_simplex(full).tolist(), abs=tol)
+
+
+def objective_cases():
+    """(d, lam): random, near-vertex, vertex and uniform Schmidt vectors."""
+    rng = np.random.default_rng(239)
+    for d in (2, 3, 4, 5):
+        for _ in range(3):
+            yield d, rng.dirichlet(np.ones(d))
+        for tiny in (1e-12, 1e-16, 1e-20, 1e-30):
+            lam = np.full(d, tiny) * rng.uniform(0.5, 1.0, size=d)
+            lam[rng.integers(d)] = 0.0
+            lam[0] = 1.0 - lam[1:].sum()
+            yield d, lam
+        yield d, np.eye(d)[d - 1]
+        yield d, np.full(d, 1.0 / d)
+
+
+def test_simplex_output_entropy_matches_the_kraus_route():
+    for d, lam in objective_cases():
+        lo, hi = td.t_range(d)
+        for t in (lo, 0.5 * lo, 0.0, 0.5 * hi, hi):
+            ch = td.new_channel(d, t)
+            got = td.simplex_output_entropy(ch, td.SchmidtVector(lam))
+            want = entropy_brute(dense_two_copy_spectrum(ch, lam))
+            assert got == pytest.approx(want, abs=1e-12), (d, t, lam.tolist())
 
 
 def test_minimize_simplex_entropy_finds_vertex():
