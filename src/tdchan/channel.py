@@ -220,7 +220,7 @@ def channel_kraus(ch: Channel) -> list[np.ndarray]:
 
 
 def apply_two_copies(ch: Channel, mat: np.ndarray) -> np.ndarray:
-    """Action of Phi (x) Phi on a d^2 x d^2 matrix.
+    """Action of Phi (x) Phi on a d^2 x d^2 matrix, or on each of a (..., d^2, d^2) stack.
 
     Expanding both tensor factors of the channel gives, for X on the
     doubled system,
@@ -229,18 +229,24 @@ def apply_two_copies(ch: Channel, mat: np.ndarray) -> np.ndarray:
         + t(1-t) [ (tr_2 X)^T (x) I/d  +  I/d (x) (tr_1 X)^T ]
         + (1-t)^2 tr(X) I/d^2,
 
-    which only needs partial traces and transposes.
+    which only needs partial traces and transposes.  The Kronecker
+    products are broadcast products over the index split (i, j, k, l) of
+    row i d + j and column k d + l, the same products np.kron takes, so a
+    stack gives each matrix the bits it gets alone.
     """
     d = ch.d
     x = np.asarray(mat, dtype=complex)
-    if x.shape != (d * d, d * d):
-        raise DimensionMismatch(f"expected shape {(d * d, d * d)}, got {x.shape}")
+    if x.ndim < 2 or x.shape[-2:] != (d * d, d * d):
+        raise DimensionMismatch(f"expected shape (..., {d * d}, {d * d}), got {x.shape}")
     t = ch.t
-    x4 = x.reshape(d, d, d, d)
-    tr1 = np.einsum("ijik->jk", x4)
-    tr2 = np.einsum("ijkj->ik", x4)
+    x4 = x.reshape(x.shape[:-2] + (d, d, d, d))
+    tr1 = np.swapaxes(np.einsum("...ijik->...jk", x4), -1, -2)
+    tr2 = np.swapaxes(np.einsum("...ijkj->...ik", x4), -1, -2)
     eye = np.eye(d)
-    out = t * t * x.T
-    out += t * (1.0 - t) * (np.kron(tr2.T, eye) / d + np.kron(eye, tr1.T) / d)
-    out += (1.0 - t) ** 2 * np.trace(x) * np.eye(d * d) / (d * d)
+    left = (tr2[..., :, None, :, None] * eye[:, None, :]).reshape(x.shape)
+    right = (eye[:, None, :, None] * tr1[..., None, :, None, :]).reshape(x.shape)
+    out = t * t * np.swapaxes(x, -1, -2)
+    out += t * (1.0 - t) * (left / d + right / d)
+    trace = (1.0 - t) ** 2 * np.trace(x, axis1=-2, axis2=-1)
+    out += trace[..., None, None] * np.eye(d * d) / (d * d)
     return out

@@ -146,14 +146,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("min-entropy", help="minimum output entropy, sampled vs exact")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--restarts", type=int, default=50)
+    p.add_argument(
+        "--restarts", type=int, default=50, help="random unit vectors to try, >= 0; 0 still tries one"
+    )
     _common_flags(p, seed=True, log_base=True, tol=True)
 
     p = sub.add_parser("additivity", help="two-copy additivity certificate")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--t", type=_parse_t_grid, default=None, help="T or A:B:STEPS")
-    p.add_argument("--restarts", type=int, default=50)
-    p.add_argument("--n-random", type=int, default=200)
+    p.add_argument(
+        "--restarts",
+        type=int,
+        default=50,
+        help="random Nelder-Mead starts, >= 0, besides the d vertices and the barycenter",
+    )
+    p.add_argument(
+        "--n-random", type=int, default=200, help="Haar-random two-copy states, >= 0; 0 still draws one"
+    )
     _common_flags(p, seed=True, log_base=True, tol=True)
 
     p = sub.add_parser("schur-scan", help="Schur criterion scan")

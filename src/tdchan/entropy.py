@@ -23,7 +23,11 @@ Natural logarithms throughout; CLI handles base conversion on output.
 The simplex search evaluates the objective some 10^4 times per channel on
 vectors of d <= 8 entries, where numpy's per-call overhead outweighs the
 arithmetic, so its Nelder-Mead loop, projection and entropies run on
-Python floats.
+Python floats.  The objective stays on lists all the way down: the
+Schmidt check is spectrum._schmidt_list and the secular roots come from
+the list helper spectrum._secular_values, which secular_roots wraps.
+The Haar-random states go through the two-copy channel and eigvalsh in
+stacks.
 """
 
 from __future__ import annotations
@@ -34,14 +38,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Channel, DensityMatrix, apply_two_copies
-from .errors import NotPSD
+from .errors import ConfigError, NotPSD
 from .sampling import dirichlet_flat, haar_state, rng_stream
-from .spectrum import SchmidtVector, _as_schmidt, secular_roots
+from .spectrum import SchmidtVector, _schmidt_list, _secular_values
 
 ENTROPY_CLAMP = 1e-15  # eigenvalues at or below this contribute 0 ln 0 := 0
 EIGENVALUE_FLOOR = -1e-10
 NELDER_MEAD_TOL = 1e-10
 NELDER_MEAD_MAXFEV = 2000
+# Haar-random states per apply_two_copies and eigvalsh call.  Stacking
+# cuts numpy's per-call overhead; a fixed size bounds the memory.
+_HAAR_STACK = 16
 
 # Substream tags so the optimizer families never collide.
 _TAG_SIMPLEX = 1
@@ -55,13 +62,22 @@ class OptimizerConfig:
 
     tol is the acceptance tolerance for certificates (gap checks and the
     closed-form comparison), not the internal simplex tolerance, which is
-    fixed at 1e-10.
+    fixed at 1e-10.  restarts and n_random count random draws and must
+    not be negative; 0 draws no random simplex start, but still one unit
+    vector in min_output_entropy and one Haar-random state in
+    additivity_gap.
     """
 
     restarts: int = 50
     tol: float = 1e-6
     n_random: int = 200
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.restarts < 0:
+            raise ConfigError(f"restarts must be >= 0, got {self.restarts}")
+        if self.n_random < 0:
+            raise ConfigError(f"n_random must be >= 0, got {self.n_random}")
 
 
 @dataclass(frozen=True)
@@ -97,26 +113,35 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return entropy_of(np.linalg.eigvalsh(rho.mat))
 
 
-def entropy_split(ch: Channel, lam: SchmidtVector) -> EntropyReport:
-    """S1, S2 and their sum for the two-copy output, from the closed form.
+def _split(ch: Channel, v: list[float]) -> tuple[float, float]:
+    """S1 and S2 of the two-copy output for the validated Schmidt list v.
 
-    Built from the two families directly, with no Spectrum record: through
-    simplex_output_entropy this is the optimizer's objective.  gamma_ab is
-    symmetric in (a, b), so S1 sums the unordered pairs and doubles.
+    Built from the two families directly, with no Spectrum record.
+    gamma_ab is symmetric in (a, b), so S1 sums the unordered pairs and
+    doubles.  S2 sums the secular roots in descending order.
     """
-    lam = _as_schmidt(ch, lam)
-    v = lam.values.tolist()
     c1, half = ch.c1, 0.5 * ch.c2
     s1 = 2.0 * _entropy([c1 + half * (v[a] + v[b]) for a in range(len(v)) for b in range(a)])
-    s2 = _entropy(secular_roots(ch, lam).tolist())
+    s2 = _entropy(sorted(_secular_values(ch, v), reverse=True))
+    return s1, s2
+
+
+def entropy_split(ch: Channel, lam: "SchmidtVector | list[float]") -> EntropyReport:
+    """S1, S2 and their sum for the two-copy output, from the closed form."""
+    s1, s2 = _split(ch, _schmidt_list(ch, lam))
     c = (ch.d - 1) * (1.0 - ch.t**2) / ch.d
     return EntropyReport(s_total=s1 + s2, s1=s1, s2=s2, c=c)
 
 
-def simplex_output_entropy(ch: Channel, lam: SchmidtVector) -> float:
-    """Two-copy output entropy of the Schmidt-diagonal input lam."""
-    rep = entropy_split(ch, lam)
-    return rep.s_total
+def simplex_output_entropy(ch: Channel, lam: "SchmidtVector | list[float]") -> float:
+    """Two-copy output entropy of the Schmidt-diagonal input lam.
+
+    This is the optimizer's objective.  lam may be a plain list of d
+    floats, which is checked on floats by _schmidt_list instead of
+    through a SchmidtVector; it gives the same bits as entropy_split.
+    """
+    s1, s2 = _split(ch, _schmidt_list(ch, lam))
+    return s1 + s2
 
 
 def min_entropy_closed_form(ch: Channel) -> float:
@@ -184,7 +209,7 @@ def _schmidt_of(x: list[float]) -> list[float]:
 
 def _objective(ch: Channel):
     def fun(x: list[float]) -> float:
-        return simplex_output_entropy(ch, SchmidtVector(_schmidt_of(x)))
+        return simplex_output_entropy(ch, _schmidt_of(x))
 
     return fun
 
@@ -305,8 +330,8 @@ def minimize_simplex_entropy(
     starts = []
     for r in range(cfg.restarts):
         starts.append(dirichlet_flat(d, rng_stream(cfg.seed, _TAG_SIMPLEX, r)).tolist())
-    vertices = [SchmidtVector.vertex(d, a).values for a in range(d)]
-    starts.extend(v.tolist() for v in vertices)
+    vertices = [SchmidtVector.vertex(d, a).values.tolist() for a in range(d)]
+    starts.extend(vertices)
     starts.append([1.0 / d] * d)
 
     best_val = math.inf
@@ -318,7 +343,7 @@ def minimize_simplex_entropy(
             best_lam = _schmidt_of(x)
 
     # Exact vertex evaluations as candidates; prefer them on a tie.
-    vertex_vals = [simplex_output_entropy(ch, SchmidtVector(v)) for v in vertices]
+    vertex_vals = [simplex_output_entropy(ch, v) for v in vertices]
     i = int(np.argmin(vertex_vals))
     if vertex_vals[i] <= best_val + 1e-12:
         if vertex_vals[i] < best_val:
@@ -328,12 +353,24 @@ def minimize_simplex_entropy(
 
 
 def _random_state_entropy(ch: Channel, cfg: OptimizerConfig) -> float:
-    """Minimum two-copy output entropy over Haar-random bipartite states."""
+    """Minimum two-copy output entropy over Haar-random bipartite states.
+
+    State r draws from its own substream.  The channel and eigvalsh run
+    on stacks of up to _HAAR_STACK states, and give each state the same
+    bits as a call of its own.
+    """
+    count = max(cfg.n_random, 1)
     best = np.inf
-    for r in range(max(cfg.n_random, 1)):
-        psi = haar_state(ch.d**2, rng_stream(cfg.seed, _TAG_HAAR, r))
-        sigma = apply_two_copies(ch, np.outer(psi, psi.conj()))
-        best = min(best, entropy_of(np.linalg.eigvalsh(sigma)))
+    for start in range(0, count, _HAAR_STACK):
+        psi = np.stack(
+            [
+                haar_state(ch.d**2, rng_stream(cfg.seed, _TAG_HAAR, r))
+                for r in range(start, min(start + _HAAR_STACK, count))
+            ]
+        )
+        sigma = apply_two_copies(ch, psi[:, :, None] * psi.conj()[:, None, :])
+        for values in np.linalg.eigvalsh(sigma):
+            best = min(best, entropy_of(values))
     return best
 
 

@@ -138,6 +138,28 @@ def _as_schmidt(ch: Channel, lam) -> SchmidtVector:
     return lam
 
 
+def _schmidt_list(ch: Channel, lam) -> list[float]:
+    """lam as a list of ch.d floats, validated as _as_schmidt validates it.
+
+    This is the check on every iterate of the entropy optimizer, on floats
+    and without a SchmidtVector.  A list of ch.d Python floats in [0, 1]
+    whose fsum lies within SCHMIDT_SUM_TOL - d eps of one is returned as
+    it is; _check_schmidt_rows accepts it too, since any order of summing
+    d nonnegative entries that total about one is off the exact sum by
+    less than d eps / 2.  Anything else, including a list near the edge
+    of the tolerance, goes through _as_schmidt, which accepts it or
+    raises the error a SchmidtVector raises.
+    """
+    if (
+        type(lam) is list
+        and len(lam) == ch.d
+        and all(type(x) is float and 0.0 <= x <= 1.0 for x in lam)
+        and abs(math.fsum(lam) - 1.0) <= SCHMIDT_SUM_TOL - ch.d * sys.float_info.epsilon
+    ):
+        return lam
+    return _as_schmidt(ch, lam).values.tolist()
+
+
 def sigma12(ch: Channel, lam: "SchmidtVector | np.ndarray") -> DensityMatrix:
     """Materialize the two-copy output as a dense d^2 x d^2 density matrix.
 
@@ -306,29 +328,29 @@ def _secular_root(i: int, lo: float, hi: float, poles: list[float], weights: lis
     )
 
 
-def secular_roots(ch: Channel, lam: "SchmidtVector | np.ndarray") -> np.ndarray:
-    """All d eigenvalues of the diagonal-plus-rank-one block, descending.
+def _secular_values(ch: Channel, values: list[float]) -> list[float]:
+    """The d eigenvalues of the diagonal-plus-rank-one block, in no order.
 
-    Strategy: coordinates with negligible weight deflate to exact roots at
-    c1; remaining poles c1 + c2 lam_a are sorted and merged when both
-    the poles and the weights are close (a merged pole of multiplicity m
-    keeps m-1 exact roots);
-    one root is bracketed between consecutive distinct poles and one above
-    the largest pole, each found by the rational iteration of
-    _secular_root.
+    values is a validated Schmidt vector as a list of floats.  Strategy:
+    coordinates with negligible weight deflate to exact roots at c1;
+    remaining poles c1 + c2 lam_a are sorted and merged when both the
+    poles and the weights are close (a merged pole of multiplicity m
+    keeps m-1 exact roots); one root is bracketed between consecutive
+    distinct poles and one above the largest pole, each found by the
+    rational iteration of _secular_root.
 
-    This is the per-vector path, for callers that hold one vector at a
-    time (the entropy optimizer).  Scans that hold many vectors use
-    secular_roots_batch, whose numpy set-up costs more than this whole
-    loop for a single vector.  The two run the same iteration and
-    stopping rule.
+    This is the per-vector path, on Python floats, for callers that hold
+    one vector at a time: the entropy optimizer calls it straight from
+    its list-level objective, with no array in between.  Scans that hold
+    many vectors use secular_roots_batch, whose numpy set-up costs more
+    than this whole loop for a single vector.  The two run the same
+    iteration and stopping rule.
     """
-    lam = _as_schmidt(ch, lam)
     d, t, c1, c2 = ch.d, ch.t, ch.c1, ch.c2
     if t == 0.0:
         # Constant output: every eigenvalue is 1/d^2.
-        return np.full(d, 1.0 / d**2)
-    active = [x for x in lam.values.tolist() if x > ZERO_WEIGHT_TOL]
+        return [1.0 / d**2] * d
+    active = [x for x in values if x > ZERO_WEIGHT_TOL]
     roots = [c1] * (d - len(active))
     pairs = sorted(((c1 + c2 * x, x) for x in active), key=lambda pair: pair[0])
 
@@ -365,7 +387,16 @@ def secular_roots(ch: Channel, lam: "SchmidtVector | np.ndarray") -> np.ndarray:
         for i in range(len(poles)):
             hi = poles[i + 1] if i + 1 < len(poles) else top_hi
             roots.append(_secular_root(i, poles[i], hi, poles, weights))
-    return np.array(sorted(roots, reverse=True), dtype=float)
+    return roots
+
+
+def secular_roots(ch: Channel, lam: "SchmidtVector | np.ndarray") -> np.ndarray:
+    """All d eigenvalues of the diagonal-plus-rank-one block, descending.
+
+    The validated array form of _secular_values.
+    """
+    lam = _as_schmidt(ch, lam)
+    return np.array(sorted(_secular_values(ch, lam.values.tolist()), reverse=True), dtype=float)
 
 
 def _as_schmidt_rows(ch: Channel, lams) -> np.ndarray:
@@ -420,7 +451,7 @@ def secular_roots_batch(ch: Channel, lams) -> np.ndarray:
     """secular_roots for every row of an (N, d) array; (N, d), rows descending.
 
     The same deflation, pole merging and interlacing brackets as
-    secular_roots, as array masks:
+    _secular_values, as array masks:
 
     * a weight at or below ZERO_WEIGHT_TOL gives the exact root c1;
     * consecutive sorted poles within POLE_MERGE_TOL, whose weights lie
@@ -432,8 +463,9 @@ def secular_roots_batch(ch: Channel, lams) -> np.ndarray:
       poles (inf, with weight 0) add nothing to the secular sum.
 
     This is the path for scans, which hold many vectors.  A single
-    vector is faster through secular_roots: the array set-up here costs
-    more than that scalar loop, so the optimizer keeps the scalar path.
+    vector is faster through _secular_values: the array set-up here
+    costs more than that loop on floats, so the optimizer's list-level
+    objective calls the list helper, and secular_roots wraps it.
     """
     rows = _as_schmidt_rows(ch, lams)
     count, d = rows.shape
@@ -462,7 +494,7 @@ def secular_roots_batch(ch: Channel, lams) -> np.ndarray:
         acc[:, :, j] += np.where(joins[:, j - 1], acc[:, :, j - 1], 0.0)
     psum, lsum, size = acc
     last = act & np.concatenate([~joins, np.ones((count, 1), dtype=bool)], axis=1)
-    # Clamped to the group's first and last pole, as in secular_roots.
+    # Clamped to the group's first and last pole, as in _secular_values.
     first = np.take_along_axis(p, np.arange(d) - size.astype(int) + 1, axis=1)
     mean = np.clip(psum / size, first, p)
     for j in range(d - 2, -1, -1):

@@ -9,6 +9,7 @@ from tdchan.errors import (
     NotPSD,
     OutOfRange,
 )
+from tdchan.sampling import haar_state
 
 from oracles import apply_defining_formula, kraus_two_copy_output, schmidt_state
 
@@ -248,9 +249,30 @@ def test_apply_two_copies_matches_kraus_oracle():
             out = td.apply_two_copies(ch, np.outer(psi, psi))
             ref = kraus_two_copy_output(ch, psi)
             assert np.max(np.abs(out - ref)) < 1e-10
+        # A stack of Haar-random pure states, against the oracle state by state.
+        ch = td.new_channel(d, float(rng.uniform(lo, hi)))
+        states = [haar_state(d * d, rng) for _ in range(5)]
+        out = td.apply_two_copies(ch, np.stack([np.outer(v, v.conj()) for v in states]))
+        assert out.shape == (5, d * d, d * d)
+        for got, v in zip(out, states):
+            assert np.max(np.abs(got - kraus_two_copy_output(ch, v))) < 1e-10
+
+
+def test_apply_two_copies_stack_is_single_calls():
+    rng = np.random.default_rng(43)
+    for d in (2, 3, 4):
+        lo, hi = td.t_range(d)
+        for t in (lo, 0.0, float(rng.uniform(lo, hi)), hi):
+            ch = td.new_channel(d, t)
+            mats = rng.normal(size=(6, d * d, d * d)) + 1j * rng.normal(size=(6, d * d, d * d))
+            singles = np.stack([td.apply_two_copies(ch, m) for m in mats])
+            assert np.array_equal(td.apply_two_copies(ch, mats), singles)
+            nested = td.apply_two_copies(ch, mats.reshape(2, 3, d * d, d * d))
+            assert np.array_equal(nested.reshape(singles.shape), singles)
 
 
 def test_apply_two_copies_shape_guard():
     ch = td.new_channel(3, -0.5)
-    with pytest.raises(DimensionMismatch):
-        td.apply_two_copies(ch, np.eye(4) / 4.0)
+    for bad in (np.eye(4) / 4.0, np.zeros((2, 9, 10)), np.zeros(81), np.zeros(9)):
+        with pytest.raises(DimensionMismatch):
+            td.apply_two_copies(ch, bad)

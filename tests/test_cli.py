@@ -269,6 +269,21 @@ def test_additivity_bad_dimension_exit_3(capsys, d):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["additivity", "--d", "3", "--t", "-0.5", "--restarts", "-5", "--n-random", "-3"],
+        ["additivity", "--d", "3", "--t", "-0.5", "--restarts", "1", "--n-random", "-1"],
+        ["min-entropy", "--d", "3", "--t", "-0.5", "--restarts", "-2"],
+    ],
+)
+def test_negative_optimizer_counts_exit_3(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
     "exc",
     [ConvergenceFailure("secular iteration did not converge"), ZeroDivisionError("float\ndivision")],
 )

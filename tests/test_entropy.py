@@ -4,10 +4,23 @@ import numpy as np
 import pytest
 
 import tdchan as td
-from tdchan.entropy import _project, _schmidt_of, project_to_simplex
-from tdchan.errors import NotPSD
+from tdchan.entropy import (
+    _HAAR_STACK,
+    _TAG_HAAR,
+    _project,
+    _random_state_entropy,
+    _schmidt_of,
+    project_to_simplex,
+)
+from tdchan.errors import ConfigError, NotPSD
+from tdchan.sampling import haar_state, rng_stream
 
-from oracles import dense_two_copy_spectrum, entropy_brute, simplex_projection_bisect
+from oracles import (
+    dense_two_copy_spectrum,
+    entropy_brute,
+    kraus_two_copy_output,
+    simplex_projection_bisect,
+)
 
 LN2 = math.log(2.0)
 
@@ -204,3 +217,20 @@ def test_random_states_never_beat_double_closed_form():
         gap, _, min_random = td.additivity_gap(ch, cfg)
         assert min_random - 2.0 * td.min_entropy_closed_form(ch) >= -1e-9
         assert gap >= -1e-6
+
+
+def test_random_state_entropy_matches_the_kraus_route():
+    # n_random past one stack and not a multiple of it; 0 still draws one state.
+    for d, t, n_random in ((2, -1.0, 0), (3, -0.3, _HAAR_STACK + 5), (4, 0.15, 2 * _HAAR_STACK)):
+        ch = td.new_channel(d, t)
+        cfg = td.OptimizerConfig(n_random=n_random, seed=19)
+        states = [haar_state(d * d, rng_stream(19, _TAG_HAAR, r)) for r in range(max(n_random, 1))]
+        want = min(entropy_brute(np.linalg.eigvalsh(kraus_two_copy_output(ch, v))) for v in states)
+        assert _random_state_entropy(ch, cfg) == pytest.approx(want, abs=1e-12)
+
+
+def test_optimizer_config_rejects_negative_counts():
+    for kwargs in ({"restarts": -1}, {"n_random": -1}, {"restarts": -5, "n_random": -3}):
+        with pytest.raises(ConfigError):
+            td.OptimizerConfig(**kwargs)
+    td.OptimizerConfig(restarts=0, n_random=0)

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tdchan as td
 from tdchan.errors import OutOfRange, SumMismatch
+from tdchan.spectrum import SCHMIDT_SUM_TOL, _as_schmidt, _check_schmidt_rows, _schmidt_list
 
 from oracles import (
     dense_secular_block_roots,
@@ -47,6 +50,64 @@ def test_schmidt_vector_rejects_non_finite():
     for bad in ([np.nan, np.nan], [np.inf, 0.0], [0.5, 0.5, np.nan], [-np.inf, np.inf]):
         with pytest.raises(OutOfRange):
             td.SchmidtVector(np.array(bad))
+
+
+@st.composite
+def schmidt_lists(draw):
+    """(d, t, list): a Schmidt vector of d, d - 1 or d + 1 floats, often spoiled.
+
+    Spoilers: a NaN or infinite entry, a negative entry, one entry moved
+    by about SCHMIDT_SUM_TOL, and a few ulps on one entry.
+    """
+    d = draw(st.integers(2, 5))
+    lo, hi = td.t_range(d)
+    t = draw(st.sampled_from([lo, 0.5 * lo, 0.0, hi]))
+    n = draw(st.sampled_from([d, d, d, d - 1, d + 1]))
+    raw = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    total = math.fsum(raw)
+    v = [x / total for x in raw] if total > 0.0 else [1.0] + [0.0] * (n - 1)
+    i = draw(st.integers(0, n - 1))
+    spoil = draw(st.sampled_from(["none", "off", "off", "non-finite", "negative"]))
+    if spoil == "off":
+        v[i] += draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.9, 1.1)) * SCHMIDT_SUM_TOL
+    elif spoil == "non-finite":
+        v[i] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif spoil == "negative":
+        v[i] = -draw(st.floats(5e-324, 1.0))
+    for _ in range(draw(st.integers(0, 3))):
+        v[i] = math.nextafter(v[i], draw(st.sampled_from([-math.inf, math.inf])))
+    return d, t, v
+
+
+def _raises(fn):
+    """The class of the exception fn raises, or None."""
+    try:
+        fn()
+    except Exception as exc:
+        return type(exc)
+    return None
+
+
+# 1 + SCHMIDT_SUM_TOL - a few ulps, inside the band the float check leaves to
+# _check_schmidt_rows, and 1 + SCHMIDT_SUM_TOL + 1 ulp, which both reject.
+@example(schmidt=(3, -0.25, [0.25, 0.25, float.fromhex("0x1.000000000232ep-1")]))
+@example(schmidt=(3, -0.25, [0.25, 0.25, float.fromhex("0x1.000000000232fp-1")]))
+@settings(max_examples=200, deadline=None)
+@given(schmidt=schmidt_lists())
+def test_schmidt_list_check_agrees_with_the_array_check(schmidt):
+    d, t, v = schmidt
+    ch = td.new_channel(d, t)
+    got = _raises(lambda: _schmidt_list(ch, v))
+    assert got is _raises(lambda: _as_schmidt(ch, np.array(v)))
+    if len(v) == d:
+        assert got is _raises(lambda: _check_schmidt_rows(np.array([v])))
+    if got is None:
+        assert _schmidt_list(ch, v) == v
+        # Bit for bit: float.hex tells every bit apart.
+        value = td.simplex_output_entropy(ch, v).hex()
+        assert value == td.simplex_output_entropy(ch, td.SchmidtVector(v)).hex()
+        assert value == td.entropy_split(ch, v).s_total.hex()
+        assert value == td.entropy_split(ch, td.SchmidtVector(v)).s_total.hex()
 
 
 # ---------------------------------------------------------------------- sigma12
