@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -37,7 +38,7 @@ from .entropy import (
     min_entropy_closed_form,
     min_output_entropy,
 )
-from .errors import ConvergenceFailure, TdchanError
+from .errors import ConfigError, ConvergenceFailure, TdchanError
 from .spectrum import SchmidtVector, full_spectrum, sigma12
 from .verification import SCAN_KINDS, run_scan
 
@@ -101,6 +102,20 @@ def _common_flags(
     if tol:
         p.add_argument("--tol", type=float, default=None, help="override the check tolerance")
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+
+
+def _resolve_tol(value: float | None, default: float) -> float:
+    """--tol if given, else the subcommand's default; NaN and +-inf exit 3.
+
+    A comparison with NaN is always false, so a NaN tolerance would turn
+    the check off.  Negative values keep their meaning: no result meets
+    them.
+    """
+    if value is None:
+        return default
+    if not math.isfinite(value):
+        raise ConfigError(f"--tol must be finite, got {value}")
+    return value
 
 
 def _resolve_threads(value: int | None) -> int:
@@ -244,12 +259,12 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    tol = _resolve_tol(args.tol, 1e-9)
     ch = new_channel(args.d, args.t)
     lam = SchmidtVector(args.lam)
     spec = full_spectrum(ch, lam)
     dense = np.sort(np.linalg.eigvalsh(sigma12(ch, lam).mat))[::-1]
     delta = float(np.max(np.abs(spec.all_eigenvalues() - dense)))
-    tol = args.tol if args.tol is not None else 1e-9
     result = {
         "offdiag": [float(x) for x in spec.offdiag],
         "secular": [float(x) for x in spec.secular],
@@ -290,11 +305,11 @@ def _emit_record(result: dict, fmt: str) -> None:
 
 
 def _cmd_min_entropy(args) -> int:
+    tol = _resolve_tol(args.tol, 1e-6)
     ch = new_channel(args.d, args.t)
     cfg = OptimizerConfig(restarts=args.restarts, seed=args.seed)
     h, argmin = min_output_entropy(ch, cfg)
     exact = min_entropy_closed_form(ch)
-    tol = args.tol if args.tol is not None else 1e-6
     result = {
         "h": _scale(h, args.log_base),
         "h_closed_form": _scale(exact, args.log_base),
@@ -306,8 +321,8 @@ def _cmd_min_entropy(args) -> int:
 
 
 def _cmd_additivity(args) -> int:
+    tol = _resolve_tol(args.tol, 1e-6)
     lo, hi = t_range(args.d)
-    tol = args.tol if args.tol is not None else 1e-6
     grid = args.t if args.t is not None else np.linspace(lo, hi, 9)
     rows = []
     worst = np.inf

@@ -283,6 +283,23 @@ def test_negative_optimizer_counts_exit_3(capsys, argv):
     assert err.count("\n") == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["min-entropy", "--d", "3", "--t", "-0.5", "--restarts", "2"],
+        ["additivity", "--d", "3", "--t", "-0.5", "--restarts", "1", "--n-random", "1"],
+        ["spectrum", "--d", "3", "--t", "-0.5", "--lambda", "0.5,0.3,0.2"],
+    ],
+)
+def test_non_finite_tol_exit_3(capsys, argv, tol):
+    # A NaN tolerance would turn the check off: every comparison with it is false.
+    code, out, err = run_cli(capsys, *argv, f"--tol={tol}")
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
+
+
 @pytest.mark.parametrize(
     "exc",
     [ConvergenceFailure("secular iteration did not converge"), ZeroDivisionError("float\ndivision")],

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tdchan as td
+from tdchan import entropy
 from tdchan.entropy import (
     _HAAR_STACK,
     _TAG_HAAR,
@@ -234,3 +237,136 @@ def test_optimizer_config_rejects_negative_counts():
         with pytest.raises(ConfigError):
             td.OptimizerConfig(**kwargs)
     td.OptimizerConfig(restarts=0, n_random=0)
+
+
+def test_optimizer_config_rejects_non_finite_tol():
+    for tol in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError):
+            td.OptimizerConfig(tol=tol)
+    td.OptimizerConfig(tol=-1e-18)
+
+
+# ------------------------------------------------- the memoized objective
+
+
+def bits(value):
+    """Floats, nested in lists and tuples, as their hex form (-0.0 != 0.0)."""
+    if isinstance(value, (list, tuple)):
+        return [bits(v) for v in value]
+    return float(value).hex() if isinstance(value, float) else value
+
+
+def unmemoized(ch):
+    return lambda x: entropy.simplex_output_entropy(ch, _schmidt_of(x))
+
+
+def search_cases():
+    for d in (2, 3, 4, 5):
+        lo, hi = td.t_range(d)
+        for t in (lo, 0.5 * lo, 0.0, 0.5 * hi, hi):
+            yield td.new_channel(d, t)
+
+
+def test_memoized_objective_gives_the_unmemoized_search(monkeypatch):
+    # Every start of minimize_simplex_entropy, on its memoized objective,
+    # against the same start on a fresh evaluation per call.
+    port = entropy._nelder_mead
+    runs = []
+
+    def record(fun, x0, *options):
+        runs.append((list(x0), options, port(fun, x0, *options)))
+        return runs[-1][-1]
+
+    monkeypatch.setattr(entropy, "_nelder_mead", record)
+    cfg = td.OptimizerConfig(restarts=3, seed=23)
+    for ch in search_cases():
+        runs.clear()
+        td.minimize_simplex_entropy(ch, cfg)
+        assert len(runs) == cfg.restarts + ch.d + 1
+        for x0, options, result in runs:
+            assert bits(result) == bits(port(unmemoized(ch), x0, *options)), (ch.d, ch.t, x0)
+
+
+def test_memoized_objective_evaluates_each_projected_vector_once(monkeypatch):
+    evaluated, projected = [], set()
+    plain = entropy.simplex_output_entropy
+    port = entropy._nelder_mead
+
+    def counted(ch, lam):
+        evaluated.append(tuple(lam))
+        return plain(ch, lam)
+
+    def record(fun, x0, *options):
+        def seen(x):
+            projected.add(tuple(_schmidt_of(x)))
+            return fun(x)
+
+        return port(seen, x0, *options)
+
+    monkeypatch.setattr(entropy, "simplex_output_entropy", counted)
+    monkeypatch.setattr(entropy, "_nelder_mead", record)
+    cfg = td.OptimizerConfig(restarts=3, seed=29)
+    for ch in search_cases():
+        evaluated.clear()
+        projected.clear()
+        td.minimize_simplex_entropy(ch, cfg)
+        # The d exact vertex evaluations at the end stay direct calls.
+        searched = evaluated[: -ch.d]
+        assert len(searched) == len(set(searched)) == len(projected)
+        assert set(searched) == projected
+        assert evaluated[-ch.d:] == [tuple(np.eye(ch.d)[a]) for a in range(ch.d)]
+
+
+def test_memoized_objective_keeps_no_failed_evaluation(monkeypatch):
+    ch = td.new_channel(3, -0.25)
+    plain = entropy.simplex_output_entropy
+    calls = []
+
+    def fails_first(ch, lam):
+        calls.append(lam)
+        if len(calls) == 1:
+            raise NotPSD("first call fails")
+        return plain(ch, lam)
+
+    monkeypatch.setattr(entropy, "simplex_output_entropy", fails_first)
+    fun = entropy._objective(ch)
+    with pytest.raises(NotPSD):
+        fun([0.5, 0.3])
+    assert fun([0.5, 0.3]) == plain(ch, _schmidt_of([0.5, 0.3]))
+    assert fun([0.5, 0.3]) == plain(ch, _schmidt_of([0.5, 0.3]))
+    assert len(calls) == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.integers(2, 6),
+    end=st.sampled_from(["lo", "zero", "hi"]),
+    data=st.data(),
+)
+def test_negative_zero_entries_give_the_same_bits(d, end, data):
+    # The memo's tuple keys equate -0.0 and 0.0; so must the objective.
+    lo, hi = td.t_range(d)
+    ch = td.new_channel(d, {"lo": lo, "zero": 0.0, "hi": hi}[end])
+    weights = data.draw(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d))
+    zeros = data.draw(st.lists(st.booleans(), min_size=d, max_size=d))
+    weights = [0.0 if z else w for w, z in zip(weights, zeros)]
+    total = math.fsum(weights)
+    lam = [w / total for w in weights] if total > 0.0 else [1.0] + [0.0] * (d - 1)
+    signed = [-0.0 if v == 0.0 else v for v in lam]
+    assert bits(td.simplex_output_entropy(ch, signed)) == bits(td.simplex_output_entropy(ch, lam))
+
+
+def test_memo_keeps_no_state_between_searches(monkeypatch):
+    # A, then B at the same d, against B on an unmemoized objective.  The
+    # searches share vertices, so values kept across calls would show.
+    cfg = td.OptimizerConfig(restarts=3, seed=31)
+    for d in (2, 3, 4):
+        lo, hi = td.t_range(d)
+        a, b = td.new_channel(d, lo), td.new_channel(d, 0.5 * hi)
+        with monkeypatch.context() as m:
+            m.setattr(entropy, "_objective", unmemoized)
+            want = td.minimize_simplex_entropy(b, cfg)
+        td.minimize_simplex_entropy(a, cfg)
+        got = td.minimize_simplex_entropy(b, cfg)
+        assert bits(got[0]) == bits(want[0])
+        assert bits(got[1].values.tolist()) == bits(want[1].values.tolist())
