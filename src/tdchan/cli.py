@@ -38,7 +38,7 @@ from .entropy import (
     min_entropy_closed_form,
     min_output_entropy,
 )
-from .errors import ConfigError, ConvergenceFailure, TdchanError
+from .errors import ConfigError, TdchanError
 from .spectrum import SchmidtVector, full_spectrum, sigma12
 from .verification import SCAN_KINDS, run_scan
 
@@ -391,9 +391,6 @@ def main(argv=None) -> int:
         if args.command == "schur-scan":
             return _cmd_verify(args, kind="schur")
         return handlers[args.command](args)
-    except ConvergenceFailure as exc:
-        print(f"error: internal failure: {_one_line(exc)}", file=sys.stderr)
-        return 4
     except TdchanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -23,9 +23,10 @@ Natural logarithms throughout; CLI handles base conversion on output.
 The simplex search evaluates the objective some 10^4 times per channel on
 vectors of d <= 8 entries, where numpy's per-call overhead outweighs the
 arithmetic, so its Nelder-Mead loop, projection and entropies run on
-Python floats.  The objective stays on lists all the way down: the
-Schmidt check is spectrum._schmidt_list and the secular roots come from
-the list helper spectrum._secular_values, which secular_roots wraps.
+Python floats.  The objective stays on lists up to the secular roots:
+the Schmidt check is spectrum._schmidt_list, S1 sums floats, and S2
+takes the roots from spectrum._secular_block_roots on a one-row array,
+the kernel behind secular_roots and secular_roots_batch.
 Most iterates project onto a simplex vertex, so the objective keeps its
 values by projected vector for the length of one search and evaluates
 each distinct vector once.
@@ -43,7 +44,7 @@ import numpy as np
 from .channel import Channel, DensityMatrix, apply_two_copies
 from .errors import ConfigError, NotPSD
 from .sampling import dirichlet_flat, haar_state, rng_stream
-from .spectrum import SchmidtVector, _schmidt_list, _secular_values
+from .spectrum import SchmidtVector, _schmidt_list, _secular_block_roots
 
 ENTROPY_CLAMP = 1e-15  # eigenvalues at or below this contribute 0 ln 0 := 0
 EIGENVALUE_FLOOR = -1e-10
@@ -127,7 +128,7 @@ def _split(ch: Channel, v: list[float]) -> tuple[float, float]:
     """
     c1, half = ch.c1, 0.5 * ch.c2
     s1 = 2.0 * _entropy([c1 + half * (v[a] + v[b]) for a in range(len(v)) for b in range(a)])
-    s2 = _entropy(sorted(_secular_values(ch, v), reverse=True))
+    s2 = _entropy(_secular_block_roots(ch, np.array([v]))[0].tolist())
     return s1, s2
 
 

@@ -25,10 +25,6 @@ class NotPSD(TdchanError, ValueError):
     """Matrix failed the positive semidefiniteness check."""
 
 
-class ConvergenceFailure(TdchanError, RuntimeError):
-    """Iterative root finder hit its iteration cap."""
-
-
 class LengthMismatch(TdchanError, ValueError):
     """Two vectors that must have equal length do not."""
 

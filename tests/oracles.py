@@ -54,18 +54,6 @@ def dense_two_copy_spectrum(ch: Channel, lam: np.ndarray) -> np.ndarray:
     return np.sort(np.linalg.eigvalsh(sigma))[::-1]
 
 
-def dense_secular_block_roots(ch: Channel, lam: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the diagonal-plus-rank-one block, by dense solve.
-
-    The |aa><bb| block of the two-copy output is
-    diag(c1 + c2 lam) + t^2 sqrt(lam) sqrt(lam)^T.
-    """
-    lam = np.asarray(lam, dtype=float)
-    root = np.sqrt(lam)
-    block = np.diag(ch.c1 + ch.c2 * lam) + ch.t**2 * np.outer(root, root)
-    return np.sort(np.linalg.eigvalsh(block))[::-1]
-
-
 def entropy_brute(values: np.ndarray, clamp: float = 1e-15) -> float:
     """-sum p ln p with the 0 ln 0 := 0 convention."""
     total = 0.0
@@ -114,17 +102,15 @@ def central_difference(f, x: np.ndarray, i: int, step: float = 1e-6) -> float:
     return (f(xp) - f(xm)) / (2.0 * step)
 
 
-def mp_secular_block_roots(t: float, lam, dps: int = 50, pole_lam=None) -> np.ndarray:
+def mp_secular_block_roots(t: float, lam, dps: int = 50) -> np.ndarray:
     """Eigenvalues (descending) of the diagonal-plus-rank-one block at dps digits.
 
     The block diag(c1 + c2 lam) + t^2 sqrt(lam) sqrt(lam)^T is built from
     t and lam in mpmath arithmetic and diagonalized by mpmath's Jacobi
-    solver, so this route shares nothing with LAPACK, with
-    dense_secular_block_roots or with the library's secular solver.
-    pole_lam, when given, replaces lam in the diagonal only.
+    solver, so this route shares nothing with LAPACK, whose eigvalsh the
+    library's secular roots come from.
     """
     lam = [float(x) for x in lam]
-    pole_lam = lam if pole_lam is None else [float(x) for x in pole_lam]
     d = len(lam)
     with mpmath.workdps(dps):
         tt = mpmath.mpf(t)
@@ -135,7 +121,7 @@ def mp_secular_block_roots(t: float, lam, dps: int = 50, pole_lam=None) -> np.nd
         for a in range(d):
             for b in range(d):
                 block[a, b] = tt**2 * root[a] * root[b]
-            block[a, a] += c1 + c2 * mpmath.mpf(pole_lam[a])
+            block[a, a] += c1 + c2 * mpmath.mpf(lam[a])
         values = mpmath.eigsy(block, eigvals_only=True)
         out = sorted((float(values[i]) for i in range(d)), reverse=True)
     return np.array(out)

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import tdchan as td
 from tdchan import spectrum
 from tdchan.cli import main
-from tdchan.errors import ConvergenceFailure
 from tdchan.serialize import density_from_obj, density_to_obj, fmt_float, to_json
 
 
@@ -302,13 +301,13 @@ def test_non_finite_tol_exit_3(capsys, argv, tol):
 
 @pytest.mark.parametrize(
     "exc",
-    [ConvergenceFailure("secular iteration did not converge"), ZeroDivisionError("float\ndivision")],
+    [np.linalg.LinAlgError("Eigenvalues did not converge"), ZeroDivisionError("float\ndivision")],
 )
 def test_internal_failure_exit_4(capsys, monkeypatch, exc):
     def fail(*args):
         raise exc
 
-    monkeypatch.setattr(spectrum, "_secular_root", fail)
+    monkeypatch.setattr(spectrum, "_secular_block_roots", fail)
     code, out, err = run_cli(capsys, "spectrum", "--d", "3", "--t", "-0.5", "--lambda", "0.5,0.3,0.2")
     assert code == 4
     assert out == ""

@@ -1,9 +1,10 @@
 """Property tests for the batched spectrum and symmetric-polynomial kernels.
 
-Inputs come from hypothesis and force the degenerate cases: poles closer
-than POLE_MERGE_TOL, weights exactly zero and at ZERO_WEIGHT_TOL, and t at
-both endpoints and at zero.  The spectrum is checked against the scalar
-path and a 50-digit mpmath oracle; the leave-one-out downdates against
+Inputs come from hypothesis and force the degenerate cases: poles that
+coincide or lie within rounding of each other, weights exactly zero or
+down to 1e-30, and t at both endpoints and at zero.  The spectrum is
+checked against a 50-digit mpmath oracle, and each batch row against the
+single-vector call bit for bit; the leave-one-out downdates against
 brute-force sums; the scan margins against the per-sample scalar route.
 """
 
@@ -17,20 +18,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tdchan as td
-from tdchan import spectrum
 from tdchan.errors import OutOfRange, SumMismatch
 from tdchan.majorization import _elem_sym_table, _loo_elem_sym
 from tdchan.sampling import philox_stream
-from tdchan.spectrum import POLE_MERGE_TOL, ZERO_WEIGHT_TOL, secular_roots_batch
+from tdchan.spectrum import secular_roots_batch
 from tdchan.verification import _lambda_batch, _schur_margins, _sympol_margins
 
 from oracles import elem_sym_brute, mp_secular_block_roots
 
 ROOT_TOL = 1e-13
 MARGIN_TOL = 1e-12
-# Tiny weights: exact zeros and the deflation threshold deflate; 1e-20 and
-# 1e-14 are small but not negligible, so they go through the iteration.
-TINY = (0.0, ZERO_WEIGHT_TOL, 1e-20, 1e-14, 2e-14)
+# Tiny weights.  A weight lam couples its row of the block by
+# t^2 sqrt(lam), so 1e-30 moves a root by up to 1e-15, while 1e-20 and
+# 1e-14 move one far past ROOT_TOL when dropped.
+TINY = (0.0, 1e-30, 1e-20, 1e-14, 2e-14)
 
 
 @st.composite
@@ -44,8 +45,7 @@ def schmidt_rows(draw, d):
     """One Schmidt vector with forced tiny weights and a near-coincident pair.
 
     The pair differs by at most 1e-13 in lam, so its poles differ by at
-    most 1e-13 |c2| < POLE_MERGE_TOL and get merged; merging moves a root
-    by at most half that gap.
+    most 1e-13 |c2|: a near-repeated eigenvalue of the block.
     """
     bulk = draw(st.lists(st.floats(0.01, 1.0), min_size=d, max_size=d))
     tiny = draw(st.lists(st.sampled_from((None,) + TINY), min_size=d, max_size=d))
@@ -71,15 +71,19 @@ def secular_cases(draw):
 
 
 # Near-vertex Schmidt vectors at t = -1/(d-1): the root between the two
-# active poles sits at g = 0, where a relative step test cannot fire.
+# active poles sits at g = 0, where no relative error can hide behind
+# the size of the root.
 NEAR_VERTEX = 3.0517578106348256e-08
 
 
 @settings(max_examples=200, deadline=None)
 @given(secular_cases())
-@example(case=(2, 1e-12, np.array([[2.0 / 3.0, 1.0 / 3.0]])))  # poles 3.3e-13 apart merge
+@example(case=(2, 1e-12, np.array([[2.0 / 3.0, 1.0 / 3.0]])))  # poles 3.3e-13 apart
 @example(case=(3, -0.5, np.array([[1.0 - NEAR_VERTEX, NEAR_VERTEX, 0.0]])))
 @example(case=(4, -1.0 / 3.0, np.array([[1.0 - NEAR_VERTEX, NEAR_VERTEX, 0.0, 0.0]])))
+# Two small weights whose poles lie 4.7e-13 apart, with weights 120 times
+# apart: solving them as one pole at their mean moves a root by 1.9e-13.
+@example(case=(3, -0.5, np.array([[1.0, 9.4e-13, 7.7e-15]])))
 def test_secular_batch_matches_scalar_and_mpmath(case):
     d, t, rows = case
     ch = td.new_channel(d, t)
@@ -93,8 +97,32 @@ def test_secular_batch_matches_scalar_and_mpmath(case):
         assert np.max(np.abs(scalar - oracle)) <= ROOT_TOL
 
 
+@settings(max_examples=200, deadline=None)
+@given(secular_cases())
+def test_secular_batch_rows_match_single_calls_bit_for_bit(case):
+    d, t, rows = case
+    ch = td.new_channel(d, t)
+    batch = secular_roots_batch(ch, rows)
+    for i, lam in enumerate(rows):
+        assert batch[i].tobytes() == td.secular_roots(ch, lam).tobytes()
+
+
+def test_secular_log_uniform_weights_match_mpmath():
+    # Weights spread over 30 decades put poles within rounding of each
+    # other and weights far below any coupling that matters, in every mix.
+    rng = np.random.default_rng(2024)
+    for i in range(300):
+        d = int(rng.integers(2, 7))
+        lam = 10.0 ** rng.uniform(-30.0, 0.0, d)
+        lam /= lam.sum()
+        lo, hi = td.t_range(d)
+        t = (lo, hi, 0.5 * lo, float(rng.uniform(lo, hi)))[i % 4]
+        got = td.secular_roots(td.new_channel(d, t), lam)
+        assert np.max(np.abs(got - mp_secular_block_roots(t, lam))) <= ROOT_TOL, (d, t, lam)
+
+
 def test_secular_batch_forced_cases():
-    """Endpoints, t = 0, zero weights, the deflation threshold, merged poles."""
+    """Endpoints, t = 0, zero weights, a weight of 1e-30, repeated poles."""
     for d in range(2, 9):
         lo, hi = td.t_range(d)
         rows = [np.full(d, 1.0 / d), np.eye(d)[0]]
@@ -102,8 +130,8 @@ def test_secular_batch_forced_cases():
         lam /= lam.sum()
         rows.append(lam)
         tiny = lam.copy()
-        tiny[0] = ZERO_WEIGHT_TOL
-        tiny[1] += lam[0] - ZERO_WEIGHT_TOL
+        tiny[0] = 1e-30
+        tiny[1] += lam[0] - 1e-30
         rows.append(tiny)
         for t in (lo, hi, 0.0, 0.5 * lo):
             ch = td.new_channel(d, t)
@@ -116,14 +144,14 @@ def test_secular_batch_forced_cases():
 
 
 def _forced_rows(d):
-    """Uniform (one merged pole), a vertex (zero weights), distinct weights,
-    a weight at the deflation threshold, a weight whose root lies within a
-    float of its pole, a merged pair, and a near vertex."""
+    """Uniform (one d-fold pole), a vertex (zero weights), distinct weights,
+    a weight of 1e-30, a weight whose root lies within a float of its pole,
+    a repeated pair, and a near vertex."""
     lam = np.arange(1.0, d + 1.0)
     lam /= lam.sum()
     tiny = lam.copy()
-    tiny[0] = ZERO_WEIGHT_TOL
-    tiny[1] += lam[0] - ZERO_WEIGHT_TOL
+    tiny[0] = 1e-30
+    tiny[1] += lam[0] - 1e-30
     small = lam.copy()
     small[0] = 1e-20
     small[1] += lam[0] - 1e-20
@@ -134,10 +162,8 @@ def _forced_rows(d):
     return np.array([np.full(d, 1.0 / d), np.eye(d)[0], lam, tiny, small, pair, near])
 
 
-# At t = -1/(d-1) these put a root at g = 0 off the bracket's midpoint.
-# There |f| bottoms out at its rounding error before the relative step
-# test can fire; without the rounding test the iteration falls back to
-# bisection, about 50 evaluations.
+# At t = -1/(d-1) these put a root at g = 0, where an absolute error
+# cannot hide behind a large root.
 ZERO_ROOT_CASES = [
     (2, -1.0, [0.1814920343498257, 0.8185079656501744]),
     (3, -0.5, [0.990661763599945, 0.009338236400054998, 0.0]),
@@ -145,55 +171,23 @@ ZERO_ROOT_CASES = [
 ]
 
 
-def test_secular_iteration_is_not_bisection(monkeypatch):
-    # Bisection needs about 50 evaluations of the secular function per root
-    # to reach SECULAR_REL_TOL; the rational iteration needs a handful.
-    evals, per_root = [0], []
-    terms, root = spectrum._secular_terms, spectrum._secular_root
-
-    def counted_terms(*args):
-        evals[0] += 1
-        return terms(*args)
-
-    def counted_root(*args):
-        start = evals[0]
-        out = root(*args)
-        per_root.append(evals[0] - start)
-        return out
-
-    batch_terms = spectrum._secular_terms_batch
-    steps = [0]
-
-    def counted_batch(*args):
-        steps[0] += 1
-        return batch_terms(*args)
-
-    monkeypatch.setattr(spectrum, "_secular_terms", counted_terms)
-    monkeypatch.setattr(spectrum, "_secular_root", counted_root)
-    monkeypatch.setattr(spectrum, "_secular_terms_batch", counted_batch)
-    for d in range(2, 9):
-        lo, hi = td.t_range(d)
-        rows = _forced_rows(d)
-        for t in (lo, hi, 1e-12, 0.5 * lo):
-            ch = td.new_channel(d, t)
-            for lam in rows:
-                td.secular_roots(ch, lam)
-            steps[0] = 0
-            secular_roots_batch(ch, rows)
-            assert steps[0] <= 40, (d, t)
-    for d, t, lam in ZERO_ROOT_CASES:
-        ch = td.new_channel(d, t)
-        td.secular_roots(ch, np.array(lam))
-        steps[0] = 0
-        secular_roots_batch(ch, np.array([lam]))
-        assert steps[0] <= 40, (d, t, lam)
-    assert max(per_root) <= 40
-    assert sum(per_root) / len(per_root) <= 6
+def test_secular_forced_rows_match_mpmath():
+    cases = [
+        (d, t, lam)
+        for d in range(2, 9)
+        for t in (*td.t_range(d), 1e-12, 0.5 * td.t_range(d)[0])
+        for lam in _forced_rows(d)
+    ]
+    cases += [(d, t, np.array(lam)) for d, t, lam in ZERO_ROOT_CASES]
+    for d, t, lam in cases:
+        got = secular_roots_batch(td.new_channel(d, t), lam[None, :])[0]
+        assert np.max(np.abs(got - mp_secular_block_roots(t, lam))) <= ROOT_TOL, (d, t, lam)
 
 
 def test_secular_tiny_weight_at_degenerate_t():
-    # At d = 3, t = -1/2 the reduced top root sits at c1 for every lam, so
-    # deflating a weight of 1e-14 would move a root by ~2e-8.
+    # At d = 3, t = -1/2 the top root of the block without the first
+    # coordinate sits at c1 for every lam, so dropping a weight of 1e-14
+    # would move a root by ~2e-8.
     ch = td.new_channel(3, -0.5)
     lam = np.array([1e-14, 0.6, 0.4 - 1e-14])
     oracle = mp_secular_block_roots(-0.5, lam)
@@ -202,28 +196,22 @@ def test_secular_tiny_weight_at_degenerate_t():
 
 
 def test_secular_merge_solves_the_mean_pole_block():
-    # Poles up to POLE_MERGE_TOL apart are merged at their mean: the roots
-    # are those of the block with both poles at the mean, so every root
-    # moves by at most half the pole gap (Weyl).
+    # Two poles up to 1e-12 apart: the roots near them must resolve the
+    # gap, not the block with both poles at their mean.
     d, t = 4, -0.3
     ch = td.new_channel(d, t)
-    for pole_gap in (2e-13, 5e-13, 0.99 * POLE_MERGE_TOL):
+    for pole_gap in (2e-13, 5e-13, 0.99e-12):
         dlam = pole_gap / abs(ch.c2)
         lam = np.array([0.3, 0.3 + dlam, 0.25, 0.15 - dlam])
-        mean_poles = np.array([0.3 + 0.5 * dlam, 0.3 + 0.5 * dlam, 0.25, 0.15 - dlam])
-        merged = mp_secular_block_roots(t, lam, pole_lam=mean_poles)
         exact = mp_secular_block_roots(t, lam)
         for got in (td.secular_roots(ch, lam), secular_roots_batch(ch, lam[None, :])[0]):
-            assert np.max(np.abs(got - merged)) <= ROOT_TOL
-            assert np.max(np.abs(got - exact)) <= ROOT_TOL + 0.5 * pole_gap
+            assert np.max(np.abs(got - exact)) <= ROOT_TOL
 
 
 def test_secular_merged_pole_stays_inside_its_group():
-    # At t = 1e-12 the first four poles round to one float, but the fourth
-    # weight lies 2e-10 > LAM_MERGE_TOL from the others, so it stays a
-    # pole of its own.  The mean of the other three, (3a)/3, rounds one
-    # float above a unless clamped, which puts a pole inside the next
-    # bracket, where the iteration steps to the float next to a.
+    # At t = 1e-12 the first four poles round to one float, though the
+    # fourth weight lies 2e-10 from the others: a cluster of coincident
+    # poles with unequal weights, solved with no warning.
     x = 0.056146028590429206
     lam = np.array([x, x, x, x + 2e-10, 0.012815791137555614, 0.7626000943007275])
     ch = td.new_channel(6, 1e-12)
@@ -243,12 +231,9 @@ UNMERGED_CLUSTERS = [
 
 
 @pytest.mark.parametrize("d, t, lam", UNMERGED_CLUSTERS)
-def test_secular_unmerged_pole_clusters(monkeypatch, d, t, lam):
-    # With merging off, tiny weights leave poles a few floats apart.  One
-    # float above such a cluster the model step is below SECULAR_REL_TOL
-    # while the root lies 1e-7 to 1e-5 higher, so a step is trusted only
-    # when it is also shorter than the distance to the nearest pole.
-    monkeypatch.setattr(spectrum, "POLE_MERGE_TOL", 0.0)
+def test_secular_unmerged_pole_clusters(d, t, lam):
+    # Tiny weights leave poles a few floats apart, with the roots above
+    # such a cluster 1e-7 to 1e-5 higher.
     lam = np.array(lam)
     lam[np.argmax(lam)] += 1.0 - lam.sum()
     ch = td.new_channel(d, t)

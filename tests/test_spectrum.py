@@ -10,11 +10,13 @@ from tdchan.errors import OutOfRange, SumMismatch
 from tdchan.spectrum import SCHMIDT_SUM_TOL, _as_schmidt, _check_schmidt_rows, _schmidt_list
 
 from oracles import (
-    dense_secular_block_roots,
     dense_two_copy_spectrum,
     kraus_two_copy_output,
+    mp_secular_block_roots,
     schmidt_state,
 )
+
+ROOT_TOL = 1e-13
 
 
 def random_inputs(rng, d, negative_only=False):
@@ -191,12 +193,12 @@ def test_secular_matches_dense_block():
             t, lam = random_inputs(rng, d)
             ch = td.new_channel(d, t)
             got = np.sort(td.secular_roots(ch, lam))[::-1]
-            ref = dense_secular_block_roots(ch, lam)
-            assert np.max(np.abs(got - ref)) < 1e-9
+            ref = mp_secular_block_roots(t, lam)
+            assert np.max(np.abs(got - ref)) <= ROOT_TOL
 
 
 def test_secular_degenerate_and_sparse_lambda():
-    # repeated entries force the pole-merge path, zeros force deflation
+    # repeated entries give repeated poles, zeros give roots at c1
     cases = [
         (3, -0.5, [0.5, 0.5, 0.0]),
         (4, -0.3, [0.25, 0.25, 0.25, 0.25]),
@@ -209,8 +211,8 @@ def test_secular_degenerate_and_sparse_lambda():
         ch = td.new_channel(d, t)
         lam = np.asarray(lam, dtype=float)
         got = np.sort(td.secular_roots(ch, lam))[::-1]
-        ref = dense_secular_block_roots(ch, lam)
-        assert np.max(np.abs(got - ref)) < 1e-9, (d, t, lam)
+        ref = mp_secular_block_roots(t, lam)
+        assert np.max(np.abs(got - ref)) <= ROOT_TOL, (d, t, lam)
 
 
 def test_secular_positive_t():
@@ -220,7 +222,7 @@ def test_secular_positive_t():
         t = float(rng.uniform(1e-3, td.t_range(d)[1]))
         ch = td.new_channel(d, t)
         got = np.sort(td.secular_roots(ch, lam))[::-1]
-        assert np.max(np.abs(got - dense_secular_block_roots(ch, lam))) < 1e-9
+        assert np.max(np.abs(got - mp_secular_block_roots(t, lam))) <= ROOT_TOL
 
 
 # ---------------------------------------------------------------- full spectrum
