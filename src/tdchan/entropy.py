@@ -29,7 +29,10 @@ takes the roots from spectrum._secular_block_roots on a one-row array,
 the kernel behind secular_roots and secular_roots_batch.
 Most iterates project onto a simplex vertex, so the objective keeps its
 values by projected vector for the length of one search and evaluates
-each distinct vector once.
+each distinct vector once.  A start ends as soon as its whole simplex,
+and the next point it would try, provably project onto one vertex: from
+there on every evaluation would repeat that vertex's value, and the full
+run would return the same point and value.
 The Haar-random states go through the two-copy channel and eigvalsh in
 stacks.
 """
@@ -95,10 +98,15 @@ class EntropyReport:
 
 
 def _entropy(values) -> float:
-    """-sum p ln p over an iterable of floats; entropy_of without numpy."""
+    """-sum p ln p over an iterable of floats; entropy_of without numpy.
+
+    Entries at or above 1 contribute 1 ln 1 := 0, the mirror of
+    ENTROPY_CLAMP: a root that rounds to 1 + 2**-52 would otherwise add
+    -p ln p < 0 and make an entropy negative.
+    """
     total = 0.0
     for p in values:
-        if p > ENTROPY_CLAMP:
+        if ENTROPY_CLAMP < p < 1.0:
             total -= p * math.log(p)
         elif p < EIGENVALUE_FLOOR:
             raise NotPSD(f"entropy of a vector with entry {p}")
@@ -108,7 +116,8 @@ def _entropy(values) -> float:
 def entropy_of(values: np.ndarray) -> float:
     """Shannon entropy -sum p ln p of a nonnegative vector.
 
-    Entries at or below the clamp threshold are treated as exact zeros.
+    Entries at or below the clamp threshold are treated as exact zeros,
+    and entries at or above 1 as exact ones, so both contribute 0.
     Entries below -1e-10 indicate a genuinely non-PSD input and raise.
     """
     return _entropy(np.asarray(values, dtype=float).ravel().tolist())
@@ -216,9 +225,9 @@ def _schmidt_of(x: list[float]) -> list[float]:
 def _objective(ch: Channel):
     """The search objective x -> simplex_output_entropy(ch, _schmidt_of(x)).
 
-    The minimum sits at a simplex vertex, so most iterates leave the
-    simplex and project onto that same vertex: about 85 % of the calls
-    of a search repeat a projected vector.  Values are therefore kept by
+    The minimum sits at a simplex vertex, so many iterates leave the
+    simplex and project onto that same vertex: about half the calls of a
+    search repeat a projected vector.  Values are therefore kept by
     projected vector, in a dict that lives as long as the returned
     function.  The objective is a pure function of the vector, so a
     repeat returns the bits a fresh evaluation would.  Tuple keys equate
@@ -243,7 +252,25 @@ class _OutOfEvaluations(Exception):
     """The evaluation budget of _nelder_mead is spent."""
 
 
-def _nelder_mead(fun, x0: list[float], xatol: float, fatol: float, maxfev: int):
+def _one_vertex_cone(sim: list[list[float]], xr: list[float]) -> bool:
+    """Whether sim and its next reflection xr all project onto one vertex.
+
+    With y(p) = p + [1 - fsum(p)], as _schmidt_of builds it, and K the
+    largest entry of y(sim[0]): every p in sim + [xr] and every j != K
+    satisfy y_K(p) - 1 - y_j(p) > delta = 2**-30 (1 + max |y|).  The
+    region y_K - y_j >= 1 (all j != K) is the set that _project sends to
+    e_K; delta keeps the points clear of its boundary by far more than
+    rounding.  minimize_simplex_entropy's docstring gives the use.
+    """
+    ys = [p + [1.0 - math.fsum(p)] for p in sim]
+    ys.append(xr + [1.0 - math.fsum(xr)])
+    top = ys[0]
+    k = top.index(max(top))
+    delta = 2.0**-30 * (1.0 + max(abs(v) for y in ys for v in y))
+    return all(y[k] - 1.0 - v > delta for y in ys for j, v in enumerate(y) if j != k)
+
+
+def _nelder_mead(fun, x0: list[float], xatol: float, fatol: float, maxfev: int, stop=None):
     """Minimize fun from x0 by Nelder-Mead; (x, fun(x), evaluations).
 
     A port, on Python lists, of scipy.optimize.minimize(method="Nelder-Mead",
@@ -263,6 +290,11 @@ def _nelder_mead(fun, x0: list[float], xatol: float, fatol: float, maxfev: int):
       the best vertex found so far is returned.
 
     fun takes a list it must not modify.
+
+    stop, if given, is called as stop(sim, xr) once per iteration after
+    the convergence test, only while every vertex has the same value,
+    with xr the reflection point that iteration is about to evaluate; a
+    true result ends the search there.  Without stop the run is scipy's.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     n = len(x0)
@@ -305,8 +337,10 @@ def _nelder_mead(fun, x0: list[float], xatol: float, fatol: float, maxfev: int):
         for x in sim[1:-1]:
             xbar = [s + v for s, v in zip(xbar, x)]
         xbar = [s / n for s in xbar]
+        xr = [(1 + rho) * b - rho * w for b, w in zip(xbar, worst)]
+        if stop is not None and fsim[0] == fsim[-1] and stop(sim, xr):
+            break
         try:
-            xr = [(1 + rho) * b - rho * w for b, w in zip(xbar, worst)]
             fxr = f(xr)
             if fxr < fsim[0]:
                 xe = [(1 + rho * chi) * b - rho * chi * w for b, w in zip(xbar, worst)]
@@ -349,6 +383,33 @@ def minimize_simplex_entropy(
     starts share one memoized objective, dropped on return.  Vertex
     starts are also evaluated exactly; when the search cannot beat a
     vertex by more than 1e-12, the vertex itself is reported as argmin.
+
+    Each start ends early once _one_vertex_cone holds: all d vertices of
+    its simplex have the same value, and they and the next reflection
+    point xr = 2 xbar - sim[-1] lie, by a margin delta, in the cone of
+    points that _schmidt_of projects onto one vertex e_K.  The full run
+    would return the same x and value:
+
+    * the cone {y_K - y_j >= 1 for all j != K} is convex (y is affine in
+      x), and it is exactly the set that projects onto e_K, so every
+      point in it has the value f* of e_K, the memo's value for the key
+      e_K;
+    * while all values are equal, every iteration takes the same three
+      steps: a rejected reflection (f(xr) is not below any vertex), a
+      rejected inside contraction, and a shrink toward sim[0];
+    * the sort is stable, so sim[0] never moves and the order is kept;
+      the next reflection point is the midpoint of sim[0] and xr, and
+      every contraction and shrink point is a convex combination of the
+      current simplex, so by induction every later iterate lies in the
+      hull of sim and xr;
+    * delta = 2**-30 (1 + max |y|) is some 2**23 ulps of max |y|, far
+      more than the rounding of these combinations adds up to over the
+      at most NELDER_MEAD_MAXFEV evaluations left, so every later
+      iterate projects onto exactly e_K and returns f*, until the
+      tolerance test or the evaluation cap ends the run with sim[0]
+      and f*.
+
+    Only the evaluation count, which this function discards, differs.
     """
     fun = _objective(ch)
     d = ch.d
@@ -363,7 +424,9 @@ def minimize_simplex_entropy(
     best_val = math.inf
     best_lam = [1.0 / d] * d
     for lam0 in starts:
-        x, val, _ = _nelder_mead(fun, lam0[:-1], NELDER_MEAD_TOL, NELDER_MEAD_TOL, NELDER_MEAD_MAXFEV)
+        x, val, _ = _nelder_mead(
+            fun, lam0[:-1], NELDER_MEAD_TOL, NELDER_MEAD_TOL, NELDER_MEAD_MAXFEV, _one_vertex_cone
+        )
         if val < best_val:
             best_val = val
             best_lam = _schmidt_of(x)

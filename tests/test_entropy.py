@@ -95,6 +95,24 @@ def test_entropy_split_degenerate_edge():
     assert rep.s_total == pytest.approx(0.0, abs=1e-12)
 
 
+def test_entropy_split_is_nonnegative_at_the_t_endpoints():
+    # A root that rounds to 1 + 2**-52 once added -p ln p < 0 here:
+    # d = 2, t = -1 on the uniform vector gave s_total = -2.2e-16.
+    # Inputs: uniform on the first k coordinates, from a vertex (k = 1)
+    # through the faces to the uniform vector (k = d).
+    for d in (2, 3, 4, 5, 6):
+        for t in td.t_range(d):
+            ch = td.new_channel(d, t)
+            for k in range(1, d + 1):
+                rep = td.entropy_split(ch, [1.0 / k] * k + [0.0] * (d - k))
+                assert min(rep.s_total, rep.s1, rep.s2) >= 0.0, (d, t, k, rep)
+
+
+def test_entropy_of_ignores_entries_rounded_past_one():
+    assert td.entropy_of(np.array([1.0 + 2.0**-52, 0.0])) == 0.0
+    assert td.entropy_of(np.array([1.0 + 2.0**-52, 0.5])) == -0.5 * math.log(0.5)
+
+
 def test_min_entropy_closed_form_frozen():
     assert td.min_entropy_closed_form(td.new_channel(3, -0.5)) == pytest.approx(LN2, abs=1e-15)
     assert td.min_entropy_closed_form(td.new_channel(2, -1.0)) == 0.0
@@ -370,3 +388,86 @@ def test_memo_keeps_no_state_between_searches(monkeypatch):
         got = td.minimize_simplex_entropy(b, cfg)
         assert bits(got[0]) == bits(want[0])
         assert bits(got[1].values.tolist()) == bits(want[1].values.tolist())
+
+
+# ------------------------------------------- the early exit of each start
+
+
+def recorded_starts(monkeypatch, cfg, channels):
+    """(fun, x0, options, result) for every start of every search."""
+    port = entropy._nelder_mead
+    runs = []
+
+    def record(fun, x0, *options):
+        runs.append((fun, list(x0), options, port(fun, x0, *options)))
+        return runs[-1][-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(entropy, "_nelder_mead", record)
+        for ch in channels:
+            td.minimize_simplex_entropy(ch, cfg)
+    return runs
+
+
+def exit_cases():
+    for d in (2, 3, 4, 5, 6):
+        lo, hi = td.t_range(d)
+        for t in (lo, 0.9 * lo, 0.5 * lo, 0.0, 0.1 * hi, 0.5 * hi, hi):
+            yield td.new_channel(d, t)
+
+
+@pytest.mark.parametrize("seed", [41, 43, 47])
+def test_early_exit_returns_the_full_run(monkeypatch, seed):
+    # Every start, with the exit, against the same start run to the end:
+    # the same x and value bits (so the same projected vector), and never
+    # more evaluations.
+    cfg = td.OptimizerConfig(restarts=3, seed=seed)
+    runs = recorded_starts(monkeypatch, cfg, exit_cases())
+    assert len(runs) == sum(cfg.restarts + ch.d + 1 for ch in exit_cases())
+    stopped = 0
+    for fun, x0, options, (x, val, nfev) in runs:
+        assert options[-1] is entropy._one_vertex_cone
+        x_full, val_full, nfev_full = entropy._nelder_mead(fun, x0, *options[:-1])
+        assert bits([x, val]) == bits([x_full, val_full]), x0
+        assert nfev <= nfev_full
+        stopped += nfev < nfev_full
+    assert stopped > 0
+
+
+def test_early_exit_halves_the_evaluations(monkeypatch):
+    ch = td.new_channel(4, td.t_range(4)[0])
+    runs = recorded_starts(monkeypatch, td.OptimizerConfig(restarts=20, seed=5), [ch])
+    with_exit = sum(result[2] for *_, result in runs)
+    full = sum(entropy._nelder_mead(fun, x0, *options[:-1])[2] for fun, x0, options, _ in runs)
+    assert 2 * with_exit <= full
+
+
+# Hand-built simplices at d = 3, where y(x) = (x0, x1, 1 - x0 - x1) and
+# the cone of e_1 is x0 - 1 > x1 and 2 x0 + x1 > 2.  The reflection is
+# xr = 2 xbar - sim[-1] with xbar = (sim[0] + sim[1]) / 2.
+DEEP = [[3.0, 0.0], [3.1, 0.1], [3.2, -0.1]]
+# sim[0] projects onto e_1 but lies only 1e-10 inside the cone, and
+# delta = 2**-30 (1 + 4) is 4.7e-9; the other points and xr are deep.
+AT_THE_EDGE = [[2.0, 1.0 - 1e-10], [4.0, 0.0], [3.0, 0.0]]
+# Every vertex is inside; the reflection (1.0, 1.7) is not.
+REFLECTION_OUT = [[2.0, 0.9], [2.0, 0.8], [3.0, 0.0]]
+# Deep in the cone of e_3, which K must follow from sim[0].
+DEEP_E3 = [[-2.0, 0.0], [-2.1, 0.1], [-2.2, -0.1]]
+
+
+def reflection(sim):
+    xbar = [(a + b) / 2 for a, b in zip(sim[0], sim[1])]
+    return [2 * b - w for b, w in zip(xbar, sim[-1])]
+
+
+def test_cone_predicate_on_hand_built_simplices():
+    e1, e3 = [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]
+    for sim in (DEEP, AT_THE_EDGE, REFLECTION_OUT):
+        assert [_schmidt_of(x) for x in sim] == [e1] * 3
+    assert [_schmidt_of(x) for x in DEEP_E3 + [reflection(DEEP_E3)]] == [e3] * 4
+    assert _schmidt_of(reflection(DEEP)) == _schmidt_of(reflection(AT_THE_EDGE)) == e1
+    assert _schmidt_of(reflection(REFLECTION_OUT)) != e1
+    assert entropy._one_vertex_cone(DEEP, reflection(DEEP))
+    assert entropy._one_vertex_cone(DEEP_E3, reflection(DEEP_E3))
+    assert not entropy._one_vertex_cone(AT_THE_EDGE, reflection(AT_THE_EDGE))
+    assert not entropy._one_vertex_cone(REFLECTION_OUT, reflection(REFLECTION_OUT))

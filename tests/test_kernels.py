@@ -195,7 +195,7 @@ def test_secular_tiny_weight_at_degenerate_t():
     assert np.max(np.abs(secular_roots_batch(ch, lam[None, :])[0] - oracle)) <= ROOT_TOL
 
 
-def test_secular_merge_solves_the_mean_pole_block():
+def test_secular_poles_closer_than_1e_12_match_mpmath():
     # Two poles up to 1e-12 apart: the roots near them must resolve the
     # gap, not the block with both poles at their mean.
     d, t = 4, -0.3
@@ -208,7 +208,7 @@ def test_secular_merge_solves_the_mean_pole_block():
             assert np.max(np.abs(got - exact)) <= ROOT_TOL
 
 
-def test_secular_merged_pole_stays_inside_its_group():
+def test_secular_coincident_poles_with_unequal_weights_match_mpmath():
     # At t = 1e-12 the first four poles round to one float, though the
     # fourth weight lies 2e-10 from the others: a cluster of coincident
     # poles with unequal weights, solved with no warning.

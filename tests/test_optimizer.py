@@ -2,7 +2,9 @@
 
 scipy is the oracle here only; the package itself does not import it.
 Every comparison asserts equal x, equal value and equal evaluation count,
-with no tolerance.
+with no tolerance.  The port is compared without its stop predicate,
+the early exit minimize_simplex_entropy adds; that exit is checked
+against the port's full run.
 
 numpy's default argsort is stable on small arrays on some CPUs and not on
 others (its AVX-512 sorting networks may reorder ties), so scipy's
@@ -47,6 +49,8 @@ def assert_same_run(fun, x0, xatol, fatol, maxfev):
 def test_nelder_mead_matches_scipy_on_the_optimizer_starts(stable_argsort, monkeypatch):
     # Every start minimize_simplex_entropy makes (Dirichlet draws, the
     # vertices, the barycenter), with its own objective and options.
+    # The port without the early-exit predicate is scipy's run; with it,
+    # the run returns the same x and value with no more evaluations.
     # The objective is memoized per start, so scipy's run replays the
     # port's evaluations instead of repeating them.
     port = entropy._nelder_mead
@@ -72,8 +76,14 @@ def test_nelder_mead_matches_scipy_on_the_optimizer_starts(stable_argsort, monke
             runs.clear()
             td.minimize_simplex_entropy(td.new_channel(d, t), cfg)
             assert len(runs) == cfg.restarts + d + 1
-            for memo, x0, options, result in runs:
-                assert result == scipy_nelder_mead(memo, x0, *options), (d, t, x0)
+            for memo, x0, options, (x, val, nfev) in runs:
+                *options, stop = options
+                assert stop is entropy._one_vertex_cone
+                full = port(memo, x0, *options)
+                assert full == scipy_nelder_mead(memo, x0, *options), (d, t, x0)
+                x_full, val_full, nfev_full = full
+                assert [v.hex() for v in x + [val]] == [v.hex() for v in x_full + [val_full]]
+                assert nfev <= nfev_full
 
 
 def rosenbrock(x):

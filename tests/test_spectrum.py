@@ -181,12 +181,12 @@ def test_secular_frozen_examples():
     assert np.sort(roots)[::-1] == pytest.approx([1.0, 0.0], abs=1e-12)
 
 
-def test_secular_t_zero_short_circuit():
+def test_secular_roots_at_t_zero_are_uniform():
     roots = td.secular_roots(td.new_channel(4, 0.0), np.array([0.4, 0.3, 0.2, 0.1]))
     assert roots == pytest.approx(np.full(4, 1.0 / 16.0), abs=1e-16)
 
 
-def test_secular_matches_dense_block():
+def test_secular_random_inputs_match_mpmath():
     rng = np.random.default_rng(107)
     for d in (2, 3, 4, 5, 6):
         for _ in range(25):
