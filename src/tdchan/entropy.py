@@ -23,16 +23,20 @@ Natural logarithms throughout; CLI handles base conversion on output.
 The simplex search evaluates the objective some 10^4 times per channel on
 vectors of d <= 8 entries, where numpy's per-call overhead outweighs the
 arithmetic, so its Nelder-Mead loop, projection and entropies run on
-Python floats.  The objective stays on lists up to the secular roots:
-the Schmidt check is spectrum._schmidt_list, S1 sums floats, and S2
-takes the roots from spectrum._secular_block_roots on a one-row array,
-the kernel behind secular_roots and secular_roots_batch.
-Most iterates project onto a simplex vertex, so the objective keeps its
-values by projected vector for the length of one search and evaluates
-each distinct vector once.  A start ends as soon as its whole simplex,
-and the next point it would try, provably project onto one vertex: from
-there on every evaluation would repeat that vertex's value, and the full
-run would return the same point and value.
+Python floats.  Its starts run in lockstep: the Nelder-Mead loop is a
+generator that yields each point it needs evaluated, and every round
+advances all unfinished starts by one point.  Most iterates project onto
+a simplex vertex, so the search keeps its values by projected vector and
+evaluates each distinct vector once.  A round's new vectors are checked
+on floats by spectrum._schmidt_list and evaluated together: S1 sums
+floats row by row, and S2 takes the roots of every row from one
+spectrum._secular_block_roots call, the kernel behind secular_roots and
+secular_roots_batch.  A row gets the same bits there as alone, so each
+start follows the path it would follow on its own.  A start ends as
+soon as its whole simplex, and the next point it would try, provably
+project onto one vertex: from there on every evaluation would repeat
+that vertex's value, and the full run would return the same point and
+value.
 The Haar-random states go through the two-copy channel and eigvalsh in
 stacks.
 """
@@ -128,22 +132,26 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return entropy_of(np.linalg.eigvalsh(rho.mat))
 
 
-def _split(ch: Channel, v: list[float]) -> tuple[float, float]:
-    """S1 and S2 of the two-copy output for the validated Schmidt list v.
+def _split_rows(ch: Channel, lams: list[list[float]]) -> list[tuple[float, float]]:
+    """(S1, S2) of the two-copy output for each validated Schmidt list in lams.
 
     Built from the two families directly, with no Spectrum record.
     gamma_ab is symmetric in (a, b), so S1 sums the unordered pairs and
-    doubles.  S2 sums the secular roots in descending order.
+    doubles.  S2 sums the secular roots in descending order.  The roots
+    of all rows come from one _secular_block_roots call, and each row
+    gets the same bits as a one-row call.
     """
     c1, half = ch.c1, 0.5 * ch.c2
-    s1 = 2.0 * _entropy([c1 + half * (v[a] + v[b]) for a in range(len(v)) for b in range(a)])
-    s2 = _entropy(_secular_block_roots(ch, np.array([v]))[0].tolist())
-    return s1, s2
+    splits = []
+    for v, r in zip(lams, _secular_block_roots(ch, np.array(lams)).tolist()):
+        s1 = 2.0 * _entropy([c1 + half * (v[a] + v[b]) for a in range(len(v)) for b in range(a)])
+        splits.append((s1, _entropy(r)))
+    return splits
 
 
 def entropy_split(ch: Channel, lam: "SchmidtVector | list[float]") -> EntropyReport:
     """S1, S2 and their sum for the two-copy output, from the closed form."""
-    s1, s2 = _split(ch, _schmidt_list(ch, lam))
+    [(s1, s2)] = _split_rows(ch, [_schmidt_list(ch, lam)])
     c = (ch.d - 1) * (1.0 - ch.t**2) / ch.d
     return EntropyReport(s_total=s1 + s2, s1=s1, s2=s2, c=c)
 
@@ -151,11 +159,11 @@ def entropy_split(ch: Channel, lam: "SchmidtVector | list[float]") -> EntropyRep
 def simplex_output_entropy(ch: Channel, lam: "SchmidtVector | list[float]") -> float:
     """Two-copy output entropy of the Schmidt-diagonal input lam.
 
-    This is the optimizer's objective.  lam may be a plain list of d
-    floats, which is checked on floats by _schmidt_list instead of
-    through a SchmidtVector; it gives the same bits as entropy_split.
+    lam may be a plain list of d floats, which is checked on floats by
+    _schmidt_list instead of through a SchmidtVector; it gives the same
+    bits as entropy_split and as the optimizer's batched evaluation.
     """
-    s1, s2 = _split(ch, _schmidt_list(ch, lam))
+    [(s1, s2)] = _split_rows(ch, [_schmidt_list(ch, lam)])
     return s1 + s2
 
 
@@ -222,34 +230,8 @@ def _schmidt_of(x: list[float]) -> list[float]:
     return _project(x + [1.0 - math.fsum(x)])
 
 
-def _objective(ch: Channel):
-    """The search objective x -> simplex_output_entropy(ch, _schmidt_of(x)).
-
-    The minimum sits at a simplex vertex, so many iterates leave the
-    simplex and project onto that same vertex: about half the calls of a
-    search repeat a projected vector.  Values are therefore kept by
-    projected vector, in a dict that lives as long as the returned
-    function.  The objective is a pure function of the vector, so a
-    repeat returns the bits a fresh evaluation would.  Tuple keys equate
-    -0.0 and 0.0, which simplex_output_entropy also maps to the same
-    bits.  Only returned values are kept; an exception propagates every
-    time.
-    """
-    values: dict[tuple[float, ...], float] = {}
-
-    def fun(x: list[float]) -> float:
-        lam = _schmidt_of(x)
-        key = tuple(lam)
-        value = values.get(key)
-        if value is None:
-            value = values[key] = simplex_output_entropy(ch, lam)
-        return value
-
-    return fun
-
-
 class _OutOfEvaluations(Exception):
-    """The evaluation budget of _nelder_mead is spent."""
+    """The evaluation budget of _nelder_mead_steps is spent."""
 
 
 def _one_vertex_cone(sim: list[list[float]], xr: list[float]) -> bool:
@@ -270,8 +252,13 @@ def _one_vertex_cone(sim: list[list[float]], xr: list[float]) -> bool:
     return all(y[k] - 1.0 - v > delta for y in ys for j, v in enumerate(y) if j != k)
 
 
-def _nelder_mead(fun, x0: list[float], xatol: float, fatol: float, maxfev: int, stop=None):
-    """Minimize fun from x0 by Nelder-Mead; (x, fun(x), evaluations).
+def _nelder_mead_steps(x0: list[float], xatol: float, fatol: float, maxfev: int, stop):
+    """Nelder-Mead from x0, as a generator of the points it needs evaluated.
+
+    Each point is yielded, and the caller sends its value back; the
+    generator returns (x, value at x, evaluations).  The caller must not
+    modify a yielded point.  _nelder_mead drives it with one function;
+    minimize_simplex_entropy drives many in lockstep.
 
     A port, on Python lists, of scipy.optimize.minimize(method="Nelder-Mead",
     options={"xatol", "fatol", "maxfev"}) in its default form (not
@@ -289,23 +276,22 @@ def _nelder_mead(fun, x0: list[float], xatol: float, fatol: float, maxfev: int, 
       even inside the initial simplex or partway through a shrink, and
       the best vertex found so far is returned.
 
-    fun takes a list it must not modify.
-
-    stop, if given, is called as stop(sim, xr) once per iteration after
-    the convergence test, only while every vertex has the same value,
-    with xr the reflection point that iteration is about to evaluate; a
-    true result ends the search there.  Without stop the run is scipy's.
+    stop, if not None, is called as stop(sim, xr) once per iteration
+    after the convergence test, only while every vertex has the same
+    value, with xr the reflection point that iteration is about to
+    evaluate; a true result ends the search there.  Without stop the run
+    is scipy's.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     n = len(x0)
     nfev = 0
 
-    def f(x: list[float]) -> float:
+    def f(x: list[float]):
         nonlocal nfev
         if nfev >= maxfev:
             raise _OutOfEvaluations
         nfev += 1
-        return fun(x)
+        return (yield x)
 
     sim = [list(x0)]
     for k in range(n):
@@ -321,7 +307,7 @@ def _nelder_mead(fun, x0: list[float], xatol: float, fatol: float, maxfev: int, 
 
     try:
         for k in range(n + 1):
-            fsim[k] = f(sim[k])
+            fsim[k] = yield from f(sim[k])
     except _OutOfEvaluations:
         pass
     sort()
@@ -341,10 +327,10 @@ def _nelder_mead(fun, x0: list[float], xatol: float, fatol: float, maxfev: int, 
         if stop is not None and fsim[0] == fsim[-1] and stop(sim, xr):
             break
         try:
-            fxr = f(xr)
+            fxr = yield from f(xr)
             if fxr < fsim[0]:
                 xe = [(1 + rho * chi) * b - rho * chi * w for b, w in zip(xbar, worst)]
-                fxe = f(xe)
+                fxe = yield from f(xe)
                 if fxe < fxr:
                     sim[-1], fsim[-1] = xe, fxe
                 else:
@@ -354,22 +340,39 @@ def _nelder_mead(fun, x0: list[float], xatol: float, fatol: float, maxfev: int, 
             else:
                 if fxr < fsim[-1]:
                     xc = [(1 + psi * rho) * b - psi * rho * w for b, w in zip(xbar, worst)]
-                    fxc = f(xc)
+                    fxc = yield from f(xc)
                     accept = fxc <= fxr
                 else:  # inside contraction
                     xc = [(1 - psi) * b + psi * w for b, w in zip(xbar, worst)]
-                    fxc = f(xc)
+                    fxc = yield from f(xc)
                     accept = fxc < fsim[-1]
                 if accept:
                     sim[-1], fsim[-1] = xc, fxc
                 else:
                     for j in range(1, n + 1):
                         sim[j] = [b + sigma * (v - b) for v, b in zip(sim[j], best)]
-                        fsim[j] = f(sim[j])
+                        fsim[j] = yield from f(sim[j])
         except _OutOfEvaluations:
             pass
         sort()
     return sim[0], fsim[0], nfev
+
+
+def _nelder_mead(fun, x0: list[float], xatol: float, fatol: float, maxfev: int, stop=None):
+    """Minimize fun from x0 by Nelder-Mead; (x, fun(x), evaluations).
+
+    Runs _nelder_mead_steps, which documents the method and its options,
+    with fun evaluating each point as it comes.  fun takes a list it must
+    not modify.
+    """
+    steps = _nelder_mead_steps(x0, xatol, fatol, maxfev, stop)
+    value = None
+    while True:
+        try:
+            x = steps.send(value)
+        except StopIteration as done:
+            return done.value
+        value = fun(x)
 
 
 def minimize_simplex_entropy(
@@ -379,10 +382,22 @@ def minimize_simplex_entropy(
 
     Parameterized by the first d-1 coordinates with lam_d = 1 - sum, and
     candidates projected back onto the simplex.  Starts: cfg.restarts
-    uniform-simplex draws, the d vertices, and the barycenter.  All
-    starts share one memoized objective, dropped on return.  Vertex
+    uniform-simplex draws, the d vertices, and the barycenter.  Vertex
     starts are also evaluated exactly; when the search cannot beat a
     vertex by more than 1e-12, the vertex itself is reported as argmin.
+
+    The starts run in lockstep, one _nelder_mead_steps generator each.
+    Every round sends each unfinished start the value of the point it
+    yielded last and takes the next point.  The points are mapped
+    through _schmidt_of and looked up in a dict of values kept for this
+    search only.  The new distinct vectors are checked by _schmidt_list
+    and evaluated together by one _split_rows call, which gives each
+    the bits simplex_output_entropy gives it.  A start's steps depend
+    only on the values it receives, so each start returns the x, value
+    and evaluation count of _nelder_mead on the objective
+    simplex_output_entropy(ch, _schmidt_of(x)) alone.  Tuple keys equate
+    -0.0 and 0.0, which _split_rows also maps to the same bits.  An
+    error on any vector propagates, and no value of its round is kept.
 
     Each start ends early once _one_vertex_cone holds: all d vertices of
     its simplex have the same value, and they and the next reflection
@@ -392,8 +407,8 @@ def minimize_simplex_entropy(
 
     * the cone {y_K - y_j >= 1 for all j != K} is convex (y is affine in
       x), and it is exactly the set that projects onto e_K, so every
-      point in it has the value f* of e_K, the memo's value for the key
-      e_K;
+      point in it has the value f* of e_K, the search's value for the
+      key e_K;
     * while all values are equal, every iteration takes the same three
       steps: a rejected reflection (f(xr) is not below any vertex), a
       rejected inside contraction, and a shrink toward sim[0];
@@ -411,7 +426,6 @@ def minimize_simplex_entropy(
 
     Only the evaluation count, which this function discards, differs.
     """
-    fun = _objective(ch)
     d = ch.d
 
     starts = []
@@ -421,12 +435,32 @@ def minimize_simplex_entropy(
     starts.extend(vertices)
     starts.append([1.0 / d] * d)
 
+    runs = [
+        _nelder_mead_steps(lam0[:-1], NELDER_MEAD_TOL, NELDER_MEAD_TOL, NELDER_MEAD_MAXFEV, _one_vertex_cone)
+        for lam0 in starts
+    ]
+    results = [None] * len(runs)
+    values: dict[tuple[float, ...], float] = {}
+    sends = [(i, None) for i in range(len(runs))]
+    while sends:
+        points = []
+        for i, value in sends:
+            try:
+                points.append((i, tuple(_schmidt_of(runs[i].send(value)))))
+            except StopIteration as done:
+                results[i] = done.value
+        new = {}
+        for _, key in points:
+            if key not in values and key not in new:
+                new[key] = _schmidt_list(ch, list(key))
+        if new:
+            splits = _split_rows(ch, list(new.values()))
+            values.update(zip(new, [s1 + s2 for s1, s2 in splits]))
+        sends = [(i, values[key]) for i, key in points]
+
     best_val = math.inf
     best_lam = [1.0 / d] * d
-    for lam0 in starts:
-        x, val, _ = _nelder_mead(
-            fun, lam0[:-1], NELDER_MEAD_TOL, NELDER_MEAD_TOL, NELDER_MEAD_MAXFEV, _one_vertex_cone
-        )
+    for x, val, _ in results:
         if val < best_val:
             best_val = val
             best_lam = _schmidt_of(x)

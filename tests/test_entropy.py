@@ -264,7 +264,7 @@ def test_optimizer_config_rejects_non_finite_tol():
     td.OptimizerConfig(tol=-1e-18)
 
 
-# ------------------------------------------------- the memoized objective
+# ------------------------------------------------- the lockstep search
 
 
 def bits(value):
@@ -278,6 +278,19 @@ def unmemoized(ch):
     return lambda x: entropy.simplex_output_entropy(ch, _schmidt_of(x))
 
 
+def memoized(ch):
+    """unmemoized(ch) with its values kept by projected vector."""
+    values = {}
+
+    def fun(x):
+        key = tuple(_schmidt_of(x))
+        if key not in values:
+            values[key] = entropy.simplex_output_entropy(ch, list(key))
+        return values[key]
+
+    return fun
+
+
 def search_cases():
     for d in (2, 3, 4, 5):
         lo, hi = td.t_range(d)
@@ -285,74 +298,155 @@ def search_cases():
             yield td.new_channel(d, t)
 
 
-def test_memoized_objective_gives_the_unmemoized_search(monkeypatch):
-    # Every start of minimize_simplex_entropy, on its memoized objective,
-    # against the same start on a fresh evaluation per call.
-    port = entropy._nelder_mead
+def exit_cases():
+    for d in (2, 3, 4, 5, 6):
+        lo, hi = td.t_range(d)
+        for t in (lo, 0.9 * lo, 0.5 * lo, 0.0, 0.1 * hi, 0.5 * hi, hi):
+            yield td.new_channel(d, t)
+
+
+def recorded_starts(monkeypatch, cfg, channels):
+    """(ch, fun, x0, options, result) for every start of every search.
+
+    Each start is recorded at the _nelder_mead_steps generator it runs
+    on; fun is memoized(ch), one per search, to rerun starts on.
+    """
+    steps = entropy._nelder_mead_steps
     runs = []
+    for ch in channels:
 
-    def record(fun, x0, *options):
-        runs.append((list(x0), options, port(fun, x0, *options)))
-        return runs[-1][-1]
+        def record(x0, *options, ch=ch, fun=memoized(ch)):
+            result = yield from steps(x0, *options)
+            runs.append((ch, fun, list(x0), options, result))
+            return result
 
-    monkeypatch.setattr(entropy, "_nelder_mead", record)
+        with monkeypatch.context() as m:
+            m.setattr(entropy, "_nelder_mead_steps", record)
+            td.minimize_simplex_entropy(ch, cfg)
+    return runs
+
+
+def test_memoized_objective_gives_the_unmemoized_search(monkeypatch):
+    # Every start of minimize_simplex_entropy, on the search's shared
+    # values, against the same start on a fresh evaluation per call.
     cfg = td.OptimizerConfig(restarts=3, seed=23)
-    for ch in search_cases():
-        runs.clear()
+    runs = recorded_starts(monkeypatch, cfg, search_cases())
+    assert len(runs) == sum(cfg.restarts + ch.d + 1 for ch in search_cases())
+    for ch, _, x0, options, result in runs:
+        assert bits(result) == bits(entropy._nelder_mead(unmemoized(ch), x0, *options)), (ch.d, ch.t, x0)
+
+
+def test_lockstep_search_gives_each_start_its_run_alone(monkeypatch):
+    # The starts run side by side, and each round's new vectors are
+    # evaluated in one batch; every start must still return the x, value
+    # and evaluation count of its run alone on an unmemoized objective.
+    cfg = td.OptimizerConfig(restarts=3, seed=41)
+    runs = recorded_starts(monkeypatch, cfg, exit_cases())
+    assert len(runs) == sum(cfg.restarts + ch.d + 1 for ch in exit_cases())
+    for ch, _, x0, options, result in runs:
+        assert options[-1] is entropy._one_vertex_cone
+        assert bits(result) == bits(entropy._nelder_mead(unmemoized(ch), x0, *options)), (ch.d, ch.t, x0)
+
+
+def projected_and_evaluated(monkeypatch, ch, cfg):
+    """The projected vectors a search asks for, and the rows it evaluates.
+
+    Rows are listed one per row of each _split_rows call, in order; the
+    last ch.d are the exact vertex evaluations.
+    """
+    steps, plain = entropy._nelder_mead_steps, entropy._split_rows
+    projected, evaluated = set(), []
+
+    def record(x0, *options):
+        run, value = steps(x0, *options), None
+        while True:
+            try:
+                x = run.send(value)
+            except StopIteration as done:
+                return done.value
+            projected.add(tuple(_schmidt_of(x)))
+            value = yield x
+
+    def counted(ch, lams):
+        evaluated.extend(tuple(lam) for lam in lams)
+        return plain(ch, lams)
+
+    with monkeypatch.context() as m:
+        m.setattr(entropy, "_nelder_mead_steps", record)
+        m.setattr(entropy, "_split_rows", counted)
         td.minimize_simplex_entropy(ch, cfg)
-        assert len(runs) == cfg.restarts + ch.d + 1
-        for x0, options, result in runs:
-            assert bits(result) == bits(port(unmemoized(ch), x0, *options)), (ch.d, ch.t, x0)
+    return projected, evaluated
 
 
 def test_memoized_objective_evaluates_each_projected_vector_once(monkeypatch):
-    evaluated, projected = [], set()
-    plain = entropy.simplex_output_entropy
-    port = entropy._nelder_mead
-
-    def counted(ch, lam):
-        evaluated.append(tuple(lam))
-        return plain(ch, lam)
-
-    def record(fun, x0, *options):
-        def seen(x):
-            projected.add(tuple(_schmidt_of(x)))
-            return fun(x)
-
-        return port(seen, x0, *options)
-
-    monkeypatch.setattr(entropy, "simplex_output_entropy", counted)
-    monkeypatch.setattr(entropy, "_nelder_mead", record)
     cfg = td.OptimizerConfig(restarts=3, seed=29)
     for ch in search_cases():
-        evaluated.clear()
-        projected.clear()
-        td.minimize_simplex_entropy(ch, cfg)
-        # The d exact vertex evaluations at the end stay direct calls.
+        projected, evaluated = projected_and_evaluated(monkeypatch, ch, cfg)
+        # The d exact vertex evaluations at the end stay one-row calls.
         searched = evaluated[: -ch.d]
         assert len(searched) == len(set(searched)) == len(projected)
         assert set(searched) == projected
         assert evaluated[-ch.d:] == [tuple(np.eye(ch.d)[a]) for a in range(ch.d)]
 
 
+def test_lockstep_rounds_batch_the_kernel_calls(monkeypatch):
+    # One eigvalsh call per round, not per distinct vector.  Each
+    # distinct projected vector is one row, and the d exact vertex
+    # evaluations add one one-row call each.
+    ch = td.new_channel(4, td.t_range(4)[0])
+    plain, calls = entropy._secular_block_roots, []
+
+    def counted(ch, rows):
+        calls.append(len(rows))
+        return plain(ch, rows)
+
+    monkeypatch.setattr(entropy, "_secular_block_roots", counted)
+    td.minimize_simplex_entropy(ch, td.OptimizerConfig(restarts=20))
+    distinct = sum(calls) - ch.d
+    assert calls[-ch.d:] == [1] * ch.d
+    assert 3 * len(calls) < distinct
+
+
 def test_memoized_objective_keeps_no_failed_evaluation(monkeypatch):
+    # A search whose first evaluation fails raises, and the next search
+    # evaluates every vector again, the failed ones included.
     ch = td.new_channel(3, -0.25)
-    plain = entropy.simplex_output_entropy
-    calls = []
+    cfg = td.OptimizerConfig(restarts=3, seed=37)
+    plain = entropy._split_rows
+    rows, fail = [], []
 
-    def fails_first(ch, lam):
-        calls.append(lam)
-        if len(calls) == 1:
-            raise NotPSD("first call fails")
-        return plain(ch, lam)
+    def fails_when_asked(ch, lams):
+        rows.extend(tuple(lam) for lam in lams)
+        if fail:
+            fail.clear()
+            raise NotPSD("this evaluation fails")
+        return plain(ch, lams)
 
-    monkeypatch.setattr(entropy, "simplex_output_entropy", fails_first)
-    fun = entropy._objective(ch)
+    monkeypatch.setattr(entropy, "_split_rows", fails_when_asked)
+    want = td.minimize_simplex_entropy(ch, cfg)
+    clean = rows[:]
+    rows.clear()
+    fail.append(True)
     with pytest.raises(NotPSD):
-        fun([0.5, 0.3])
-    assert fun([0.5, 0.3]) == plain(ch, _schmidt_of([0.5, 0.3]))
-    assert fun([0.5, 0.3]) == plain(ch, _schmidt_of([0.5, 0.3]))
-    assert len(calls) == 2
+        td.minimize_simplex_entropy(ch, cfg)
+    failed = rows[:]
+    rows.clear()
+    got = td.minimize_simplex_entropy(ch, cfg)
+    assert 0 < len(failed) < len(clean)
+    assert failed == clean[: len(failed)]
+    assert rows == clean
+    assert bits(got[0]) == bits(want[0])
+    assert bits(got[1].values.tolist()) == bits(want[1].values.tolist())
+
+
+def schmidt_lists(d, data):
+    """A Schmidt vector as a list of d floats, with zeros of either sign."""
+    weights = data.draw(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d))
+    zeros = data.draw(st.lists(st.sampled_from([None, 0.0, -0.0]), min_size=d, max_size=d))
+    weights = [w if z is None else 0.0 for w, z in zip(weights, zeros)]
+    total = math.fsum(weights)
+    lam = [w / total for w in weights] if total > 0.0 else [1.0] + [0.0] * (d - 1)
+    return [z if z is not None and v == 0.0 else v for v, z in zip(lam, zeros)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -362,7 +456,7 @@ def test_memoized_objective_keeps_no_failed_evaluation(monkeypatch):
     data=st.data(),
 )
 def test_negative_zero_entries_give_the_same_bits(d, end, data):
-    # The memo's tuple keys equate -0.0 and 0.0; so must the objective.
+    # The search's tuple keys equate -0.0 and 0.0; so must the objective.
     lo, hi = td.t_range(d)
     ch = td.new_channel(d, {"lo": lo, "zero": 0.0, "hi": hi}[end])
     weights = data.draw(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d))
@@ -374,46 +468,39 @@ def test_negative_zero_entries_give_the_same_bits(d, end, data):
     assert bits(td.simplex_output_entropy(ch, signed)) == bits(td.simplex_output_entropy(ch, lam))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.integers(2, 6),
+    end=st.sampled_from(["lo", "zero", "hi"]),
+    count=st.integers(1, 8),
+    data=st.data(),
+)
+def test_split_rows_gives_each_row_its_one_row_bits(d, end, count, data):
+    lo, hi = td.t_range(d)
+    ch = td.new_channel(d, {"lo": lo, "zero": 0.0, "hi": hi}[end])
+    lams = [schmidt_lists(d, data) for _ in range(count)]
+    assert bits(entropy._split_rows(ch, lams)) == [bits(entropy._split_rows(ch, [lam])[0]) for lam in lams]
+
+
 def test_memo_keeps_no_state_between_searches(monkeypatch):
-    # A, then B at the same d, against B on an unmemoized objective.  The
-    # searches share vertices, so values kept across calls would show.
+    # A, then B at the same d, against B alone.  The searches share
+    # vertices, so values kept across calls would show, in the result or
+    # in the rows B evaluates.
     cfg = td.OptimizerConfig(restarts=3, seed=31)
     for d in (2, 3, 4):
         lo, hi = td.t_range(d)
         a, b = td.new_channel(d, lo), td.new_channel(d, 0.5 * hi)
-        with monkeypatch.context() as m:
-            m.setattr(entropy, "_objective", unmemoized)
-            want = td.minimize_simplex_entropy(b, cfg)
+        want = td.minimize_simplex_entropy(b, cfg)
+        _, want_rows = projected_and_evaluated(monkeypatch, b, cfg)
         td.minimize_simplex_entropy(a, cfg)
         got = td.minimize_simplex_entropy(b, cfg)
+        _, got_rows = projected_and_evaluated(monkeypatch, b, cfg)
         assert bits(got[0]) == bits(want[0])
         assert bits(got[1].values.tolist()) == bits(want[1].values.tolist())
+        assert got_rows == want_rows
 
 
 # ------------------------------------------- the early exit of each start
-
-
-def recorded_starts(monkeypatch, cfg, channels):
-    """(fun, x0, options, result) for every start of every search."""
-    port = entropy._nelder_mead
-    runs = []
-
-    def record(fun, x0, *options):
-        runs.append((fun, list(x0), options, port(fun, x0, *options)))
-        return runs[-1][-1]
-
-    with monkeypatch.context() as m:
-        m.setattr(entropy, "_nelder_mead", record)
-        for ch in channels:
-            td.minimize_simplex_entropy(ch, cfg)
-    return runs
-
-
-def exit_cases():
-    for d in (2, 3, 4, 5, 6):
-        lo, hi = td.t_range(d)
-        for t in (lo, 0.9 * lo, 0.5 * lo, 0.0, 0.1 * hi, 0.5 * hi, hi):
-            yield td.new_channel(d, t)
 
 
 @pytest.mark.parametrize("seed", [41, 43, 47])
@@ -425,7 +512,7 @@ def test_early_exit_returns_the_full_run(monkeypatch, seed):
     runs = recorded_starts(monkeypatch, cfg, exit_cases())
     assert len(runs) == sum(cfg.restarts + ch.d + 1 for ch in exit_cases())
     stopped = 0
-    for fun, x0, options, (x, val, nfev) in runs:
+    for _, fun, x0, options, (x, val, nfev) in runs:
         assert options[-1] is entropy._one_vertex_cone
         x_full, val_full, nfev_full = entropy._nelder_mead(fun, x0, *options[:-1])
         assert bits([x, val]) == bits([x_full, val_full]), x0
@@ -438,7 +525,7 @@ def test_early_exit_halves_the_evaluations(monkeypatch):
     ch = td.new_channel(4, td.t_range(4)[0])
     runs = recorded_starts(monkeypatch, td.OptimizerConfig(restarts=20, seed=5), [ch])
     with_exit = sum(result[2] for *_, result in runs)
-    full = sum(entropy._nelder_mead(fun, x0, *options[:-1])[2] for fun, x0, options, _ in runs)
+    full = sum(entropy._nelder_mead(fun, x0, *options[:-1])[2] for _, fun, x0, options, _ in runs)
     assert 2 * with_exit <= full
 
 

@@ -4,7 +4,9 @@ scipy is the oracle here only; the package itself does not import it.
 Every comparison asserts equal x, equal value and equal evaluation count,
 with no tolerance.  The port is compared without its stop predicate,
 the early exit minimize_simplex_entropy adds; that exit is checked
-against the port's full run.
+against the port's full run.  _nelder_mead drives the port's generator,
+_nelder_mead_steps, with one function, so these tests check the loop
+that the lockstep search runs too.
 
 numpy's default argsort is stable on small arrays on some CPUs and not on
 others (its AVX-512 sorting networks may reorder ties), so scipy's
@@ -48,38 +50,42 @@ def assert_same_run(fun, x0, xatol, fatol, maxfev):
 
 def test_nelder_mead_matches_scipy_on_the_optimizer_starts(stable_argsort, monkeypatch):
     # Every start minimize_simplex_entropy makes (Dirichlet draws, the
-    # vertices, the barycenter), with its own objective and options.
-    # The port without the early-exit predicate is scipy's run; with it,
-    # the run returns the same x and value with no more evaluations.
-    # The objective is memoized per start, so scipy's run replays the
-    # port's evaluations instead of repeating them.
-    port = entropy._nelder_mead
+    # vertices, the barycenter), with its own options, recorded at the
+    # generator each start runs on.  The port without the early-exit
+    # predicate is scipy's run; with it, the run returns the same x and
+    # value with no more evaluations.  The objective is memoized per
+    # start, so scipy's run replays the port's evaluations instead of
+    # repeating them.
+    steps = entropy._nelder_mead_steps
     runs = []
 
-    def record(fun, x0, *options):
-        cache = {}
+    def record(x0, *options):
+        result = yield from steps(x0, *options)
+        runs.append((list(x0), options, result))
+        return result
 
-        def memo(x):
-            key = tuple(x)
-            if key not in cache:
-                cache[key] = fun(x)
-            return cache[key]
-
-        runs.append((memo, list(x0), options, port(memo, x0, *options)))
-        return runs[-1][-1]
-
-    monkeypatch.setattr(entropy, "_nelder_mead", record)
     cfg = td.OptimizerConfig(restarts=2, seed=3)
     for d in (2, 3, 4, 5):
         lo, hi = td.t_range(d)
         for t in (lo, 0.5 * lo, 0.0, 0.5 * hi, hi):
+            ch = td.new_channel(d, t)
             runs.clear()
-            td.minimize_simplex_entropy(td.new_channel(d, t), cfg)
+            with monkeypatch.context() as m:
+                m.setattr(entropy, "_nelder_mead_steps", record)
+                td.minimize_simplex_entropy(ch, cfg)
             assert len(runs) == cfg.restarts + d + 1
-            for memo, x0, options, (x, val, nfev) in runs:
+            for x0, options, (x, val, nfev) in runs:
                 *options, stop = options
                 assert stop is entropy._one_vertex_cone
-                full = port(memo, x0, *options)
+                cache = {}
+
+                def memo(x):
+                    key = tuple(x)
+                    if key not in cache:
+                        cache[key] = entropy.simplex_output_entropy(ch, entropy._schmidt_of(x))
+                    return cache[key]
+
+                full = entropy._nelder_mead(memo, x0, *options)
                 assert full == scipy_nelder_mead(memo, x0, *options), (d, t, x0)
                 x_full, val_full, nfev_full = full
                 assert [v.hex() for v in x + [val]] == [v.hex() for v in x_full + [val_full]]
