@@ -173,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--restarts",
         type=int,
         default=50,
-        help="random Nelder-Mead starts, >= 0, besides the d vertices and the barycenter",
+        help="random simplex rows probed, >= 0, besides the vertices, the barycenter and the lattice",
     )
     p.add_argument(
         "--n-random", type=int, default=200, help="Haar-random two-copy states, >= 0; 0 still draws one"

@@ -102,26 +102,57 @@ def central_difference(f, x: np.ndarray, i: int, step: float = 1e-6) -> float:
     return (f(xp) - f(xm)) / (2.0 * step)
 
 
-def mp_secular_block_roots(t: float, lam, dps: int = 50) -> np.ndarray:
-    """Eigenvalues (descending) of the diagonal-plus-rank-one block at dps digits.
+def mp_block_roots(t, lam) -> list:
+    """Eigenvalues (descending) of the diagonal-plus-rank-one block, as mpf.
 
     The block diag(c1 + c2 lam) + t^2 sqrt(lam) sqrt(lam)^T is built from
-    t and lam in mpmath arithmetic and diagonalized by mpmath's Jacobi
-    solver, so this route shares nothing with LAPACK, whose eigvalsh the
-    library's secular roots come from.
+    t and lam (floats or mpf, taken exactly) in mpmath arithmetic at the
+    working precision and diagonalized by mpmath's Jacobi solver, so this
+    route shares nothing with LAPACK, whose eigvalsh the library's
+    secular roots come from.
     """
-    lam = [float(x) for x in lam]
     d = len(lam)
+    tt = mpmath.mpf(t)
+    lam = [mpmath.mpf(x) for x in lam]
+    c1 = (1 - tt) ** 2 / d**2
+    c2 = 2 * tt * (1 - tt) / d
+    root = [mpmath.sqrt(x) for x in lam]
+    block = mpmath.matrix(d, d)
+    for a in range(d):
+        for b in range(d):
+            block[a, b] = tt**2 * root[a] * root[b]
+        block[a, a] += c1 + c2 * lam[a]
+    values = mpmath.eigsy(block, eigvals_only=True)
+    return sorted((values[i] for i in range(d)), reverse=True)
+
+
+def mp_secular_block_roots(t: float, lam, dps: int = 50) -> np.ndarray:
+    """mp_block_roots of float lam at dps digits, rounded to floats."""
     with mpmath.workdps(dps):
-        tt = mpmath.mpf(t)
-        c1 = (1 - tt) ** 2 / d**2
-        c2 = 2 * tt * (1 - tt) / d
-        root = [mpmath.sqrt(mpmath.mpf(x)) for x in lam]
-        block = mpmath.matrix(d, d)
-        for a in range(d):
-            for b in range(d):
-                block[a, b] = tt**2 * root[a] * root[b]
-            block[a, a] += c1 + c2 * mpmath.mpf(lam[a])
-        values = mpmath.eigsy(block, eigvals_only=True)
-        out = sorted((float(values[i]) for i in range(d)), reverse=True)
-    return np.array(out)
+        return np.array([float(g) for g in mp_block_roots(t, [float(x) for x in lam])])
+
+
+def mp_entropy(values):
+    """-sum p ln p in mpmath; entries at or below 0 contribute 0.
+
+    A root that is exactly 0 comes out of the Jacobi solver as a
+    rounding-sized number of either sign, whose p ln p is far below the
+    working precision's resolution of the sum.
+    """
+    return -mpmath.fsum(p * mpmath.log(p) for p in values if p > 0)
+
+
+def mp_two_copy_entropy(t, lam):
+    """S1 + S2 of the two-copy output at the working precision.
+
+    S1 sums the ordered pairs a != b of gamma_ab = c1 + (c2/2)(lam_a +
+    lam_b) from their defining formula; S2 is the entropy of
+    mp_block_roots.  t and lam are taken exactly.
+    """
+    d = len(lam)
+    tt = mpmath.mpf(t)
+    lam = [mpmath.mpf(x) for x in lam]
+    c1 = (1 - tt) ** 2 / d**2
+    c2 = 2 * tt * (1 - tt) / d
+    gamma = [c1 + c2 / 2 * (lam[a] + lam[b]) for a in range(d) for b in range(d) if a != b]
+    return mp_entropy(gamma) + mp_entropy(mp_block_roots(tt, lam))
