@@ -419,6 +419,106 @@ def test_probe_returns_the_best_vertex_bit_for_bit():
             assert arg.values.tolist() == np.eye(d)[int(np.argmin(vertex))].tolist(), (d, t)
 
 
+def search_cases():
+    for d in (2, 3, 4, 5):
+        lo, hi = td.t_range(d)
+        for t in (lo, 0.5 * lo, 0.0, 0.5 * hi, hi):
+            yield td.new_channel(d, t)
+
+
+def test_memoized_objective_gives_the_unmemoized_search(monkeypatch):
+    # The probe's one batch against a fresh simplex_output_entropy call
+    # per row, with the tie rule applied here: the same value and argmin.
+    cfg = td.OptimizerConfig(restarts=3, seed=23)
+    for ch in search_cases():
+        (val, arg), [rows] = probe_calls(monkeypatch, ch, cfg)
+        values = [td.simplex_output_entropy(ch, row) for row in rows]
+        best = min(values)
+        vertex = min(values[: ch.d])
+        want = rows[values.index(vertex) if vertex <= best + 1e-12 else values.index(best)]
+        assert bits(val) == bits(best), (ch.d, ch.t)
+        assert bits(arg.values.tolist()) == bits(want), (ch.d, ch.t)
+
+
+def test_lockstep_search_gives_each_start_its_run_alone(monkeypatch):
+    # Every row of the batch, vertices and barycenter and draws and
+    # lattice, gets the (S1, S2) bits of a one-row _split_rows call.
+    cfg = td.OptimizerConfig(restarts=3, seed=41)
+    plain, splits = entropy._split_rows, []
+
+    def record(ch, lams):
+        splits.append((ch, lams, plain(ch, lams)))
+        return splits[-1][2]
+
+    monkeypatch.setattr(entropy, "_split_rows", record)
+    for ch in search_cases():
+        td.minimize_simplex_entropy(ch, cfg)
+    assert len(splits) == len(list(search_cases()))
+    for ch, lams, batch in splits:
+        assert bits(batch) == [bits(plain(ch, [lam])[0]) for lam in lams], (ch.d, ch.t)
+
+
+def test_lockstep_rounds_batch_the_kernel_calls(monkeypatch):
+    # One secular-roots kernel call per probe, over every row at once.
+    ch = td.new_channel(4, td.t_range(4)[0])
+    plain, calls = entropy._secular_block_roots, []
+
+    def counted(ch, rows):
+        calls.append(len(rows))
+        return plain(ch, rows)
+
+    monkeypatch.setattr(entropy, "_secular_block_roots", counted)
+    td.minimize_simplex_entropy(ch, td.OptimizerConfig(restarts=20))
+    assert calls == [ch.d + 1 + 20 + len(entropy._simplex_lattice(ch.d))]
+
+
+def test_memoized_objective_keeps_no_failed_evaluation(monkeypatch):
+    # A probe whose evaluation fails raises, and the next probe evaluates
+    # every row again and returns the result of a clean run.
+    ch = td.new_channel(3, -0.25)
+    cfg = td.OptimizerConfig(restarts=3, seed=37)
+    plain = entropy._split_rows
+    rows, fail = [], []
+
+    def fails_when_asked(ch, lams):
+        rows.extend(tuple(lam) for lam in lams)
+        if fail:
+            fail.clear()
+            raise NotPSD("this evaluation fails")
+        return plain(ch, lams)
+
+    monkeypatch.setattr(entropy, "_split_rows", fails_when_asked)
+    want = td.minimize_simplex_entropy(ch, cfg)
+    clean = rows[:]
+    rows.clear()
+    fail.append(True)
+    with pytest.raises(NotPSD):
+        td.minimize_simplex_entropy(ch, cfg)
+    failed = rows[:]
+    rows.clear()
+    got = td.minimize_simplex_entropy(ch, cfg)
+    assert failed == clean
+    assert rows == clean
+    assert bits(got[0]) == bits(want[0])
+    assert bits(got[1].values.tolist()) == bits(want[1].values.tolist())
+
+
+def test_memo_keeps_no_state_between_searches(monkeypatch):
+    # A, then B at the same d, against B alone.  The probes share their
+    # vertices and lattice, so values kept across calls would show, in
+    # the result or in the rows B evaluates.
+    cfg = td.OptimizerConfig(restarts=3, seed=31)
+    for d in (2, 3, 4):
+        lo, hi = td.t_range(d)
+        a, b = td.new_channel(d, lo), td.new_channel(d, 0.5 * hi)
+        want, want_rows = probe_calls(monkeypatch, b, cfg)
+        td.minimize_simplex_entropy(a, cfg)
+        got, got_rows = probe_calls(monkeypatch, b, cfg)
+        assert bits(got[0]) == bits(want[0])
+        assert bits(got[1].values.tolist()) == bits(want[1].values.tolist())
+        assert got_rows == want_rows
+
+
 # ------------------------------------------ concavity on the Schmidt simplex
 
 
