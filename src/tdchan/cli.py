@@ -11,9 +11,8 @@ schur-scan   Schur criterion scan for the secular symmetric polynomials
 verify       inequality scans; --kind all runs every family
 
 Exit codes: 0 success, 1 a checked quantity violated its tolerance,
-2 usage or parse error, 3 input validation error, 4 internal failure (a
-solver that did not converge, or any error outside the package's
-validation errors).
+2 usage or parse error, 3 input validation error, 4 internal failure
+(any error outside the package's validation errors).
 
 Output is deterministic for a fixed seed: scan sampling uses
 counter-based streams, so --threads never changes the bytes printed.

@@ -25,13 +25,18 @@ the finest simplex lattice {k / m} of at most _LATTICE_ROWS rows.  The
 tests find the entropy concave on the simplex (chord slacks over the
 whole t range, the worst one at 50 digits), so its minimum sits at a
 vertex, where it equals 2h; the other rows are evidence that no
-interior point beats it.  The whole batch goes through _split_rows: S1 sums floats row
-by row, and S2 takes the roots of every row from one
-spectrum._secular_block_roots call, the kernel behind secular_roots and
-secular_roots_batch.  A row gets the same bits there as alone, so the
-vertex values are those of simplex_output_entropy.
-The Haar-random states go through the two-copy channel and eigvalsh in
-stacks.
+interior point beats it.  The whole batch goes through _split_rows: S1
+takes the pair values of every row as one array, and S2 the roots of
+every row from one spectrum._secular_block_roots call, the kernel behind
+secular_roots and secular_roots_batch.  A row gets the same bits there
+as alone, so the vertex values are those of simplex_output_entropy.
+
+The Haar-random states of a cell are the rows of one standard-normal
+block from one stream.  They go through the two-copy channel and
+eigvalsh in stacks of _HAAR_STACK, which bound the memory.
+
+Every entropy in the module, of a vector or of each row of an array,
+comes from one reduction, _entropy_rows.
 """
 
 from __future__ import annotations
@@ -44,8 +49,8 @@ import numpy as np
 
 from .channel import Channel, DensityMatrix, apply_two_copies
 from .errors import ConfigError, NotPSD
-from .sampling import dirichlet_flat, haar_state, rng_stream
-from .spectrum import SchmidtVector, _check_schmidt_rows, _schmidt_list, _secular_block_roots
+from .sampling import dirichlet_flat, haar_states, rng_stream
+from .spectrum import SchmidtVector, _as_schmidt, _check_schmidt_rows, _secular_block_roots
 
 ENTROPY_CLAMP = 1e-15  # eigenvalues at or below this contribute 0 ln 0 := 0
 EIGENVALUE_FLOOR = -1e-10
@@ -94,19 +99,26 @@ class EntropyReport:
     c: float
 
 
-def _entropy(values) -> float:
-    """-sum p ln p over an iterable of floats; entropy_of without numpy.
+def _entropy_rows(p: np.ndarray) -> np.ndarray:
+    """-sum p ln p of each row of a 2-D array; (N,).
 
-    Entries at or above 1 contribute 1 ln 1 := 0, the mirror of
-    ENTROPY_CLAMP: a root that rounds to 1 + 2**-52 would otherwise add
-    -p ln p < 0 and make an entropy negative.
+    Entries at or below ENTROPY_CLAMP count as exact zeros and entries
+    at or above 1 as exact ones, so both contribute 0: a root that rounds
+    to 1 + 2**-52 would otherwise add -p ln p < 0 and make an entropy
+    negative.  An entry below EIGENVALUE_FLOOR raises NotPSD.
+
+    The logarithms are math.log's, not np.log's, whose last bit differs
+    on some inputs, and each row's terms are subtracted from 0 column by
+    column.  So every row gets the bits of a Python loop over its entries.
     """
-    total = 0.0
-    for p in values:
-        if ENTROPY_CLAMP < p < 1.0:
-            total -= p * math.log(p)
-        elif p < EIGENVALUE_FLOOR:
-            raise NotPSD(f"entropy of a vector with entry {p}")
+    low = p < EIGENVALUE_FLOOR
+    if low.any():
+        raise NotPSD(f"entropy of a vector with entry {p[low][0]}")
+    q = np.where((p > ENTROPY_CLAMP) & (p < 1.0), p, 1.0)
+    terms = q * np.fromiter(map(math.log, q.ravel().tolist()), float, q.size).reshape(q.shape)
+    total = np.zeros(len(p))
+    for column in terms.T:
+        total -= column
     return total
 
 
@@ -117,7 +129,7 @@ def entropy_of(values: np.ndarray) -> float:
     and entries at or above 1 as exact ones, so both contribute 0.
     Entries below -1e-10 indicate a genuinely non-PSD input and raise.
     """
-    return _entropy(np.asarray(values, dtype=float).ravel().tolist())
+    return float(_entropy_rows(np.asarray(values, dtype=float).reshape(1, -1))[0])
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -125,26 +137,26 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return entropy_of(np.linalg.eigvalsh(rho.mat))
 
 
-def _split_rows(ch: Channel, lams: list[list[float]]) -> list[tuple[float, float]]:
-    """(S1, S2) of the two-copy output for each validated Schmidt list in lams.
+def _split_rows(ch: Channel, lams) -> list[tuple[float, float]]:
+    """(S1, S2) of the two-copy output for each row of lams, validated Schmidt vectors.
 
     Built from the two families directly, with no Spectrum record.
-    gamma_ab is symmetric in (a, b), so S1 sums the unordered pairs and
-    doubles.  S2 sums the secular roots in descending order.  The roots
-    of all rows come from one _secular_block_roots call, and each row
-    gets the same bits as a one-row call.
+    gamma_ab is symmetric in (a, b), so S1 sums the unordered pairs
+    (1, 0), (2, 0), (2, 1), ... and doubles.  S2 sums the secular roots
+    in descending order.  The roots of all rows come from one
+    _secular_block_roots call, and each row gets the same bits as a
+    one-row call.
     """
-    c1, half = ch.c1, 0.5 * ch.c2
-    splits = []
-    for v, r in zip(lams, _secular_block_roots(ch, np.array(lams)).tolist()):
-        s1 = 2.0 * _entropy([c1 + half * (v[a] + v[b]) for a in range(len(v)) for b in range(a)])
-        splits.append((s1, _entropy(r)))
-    return splits
+    rows = np.asarray(lams, dtype=float)
+    a, b = np.tril_indices(rows.shape[1], -1)
+    s1 = 2.0 * _entropy_rows(ch.c1 + 0.5 * ch.c2 * (rows[:, a] + rows[:, b]))
+    s2 = _entropy_rows(_secular_block_roots(ch, rows))
+    return list(zip(s1.tolist(), s2.tolist()))
 
 
 def entropy_split(ch: Channel, lam: "SchmidtVector | list[float]") -> EntropyReport:
     """S1, S2 and their sum for the two-copy output, from the closed form."""
-    [(s1, s2)] = _split_rows(ch, [_schmidt_list(ch, lam)])
+    [(s1, s2)] = _split_rows(ch, _as_schmidt(ch, lam).values[None, :])
     c = (ch.d - 1) * (1.0 - ch.t**2) / ch.d
     return EntropyReport(s_total=s1 + s2, s1=s1, s2=s2, c=c)
 
@@ -152,12 +164,11 @@ def entropy_split(ch: Channel, lam: "SchmidtVector | list[float]") -> EntropyRep
 def simplex_output_entropy(ch: Channel, lam: "SchmidtVector | list[float]") -> float:
     """Two-copy output entropy of the Schmidt-diagonal input lam.
 
-    lam may be a plain list of d floats, which is checked on floats by
-    _schmidt_list instead of through a SchmidtVector; it gives the same
-    bits as entropy_split and as the batched probe of
-    minimize_simplex_entropy.
+    lam may be a plain list of d floats, checked as a SchmidtVector
+    checks it; it gives the same bits as entropy_split and as the
+    batched probe of minimize_simplex_entropy.
     """
-    [(s1, s2)] = _split_rows(ch, [_schmidt_list(ch, lam)])
+    [(s1, s2)] = _split_rows(ch, _as_schmidt(ch, lam).values[None, :])
     return s1 + s2
 
 
@@ -255,7 +266,7 @@ def minimize_simplex_entropy(
     draws = [dirichlet_flat(d, rng_stream(cfg.seed, _TAG_SIMPLEX, r)) for r in range(cfg.restarts)]
     rows = np.vstack([np.eye(d), np.full((1, d), 1.0 / d), *draws, _simplex_lattice(d)])
     _check_schmidt_rows(rows)
-    values = [s1 + s2 for s1, s2 in _split_rows(ch, rows.tolist())]
+    values = [s1 + s2 for s1, s2 in _split_rows(ch, rows)]
 
     best = int(np.argmin(values))
     vertex = int(np.argmin(values[:d]))
@@ -263,26 +274,23 @@ def minimize_simplex_entropy(
     return values[best], SchmidtVector(rows[argmin])
 
 
-def _random_state_entropy(ch: Channel, cfg: OptimizerConfig) -> float:
-    """Minimum two-copy output entropy over Haar-random bipartite states.
+def _random_state_entropies(ch: Channel, cfg: OptimizerConfig) -> np.ndarray:
+    """Two-copy output entropy of each of max(cfg.n_random, 1) Haar-random states; (count,).
 
-    State r draws from its own substream.  The channel and eigvalsh run
-    on stacks of up to _HAAR_STACK states, and give each state the same
-    bits as a call of its own.
+    The states are the rows of haar_states on the cell's one stream, so
+    state r is the same for every n_random past r.  The channel and
+    eigvalsh run on stacks of up to _HAAR_STACK states, and give each
+    state the same bits as a call of its own; one _entropy_rows call
+    reduces all the spectra.
     """
     count = max(cfg.n_random, 1)
-    best = np.inf
+    psi = haar_states(count, ch.d**2, rng_stream(cfg.seed, _TAG_HAAR))
+    spectra = np.empty((count, ch.d**2))
     for start in range(0, count, _HAAR_STACK):
-        psi = np.stack(
-            [
-                haar_state(ch.d**2, rng_stream(cfg.seed, _TAG_HAAR, r))
-                for r in range(start, min(start + _HAAR_STACK, count))
-            ]
-        )
-        sigma = apply_two_copies(ch, psi[:, :, None] * psi.conj()[:, None, :])
-        for values in np.linalg.eigvalsh(sigma):
-            best = min(best, entropy_of(values))
-    return best
+        stack = psi[start : start + _HAAR_STACK]
+        sigma = apply_two_copies(ch, stack[:, :, None] * stack.conj()[:, None, :])
+        spectra[start : start + _HAAR_STACK] = np.linalg.eigvalsh(sigma)
+    return _entropy_rows(spectra)
 
 
 def additivity_gap(
@@ -294,6 +302,6 @@ def additivity_gap(
     being exactly twice the single-copy minimum.
     """
     min_simplex, _ = minimize_simplex_entropy(ch, cfg)
-    min_random = _random_state_entropy(ch, cfg)
+    min_random = float(_random_state_entropies(ch, cfg).min())
     gap = min(min_simplex, min_random) - 2.0 * min_entropy_closed_form(ch)
     return gap, min_simplex, min_random

@@ -41,10 +41,16 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases
 
 
-def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random pure state: complex Gaussian vector, normalized."""
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
+def haar_states(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """count Haar-random pure states, (count, dim): complex Gaussian rows, normalized.
+
+    Row r takes the real and the imaginary parts of row r of one
+    (count, 2, dim) standard-normal block, so the first k rows do not
+    depend on count.
+    """
+    g = rng.standard_normal((count, 2, dim))
+    psi = g[:, 0] + 1j * g[:, 1]
+    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
 
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -29,8 +29,6 @@ The off-diagonal family always carries total mass
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,28 +116,6 @@ def _as_schmidt(ch: Channel, lam) -> SchmidtVector:
     if lam.d != ch.d:
         raise OutOfRange(f"Schmidt vector has length {lam.d}, channel has d={ch.d}")
     return lam
-
-
-def _schmidt_list(ch: Channel, lam) -> list[float]:
-    """lam as a list of ch.d floats, validated as _as_schmidt validates it.
-
-    This is the check on every iterate of the entropy optimizer, on floats
-    and without a SchmidtVector.  A list of ch.d Python floats in [0, 1]
-    whose fsum lies within SCHMIDT_SUM_TOL - d eps of one is returned as
-    it is; _check_schmidt_rows accepts it too, since any order of summing
-    d nonnegative entries that total about one is off the exact sum by
-    less than d eps / 2.  Anything else, including a list near the edge
-    of the tolerance, goes through _as_schmidt, which accepts it or
-    raises the error a SchmidtVector raises.
-    """
-    if (
-        type(lam) is list
-        and len(lam) == ch.d
-        and all(type(x) is float and 0.0 <= x <= 1.0 for x in lam)
-        and abs(math.fsum(lam) - 1.0) <= SCHMIDT_SUM_TOL - ch.d * sys.float_info.epsilon
-    ):
-        return lam
-    return _as_schmidt(ch, lam).values.tolist()
 
 
 def sigma12(ch: Channel, lam: "SchmidtVector | np.ndarray") -> DensityMatrix:

@@ -8,6 +8,7 @@ symmetric-polynomial implementations under test.
 from __future__ import annotations
 
 import itertools
+import math
 
 import mpmath
 import numpy as np
@@ -60,6 +61,19 @@ def entropy_brute(values: np.ndarray, clamp: float = 1e-15) -> float:
     for p in np.asarray(values, dtype=float):
         if p > clamp:
             total -= p * np.log(p)
+    return total
+
+
+def entropy_loop(values, clamp: float) -> float:
+    """-sum p ln p by a Python loop over the entries, in order.
+
+    Each entry in (clamp, 1) subtracts p * math.log(p) from a total that
+    starts at 0.0; every other entry adds nothing.
+    """
+    total = 0.0
+    for p in values:
+        if clamp < p < 1.0:
+            total -= p * math.log(p)
     return total
 
 

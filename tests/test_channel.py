@@ -9,7 +9,7 @@ from tdchan.errors import (
     NotPSD,
     OutOfRange,
 )
-from tdchan.sampling import haar_state
+from tdchan.sampling import haar_states
 
 from oracles import apply_defining_formula, kraus_two_copy_output, schmidt_state
 
@@ -251,7 +251,7 @@ def test_apply_two_copies_matches_kraus_oracle():
             assert np.max(np.abs(out - ref)) < 1e-10
         # A stack of Haar-random pure states, against the oracle state by state.
         ch = td.new_channel(d, float(rng.uniform(lo, hi)))
-        states = [haar_state(d * d, rng) for _ in range(5)]
+        states = haar_states(5, d * d, rng)
         out = td.apply_two_copies(ch, np.stack([np.outer(v, v.conj()) for v in states]))
         assert out.shape == (5, d * d, d * d)
         for got, v in zip(out, states):

@@ -12,17 +12,20 @@ from tdchan.entropy import (
     _HAAR_STACK,
     _TAG_HAAR,
     _TAG_SIMPLEX,
+    ENTROPY_CLAMP,
+    EIGENVALUE_FLOOR,
     _project,
-    _random_state_entropy,
+    _random_state_entropies,
     project_to_simplex,
 )
 from tdchan.errors import ConfigError, NotPSD, OutOfRange
-from tdchan.sampling import dirichlet_flat, haar_state, rng_stream
+from tdchan.sampling import dirichlet_flat, rng_stream
 from tdchan.spectrum import _check_schmidt_rows
 
 from oracles import (
     dense_two_copy_spectrum,
     entropy_brute,
+    entropy_loop,
     kraus_two_copy_output,
     mp_two_copy_entropy,
     simplex_projection_bisect,
@@ -47,6 +50,49 @@ def test_entropy_of_matches_brute():
         for _ in range(20):
             p = rng.dirichlet(np.ones(n))
             assert td.entropy_of(p) == pytest.approx(entropy_brute(p), abs=1e-12)
+
+
+# Entries at the clamp, at 1 and at the floor, a step either side of
+# each, and zeros of either sign; then floats of any size in [0, 1] and
+# in a range that reaches past 1 and below the floor.
+EDGE_ENTRIES = [
+    0.0,
+    -0.0,
+    ENTROPY_CLAMP,
+    math.nextafter(ENTROPY_CLAMP, 0.0),
+    math.nextafter(ENTROPY_CLAMP, 1.0),
+    2.0 * ENTROPY_CLAMP,
+    1.0,
+    1.0 + 2.0**-52,
+    1.0 - 2.0**-53,
+    EIGENVALUE_FLOOR,
+    math.nextafter(EIGENVALUE_FLOOR, -math.inf),
+    -1e-12,
+]
+ENTRIES = st.one_of(st.sampled_from(EDGE_ENTRIES), st.floats(0.0, 1.0), st.floats(-2e-10, 1.5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_entropy_rows_is_the_sequential_loop_bit_for_bit(data):
+    width = data.draw(st.integers(0, 9))
+    rows = data.draw(st.lists(st.lists(ENTRIES, min_size=width, max_size=width), min_size=1, max_size=5))
+    p = np.array(rows, dtype=float).reshape(len(rows), width)
+    if (p < EIGENVALUE_FLOOR).any():
+        with pytest.raises(NotPSD):
+            entropy._entropy_rows(p)
+        return
+    want = [bits(entropy_loop(row, ENTROPY_CLAMP)) for row in rows]
+    assert bits(entropy._entropy_rows(p).tolist()) == want
+    assert [bits(td.entropy_of(row)) for row in rows] == want
+
+
+def test_entropy_rows_takes_its_logarithms_from_math_log():
+    # numpy's log differs from math.log in the last bit on about one
+    # input in a thousand, so these rows would tell the two apart.
+    p = np.random.default_rng(257).uniform(size=(1000, 100))
+    want = [bits(entropy_loop(row, ENTROPY_CLAMP)) for row in p.tolist()]
+    assert bits(entropy._entropy_rows(p).tolist()) == want
 
 
 def test_von_neumann_entropy():
@@ -241,12 +287,26 @@ def test_random_states_never_beat_double_closed_form():
 
 def test_random_state_entropy_matches_the_kraus_route():
     # n_random past one stack and not a multiple of it; 0 still draws one state.
+    # State r is row r of one (count, 2, d^2) normal block from the cell's
+    # stream: its real part, then its imaginary part.
     for d, t, n_random in ((2, -1.0, 0), (3, -0.3, _HAAR_STACK + 5), (4, 0.15, 2 * _HAAR_STACK)):
         ch = td.new_channel(d, t)
-        cfg = td.OptimizerConfig(n_random=n_random, seed=19)
-        states = [haar_state(d * d, rng_stream(19, _TAG_HAAR, r)) for r in range(max(n_random, 1))]
-        want = min(entropy_brute(np.linalg.eigvalsh(kraus_two_copy_output(ch, v))) for v in states)
-        assert _random_state_entropy(ch, cfg) == pytest.approx(want, abs=1e-12)
+        cfg = td.OptimizerConfig(restarts=0, n_random=n_random, seed=19)
+        g = rng_stream(19, _TAG_HAAR).standard_normal((max(n_random, 1), 2, d * d))
+        states = [v / np.linalg.norm(v) for v in g[:, 0] + 1j * g[:, 1]]
+        want = [entropy_brute(np.linalg.eigvalsh(kraus_two_copy_output(ch, v))) for v in states]
+        assert np.max(np.abs(_random_state_entropies(ch, cfg) - want)) <= 1e-12
+        assert td.additivity_gap(ch, cfg)[2] == pytest.approx(min(want), abs=1e-12)
+
+
+def test_n_random_k_takes_the_first_k_states_of_any_larger_n_random():
+    ch = td.new_channel(3, -0.2)
+    every = _random_state_entropies(ch, td.OptimizerConfig(n_random=2 * _HAAR_STACK + 3, seed=7))
+    for k in (0, 1, 5, _HAAR_STACK, _HAAR_STACK + 1, len(every)):
+        cfg = td.OptimizerConfig(restarts=0, n_random=k, seed=7)
+        first = every[: max(k, 1)]
+        assert bits(_random_state_entropies(ch, cfg).tolist()) == bits(first.tolist()), k
+        assert bits(td.additivity_gap(ch, cfg)[2]) == bits(float(first.min())), k
 
 
 def test_optimizer_config_rejects_negative_counts():
@@ -325,7 +385,7 @@ def probe_calls(monkeypatch, ch, cfg, values=None):
     plain, calls = entropy._split_rows, []
 
     def record(ch, lams):
-        calls.append(lams)
+        calls.append(np.asarray(lams).tolist())
         splits = plain(ch, lams)
         return splits if values is None else values(lams, splits)
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import tdchan as td
 from tdchan.errors import OutOfRange, SumMismatch
-from tdchan.spectrum import SCHMIDT_SUM_TOL, _as_schmidt, _check_schmidt_rows, _schmidt_list
+from tdchan.spectrum import SCHMIDT_SUM_TOL, _as_schmidt, _check_schmidt_rows
 
 from oracles import (
     dense_two_copy_spectrum,
@@ -90,21 +90,23 @@ def _raises(fn):
     return None
 
 
-# 1 + SCHMIDT_SUM_TOL - a few ulps, inside the band the float check leaves to
-# _check_schmidt_rows, and 1 + SCHMIDT_SUM_TOL + 1 ulp, which both reject.
+# Sums of 1 + SCHMIDT_SUM_TOL - a few ulps, which the check accepts, and
+# 1 + SCHMIDT_SUM_TOL + 1 ulp, which it rejects.
 @example(schmidt=(3, -0.25, [0.25, 0.25, float.fromhex("0x1.000000000232ep-1")]))
 @example(schmidt=(3, -0.25, [0.25, 0.25, float.fromhex("0x1.000000000232fp-1")]))
 @settings(max_examples=200, deadline=None)
 @given(schmidt=schmidt_lists())
-def test_schmidt_list_check_agrees_with_the_array_check(schmidt):
+def test_entropy_of_a_list_is_the_entropy_of_its_schmidt_vector(schmidt):
+    # simplex_output_entropy and entropy_split take a plain list, check it
+    # as a SchmidtVector checks it, and give it the SchmidtVector's bits.
     d, t, v = schmidt
     ch = td.new_channel(d, t)
-    got = _raises(lambda: _schmidt_list(ch, v))
+    got = _raises(lambda: td.simplex_output_entropy(ch, v))
     assert got is _raises(lambda: _as_schmidt(ch, np.array(v)))
+    assert got is _raises(lambda: td.entropy_split(ch, v))
     if len(v) == d:
         assert got is _raises(lambda: _check_schmidt_rows(np.array([v])))
     if got is None:
-        assert _schmidt_list(ch, v) == v
         # Bit for bit: float.hex tells every bit apart.
         value = td.simplex_output_entropy(ch, v).hex()
         assert value == td.simplex_output_entropy(ch, td.SchmidtVector(v)).hex()
