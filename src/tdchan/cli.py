@@ -21,6 +21,7 @@ counter-based streams, so --threads never changes the bytes printed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -194,6 +195,16 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p, seed=True, threads=True)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), once per process: parsing leaves a parser unchanged.
+
+    Defaults that depend on the environment, such as TDCHAN_THREADS, are
+    read when a command runs, not here.
+    """
+    return build_parser()
 
 
 def _emit_reports(reports, fmt: str) -> int:
@@ -376,8 +387,7 @@ def _one_line(exc: Exception) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {
         "apply": _cmd_apply,
         "spectrum": _cmd_spectrum,

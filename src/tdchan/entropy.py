@@ -49,7 +49,7 @@ import numpy as np
 
 from .channel import Channel, DensityMatrix, apply_two_copies
 from .errors import ConfigError, NotPSD
-from .sampling import dirichlet_flat, haar_states, rng_stream
+from .sampling import haar_states, rng_stream
 from .spectrum import SchmidtVector, _as_schmidt, _check_schmidt_rows, _secular_block_roots
 
 ENTROPY_CLAMP = 1e-15  # eigenvalues at or below this contribute 0 ln 0 := 0
@@ -251,7 +251,9 @@ def minimize_simplex_entropy(
     """Minimum of simplex_output_entropy over a fixed probe of the simplex.
 
     The probe is one batch of rows: the d vertices, the barycenter,
-    cfg.restarts uniform-simplex draws and _simplex_lattice(d).  All of
+    cfg.restarts uniform-simplex draws (the rows of one flat Dirichlet
+    block from one stream, so the first k rows do not depend on
+    cfg.restarts) and _simplex_lattice(d).  All of
     them are checked by _check_schmidt_rows and evaluated by one
     _split_rows call, which gives each row the bits that
     simplex_output_entropy gives it alone.  When the best row does not
@@ -263,8 +265,8 @@ def minimize_simplex_entropy(
     vertex and no other row can beat it.
     """
     d = ch.d
-    draws = [dirichlet_flat(d, rng_stream(cfg.seed, _TAG_SIMPLEX, r)) for r in range(cfg.restarts)]
-    rows = np.vstack([np.eye(d), np.full((1, d), 1.0 / d), *draws, _simplex_lattice(d)])
+    draws = rng_stream(cfg.seed, _TAG_SIMPLEX).dirichlet(np.ones(d), size=cfg.restarts)
+    rows = np.vstack([np.eye(d), np.full((1, d), 1.0 / d), draws, _simplex_lattice(d)])
     _check_schmidt_rows(rows)
     values = [s1 + s2 for s1, s2 in _split_rows(ch, rows)]
 

@@ -113,14 +113,20 @@ def t_transform(lam: "SchmidtVector | np.ndarray", i: int, j: int, eps: float) -
 
 
 def _elem_sym_table(m: np.ndarray) -> np.ndarray:
-    """s_0..s_n of the last axis of m, via the product recurrence; (..., n + 1)."""
+    """s_0..s_n of the last axis of m, via the product recurrence; (..., n + 1).
+
+    The recurrence runs on a leading degree axis, so each step is one
+    contiguous operation over all rows, and the result is a view of that
+    array.  It is elementwise: a row gets the same bits in any batch as
+    alone.
+    """
     n = m.shape[-1]
-    e = np.zeros(m.shape[:-1] + (n + 1,))
-    e[..., 0] = 1.0
+    cols = np.moveaxis(m, -1, 0).copy()
+    e = np.zeros((n + 1,) + cols.shape[1:])
+    e[0] = 1.0
     for c in range(n):
-        x = m[..., c, None]
-        e[..., 1 : c + 2] = e[..., 1 : c + 2] + x * e[..., : c + 1]
-    return e
+        e[1 : c + 2] += cols[c] * e[: c + 1]
+    return np.moveaxis(e, 0, -1)
 
 
 def _loo_elem_sym(m: np.ndarray, table: np.ndarray, q: int) -> np.ndarray:
@@ -130,14 +136,30 @@ def _loo_elem_sym(m: np.ndarray, table: np.ndarray, q: int) -> np.ndarray:
     axes broadcast against m.  Downdate recurrence
     b_r(l) = s_r - m_l b_{r-1}(l), stable for |m_l| <= 1, which holds on
     the nu box.  Applied to a leave-one-out table it gives the
-    leave-two-out values s_r(m \\ {i, l}).
+    leave-two-out values s_r(m \\ {i, l}).  Column r has the same bits
+    for every q >= r.  As in _elem_sym_table, the recurrence runs on
+    leading degree and coordinate axes, and the result is a view.
     """
-    shape = np.broadcast_shapes(m.shape, table.shape[:-1] + m.shape[-1:])
-    b = np.empty(shape + (q + 1,))
-    b[..., 0] = 1.0
+    cols = np.moveaxis(m, -1, 0).copy()
+    rows = np.moveaxis(table, -1, 0)
+    b = np.empty((q + 1,) + np.broadcast_shapes(cols.shape, (1,) + rows.shape[1:]))
+    b[0] = 1.0
     for r in range(1, q + 1):
-        b[..., r] = table[..., r, None] - m * b[..., r - 1]
-    return b
+        b[r] = rows[r] - cols * b[r - 1]
+    return np.moveaxis(b, (0, 1), (-1, -2))
+
+
+def _sum_in_order(terms: np.ndarray, axis: int) -> np.ndarray:
+    """terms summed along axis one index at a time, first to last.
+
+    np.sum groups the terms pairwise when the axis is contiguous in
+    memory, so its bits would depend on the layout and the batch size.
+    """
+    parts = np.moveaxis(terms, axis, 0)
+    total = parts[0]
+    for part in parts[1:]:
+        total = total + part
+    return total
 
 
 def elem_sym(values, q: int) -> float:
@@ -175,7 +197,7 @@ def phi_k_batch(nu: np.ndarray, ch: Channel) -> np.ndarray:
     d = ch.d
     table = _elem_sym_table(nu)
     loo = _loo_elem_sym(nu, table, d - 1)
-    inner = np.sum((nu - 1.0)[..., None] * loo, axis=-2)  # sum_l (nu_l - 1) s_r(nu \ l)
+    inner = _sum_in_order((nu - 1.0)[..., None] * loo, -2)  # sum_l (nu_l - 1) s_r(nu \ l)
     k = np.arange(d)
     return table[:, d - k] + (ch.t**2 / ch.c2) * inner[:, d - 1 - k]
 
@@ -188,7 +210,7 @@ def partial_phi_k_batch(nu: np.ndarray, ch: Channel) -> np.ndarray:
     loo = _loo_elem_sym(nu, _elem_sym_table(nu), d - 1)  # [row, i, r]
     loo2 = _loo_elem_sym(nu[:, None, :], loo, d - 2)  # [row, i, l, r], l != i
     others = ~np.eye(d, dtype=bool)[None, :, :, None]
-    inner = np.sum(np.where(others, (nu[:, None, :] - 1.0)[..., None] * loo2, 0.0), axis=2)
+    inner = _sum_in_order(np.where(others, (nu[:, None, :] - 1.0)[..., None] * loo2, 0.0), 2)
     # s_{d-2-k} vanishes at k = d - 1: pad r = -1 with a zero column.
     inner = np.concatenate([np.zeros((count, d, 1)), inner], axis=2)
     k = np.arange(d)

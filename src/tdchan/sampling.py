@@ -60,11 +60,6 @@ def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
     return m / np.trace(m).real
 
 
-def dirichlet_flat(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform sample from the probability simplex."""
-    return rng.dirichlet(np.ones(dim))
-
-
 def exponentials_from_uniforms(u: np.ndarray) -> np.ndarray:
     """Map uniforms in [0, 1) to Exp(1) variates, elementwise.
 

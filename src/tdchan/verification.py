@@ -30,10 +30,12 @@ on the one-negative stratum, its worst extreme point, the strictly
 positive quadratic 3(td)^2 + 3(1-t)(td) + (1-t)^2, the secular
 symmetric-polynomial identity, and the Schur criterion.
 
-Determinism: every scan cell draws from a counter-based Philox stream
-keyed by (seed, kind, d, t index, k), and each sample reads a fixed
-number of consecutive doubles from it (n + 3 for a polytope row), so
-reports are identical across runs and across any thread count.
+Determinism: every scan cell draws from one counter-based Philox stream
+keyed by (seed, kind, d, t index), and each sample reads a fixed number
+of consecutive doubles from it (n + 3 for a polytope row), so reports
+are identical across runs and across any thread count.  All k of a cell
+share its rows: "main" and "second_term" evaluate every k on one draw,
+from one s table and, for "main", one leave-one-out table.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from .majorization import (
     NuVector,
     _elem_sym_table,
     _loo_elem_sym,
+    _sum_in_order,
     elem_sym,
     phi_k_batch,
     schur_defect_batch,
@@ -67,7 +70,7 @@ VIOLATION_TOL = 1e-9  # a margin below -1e-9 counts as a violation
 NEAR_ZERO_NU = 1e-12
 
 SCAN_KINDS = ("main", "k0", "second_term", "extreme", "final_poly", "sympol", "schur")
-_NEEDS_POLYTOPE = ("main", "k0", "second_term")
+_SAMPLED = ("main", "k0", "second_term", "sympol", "schur")  # kinds that draw rows
 
 
 def box_ratio(d: int, t: float) -> float:
@@ -91,7 +94,7 @@ def first_term_value(nu, k: int) -> float:
     n = v.shape[1]
     if not (0 <= k <= n - 1):
         raise BadK(f"k={k} outside [0, {n - 1}]")
-    return float(_first_terms(v, _elem_sym_table(v), k)[0])
+    return float(_first_terms(v, _elem_sym_table(v))[0, n - k - 1])
 
 
 def main_inequality_lhs(nu, k: int, d: int, t: float) -> float:
@@ -105,7 +108,7 @@ def main_inequality_lhs(nu, k: int, d: int, t: float) -> float:
     if not (0 <= k <= n - 1):
         raise BadK(f"k={k} outside [0, {n - 1}]")
     _check_t(d, t)
-    return float(_margins_main(v[None, :], k, d, t)[0])
+    return float(_margins_main(v[None, :], d, t)[0, k])
 
 
 def second_term_value(nu, k: int) -> float:
@@ -266,16 +269,25 @@ def _cell_key(kind: str, d: int, t_idx: int, k: int) -> int:
     return ((kind_idx * 256 + d) * 65536 + t_idx) * 256 + (k + 1)
 
 
-def _first_terms(nu: np.ndarray, table: np.ndarray, k: int) -> np.ndarray:
-    """sum_l (1 - nu_l) s_{n-k-1}(nu \\ l) per row of an (N, n) nu, from its s table."""
-    loo = _loo_elem_sym(nu, table, nu.shape[1] - k - 1)[..., -1]
-    return ((1.0 - nu) * loo).sum(axis=1)
+def _first_terms(nu: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """sum_l (1 - nu_l) s_r(nu \\ l) for r = 0..n-1, per row of an (N, n) nu; (N, n).
+
+    table is the s table of nu.  Column r of the leave-one-out table has
+    the same bits as a downdate that stops at r, so one call serves
+    every k.
+    """
+    loo = _loo_elem_sym(nu, table, nu.shape[1] - 1)
+    return _sum_in_order((1.0 - nu)[:, :, None] * loo, 1)
 
 
-def _margins_main(nu: np.ndarray, k: int, d: int, t: float) -> np.ndarray:
-    """main_inequality_lhs per row of an (N, n) nu array."""
+def _margins_main(nu: np.ndarray, d: int, t: float) -> np.ndarray:
+    """main_inequality_lhs per row of an (N, n) nu and every k; (N, n), column k.
+
+    margin_k = first_{n-k-1} - coef s_{n-k}, all from one s table.
+    """
+    n = nu.shape[1]
     table = _elem_sym_table(nu)
-    return _first_terms(nu, table, k) - _rhs_coefficient(d, t) * table[:, nu.shape[1] - k]
+    return _first_terms(nu, table)[:, ::-1] - _rhs_coefficient(d, t) * table[:, n:0:-1]
 
 
 def _lambda_batch(gen: np.random.Generator, d: int, count: int) -> np.ndarray:
@@ -305,61 +317,52 @@ def _schur_margins(ch: Channel, lams: np.ndarray, picks: np.ndarray) -> np.ndarr
 def _scan_cell_group(kind: str, d: int, t: float, t_idx: int, samples: int, seed: int):
     """Margins for one (kind, d, t) across its k values.
 
-    Returns (k_values, margin_count, violations, worst_margin).
+    Every sampled kind draws all its rows, for all its k, from the one
+    stream of the cell.  Returns (k_values, margin_count, violations,
+    worst_margin).
     """
     n = d - 2
-    if kind in ("main", "k0", "second_term", "sympol", "schur"):
+    if kind in _SAMPLED:
         _check_t(d, t)
+        gen = philox_stream(seed, _cell_key(kind, d, t_idx, -1))
     radius = -box_ratio(d, t)
-    margins_all: list[np.ndarray] = []
+    margins = np.empty(0)
     k_values: list[int] = []
 
     if kind == "main":
-        vertices = polytope_vertices(n, d, t)
-        for k in range(n):
-            gen = philox_stream(seed, _cell_key(kind, d, t_idx, k))
-            nu = np.vstack([_polytope_batch(gen, n, radius, samples), vertices])
-            margins_all.append(_margins_main(nu, k, d, t))
-            k_values.append(k)
+        nu = np.vstack([_polytope_batch(gen, n, radius, samples), polytope_vertices(n, d, t)])
+        k_values = list(range(n))
+        margins = _margins_main(nu, d, t)
     elif kind == "second_term":
-        for k in range(1, n + 1):
-            gen = philox_stream(seed, _cell_key(kind, d, t_idx, k))
-            nu = _polytope_batch(gen, n, radius, samples)
-            margins_all.append(_elem_sym_table(nu)[:, n - k].copy())
-            k_values.append(k)
+        # Column n - k of the s table holds s_{n-k}, the margin of k = 1..n.
+        k_values = list(range(1, n + 1))
+        margins = _elem_sym_table(_polytope_batch(gen, n, radius, samples))[:, :n]
     elif kind == "k0":
-        gen = philox_stream(seed, _cell_key(kind, d, t_idx, -1))
         nu = _polytope_batch(gen, n, radius, samples, corner_only=True)
-        k_values.append(0)
+        k_values = [0]
         valid = ((nu < 0.0).sum(axis=1) == 1) & (np.abs(nu).min(axis=1) > NEAR_ZERO_NU)
         nu = nu[valid]
-        margins_all.append(_rhs_coefficient(d, t) - ((1.0 - nu) / nu).sum(axis=1))
+        margins = _rhs_coefficient(d, t) - ((1.0 - nu) / nu).sum(axis=1)
     elif kind == "extreme":
         value = extreme_point_defect(d, t)
         if value is not None:
-            margins_all.append(np.array([value]))
+            margins = np.array([value])
     elif kind == "final_poly":
-        margins_all.append(np.array([final_polynomial(d, t)]))
+        margins = np.array([final_polynomial(d, t)])
     elif kind == "sympol":
-        gen = philox_stream(seed, _cell_key(kind, d, t_idx, -1))
-        k_values.extend(range(d))
-        margins_all.append(_sympol_margins(new_channel(d, t), _lambda_batch(gen, d, samples)))
+        k_values = list(range(d))
+        margins = _sympol_margins(new_channel(d, t), _lambda_batch(gen, d, samples))
     elif kind == "schur":
-        gen = philox_stream(seed, _cell_key(kind, d, t_idx, -1))
         lams = _lambda_batch(gen, d, samples)
         picks = gen.random((samples, 3))
-        k_values.extend(range(d))
-        margins_all.append(_schur_margins(new_channel(d, t), lams, picks))
+        k_values = list(range(d))
+        margins = _schur_margins(new_channel(d, t), lams, picks)
     else:
         raise ConfigError(f"unknown scan kind {kind!r}")
 
-    if margins_all:
-        merged = np.concatenate(margins_all)
-        count = int(merged.size)
-        violations = int(np.sum(merged < -VIOLATION_TOL))
-        worst = float(np.min(merged)) if count else None
-    else:
-        count, violations, worst = 0, 0, None
+    count = int(margins.size)
+    violations = int(np.sum(margins < -VIOLATION_TOL))
+    worst = float(np.min(margins)) if count else None
     return k_values, count, violations, worst
 
 
@@ -383,7 +386,7 @@ def run_scan(
     for d in d_list:
         if d < 2:
             raise ConfigError(f"need d >= 2, got {d}")
-        if kind in _NEEDS_POLYTOPE + ("sympol", "schur") and d < 3:
+        if kind in _SAMPLED and d < 3:
             raise ConfigError(f"kind {kind!r} needs d >= 3, got {d}")
     if samples < 1:
         raise ConfigError("need samples >= 1")

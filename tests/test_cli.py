@@ -352,6 +352,41 @@ def test_threads_env_override(monkeypatch):
     assert _resolve_threads(None) >= 1
 
 
+def test_parser_is_built_once_and_threads_env_is_read_per_call(monkeypatch, capsys):
+    from tdchan import cli
+
+    built, threads = [], []
+    build, scan = cli.build_parser, cli.run_scan
+
+    def counting_build():
+        built.append(1)
+        return build()
+
+    def recording_scan(*args, **kwargs):
+        threads.append(kwargs["threads"])
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    monkeypatch.setattr(cli, "run_scan", recording_scan)
+    cli._parser.cache_clear()
+    try:
+        argv = ["verify", "--kind", "final-poly", "--d", "3"]
+        outputs = []
+        for env in ("1", "3"):
+            monkeypatch.setenv("TDCHAN_THREADS", env)
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        with pytest.raises(SystemExit):
+            main(["verify", "--kind", "bogus", "--d", "3"])
+        assert main(argv + ["--threads", "2"]) == 0
+        outputs.append(capsys.readouterr().out)
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert threads == [1, 3, 2]
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 # ------------------------------------------------------------------- start-up
 
 

@@ -19,7 +19,7 @@ from tdchan.entropy import (
     project_to_simplex,
 )
 from tdchan.errors import ConfigError, NotPSD, OutOfRange
-from tdchan.sampling import dirichlet_flat, rng_stream
+from tdchan.sampling import rng_stream
 from tdchan.spectrum import _check_schmidt_rows
 
 from oracles import (
@@ -411,7 +411,9 @@ def test_probe_is_one_batch_of_vertices_barycenter_draws_and_lattice(monkeypatch
     d = 4
     cfg = td.OptimizerConfig(restarts=restarts, seed=3)
     _, calls = probe_calls(monkeypatch, td.new_channel(d, -0.2), cfg)
-    draws = [dirichlet_flat(d, rng_stream(3, _TAG_SIMPLEX, r)).tolist() for r in range(restarts)]
+    # Drawn one row at a time: the block's rows do not depend on its size.
+    gen = rng_stream(3, _TAG_SIMPLEX)
+    draws = [gen.dirichlet(np.ones(d)).tolist() for _ in range(restarts)]
     want = np.eye(d).tolist() + [[1.0 / d] * d] + draws + entropy._simplex_lattice(d).tolist()
     assert calls == [want]
 
@@ -461,7 +463,12 @@ def test_probe_propagates_not_psd(monkeypatch):
 
 
 def test_probe_checks_every_row(monkeypatch):
-    monkeypatch.setattr(entropy, "dirichlet_flat", lambda d, rng: np.array([1.5] + [-0.5 / (d - 1)] * (d - 1)))
+    class OffSimplex:
+        def dirichlet(self, alpha, size):
+            d = len(alpha)
+            return np.tile([1.5] + [-0.5 / (d - 1)] * (d - 1), (size, 1))
+
+    monkeypatch.setattr(entropy, "rng_stream", lambda *path: OffSimplex())
     with pytest.raises(OutOfRange):
         td.minimize_simplex_entropy(td.new_channel(3, -0.25), td.OptimizerConfig(restarts=1))
 

@@ -22,7 +22,7 @@ from tdchan.errors import OutOfRange, SumMismatch
 from tdchan.majorization import _elem_sym_table, _loo_elem_sym
 from tdchan.sampling import philox_stream
 from tdchan.spectrum import secular_roots_batch
-from tdchan.verification import _lambda_batch, _schur_margins, _sympol_margins
+from tdchan.verification import _first_terms, _lambda_batch, _schur_margins, _sympol_margins
 
 from oracles import elem_sym_brute, mp_secular_block_roots
 
@@ -297,6 +297,47 @@ def test_double_downdate_matches_brute(values):
             assert loo2[i, l, r] == pytest.approx(ref, abs=1e-12 * math.comb(n - 2, r))
 
 
+def _hex(a):
+    return [x.hex() for x in np.asarray(a, dtype=float).ravel().tolist()]
+
+
+unit_batches = st.integers(1, 10).flatmap(
+    lambda n: st.lists(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n), min_size=1, max_size=6)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(unit_batches)
+def test_symmetric_tables_give_each_row_its_one_row_bits(rows):
+    # The tables, the leave-one-out downdate, the broadcast leave-two-out
+    # call of partial_phi_k_batch and the in-order first-term sums of the
+    # main scan, for a batch and for each of its rows alone.
+    m = np.array(rows)
+    n = m.shape[1]
+    table = _elem_sym_table(m)
+    loo = _loo_elem_sym(m, table, n - 1)
+    loo2 = _loo_elem_sym(m[:, None, :], loo, max(n - 2, 0))
+    first = _first_terms(m, table)
+    assert table.shape == (len(m), n + 1) and loo.shape == (len(m), n, n)
+    for row, values in enumerate(m):
+        alone = _elem_sym_table(values[None, :])
+        assert _hex(alone) == _hex(table[row]) == _hex(_elem_sym_table(values))
+        alone_loo = _loo_elem_sym(values[None, :], alone, n - 1)
+        assert _hex(alone_loo) == _hex(loo[row])
+        alone_loo2 = _loo_elem_sym(values[None, None, :], alone_loo, max(n - 2, 0))
+        assert _hex(alone_loo2) == _hex(loo2[row])
+        assert _hex(_first_terms(values[None, :], alone)) == _hex(first[row])
+        # Summed over l from first to last, as a loop over Python floats adds.
+        for r in range(n):
+            total = (1.0 - float(values[0])) * float(loo[row, 0, r])
+            for l in range(1, n):
+                total += (1.0 - float(values[l])) * float(loo[row, l, r])
+            assert first[row, r].hex() == total.hex()
+        # A downdate that stops at degree r gives column r the same bits.
+        for r in range(n):
+            assert _hex(_loo_elem_sym(m, table, r)[..., r]) == _hex(loo[..., r])
+
+
 # ------------------------------------------------------------- scan margins
 
 
@@ -344,6 +385,23 @@ def test_schur_margins_match_scalar_route(cell):
         if b >= a:
             b += 1
         assert abs(margin + td.schur_defect(nu, k, a, b, ch)) <= MARGIN_TOL
+
+
+def test_phi_sums_add_their_terms_in_coordinate_order():
+    rng = np.random.default_rng(5)
+    for d in (3, 5, 8):
+        ch = td.new_channel(d, -0.5 / (d - 1))
+        coef = ch.t**2 / ch.c2
+        nu = 1.0 + ch.ratio * rng.dirichlet(np.ones(d), size=12)
+        table = _elem_sym_table(nu)
+        loo = _loo_elem_sym(nu, table, d - 1)
+        phis = td.phi_k_batch(nu, ch)
+        for row, k in itertools.product(range(12), range(d)):
+            r = d - 1 - k
+            inner = (float(nu[row, 0]) - 1.0) * float(loo[row, 0, r])
+            for l in range(1, d):
+                inner += (float(nu[row, l]) - 1.0) * float(loo[row, l, r])
+            assert phis[row, k].hex() == (float(table[row, d - k]) + coef * inner).hex()
 
 
 def test_phi_batches_match_wrappers():

@@ -14,7 +14,7 @@ from scipy.optimize import minimize
 
 import tdchan as td
 from tdchan.entropy import _TAG_SIMPLEX, _project
-from tdchan.sampling import dirichlet_flat, rng_stream
+from tdchan.sampling import rng_stream
 
 
 def scipy_descent(ch, lam0):
@@ -40,7 +40,7 @@ def test_nelder_mead_matches_scipy_on_the_optimizer_starts():
         for t in (lo, 0.5 * lo, 0.0, 0.5 * hi, hi):
             ch = td.new_channel(d, t)
             probe, _ = td.minimize_simplex_entropy(ch, cfg)
-            starts = [dirichlet_flat(d, rng_stream(cfg.seed, _TAG_SIMPLEX, r)).tolist() for r in range(cfg.restarts)]
+            starts = rng_stream(cfg.seed, _TAG_SIMPLEX).dirichlet(np.ones(d), size=cfg.restarts).tolist()
             starts += np.eye(d).tolist() + [[1.0 / d] * d]
             for lam0 in starts:
                 descent = scipy_descent(ch, lam0)

@@ -3,6 +3,7 @@ import pytest
 from scipy import optimize, stats
 
 import tdchan as td
+from tdchan import verification
 from tdchan.errors import (
     BadK,
     BadLength,
@@ -14,6 +15,7 @@ from tdchan.errors import (
 from tdchan.sampling import philox_stream
 from tdchan.verification import (
     SCAN_KINDS,
+    VIOLATION_TOL,
     _cell_key,
     _margins_main,
     _polytope_batch,
@@ -105,9 +107,9 @@ def test_main_margin_routes_match_brute_force():
                     polytope_vertices(n, d, t),
                 ]
             )
+            margins = _margins_main(nu, d, t)
             for k in range(n):
-                batch = _margins_main(nu, k, d, t)
-                for row, margin in zip(nu, batch):
+                for row, margin in zip(nu, margins[:, k]):
                     first = sum(
                         (1.0 - row[l]) * elem_sym_brute(np.delete(row, l), n - k - 1)
                         for l in range(n)
@@ -118,6 +120,41 @@ def test_main_margin_routes_match_brute_force():
                     assert margin == pytest.approx(brute, abs=1e-12)
     with pytest.raises(BadK):
         first_term_value(np.array([-1.0, 1.0]), 2)
+
+
+@pytest.mark.parametrize("kind, vertices", [("main", True), ("main", False), ("second_term", False)])
+def test_scan_cells_match_brute_force_margins_on_their_one_draw(monkeypatch, kind, vertices):
+    # Every k of a cell is checked on the rows of the cell's one stream,
+    # plus the vertices for main; the margins here are explicit sums of
+    # products.  A vertex is often the worst point of main, so one run
+    # leaves them out.  The steep t logs second-term excursions for d >= 5.
+    if kind == "main" and not vertices:
+        monkeypatch.setattr(verification, "polytope_vertices", lambda n, d, t: np.empty((0, n)))
+    seed, samples = 5, 50
+    for d in range(3, 7):
+        n = d - 2
+        grid = default_t_grid(d, 4)[[0, 2]]
+        reports = run_scan(kind, [d], t_grid=grid, samples=samples, seed=seed)
+        for t_idx, (t, rep) in enumerate(zip(grid.tolist(), reports)):
+            gen = philox_stream(seed, _cell_key(kind, d, t_idx, -1))
+            nu = _polytope_batch(gen, n, -box_ratio(d, t), samples)
+            if vertices:
+                nu = np.vstack([nu, polytope_vertices(n, d, t)])
+            if kind == "main":
+                k_values = list(range(n))
+                margins = [
+                    sum((1.0 - row[l]) * elem_sym_brute(np.delete(row, l), n - k - 1) for l in range(n))
+                    - _rhs_coefficient(d, t) * elem_sym_brute(row, n - k)
+                    for row in nu
+                    for k in k_values
+                ]
+            else:
+                k_values = list(range(1, n + 1))
+                margins = [elem_sym_brute(row, n - k) for row in nu for k in k_values]
+            assert rep.k_values == k_values
+            assert rep.samples == len(margins) == n * len(nu)
+            assert rep.violations == sum(margin < -VIOLATION_TOL for margin in margins)
+            assert rep.worst_margin == pytest.approx(min(margins), abs=1e-12)
 
 
 def test_second_term_can_go_negative_on_feasible_points():
