@@ -119,15 +119,21 @@ def _resolve_tol(value: float | None, default: float) -> float:
 
 
 def _resolve_threads(value: int | None) -> int:
+    """--threads, else TDCHAN_THREADS, else the CPU count.
+
+    A --threads below 1, or a TDCHAN_THREADS that is not a positive
+    integer, exits 3; an empty TDCHAN_THREADS counts as unset.
+    """
     if value is not None:
-        return max(1, value)
+        if value < 1:
+            raise ConfigError(f"--threads must be >= 1, got {value}")
+        return value
     env = os.environ.get("TDCHAN_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, os.cpu_count() or 1)
+    if not env:
+        return os.cpu_count() or 1
+    if not env.isdecimal() or int(env) < 1:
+        raise ConfigError(f"TDCHAN_THREADS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def _scale(value: float | None, base: str) -> float | None:
@@ -185,6 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-grid", type=_parse_t_grid, default=None)
     p.add_argument("--samples", type=int, default=1000)
     _common_flags(p, seed=True, threads=True)
+    p.set_defaults(kind="schur")
 
     p = sub.add_parser("verify", help="inequality scans")
     kinds = [k.replace("_", "-") for k in SCAN_KINDS] + ["all"]
@@ -207,30 +214,24 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _emit_reports(reports, fmt: str) -> int:
+def _emit(fmt: str, obj, header: list[str] | None = None, rows: list[list] | None = None) -> None:
+    """Print obj as JSON, or header and rows as a CSV or text table.
+
+    A list prints one item per JSON line.  Without header and rows, obj
+    is a record (a dict) or a list of records, and their keys head the
+    table.
+    """
     if fmt == "json":
-        body = ",\n".join("  " + serialize.to_json(r.as_dict()) for r in reports)
-        print("[\n" + body + "\n]")
-    else:
-        header = ["kind", "d", "t", "k_values", "samples", "violations", "worst_margin", "seed"]
-        rows = [
-            [
-                r.kind,
-                r.d,
-                r.t_values[0],
-                ";".join(str(k) for k in r.k_values),
-                r.samples,
-                r.violations,
-                r.worst_margin,
-                r.seed,
-            ]
-            for r in reports
-        ]
-        if fmt == "csv":
-            sys.stdout.write(serialize.rows_to_csv(header, rows))
+        if isinstance(obj, list):
+            print("[\n" + ",\n".join("  " + serialize.to_json(item) for item in obj) + "\n]")
         else:
-            sys.stdout.write(serialize.rows_to_table(header, rows))
-    return 1 if any(r.violations for r in reports) else 0
+            print(serialize.to_json(obj))
+        return
+    if header is None:
+        records = obj if isinstance(obj, list) else [obj]
+        header, rows = list(records[0]), [list(r.values()) for r in records]
+    table = serialize.rows_to_csv if fmt == "csv" else serialize.rows_to_table
+    sys.stdout.write(table(header, rows))
 
 
 def _cmd_apply(args) -> int:
@@ -251,20 +252,9 @@ def _cmd_apply(args) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: bad JSON input: {exc}", file=sys.stderr)
         return 2
-    rho = serialize.density_from_obj(obj)
-    out = apply(ch, rho)
-    result = serialize.density_to_obj(out)
-    if args.format == "json":
-        print(serialize.to_json(result))
-    else:
-        header = ["row", "col", "re", "im"]
-        rows = [
-            [i, j, out.mat[i, j].real, out.mat[i, j].imag]
-            for i in range(out.dim)
-            for j in range(out.dim)
-        ]
-        text_out = serialize.rows_to_csv(header, rows) if args.format == "csv" else serialize.rows_to_table(header, rows)
-        sys.stdout.write(text_out)
+    out = apply(ch, serialize.density_from_obj(obj))
+    rows = [[i, j, x.real, x.imag] for i, row in enumerate(out.mat) for j, x in enumerate(row)]
+    _emit(args.format, serialize.density_to_obj(out), ["row", "col", "re", "im"], rows)
     return 0
 
 
@@ -280,15 +270,9 @@ def _cmd_spectrum(args) -> int:
         "secular": [float(x) for x in spec.secular],
         "dense_delta": delta,
     }
-    if args.format == "json":
-        print(serialize.to_json(result))
-    else:
-        header = ["family", "index", "value"]
-        rows = [["offdiag", i, float(x)] for i, x in enumerate(spec.offdiag)]
-        rows += [["secular", i, float(x)] for i, x in enumerate(spec.secular)]
-        rows += [["dense_delta", "", delta]]
-        out = serialize.rows_to_csv(header, rows) if args.format == "csv" else serialize.rows_to_table(header, rows)
-        sys.stdout.write(out)
+    rows = [["offdiag", i, x] for i, x in enumerate(result["offdiag"])]
+    rows += [["secular", i, x] for i, x in enumerate(result["secular"])]
+    _emit(args.format, result, ["family", "index", "value"], rows + [["dense_delta", "", delta]])
     return 1 if delta > tol else 0
 
 
@@ -301,17 +285,8 @@ def _cmd_entropy(args) -> int:
         "s2": _scale(rep.s2, args.log_base),
         "c": rep.c,
     }
-    _emit_record(result, args.format)
+    _emit(args.format, result)
     return 0
-
-
-def _emit_record(result: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(serialize.to_json(result))
-    elif fmt == "csv":
-        sys.stdout.write(serialize.rows_to_csv(list(result), [list(result.values())]))
-    else:
-        sys.stdout.write(serialize.rows_to_table(list(result), [list(result.values())]))
 
 
 def _cmd_min_entropy(args) -> int:
@@ -326,7 +301,7 @@ def _cmd_min_entropy(args) -> int:
         "argmin_re": [float(x) for x in np.real(argmin)],
         "argmin_im": [float(x) for x in np.imag(argmin)],
     }
-    _emit_record(result, args.format)
+    _emit(args.format, result)
     return 1 if abs(h - exact) > tol else 0
 
 
@@ -352,34 +327,26 @@ def _cmd_additivity(args) -> int:
                 "gap": _scale(gap, args.log_base),
             }
         )
-    if args.format == "json":
-        body = ",\n".join("  " + serialize.to_json(r) for r in rows)
-        print("[\n" + body + "\n]")
-    else:
-        header = list(rows[0])
-        table = [[r[k] for k in header] for r in rows]
-        out = serialize.rows_to_csv(header, table) if args.format == "csv" else serialize.rows_to_table(header, table)
-        sys.stdout.write(out)
+    _emit(args.format, rows)
     return 1 if worst < -tol else 0
 
 
-def _cmd_verify(args, kind: str | None = None) -> int:
-    kind = kind or args.kind
+def _cmd_verify(args) -> int:
     threads = _resolve_threads(args.threads)
-    kinds = list(SCAN_KINDS) if kind == "all" else [kind.replace("-", "_")]
+    kinds = SCAN_KINDS if args.kind == "all" else [args.kind.replace("-", "_")]
     reports = []
-    for k in kinds:
-        reports.extend(
-            run_scan(
-                k,
-                args.d,
-                t_grid=args.t_grid,
-                samples=args.samples,
-                seed=args.seed,
-                threads=threads,
-            )
+    for kind in kinds:
+        reports += run_scan(
+            kind, args.d, t_grid=args.t_grid, samples=args.samples, seed=args.seed, threads=threads
         )
-    return _emit_reports(reports, args.format)
+    header = ["kind", "d", "t", "k_values", "samples", "violations", "worst_margin", "seed"]
+    rows = [
+        [r.kind, r.d, r.t_values[0], ";".join(map(str, r.k_values))]
+        + [r.samples, r.violations, r.worst_margin, r.seed]
+        for r in reports
+    ]
+    _emit(args.format, [r.as_dict() for r in reports], header, rows)
+    return 1 if any(r.violations for r in reports) else 0
 
 
 def _one_line(exc: Exception) -> str:
@@ -394,11 +361,10 @@ def main(argv=None) -> int:
         "entropy": _cmd_entropy,
         "min-entropy": _cmd_min_entropy,
         "additivity": _cmd_additivity,
+        "schur-scan": _cmd_verify,
         "verify": _cmd_verify,
     }
     try:
-        if args.command == "schur-scan":
-            return _cmd_verify(args, kind="schur")
         return handlers[args.command](args)
     except TdchanError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,17 +30,27 @@ on the one-negative stratum, its worst extreme point, the strictly
 positive quadratic 3(td)^2 + 3(1-t)(td) + (1-t)^2, the secular
 symmetric-polynomial identity, and the Schur criterion.
 
+Scan kinds: _KINDS maps each kind to the least d it accepts and to its
+margins(stream, d, t, samples) -> (k_values, margins) for one cell, and
+SCAN_KINDS lists its keys.  run_scan checks the kind, every d and every
+t of the grid against [-1/(d-1), 0) before any cell runs; one
+_scan_cell turns the margins into a ScanReport.  The order of _KINDS
+must not change: a kind's index in it is part of every stream key, so a
+reordering would change the bytes of every report.
+
 Determinism: every scan cell draws from one counter-based Philox stream
 keyed by (seed, kind, d, t index), and each sample reads a fixed number
 of consecutive doubles from it (n + 3 for a polytope row), so reports
 are identical across runs and across any thread count.  All k of a cell
 share its rows: "main" and "second_term" evaluate every k on one draw,
-from one s table and, for "main", one leave-one-out table.
+from one s table and, for "main", one leave-one-out table.  "extreme"
+and "final_poly" draw nothing and open no stream.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,9 +78,6 @@ from .spectrum import secular_roots_batch
 
 VIOLATION_TOL = 1e-9  # a margin below -1e-9 counts as a violation
 NEAR_ZERO_NU = 1e-12
-
-SCAN_KINDS = ("main", "k0", "second_term", "extreme", "final_poly", "sympol", "schur")
-_SAMPLED = ("main", "k0", "second_term", "sympol", "schur")  # kinds that draw rows
 
 
 def box_ratio(d: int, t: float) -> float:
@@ -233,7 +240,7 @@ def polytope_vertices(n: int, d: int, t: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScanReport:
-    """Aggregated margins for one (kind, d, t) cell group."""
+    """Aggregated margins for one (kind, d, t) cell, over all its k."""
 
     kind: str
     d: int
@@ -245,16 +252,7 @@ class ScanReport:
     seed: int
 
     def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "d": self.d,
-            "t_values": list(self.t_values),
-            "k_values": list(self.k_values),
-            "samples": self.samples,
-            "violations": self.violations,
-            "worst_margin": self.worst_margin,
-            "seed": self.seed,
-        }
+        return dict(vars(self))
 
 
 def default_t_grid(d: int, points: int = 9) -> np.ndarray:
@@ -314,106 +312,105 @@ def _schur_margins(ch: Channel, lams: np.ndarray, picks: np.ndarray) -> np.ndarr
     return -schur_defect_batch(1.0 + ch.ratio * lams, k, a, b, ch)
 
 
-def _scan_cell_group(kind: str, d: int, t: float, t_idx: int, samples: int, seed: int):
-    """Margins for one (kind, d, t) across its k values.
+# margins(stream, d, t, samples) -> (k_values, margins) of one cell, per
+# kind; stream() opens the cell's Philox stream.
 
-    Every sampled kind draws all its rows, for all its k, from the one
-    stream of the cell.  Returns (k_values, margin_count, violations,
-    worst_margin).
-    """
+
+def _main_cell(stream, d, t, samples):
     n = d - 2
-    if kind in _SAMPLED:
-        _check_t(d, t)
-        gen = philox_stream(seed, _cell_key(kind, d, t_idx, -1))
-    radius = -box_ratio(d, t)
-    margins = np.empty(0)
-    k_values: list[int] = []
+    nu = _polytope_batch(stream(), n, -box_ratio(d, t), samples)
+    return list(range(n)), _margins_main(np.vstack([nu, polytope_vertices(n, d, t)]), d, t)
 
-    if kind == "main":
-        nu = np.vstack([_polytope_batch(gen, n, radius, samples), polytope_vertices(n, d, t)])
-        k_values = list(range(n))
-        margins = _margins_main(nu, d, t)
-    elif kind == "second_term":
-        # Column n - k of the s table holds s_{n-k}, the margin of k = 1..n.
-        k_values = list(range(1, n + 1))
-        margins = _elem_sym_table(_polytope_batch(gen, n, radius, samples))[:, :n]
-    elif kind == "k0":
-        nu = _polytope_batch(gen, n, radius, samples, corner_only=True)
-        k_values = [0]
-        valid = ((nu < 0.0).sum(axis=1) == 1) & (np.abs(nu).min(axis=1) > NEAR_ZERO_NU)
-        nu = nu[valid]
-        margins = _rhs_coefficient(d, t) - ((1.0 - nu) / nu).sum(axis=1)
-    elif kind == "extreme":
-        value = extreme_point_defect(d, t)
-        if value is not None:
-            margins = np.array([value])
-    elif kind == "final_poly":
-        margins = np.array([final_polynomial(d, t)])
-    elif kind == "sympol":
-        k_values = list(range(d))
-        margins = _sympol_margins(new_channel(d, t), _lambda_batch(gen, d, samples))
-    elif kind == "schur":
-        lams = _lambda_batch(gen, d, samples)
-        picks = gen.random((samples, 3))
-        k_values = list(range(d))
-        margins = _schur_margins(new_channel(d, t), lams, picks)
-    else:
-        raise ConfigError(f"unknown scan kind {kind!r}")
 
-    count = int(margins.size)
-    violations = int(np.sum(margins < -VIOLATION_TOL))
-    worst = float(np.min(margins)) if count else None
-    return k_values, count, violations, worst
+def _k0_cell(stream, d, t, samples):
+    nu = _polytope_batch(stream(), d - 2, -box_ratio(d, t), samples, corner_only=True)
+    nu = nu[((nu < 0.0).sum(axis=1) == 1) & (np.abs(nu).min(axis=1) > NEAR_ZERO_NU)]
+    return [0], _rhs_coefficient(d, t) - ((1.0 - nu) / nu).sum(axis=1)
+
+
+def _second_term_cell(stream, d, t, samples):
+    # Column n - k of the s table holds s_{n-k}, the margin of k = 1..n.
+    n = d - 2
+    nu = _polytope_batch(stream(), n, -box_ratio(d, t), samples)
+    return list(range(1, n + 1)), _elem_sym_table(nu)[:, :n]
+
+
+def _extreme_cell(stream, d, t, samples):
+    value = extreme_point_defect(d, t)
+    return [], np.array([] if value is None else [value])
+
+
+def _final_poly_cell(stream, d, t, samples):
+    return [], np.array([final_polynomial(d, t)])
+
+
+def _sympol_cell(stream, d, t, samples):
+    return list(range(d)), _sympol_margins(new_channel(d, t), _lambda_batch(stream(), d, samples))
+
+
+def _schur_cell(stream, d, t, samples):
+    gen = stream()
+    lams = _lambda_batch(gen, d, samples)
+    return list(range(d)), _schur_margins(new_channel(d, t), lams, gen.random((samples, 3)))
+
+
+# kind -> (least d, margins).  The order is part of every stream key.
+_KINDS = {
+    "main": (3, _main_cell),
+    "k0": (3, _k0_cell),
+    "second_term": (3, _second_term_cell),
+    "extreme": (2, _extreme_cell),
+    "final_poly": (2, _final_poly_cell),
+    "sympol": (3, _sympol_cell),
+    "schur": (3, _schur_cell),
+}
+SCAN_KINDS = tuple(_KINDS)
+
+
+def _scan_cell(kind: str, d: int, t: float, t_idx: int, samples: int, seed: int) -> ScanReport:
+    """The report of one (kind, d, t) cell, over all its k."""
+    stream = functools.partial(philox_stream, seed, _cell_key(kind, d, t_idx, -1))
+    k_values, margins = _KINDS[kind][1](stream, d, t, samples)
+    return ScanReport(
+        kind=kind,
+        d=d,
+        t_values=[t],
+        k_values=k_values,
+        samples=int(margins.size),
+        violations=int(np.sum(margins < -VIOLATION_TOL)),
+        worst_margin=float(np.min(margins)) if margins.size else None,
+        seed=seed,
+    )
 
 
 def run_scan(
-    kind: str,
-    d_values,
-    t_grid=None,
-    samples: int = 1000,
-    seed: int = 0,
-    threads: int = 1,
+    kind: str, d_values, t_grid=None, samples: int = 1000, seed: int = 0, threads: int = 1
 ) -> list[ScanReport]:
     """Scan one kind over dimensions and a t grid; one report per (d, t).
 
-    The default grid has 9 points spanning [-1/(d-1), -1e-6].  Reports
-    come back in (d, t) order regardless of the thread count, and their
-    contents are independent of it as well.
+    The default grid has 9 points spanning [-1/(d-1), -1e-6].  The kind,
+    every d and every t of the grid are checked before any cell runs.
+    Reports come back in (d, t) order regardless of the thread count,
+    and their contents are independent of it as well.
     """
-    if kind not in SCAN_KINDS:
+    if kind not in _KINDS:
         raise ConfigError(f"kind must be one of {SCAN_KINDS}, got {kind!r}")
+    least_d = _KINDS[kind][0]
     d_list = [int(d) for d in (d_values if np.iterable(d_values) else [d_values])]
     for d in d_list:
-        if d < 2:
-            raise ConfigError(f"need d >= 2, got {d}")
-        if kind in _SAMPLED and d < 3:
-            raise ConfigError(f"kind {kind!r} needs d >= 3, got {d}")
+        if d < least_d:
+            raise ConfigError(f"kind {kind!r} needs d >= {least_d}, got {d}")
     if samples < 1:
         raise ConfigError("need samples >= 1")
 
     jobs = []
     for d in d_list:
         grid = np.asarray(t_grid, dtype=float) if t_grid is not None else default_t_grid(d)
-        for t_idx, t in enumerate(grid):
-            jobs.append((d, float(t), t_idx))
-
-    def one(job):
-        d, t, t_idx = job
-        k_values, count, violations, worst = _scan_cell_group(
-            kind, d, t, t_idx, samples, seed
-        )
-        return ScanReport(
-            kind=kind,
-            d=d,
-            t_values=[t],
-            k_values=k_values,
-            samples=count,
-            violations=violations,
-            worst_margin=worst,
-            seed=seed,
-        )
+        for t_idx, t in enumerate(grid.tolist()):
+            _check_t(d, t)
+            jobs.append((kind, d, t, t_idx, samples, seed))
 
     if threads and threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, jobs))
-    return [one(job) for job in jobs]
+            return list(pool.map(lambda job: _scan_cell(*job), jobs))
+    return [_scan_cell(*job) for job in jobs]

@@ -244,6 +244,59 @@ def test_schur_scan_alias(capsys):
     assert all(r["kind"] == "schur" for r in json.loads(out))
 
 
+# argv, header, data rows, and the columns whose cells are floats
+_TABLES = {
+    "apply": (["apply", "--d", "2", "--t", "-0.3", "--input", "RHO"], "row,col,re,im", 4, ("re", "im")),
+    "spectrum": (
+        ["spectrum", "--d", "3", "--t", "-0.5", "--lambda", "0.5,0.3,0.2"], "family,index,value", 10, ("value",)
+    ),
+    "entropy": (
+        ["entropy", "--d", "3", "--t", "-0.5", "--lambda", "0.5,0.3,0.2"], "s_total,s1,s2,c", 1, ("s_total", "s1", "s2", "c")
+    ),
+    "min-entropy": (
+        ["min-entropy", "--d", "3", "--t", "-0.5", "--restarts", "4"],
+        "h,h_closed_form,argmin_re,argmin_im", 1, ("h", "h_closed_form"),
+    ),
+    "additivity": (
+        ["additivity", "--d", "3", "--t=-0.5:0.25:4", "--restarts", "2", "--n-random", "3"],
+        "t,h,min_simplex,min_random,gap", 4, ("t", "h", "min_simplex", "min_random", "gap"),
+    ),
+    "verify": (
+        ["verify", "--kind", "main", "--d", "3:4", "--samples", "20", "--threads", "1"],
+        "kind,d,t,k_values,samples,violations,worst_margin,seed", 18, ("t", "worst_margin"),
+    ),
+    "schur-scan": (
+        ["schur-scan", "--d", "3", "--t-grid=-0.4:-0.1:3", "--samples", "20", "--threads", "1"],
+        "kind,d,t,k_values,samples,violations,worst_margin,seed", 3, ("t", "worst_margin"),
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+@pytest.mark.parametrize("command", sorted(_TABLES))
+def test_csv_and_text_tables(tmp_path, capsys, command, fmt):
+    argv, header, count, float_columns = _TABLES[command]
+    rho = tmp_path / "rho.json"
+    rho.write_text(to_json(density_to_obj(td.pure_state(np.array([0.6, 0.8])))))
+    argv = [str(rho) if a == "RHO" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    names = header.split(",")
+    if fmt == "text":
+        assert lines[0].split() == names
+        assert set(lines[1]) == {"-", " "}
+        assert len(lines) == 2 + count
+        return
+    assert lines[0] == header
+    assert len(lines) == 1 + count
+    # min-entropy's list cells hold commas, so only the leading columns are read
+    floats = [cell for line in lines[1:] for name, cell in zip(names, line.split(",")) if name in float_columns]
+    assert len(floats) == count * len(float_columns)
+    assert all(cell == fmt_float(float(cell)) for cell in floats)
+    assert any(cell != format(float(cell), ".12g") for cell in floats)  # not the text table's 12 digits
+
+
 def test_bad_channel_parameters_exit_3(capsys):
     code, _, err = run_cli(capsys, "spectrum", "--d", "3", "--t", "-0.6", "--lambda", "1,0,0")
     assert code == 3
@@ -350,6 +403,39 @@ def test_threads_env_override(monkeypatch):
     assert _resolve_threads(2) == 2
     monkeypatch.delenv("TDCHAN_THREADS")
     assert _resolve_threads(None) >= 1
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["--threads", "0"], None),
+        (["--threads", "-4"], None),
+        ([], "abc"),
+        ([], "0"),
+        ([], "-2"),
+        ([], "1.5"),
+    ],
+)
+@pytest.mark.parametrize("command", [["verify", "--kind", "final-poly"], ["schur-scan"]])
+def test_bad_thread_counts_exit_3(capsys, monkeypatch, command, argv, env):
+    if env is None:
+        monkeypatch.delenv("TDCHAN_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("TDCHAN_THREADS", env)
+    code, out, err = run_cli(capsys, *command, "--d", "3", "--samples", "2", *argv)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("grid", ["5", "nan", "0", "--t-grid=-0.5:0:3", "--t-grid=-0.6"])
+@pytest.mark.parametrize("kind", ["main", "k0", "second-term", "extreme", "final-poly", "sympol", "schur", "all"])
+def test_t_outside_the_domain_exits_3_for_every_kind(capsys, kind, grid):
+    t_grid = [grid] if grid.startswith("--") else ["--t-grid", grid]
+    code, out, err = run_cli(capsys, "verify", "--kind", kind, "--d", "3", "--samples", "5", *t_grid)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
 
 
 def test_parser_is_built_once_and_threads_env_is_read_per_call(monkeypatch, capsys):

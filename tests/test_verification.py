@@ -413,6 +413,27 @@ def test_run_scan_custom_grid_and_guards():
         run_scan("main", [3], samples=0)
 
 
+@pytest.mark.parametrize("kind", SCAN_KINDS)
+@pytest.mark.parametrize("bad", [5.0, 0.0, -0.75, float("nan")])
+def test_run_scan_checks_every_t_before_any_cell(monkeypatch, kind, bad):
+    # d = 3 allows t in [-1/2, 0).  The bad point comes last, so a check
+    # made per cell would open the streams of the good cells first.
+    opened = []
+    monkeypatch.setattr(verification, "philox_stream", lambda *key: opened.append(key))
+    for d_values, grid, threads in (([3], [bad], 1), ([3], [-0.25, -0.1, bad], 1), ([4, 3], [-0.3, bad], 2)):
+        with pytest.raises(BadT):
+            run_scan(kind, d_values, t_grid=grid, samples=5, threads=threads)
+    assert opened == []
+
+
+def test_kinds_that_draw_nothing_open_no_stream(monkeypatch):
+    opened = []
+    monkeypatch.setattr(verification, "philox_stream", lambda *key: opened.append(key))
+    for kind in ("extreme", "final_poly"):
+        assert len(run_scan(kind, [2, 5], samples=3)) == 18
+    assert opened == []
+
+
 def test_run_scan_d2_allowed_for_nonpolytope():
     reports = run_scan("extreme", [2], samples=1, seed=0)
     assert len(reports) == 9
