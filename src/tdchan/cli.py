@@ -313,9 +313,7 @@ def _cmd_additivity(args) -> int:
     worst = np.inf
     for t in np.asarray(grid, dtype=float):
         ch = new_channel(args.d, t)
-        cfg = OptimizerConfig(
-            restarts=args.restarts, tol=tol, n_random=args.n_random, seed=args.seed
-        )
+        cfg = OptimizerConfig(restarts=args.restarts, n_random=args.n_random, seed=args.seed)
         gap, min_simplex, min_random = additivity_gap(ch, cfg)
         worst = min(worst, gap)
         rows.append(
@@ -341,8 +339,7 @@ def _cmd_verify(args) -> int:
         )
     header = ["kind", "d", "t", "k_values", "samples", "violations", "worst_margin", "seed"]
     rows = [
-        [r.kind, r.d, r.t_values[0], ";".join(map(str, r.k_values))]
-        + [r.samples, r.violations, r.worst_margin, r.seed]
+        [r.kind, r.d, r.t_values[0], r.k_values, r.samples, r.violations, r.worst_margin, r.seed]
         for r in reports
     ]
     _emit(args.format, [r.as_dict() for r in reports], header, rows)

@@ -60,7 +60,7 @@ _LATTICE_ROWS = 500
 # cuts numpy's per-call overhead; a fixed size bounds the memory.
 _HAAR_STACK = 16
 
-# Substream tags so the optimizer families never collide.
+# Substream tags so the sample families never collide.
 _TAG_SIMPLEX = 1
 _TAG_HAAR = 2
 _TAG_UNIT = 3
@@ -68,17 +68,16 @@ _TAG_UNIT = 3
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs shared by the entropy optimizers.
+    """Sample counts and seed of the entropy probes.
 
-    tol is the acceptance tolerance for certificates (gap checks and the
-    closed-form comparison).  restarts and n_random count random draws
-    and must not be negative; 0 draws no random simplex row, but still
-    one unit vector in min_output_entropy and one Haar-random state in
-    additivity_gap.  tol must be finite.
+    restarts counts the random simplex rows of minimize_simplex_entropy
+    and the unit vectors of min_output_entropy; n_random counts the
+    Haar-random states of additivity_gap.  Neither may be negative; 0
+    draws no random simplex row, but still one unit vector and one
+    Haar-random state.
     """
 
     restarts: int = 50
-    tol: float = 1e-6
     n_random: int = 200
     seed: int = 0
 
@@ -87,8 +86,6 @@ class OptimizerConfig:
             raise ConfigError(f"restarts must be >= 0, got {self.restarts}")
         if self.n_random < 0:
             raise ConfigError(f"n_random must be >= 0, got {self.n_random}")
-        if not math.isfinite(self.tol):
-            raise ConfigError(f"tol must be finite, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -137,8 +134,8 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return entropy_of(np.linalg.eigvalsh(rho.mat))
 
 
-def _split_rows(ch: Channel, lams) -> list[tuple[float, float]]:
-    """(S1, S2) of the two-copy output for each row of lams, validated Schmidt vectors.
+def _split_rows(ch: Channel, lams) -> tuple[np.ndarray, np.ndarray]:
+    """(S1, S2) arrays of the two-copy output, one entry per row of lams, validated Schmidt vectors.
 
     Built from the two families directly, with no Spectrum record.
     gamma_ab is symmetric in (a, b), so S1 sums the unordered pairs
@@ -151,12 +148,13 @@ def _split_rows(ch: Channel, lams) -> list[tuple[float, float]]:
     a, b = np.tril_indices(rows.shape[1], -1)
     s1 = 2.0 * _entropy_rows(ch.c1 + 0.5 * ch.c2 * (rows[:, a] + rows[:, b]))
     s2 = _entropy_rows(_secular_block_roots(ch, rows))
-    return list(zip(s1.tolist(), s2.tolist()))
+    return s1, s2
 
 
 def entropy_split(ch: Channel, lam: "SchmidtVector | list[float]") -> EntropyReport:
     """S1, S2 and their sum for the two-copy output, from the closed form."""
-    [(s1, s2)] = _split_rows(ch, _as_schmidt(ch, lam).values[None, :])
+    s1, s2 = _split_rows(ch, _as_schmidt(ch, lam).values[None, :])
+    s1, s2 = float(s1[0]), float(s2[0])
     c = (ch.d - 1) * (1.0 - ch.t**2) / ch.d
     return EntropyReport(s_total=s1 + s2, s1=s1, s2=s2, c=c)
 
@@ -168,8 +166,8 @@ def simplex_output_entropy(ch: Channel, lam: "SchmidtVector | list[float]") -> f
     checks it; it gives the same bits as entropy_split and as the
     batched probe of minimize_simplex_entropy.
     """
-    [(s1, s2)] = _split_rows(ch, _as_schmidt(ch, lam).values[None, :])
-    return s1 + s2
+    s1, s2 = _split_rows(ch, _as_schmidt(ch, lam).values[None, :])
+    return float(s1[0] + s2[0])
 
 
 def min_entropy_closed_form(ch: Channel) -> float:
@@ -265,12 +263,13 @@ def minimize_simplex_entropy(
     draws = rng_stream(cfg.seed, _TAG_SIMPLEX).dirichlet(np.ones(d), size=cfg.restarts)
     rows = np.vstack([np.eye(d), np.full((1, d), 1.0 / d), draws, _simplex_lattice(d)])
     _check_schmidt_rows(rows)
-    values = [s1 + s2 for s1, s2 in _split_rows(ch, rows)]
+    s1, s2 = _split_rows(ch, rows)
+    values = s1 + s2
 
     best = int(np.argmin(values))
     vertex = int(np.argmin(values[:d]))
     argmin = vertex if values[vertex] <= values[best] + 1e-12 else best
-    return values[best], SchmidtVector(rows[argmin])
+    return float(values[best]), SchmidtVector(rows[argmin])
 
 
 def _random_state_entropies(ch: Channel, cfg: OptimizerConfig) -> np.ndarray:
@@ -297,8 +296,9 @@ def additivity_gap(
 ) -> tuple[float, float, float]:
     """(gap, min_simplex, min_random) with gap = min(both) - 2h.
 
-    A gap at or above -cfg.tol is consistent with the two-copy minimum
-    being exactly twice the single-copy minimum.
+    A gap near zero or above is consistent with the two-copy minimum
+    being exactly twice the single-copy minimum; the additivity command
+    fails a gap below -tol, with tol from --tol.
     """
     min_simplex, _ = minimize_simplex_entropy(ch, cfg)
     min_random = float(_random_state_entropies(ch, cfg).min())

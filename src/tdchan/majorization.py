@@ -19,8 +19,6 @@ derivatives
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channel import Channel
@@ -37,43 +35,19 @@ def _schmidt(lam) -> SchmidtVector:
     return SchmidtVector(np.asarray(lam, dtype=float))
 
 
-@dataclass(frozen=True)
-class NuVector:
-    """Transformed coordinates nu with their box ratio c2/c1."""
-
-    nu: np.ndarray
-    ratio: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nu", np.asarray(self.nu, dtype=float).reshape(-1))
-
-    @property
-    def n(self) -> int:
-        return self.nu.size
-
-
-@dataclass(frozen=True)
-class GammaRoots:
-    """Secular eigenvalues scaled by 1/c1."""
-
-    d: int
-    gamma: np.ndarray
-
-
-def lambda_to_nu(ch: Channel, lam: "SchmidtVector | np.ndarray") -> NuVector:
-    """nu_a = 1 + (c2/c1) lam_a; requires t <= 0 so the box is [1+c2/c1, 1]."""
+def lambda_to_nu(ch: Channel, lam: "SchmidtVector | np.ndarray") -> np.ndarray:
+    """nu_a = 1 + (c2/c1) lam_a, a length-d array; t <= 0 puts it in the box [1 + c2/c1, 1]."""
     if ch.t > 0.0:
         raise OutOfRange(f"nu coordinates are defined for t <= 0, got t={ch.t}")
     lam = _schmidt(lam)
     if lam.d != ch.d:
         raise BadLength(f"Schmidt vector length {lam.d} != d={ch.d}")
-    ratio = ch.ratio
-    return NuVector(1.0 + ratio * lam.values, ratio)
+    return 1.0 + ch.ratio * lam.values
 
 
-def scaled_secular_roots(ch: Channel, lam: "SchmidtVector | np.ndarray") -> GammaRoots:
+def scaled_secular_roots(ch: Channel, lam: "SchmidtVector | np.ndarray") -> np.ndarray:
     """Secular roots divided by c1."""
-    return GammaRoots(ch.d, secular_roots(ch, lam) / ch.c1)
+    return secular_roots(ch, lam) / ch.c1
 
 
 def majorizes(x, y, slack: float = DOMINANCE_SLACK) -> bool:
@@ -173,13 +147,12 @@ def elem_sym(values, q: int) -> float:
     return float(_elem_sym_table(vals)[q])
 
 
-def _check_phi_args(nu: NuVector, k: int, ch: Channel) -> None:
-    if ch.t == 0.0:
-        raise ZeroT("phi_k needs t != 0 (c2 appears in a denominator)")
-    if nu.n != ch.d:
-        raise BadLength(f"nu has length {nu.n}, expected d={ch.d}")
-    if not (0 <= k <= ch.d - 1):
-        raise BadK(f"k={k} outside [0, {ch.d - 1}]")
+def _finite_nu(nu) -> np.ndarray:
+    """nu as a 1-D float array; OutOfRange when an entry is NaN or infinite."""
+    v = np.asarray(nu, dtype=float).reshape(-1)
+    if not np.isfinite(v).all():
+        raise OutOfRange(f"nu must be finite, got {v}")
+    return v
 
 
 def _check_phi_batch(nu: np.ndarray, ch: Channel) -> np.ndarray:
@@ -189,6 +162,14 @@ def _check_phi_batch(nu: np.ndarray, ch: Channel) -> np.ndarray:
     if nu.ndim != 2 or nu.shape[1] != ch.d:
         raise BadLength(f"nu rows have shape {nu.shape}, expected (N, {ch.d})")
     return nu
+
+
+def _check_phi_args(nu, k: int, ch: Channel) -> np.ndarray:
+    """The one-row (1, d) array of a finite nu, after the checks of _check_phi_batch and on k."""
+    row = _check_phi_batch(_finite_nu(nu)[None, :], ch)
+    if not (0 <= k <= ch.d - 1):
+        raise BadK(f"k={k} outside [0, {ch.d - 1}]")
+    return row
 
 
 def phi_k_batch(nu: np.ndarray, ch: Channel) -> np.ndarray:
@@ -227,34 +208,32 @@ def schur_defect_batch(nu: np.ndarray, k, i, j, ch: Channel) -> np.ndarray:
     return (nu[rows, i] - nu[rows, j]) * (di - dj)
 
 
-def phi_k(nu: NuVector, k: int, ch: Channel) -> float:
-    """s_{d-k}(nu) + (t^2/c2) sum_l s_{d-1-k}(nu \\ l)(nu_l - 1)."""
-    _check_phi_args(nu, k, ch)
-    return float(phi_k_batch(nu.nu[None, :], ch)[0, k])
+def phi_k(nu, k: int, ch: Channel) -> float:
+    """s_{d-k}(nu) + (t^2/c2) sum_l s_{d-1-k}(nu \\ l)(nu_l - 1), for a length-d nu."""
+    return float(phi_k_batch(_check_phi_args(nu, k, ch), ch)[0, k])
 
 
 def sympol_defect(ch: Channel, lam: "SchmidtVector | np.ndarray", k: int) -> float:
     """|s_{d-k}(secular roots / c1) - phi_k(nu)|, absolute."""
-    gamma = scaled_secular_roots(ch, lam).gamma
-    lhs = elem_sym(gamma, ch.d - k)
+    lhs = elem_sym(scaled_secular_roots(ch, lam), ch.d - k)
     rhs = phi_k(lambda_to_nu(ch, lam), k, ch)
     return abs(lhs - rhs)
 
 
-def partial_phi_k(nu: NuVector, k: int, i: int, ch: Channel) -> float:
+def partial_phi_k(nu, k: int, i: int, ch: Channel) -> float:
     """Exact partial derivative of phi_k with respect to nu_i."""
-    _check_phi_args(nu, k, ch)
+    row = _check_phi_args(nu, k, ch)
     if not (0 <= i < ch.d):
         raise IndexError(f"index i={i} outside [0, {ch.d})")
-    return float(partial_phi_k_batch(nu.nu[None, :], ch)[0, i, k])
+    return float(partial_phi_k_batch(row, ch)[0, i, k])
 
 
-def schur_defect(nu: NuVector, k: int, i: int, j: int, ch: Channel) -> float:
+def schur_defect(nu, k: int, i: int, j: int, ch: Channel) -> float:
     """(nu_i - nu_j)(d phi_k/d nu_i - d phi_k/d nu_j); <= 0 when Schur-concave."""
     if i == j:
         raise IndexError("need distinct indices")
-    _check_phi_args(nu, k, ch)
+    row = _check_phi_args(nu, k, ch)
     for idx in (i, j):
         if not (0 <= idx < ch.d):
             raise IndexError(f"index {idx} outside [0, {ch.d})")
-    return float(schur_defect_batch(nu.nu[None, :], [k], [i], [j], ch)[0])
+    return float(schur_defect_batch(row, [k], [i], [j], ch)[0])

@@ -41,6 +41,11 @@ def to_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+def _cells(row: list, scalar) -> list[str]:
+    """Each cell of row as scalar(v) renders it; a list cell is its items, so rendered, joined by ';'."""
+    return [";".join(map(scalar, v)) if isinstance(v, list) else scalar(v) for v in row]
+
+
 def rows_to_csv(header: list[str], rows: list[list]) -> str:
     """Simple CSV with the mandatory header row; floats at 17 digits."""
 
@@ -52,12 +57,12 @@ def rows_to_csv(header: list[str], rows: list[list]) -> str:
         return str(v)
 
     lines = [",".join(header)]
-    lines.extend(",".join(cell(v) for v in row) for row in rows)
+    lines.extend(",".join(_cells(row, cell)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
 def rows_to_table(header: list[str], rows: list[list]) -> str:
-    """Human-readable aligned table (text output mode)."""
+    """Human-readable aligned table (text output mode); list cells as in rows_to_csv."""
 
     def cell(v) -> str:
         if v is None:
@@ -66,7 +71,7 @@ def rows_to_table(header: list[str], rows: list[list]) -> str:
             return format(float(v), ".12g")
         return str(v)
 
-    grid = [header] + [[cell(v) for v in row] for row in rows]
+    grid = [header] + [_cells(row, cell) for row in rows]
     widths = [max(len(r[c]) for r in grid) for c in range(len(header))]
     lines = []
     for i, r in enumerate(grid):

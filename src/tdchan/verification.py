@@ -65,8 +65,8 @@ from .errors import (
 )
 from .channel import Channel, new_channel
 from .majorization import (
-    NuVector,
     _elem_sym_table,
+    _finite_nu,
     _loo_elem_sym,
     _sum_in_order,
     elem_sym,
@@ -94,10 +94,26 @@ def _check_t(d: int, t: float) -> None:
         raise BadT(f"t={t} outside [-1/(d-1), 0) for d={d}")
 
 
+def _polytope_n(d: int) -> int:
+    """n = d - 2, the length of a point of the nu polytope; ConfigError for d < 3."""
+    if d < 3:
+        raise ConfigError(f"need d >= 3 (n = d - 2 >= 1), got d={d}")
+    return d - 2
+
+
+def _polytope_point(nu, d: int) -> np.ndarray:
+    """nu as a finite 1-D array of n = d - 2 entries."""
+    v = _finite_nu(nu)
+    n = _polytope_n(d)
+    if v.size != n:
+        raise BadLength(f"nu has length {v.size}, expected n = d - 2 = {n}")
+    return v
+
+
 def first_term_value(nu, k: int) -> float:
     """sum_l (1 - nu_l) s_{n-k-1}(nu \\ l) for 0 <= k <= n-1; nonnegative
     already under the weaker constraint sum nu >= n - 2."""
-    v = np.asarray(nu, dtype=float).reshape(1, -1)
+    v = _finite_nu(nu)[None, :]
     n = v.shape[1]
     if not (0 <= k <= n - 1):
         raise BadK(f"k={k} outside [0, {n - 1}]")
@@ -106,12 +122,8 @@ def first_term_value(nu, k: int) -> float:
 
 def main_inequality_lhs(nu, k: int, d: int, t: float) -> float:
     """Margin of the central inequality at one point; >= 0 expected."""
-    if d < 3:
-        raise ConfigError(f"need d >= 3 (n = d - 2 >= 1), got d={d}")
-    v = np.asarray(nu, dtype=float).reshape(-1)
-    n = d - 2
-    if v.size != n:
-        raise BadLength(f"nu has length {v.size}, expected n = d - 2 = {n}")
+    v = _polytope_point(nu, d)
+    n = v.size
     if not (0 <= k <= n - 1):
         raise BadK(f"k={k} outside [0, {n - 1}]")
     _check_t(d, t)
@@ -129,7 +141,7 @@ def second_term_value(nu, k: int) -> float:
     coefficient vanishes at t = -1/(d-1) and the first term dominates
     nearby, which the "main" scans check directly.
     """
-    v = np.asarray(nu, dtype=float).reshape(-1)
+    v = _finite_nu(nu)
     n = v.size
     if not (1 <= k <= n):
         raise BadK(f"k={k} outside [1, {n}]")
@@ -139,10 +151,11 @@ def second_term_value(nu, k: int) -> float:
 def k0_defect(nu, d: int, t: float) -> float:
     """Slack of the reciprocal inequality on the one-negative stratum.
 
-    Returns rhs - sum (1 - nu_l)/nu_l, which should be >= 0.
+    Returns rhs - sum (1 - nu_l)/nu_l, which should be >= 0.  nu has
+    n = d - 2 entries, as in main_inequality_lhs.
     """
     _check_t(d, t)
-    v = np.asarray(nu, dtype=float).reshape(-1)
+    v = _polytope_point(nu, d)
     if np.min(np.abs(v)) <= NEAR_ZERO_NU:
         raise NearZeroNu(f"coordinate too close to zero: {v}")
     if int(np.sum(v < 0.0)) != 1:
@@ -210,25 +223,23 @@ def _polytope_batch(
     return nu
 
 
-def sample_polytope(n: int, d: int, t: float, rng: np.random.Generator) -> NuVector:
-    """One exact stratified sample from the nu polytope.
+def sample_polytope(d: int, t: float, rng: np.random.Generator) -> np.ndarray:
+    """One exact stratified sample from the nu polytope of (d, t): n = d - 2 entries.
 
     With probability 1/2, when the one-negative part is non-empty, the
     sample is uniform on a uniformly chosen corner simplex (one negative
     coordinate); otherwise it is uniform on the whole polytope.  Reads
     n + 3 doubles from rng.
     """
-    if n < 1:
-        raise ConfigError(f"need n >= 1, got {n}")
+    n = _polytope_n(d)
     _check_t(d, t)
-    ratio = box_ratio(d, t)
-    return NuVector(_polytope_batch(rng, n, -ratio, 1)[0], ratio)
+    return _polytope_batch(rng, n, -box_ratio(d, t), 1)[0]
 
 
-def polytope_vertices(n: int, d: int, t: float) -> np.ndarray:
-    """Vertices of the nu polytope: ones(n) and 1 - R e_l, i.e. y = 0 and y = R e_l."""
-    if n < 1:
-        raise ConfigError(f"need n >= 1, got {n}")
+def polytope_vertices(d: int, t: float) -> np.ndarray:
+    """The n + 1 vertices of the nu polytope of (d, t), n = d - 2: ones(n) and
+    1 - R e_l, i.e. y = 0 and y = R e_l; (n + 1, n)."""
+    n = _polytope_n(d)
     _check_t(d, t)
     return np.vstack([np.ones(n), 1.0 + box_ratio(d, t) * np.eye(n)])
 
@@ -262,9 +273,10 @@ def default_t_grid(d: int, points: int = 9) -> np.ndarray:
     return np.linspace(-1.0 / (d - 1), -1e-6, points)
 
 
-def _cell_key(kind: str, d: int, t_idx: int, k: int) -> int:
+def _cell_key(kind: str, d: int, t_idx: int) -> int:
+    """The Philox key of one cell; its low byte is 0."""
     kind_idx = SCAN_KINDS.index(kind)
-    return ((kind_idx * 256 + d) * 65536 + t_idx) * 256 + (k + 1)
+    return ((kind_idx * 256 + d) * 65536 + t_idx) * 256
 
 
 def _first_terms(nu: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -319,7 +331,7 @@ def _schur_margins(ch: Channel, lams: np.ndarray, picks: np.ndarray) -> np.ndarr
 def _main_cell(stream, d, t, samples):
     n = d - 2
     nu = _polytope_batch(stream(), n, -box_ratio(d, t), samples)
-    return list(range(n)), _margins_main(np.vstack([nu, polytope_vertices(n, d, t)]), d, t)
+    return list(range(n)), _margins_main(np.vstack([nu, polytope_vertices(d, t)]), d, t)
 
 
 def _k0_cell(stream, d, t, samples):
@@ -369,7 +381,7 @@ SCAN_KINDS = tuple(_KINDS)
 
 def _scan_cell(kind: str, d: int, t: float, t_idx: int, samples: int, seed: int) -> ScanReport:
     """The report of one (kind, d, t) cell, over all its k."""
-    stream = functools.partial(philox_stream, seed, _cell_key(kind, d, t_idx, -1))
+    stream = functools.partial(philox_stream, seed, _cell_key(kind, d, t_idx))
     k_values, margins = _KINDS[kind][1](stream, d, t, samples)
     return ScanReport(
         kind=kind,

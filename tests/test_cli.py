@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -244,7 +245,7 @@ def test_schur_scan_alias(capsys):
     assert all(r["kind"] == "schur" for r in json.loads(out))
 
 
-# argv, header, data rows, and the columns whose cells are floats
+# argv, header, data rows, and the columns whose cells, or whose ';'-joined items, are floats
 _TABLES = {
     "apply": (["apply", "--d", "2", "--t", "-0.3", "--input", "RHO"], "row,col,re,im", 4, ("re", "im")),
     "spectrum": (
@@ -255,7 +256,7 @@ _TABLES = {
     ),
     "min-entropy": (
         ["min-entropy", "--d", "3", "--t", "-0.5", "--restarts", "4"],
-        "h,h_closed_form,argmin_re,argmin_im", 1, ("h", "h_closed_form"),
+        "h,h_closed_form,argmin_re,argmin_im", 1, ("h", "h_closed_form", "argmin_re", "argmin_im"),
     ),
     "additivity": (
         ["additivity", "--d", "3", "--t=-0.5:0.25:4", "--restarts", "2", "--n-random", "3"],
@@ -287,12 +288,18 @@ def test_csv_and_text_tables(tmp_path, capsys, command, fmt):
         assert lines[0].split() == names
         assert set(lines[1]) == {"-", " "}
         assert len(lines) == 2 + count
+        # The dash runs give each column's span; no cell holds a blank.
+        spans = [m.span() for m in re.finditer("-+", lines[1])]
+        assert all(" " not in line[a:b].strip() for line in lines[2:] for a, b in spans)
         return
     assert lines[0] == header
     assert len(lines) == 1 + count
-    # min-entropy's list cells hold commas, so only the leading columns are read
-    floats = [cell for line in lines[1:] for name, cell in zip(names, line.split(",")) if name in float_columns]
-    assert len(floats) == count * len(float_columns)
+    rows = [line.split(",") for line in lines[1:]]
+    assert all(len(row) == len(names) for row in rows)
+    floats = [
+        item for row in rows for name, cell in zip(names, row) if name in float_columns for item in cell.split(";")
+    ]
+    assert len(floats) >= count * len(float_columns)
     assert all(cell == fmt_float(float(cell)) for cell in floats)
     assert any(cell != format(float(cell), ".12g") for cell in floats)  # not the text table's 12 digits
 

@@ -316,13 +316,6 @@ def test_optimizer_config_rejects_negative_counts():
     td.OptimizerConfig(restarts=0, n_random=0)
 
 
-def test_optimizer_config_rejects_non_finite_tol():
-    for tol in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ConfigError):
-            td.OptimizerConfig(tol=tol)
-    td.OptimizerConfig(tol=-1e-18)
-
-
 # ------------------------------------------------- the simplex probe
 
 
@@ -331,6 +324,11 @@ def bits(value):
     if isinstance(value, (list, tuple)):
         return [bits(v) for v in value]
     return float(value).hex() if isinstance(value, float) else value
+
+
+def split_bits(split):
+    """The (S1, S2) arrays of a _split_rows call as hex pairs, one per row."""
+    return bits([list(pair) for pair in zip(*(s.tolist() for s in split))])
 
 
 def schmidt_lists(d, data):
@@ -373,14 +371,14 @@ def test_split_rows_gives_each_row_its_one_row_bits(d, end, count, data):
     lo, hi = td.t_range(d)
     ch = td.new_channel(d, {"lo": lo, "zero": 0.0, "hi": hi}[end])
     lams = [schmidt_lists(d, data) for _ in range(count)]
-    assert bits(entropy._split_rows(ch, lams)) == [bits(entropy._split_rows(ch, [lam])[0]) for lam in lams]
+    assert split_bits(entropy._split_rows(ch, lams)) == [split_bits(entropy._split_rows(ch, [lam]))[0] for lam in lams]
 
 
 def probe_calls(monkeypatch, ch, cfg, values=None):
     """(result, rows of each _split_rows call) of one minimize_simplex_entropy.
 
-    values, if given, maps the rows and their (S1, S2) to the pairs the
-    search is handed instead.
+    values, if given, maps the rows and their (S1, S2) arrays to the
+    arrays the search is handed instead.
     """
     plain, calls = entropy._split_rows, []
 
@@ -437,8 +435,9 @@ def test_interior_row_that_beats_every_vertex_is_the_argmin(monkeypatch, row):
         lowered = best_vertex - below
 
         def values(lams, splits):
-            splits[index] = (lowered, 0.0)
-            return splits
+            s1, s2 = splits
+            s1[index], s2[index] = lowered, 0.0
+            return s1, s2
 
         (val, arg), [rows] = probe_calls(monkeypatch, ch, cfg, values)
         assert min(rows[index]) > 0.0
@@ -522,7 +521,7 @@ def test_lockstep_search_gives_each_start_its_run_alone(monkeypatch):
         td.minimize_simplex_entropy(ch, cfg)
     assert len(splits) == len(list(search_cases()))
     for ch, lams, batch in splits:
-        assert bits(batch) == [bits(plain(ch, [lam])[0]) for lam in lams], (ch.d, ch.t)
+        assert split_bits(batch) == [split_bits(plain(ch, [lam]))[0] for lam in lams], (ch.d, ch.t)
 
 
 def test_lockstep_rounds_batch_the_kernel_calls(monkeypatch):
@@ -616,7 +615,8 @@ def test_two_copy_entropy_is_concave_on_the_schmidt_simplex():
             w = rng.uniform(size=chords)
             rows = np.vstack([a, b, w[:, None] * a + (1.0 - w[:, None]) * b])
             _check_schmidt_rows(rows)
-            s = np.array([s1 + s2 for s1, s2 in entropy._split_rows(ch, rows.tolist())]).reshape(3, chords)
+            s1, s2 = entropy._split_rows(ch, rows.tolist())
+            s = (s1 + s2).reshape(3, chords)
             slack = s[2] - w * s[0] - (1.0 - w) * s[1]
             i = int(np.argmin(slack))
             if slack[i] < worst[0]:

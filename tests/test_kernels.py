@@ -358,7 +358,7 @@ def test_sympol_margins_match_scalar_route(cell):
     got = _sympol_margins(ch, lams)
     for lam, margin in zip(lams, got):
         sv = td.SchmidtVector(lam)
-        gamma = td.scaled_secular_roots(ch, sv).gamma
+        gamma = td.scaled_secular_roots(ch, sv)
         nu = td.lambda_to_nu(ch, sv)
         worst = 0.0
         for k in range(d):
@@ -413,7 +413,7 @@ def test_phi_batches_match_wrappers():
         partials = td.partial_phi_k_batch(nu, ch)
         assert phis.shape == (6, d) and partials.shape == (6, d, d)
         for row in range(6):
-            vec = td.NuVector(nu[row], ch.ratio)
+            vec = nu[row]
             for k in range(d):
                 assert phis[row, k] == td.phi_k(vec, k, ch)
                 for i in range(d):

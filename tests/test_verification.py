@@ -11,6 +11,7 @@ from tdchan.errors import (
     BadT,
     ConfigError,
     NearZeroNu,
+    OutOfRange,
 )
 from tdchan.sampling import philox_stream
 from tdchan.verification import (
@@ -104,7 +105,7 @@ def test_main_margin_routes_match_brute_force():
             nu = np.vstack(
                 [
                     _polytope_batch(philox_stream(d, 0), n, -box_ratio(d, t), 6),
-                    polytope_vertices(n, d, t),
+                    polytope_vertices(d, t),
                 ]
             )
             margins = _margins_main(nu, d, t)
@@ -129,17 +130,17 @@ def test_scan_cells_match_brute_force_margins_on_their_one_draw(monkeypatch, kin
     # products.  A vertex is often the worst point of main, so one run
     # leaves them out.  The steep t logs second-term excursions for d >= 5.
     if kind == "main" and not vertices:
-        monkeypatch.setattr(verification, "polytope_vertices", lambda n, d, t: np.empty((0, n)))
+        monkeypatch.setattr(verification, "polytope_vertices", lambda d, t: np.empty((0, d - 2)))
     seed, samples = 5, 50
     for d in range(3, 7):
         n = d - 2
         grid = default_t_grid(d, 4)[[0, 2]]
         reports = run_scan(kind, [d], t_grid=grid, samples=samples, seed=seed)
         for t_idx, (t, rep) in enumerate(zip(grid.tolist(), reports)):
-            gen = philox_stream(seed, _cell_key(kind, d, t_idx, -1))
+            gen = philox_stream(seed, _cell_key(kind, d, t_idx))
             nu = _polytope_batch(gen, n, -box_ratio(d, t), samples)
             if vertices:
-                nu = np.vstack([nu, polytope_vertices(n, d, t)])
+                nu = np.vstack([nu, polytope_vertices(d, t)])
             if kind == "main":
                 k_values = list(range(n))
                 margins = [
@@ -190,6 +191,29 @@ def test_k0_defect_frozen_and_guards():
         k0_defect(np.array([-1e-13, 1.0]), 4, -1.0 / 3.0)
 
 
+def test_k0_defect_needs_n_entries():
+    # k0_defect reads n = d - 2 entries, as main_inequality_lhs does.
+    with pytest.raises(BadLength):
+        k0_defect([-0.5, 0.5, 0.5, 0.5, 0.9], 4, -1.0 / 3.0)
+    with pytest.raises(BadLength):
+        k0_defect([-0.5], 4, -1.0 / 3.0)
+    with pytest.raises(ConfigError):
+        k0_defect([], 2, -0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_polytope_routes_reject_non_finite_nu(bad):
+    nu = np.array([-0.5, bad])
+    with pytest.raises(OutOfRange):
+        first_term_value(nu, 0)
+    with pytest.raises(OutOfRange):
+        second_term_value(nu, 1)
+    with pytest.raises(OutOfRange):
+        main_inequality_lhs(nu, 0, 4, -0.25)
+    with pytest.raises(OutOfRange):
+        k0_defect(nu, 4, -0.25)
+
+
 def test_extreme_point_defect():
     assert extreme_point_defect(4, -1.0 / 3.0) == pytest.approx(2.0)
     assert extreme_point_defect(3, -0.5) == pytest.approx(2.0)
@@ -226,8 +250,7 @@ def test_sample_polytope_feasibility():
         lower = 1.0 + box_ratio(d, t)
         floor = n + 2.0 * t * d / (1.0 - t)
         for _ in range(200):
-            nu = sample_polytope(n, d, t, rng)
-            v = nu.nu
+            v = sample_polytope(d, t, rng)
             assert v.size == n
             assert np.all(v <= 1.0 + 1e-12)
             assert np.all(v >= lower - 1e-12)
@@ -236,11 +259,11 @@ def test_sample_polytope_feasibility():
 
 
 def test_sample_polytope_deterministic():
-    a = [sample_polytope(3, 5, -0.25, np.random.default_rng(7)).nu for _ in range(1)]
-    b = [sample_polytope(3, 5, -0.25, np.random.default_rng(7)).nu for _ in range(1)]
+    a = [sample_polytope(5, -0.25, np.random.default_rng(7)) for _ in range(1)]
+    b = [sample_polytope(5, -0.25, np.random.default_rng(7)) for _ in range(1)]
     assert np.array_equal(a[0], b[0])
     with pytest.raises(ConfigError):
-        sample_polytope(0, 2, -0.5, np.random.default_rng(1))
+        sample_polytope(2, -0.5, np.random.default_rng(1))
 
 
 def test_batch_polytope_feasibility_and_determinism():
@@ -251,8 +274,8 @@ def test_batch_polytope_feasibility_and_determinism():
         n = d - 2
         ratio = box_ratio(d, t)
         lower = 1.0 + ratio
-        gen_a = philox_stream(42, _cell_key("main", d, 0, 1))
-        gen_b = philox_stream(42, _cell_key("main", d, 0, 1))
+        gen_a = philox_stream(42, _cell_key("main", d, 0) + 2)
+        gen_b = philox_stream(42, _cell_key("main", d, 0) + 2)
         rows_a = _polytope_batch(gen_a, n, -ratio, 512, force)
         rows_b = _polytope_batch(gen_b, n, -ratio, 512, force)
         assert np.array_equal(rows_a, rows_b)
@@ -281,7 +304,7 @@ def test_polytope_batch_strata_are_uniform():
     n = d - 2
     radius = -box_ratio(d, t)
     assert 1.0 < radius < 2.0
-    gen = philox_stream(2024, _cell_key("k0", d, 0, -1))
+    gen = philox_stream(2024, _cell_key("k0", d, 0))
     y = 1.0 - _polytope_batch(gen, n, radius, 4000, corner_only=True)
     pos = np.argmax(y, axis=1)
     assert np.all(y[np.arange(y.shape[0]), pos] >= 1.0)
@@ -294,7 +317,7 @@ def test_polytope_batch_strata_are_uniform():
     assert np.all(np.abs(np.bincount(pos, minlength=n) / y.shape[0] - 1.0 / n) < 0.05)
 
     # each stratum has probability 1/2; the corners fill n ((R-1)/R)^n of the whole
-    gen = philox_stream(2024, _cell_key("main", d, 0, 0))
+    gen = philox_stream(2024, _cell_key("main", d, 0) + 1)
     y = 1.0 - _polytope_batch(gen, n, radius, 8000)
     no_negative = 0.5 * (1.0 - n * ((radius - 1.0) / radius) ** n)
     assert abs(np.mean(y.max(axis=1) < 1.0) - no_negative) < 0.03
@@ -314,12 +337,12 @@ def test_polytope_batch_stream_advance(n, count, force):
 
 
 def test_polytope_vertices_frozen():
-    v = polytope_vertices(1, 3, -0.5)
+    v = polytope_vertices(3, -0.5)
     assert sorted(map(tuple, v)) == [(-1.0,), (1.0,)]
-    v = polytope_vertices(2, 4, -1.0 / 3.0)
+    v = polytope_vertices(4, -1.0 / 3.0)
     assert sorted(map(tuple, v)) == [(-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)]
     # shallow t: the sum plane cuts the box edges strictly inside
-    v = polytope_vertices(2, 4, -0.15)
+    v = polytope_vertices(4, -0.15)
     lo = 2.0 + box_ratio(4, -0.15) - 1.0
     assert sorted(map(tuple, np.round(v, 8))) == [
         (round(lo, 8), 1.0),
@@ -327,12 +350,12 @@ def test_polytope_vertices_frozen():
         (1.0, 1.0),
     ]
     # closed form for any n: ones(n) and 1 - R e_l
-    v = polytope_vertices(5, 7, -0.1)
+    v = polytope_vertices(7, -0.1)
     radius = 2.0 * 0.1 * 7 / 1.1
     assert np.array_equal(v[0], np.ones(5))
     assert np.allclose(v[1:], 1.0 - radius * np.eye(5), rtol=0.0, atol=1e-15)
     with pytest.raises(ConfigError):
-        polytope_vertices(0, 2, -0.5)
+        polytope_vertices(2, -0.5)
 
 
 def test_polytope_vertices_feasible():
@@ -340,7 +363,7 @@ def test_polytope_vertices_feasible():
         for t in default_t_grid(d, points=5):
             t = float(t)
             n = d - 2
-            verts = polytope_vertices(n, d, t)
+            verts = polytope_vertices(d, t)
             lower = 1.0 + box_ratio(d, t)
             for v in verts:
                 assert np.all(v <= 1.0 + 1e-9)
@@ -357,7 +380,7 @@ def test_polytope_vertices_closed_form_matches_linear_programs(n):
     rng = np.random.default_rng(n)
     for t in default_t_grid(d, points=4):
         ratio = box_ratio(d, float(t))
-        verts = polytope_vertices(n, d, float(t))
+        verts = polytope_vertices(d, float(t))
         assert verts.shape == (n + 1, n)
         for _ in range(10):
             c = rng.standard_normal(n)
