@@ -32,8 +32,16 @@ secular_roots and secular_roots_batch.  A row gets the same bits there
 as alone, so the vertex values are those of simplex_output_entropy.
 
 The Haar-random states of a cell are the rows of one standard-normal
-block from one stream.  They go through the two-copy channel and
-eigvalsh in stacks of _HAAR_STACK, which bound the memory.
+block from one stream.  The channel is unitarily covariant, so the
+two-copy output of a pure input has the spectrum of the Schmidt-diagonal
+input with the same Schmidt weights.  The weights of every state come
+from one batched eigvalsh of M M^H, with M the state as a d x d matrix,
+and their entropies from one _split_rows call, as the probe's do.  The
+dense route, apply_two_copies and a d^2 x d^2 eigvalsh, runs only on the
+first _DENSE_CHECK_STATES states of each cell, as a check of that
+reduction: a residual above _COVARIANCE_TOL raises CovarianceMismatch,
+which is no TdchanError, since then the library and not its input is at
+fault.
 
 Every entropy in the module, of a vector or of each row of an array,
 comes from one reduction, _entropy_rows.
@@ -48,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Channel, DensityMatrix, apply_two_copies
-from .errors import ConfigError, NotPSD
+from .errors import ConfigError, CovarianceMismatch, NotPSD
 from .sampling import haar_states, rng_stream
 from .spectrum import SchmidtVector, _as_schmidt, _check_schmidt_rows, _secular_block_roots
 
@@ -56,9 +64,10 @@ ENTROPY_CLAMP = 1e-15  # eigenvalues at or below this contribute 0 ln 0 := 0
 EIGENVALUE_FLOOR = -1e-10
 # Row budget of the simplex lattice that minimize_simplex_entropy probes.
 _LATTICE_ROWS = 500
-# Haar-random states per apply_two_copies and eigvalsh call.  Stacking
-# cuts numpy's per-call overhead; a fixed size bounds the memory.
-_HAAR_STACK = 16
+# Haar-random states per cell whose entropy the dense two-copy route
+# recomputes, and the largest |S_dense - S_closed| it may find.
+_DENSE_CHECK_STATES = 16
+_COVARIANCE_TOL = 1e-10
 
 # Substream tags so the sample families never collide.
 _TAG_SIMPLEX = 1
@@ -72,8 +81,10 @@ class OptimizerConfig:
 
     restarts counts the random simplex rows of minimize_simplex_entropy
     and the unit vectors of min_output_entropy; n_random counts the
-    Haar-random states of additivity_gap.  Neither may be negative; 0
-    draws no random simplex row, but still one unit vector and one
+    Haar-random states of additivity_gap, whose entropies come from their
+    Schmidt weights, and of which the first _DENSE_CHECK_STATES are also
+    checked against the dense two-copy route.  Neither may be negative;
+    0 draws no random simplex row, but still one unit vector and one
     Haar-random state.
     """
 
@@ -203,28 +214,6 @@ def min_output_entropy(ch: Channel, cfg: OptimizerConfig = OptimizerConfig()) ->
     return float(values[best]), v[best]
 
 
-def _project(x: list[float]) -> list[float]:
-    """Euclidean projection of x onto the probability simplex (sort-based).
-
-    theta is (sum of the i largest entries - 1) / i for the largest i at
-    which the i-th largest entry still exceeds it.  The result is
-    renormalized, since the projection can leave its sum a few ulp off 1.
-    """
-    css = theta = 0.0
-    for i, u in enumerate(sorted(x, reverse=True), 1):
-        css += u
-        if u - (css - 1.0) / i > 0.0:
-            theta = (css - 1.0) / i
-    lam = [max(v - theta, 0.0) for v in x]
-    total = math.fsum(lam)
-    return [v / total for v in lam]
-
-
-def project_to_simplex(x: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    return np.array(_project(np.asarray(x, dtype=float).ravel().tolist()))
-
-
 def _simplex_lattice(d: int) -> np.ndarray:
     """The rows k / m, k in N^d with sum k = m, of the finest lattice that fits.
 
@@ -272,23 +261,55 @@ def minimize_simplex_entropy(
     return float(values[best]), SchmidtVector(rows[argmin])
 
 
+def _schmidt_weights(psi: np.ndarray, d: int) -> np.ndarray:
+    """Schmidt weights of each row of psi, a pure state on d x d; (N, d), descending.
+
+    Row r, read as the d x d matrix M with entry (i, j) at i d + j, has the
+    eigenvalues of M M^H as its squared Schmidt coefficients.  einsum forms
+    every M M^H in numpy's own loops, with no BLAS call, and one batched
+    eigvalsh runs LAPACK on each in turn, so a state gets the same bits
+    alone as in any batch.  Rounding negatives are clipped to 0 and each
+    row renormalized.
+    """
+    m = psi.reshape(len(psi), d, d)
+    gram = np.einsum("nij,nkj->nik", m, m.conj())
+    weights = np.clip(np.linalg.eigvalsh(gram)[:, ::-1], 0.0, None)
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+def _check_covariance(ch: Channel, psi: np.ndarray, closed: np.ndarray) -> None:
+    """Raise CovarianceMismatch unless the dense route agrees with closed.
+
+    The dense route applies the two-copy channel to |psi><psi| for each
+    row of psi and takes the entropy of the eigvalsh spectrum; closed
+    holds the entropies from the Schmidt weights, one per row.
+    """
+    sigma = apply_two_copies(ch, psi[:, :, None] * psi.conj()[:, None, :])
+    residual = float(np.max(np.abs(_entropy_rows(np.linalg.eigvalsh(sigma)) - closed)))
+    if not residual <= _COVARIANCE_TOL:
+        raise CovarianceMismatch(
+            f"dense and Schmidt-route entropies differ by {residual:.3e} > {_COVARIANCE_TOL:g}"
+            f" at d={ch.d}, t={ch.t!r}"
+        )
+
+
 def _random_state_entropies(ch: Channel, cfg: OptimizerConfig) -> np.ndarray:
     """Two-copy output entropy of each of max(cfg.n_random, 1) Haar-random states; (count,).
 
     The states are the rows of haar_states on the cell's one stream, so
-    state r is the same for every n_random past r.  The channel and
-    eigvalsh run on stacks of up to _HAAR_STACK states, and give each
-    state the same bits as a call of its own; one _entropy_rows call
-    reduces all the spectra.
+    state r is the same for every n_random past r.  Their Schmidt weights
+    go through one _split_rows call, which gives each row the bits of a
+    one-row call.  The first _DENSE_CHECK_STATES states are then checked
+    against the dense route by _check_covariance.
     """
     count = max(cfg.n_random, 1)
     psi = haar_states(count, ch.d**2, rng_stream(cfg.seed, _TAG_HAAR))
-    spectra = np.empty((count, ch.d**2))
-    for start in range(0, count, _HAAR_STACK):
-        stack = psi[start : start + _HAAR_STACK]
-        sigma = apply_two_copies(ch, stack[:, :, None] * stack.conj()[:, None, :])
-        spectra[start : start + _HAAR_STACK] = np.linalg.eigvalsh(sigma)
-    return _entropy_rows(spectra)
+    weights = _schmidt_weights(psi, ch.d)
+    _check_schmidt_rows(weights)
+    s1, s2 = _split_rows(ch, weights)
+    values = s1 + s2
+    _check_covariance(ch, psi[:_DENSE_CHECK_STATES], values[:_DENSE_CHECK_STATES])
+    return values
 
 
 def additivity_gap(

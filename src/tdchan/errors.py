@@ -1,7 +1,9 @@
 """Exception types raised by the package.
 
-Every error derives from TdchanError so callers can catch the whole family.
-Most also derive from ValueError because they signal bad arguments.
+Every error about the caller's input derives from TdchanError so callers
+can catch the whole family.  Most also derive from ValueError because they
+signal bad arguments.  CovarianceMismatch alone does not: it signals a
+fault of the library itself, and the CLI maps it to exit code 4.
 """
 
 
@@ -59,3 +61,7 @@ class NearZeroNu(TdchanError, ValueError):
 
 class ConfigError(TdchanError, ValueError):
     """Scan or optimizer configuration is inconsistent."""
+
+
+class CovarianceMismatch(RuntimeError):
+    """The dense two-copy route and the Schmidt-weight closed form disagree."""

@@ -77,6 +77,24 @@ def entropy_loop(values, clamp: float) -> float:
     return total
 
 
+def simplex_projection_sort(x) -> np.ndarray:
+    """Euclidean projection onto the probability simplex, sort-based.
+
+    theta is (sum of the i largest entries - 1) / i for the largest i at
+    which the i-th largest entry still exceeds it.  The result is
+    renormalized, since the projection can leave its sum a few ulp off 1.
+    """
+    x = np.asarray(x, dtype=float).ravel().tolist()
+    css = theta = 0.0
+    for i, u in enumerate(sorted(x, reverse=True), 1):
+        css += u
+        if u - (css - 1.0) / i > 0.0:
+            theta = (css - 1.0) / i
+    lam = [max(v - theta, 0.0) for v in x]
+    total = math.fsum(lam)
+    return np.array([v / total for v in lam])
+
+
 def simplex_projection_bisect(x) -> np.ndarray:
     """Euclidean projection onto the probability simplex by bisection.
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tdchan as td
-from tdchan import spectrum
+from tdchan import entropy, spectrum
 from tdchan.cli import main
 from tdchan.serialize import density_from_obj, density_to_obj, fmt_float, to_json
 
@@ -372,6 +372,17 @@ def test_internal_failure_exit_4(capsys, monkeypatch, exc):
     assert code == 4
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: internal failure")
+    assert "Traceback" not in err
+
+
+def test_covariance_mismatch_exit_4(capsys, monkeypatch):
+    # A dense two-copy route off the Schmidt closed form is a library fault.
+    plain = entropy.apply_two_copies
+    monkeypatch.setattr(entropy, "apply_two_copies", lambda ch, mat: (1.0 + 1e-6) * plain(ch, mat))
+    code, out, err = run_cli(capsys, "additivity", "--d", "3", "--restarts", "2", "--n-random", "4")
+    assert code == 4
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: internal failure: CovarianceMismatch")
     assert "Traceback" not in err
 
 

@@ -9,16 +9,14 @@ from hypothesis import strategies as st
 import tdchan as td
 from tdchan import entropy
 from tdchan.entropy import (
-    _HAAR_STACK,
+    _DENSE_CHECK_STATES,
     _TAG_HAAR,
     _TAG_SIMPLEX,
     ENTROPY_CLAMP,
     EIGENVALUE_FLOOR,
-    _project,
     _random_state_entropies,
-    project_to_simplex,
 )
-from tdchan.errors import ConfigError, NotPSD, OutOfRange
+from tdchan.errors import ConfigError, CovarianceMismatch, NotPSD, OutOfRange
 from tdchan.sampling import rng_stream
 from tdchan.spectrum import _check_schmidt_rows
 
@@ -28,7 +26,9 @@ from oracles import (
     entropy_loop,
     kraus_two_copy_output,
     mp_two_copy_entropy,
+    schmidt_state,
     simplex_projection_bisect,
+    simplex_projection_sort,
 )
 
 LN2 = math.log(2.0)
@@ -194,25 +194,24 @@ def test_min_output_entropy_matches_closed_form():
 
 
 def test_project_to_simplex():
-    assert project_to_simplex(np.array([1.5, 0.5])) == pytest.approx([1.0, 0.0])
-    assert project_to_simplex(np.array([0.2, 0.2])) == pytest.approx([0.5, 0.5])
-    out = project_to_simplex(np.array([-1.0, 0.0, 3.0]))
+    assert simplex_projection_sort(np.array([1.5, 0.5])) == pytest.approx([1.0, 0.0])
+    assert simplex_projection_sort(np.array([0.2, 0.2])) == pytest.approx([0.5, 0.5])
+    out = simplex_projection_sort(np.array([-1.0, 0.0, 3.0]))
     assert out == pytest.approx([0.0, 0.0, 1.0])
     rng = np.random.default_rng(229)
     for _ in range(25):
         x = rng.normal(size=6) * 3.0
-        p = project_to_simplex(x)
+        p = simplex_projection_sort(x)
         assert np.all(p >= -1e-15)
         assert np.sum(p) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_float_projection_is_project_to_simplex():
+def test_sort_projection_matches_the_bisection_projection():
     rng = np.random.default_rng(233)
     for d in (2, 3, 5, 8):
         for scale in (0.1, 1.0, 100.0):
             x = (rng.normal(size=d) * scale).tolist()
-            p = _project(x)
-            assert p == project_to_simplex(np.array(x)).tolist()
+            p = simplex_projection_sort(x)
             # Both find theta to rounding at the scale of x.
             tol = 8.0 * np.finfo(float).eps * max(1.0, float(np.abs(x).max()))
             assert p == pytest.approx(simplex_projection_bisect(x), abs=tol)
@@ -286,10 +285,11 @@ def test_random_states_never_beat_double_closed_form():
 
 
 def test_random_state_entropy_matches_the_kraus_route():
-    # n_random past one stack and not a multiple of it; 0 still draws one state.
+    # n_random past the dense-checked states and not a multiple of their
+    # count; 0 still draws one state.
     # State r is row r of one (count, 2, d^2) normal block from the cell's
     # stream: its real part, then its imaginary part.
-    for d, t, n_random in ((2, -1.0, 0), (3, -0.3, _HAAR_STACK + 5), (4, 0.15, 2 * _HAAR_STACK)):
+    for d, t, n_random in ((2, -1.0, 0), (3, -0.3, _DENSE_CHECK_STATES + 5), (4, 0.15, 2 * _DENSE_CHECK_STATES)):
         ch = td.new_channel(d, t)
         cfg = td.OptimizerConfig(restarts=0, n_random=n_random, seed=19)
         g = rng_stream(19, _TAG_HAAR).standard_normal((max(n_random, 1), 2, d * d))
@@ -301,12 +301,88 @@ def test_random_state_entropy_matches_the_kraus_route():
 
 def test_n_random_k_takes_the_first_k_states_of_any_larger_n_random():
     ch = td.new_channel(3, -0.2)
-    every = _random_state_entropies(ch, td.OptimizerConfig(n_random=2 * _HAAR_STACK + 3, seed=7))
-    for k in (0, 1, 5, _HAAR_STACK, _HAAR_STACK + 1, len(every)):
+    every = _random_state_entropies(ch, td.OptimizerConfig(n_random=2 * _DENSE_CHECK_STATES + 3, seed=7))
+    for k in (0, 1, 5, _DENSE_CHECK_STATES, _DENSE_CHECK_STATES + 1, len(every)):
         cfg = td.OptimizerConfig(restarts=0, n_random=k, seed=7)
         first = every[: max(k, 1)]
         assert bits(_random_state_entropies(ch, cfg).tolist()) == bits(first.tolist()), k
         assert bits(td.additivity_gap(ch, cfg)[2]) == bits(float(first.min())), k
+
+
+def local_unitary(d, rng):
+    """A random d x d unitary: the Q of the QR of a complex Gaussian matrix."""
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q
+
+
+def covariance_states(d, rng):
+    """Pure states on d x d: Gaussian, product, and Schmidt vectors with a weight of 1e-20, locally rotated."""
+    states = [rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d) for _ in range(3)]
+    tiny = np.full(d, 1.0 / (d - 1)) * (1.0 - 1e-20)
+    tiny[-1] = 1e-20
+    for lam in (np.eye(d)[0], tiny, rng.dirichlet(np.ones(d))):
+        states.append(np.kron(local_unitary(d, rng), local_unitary(d, rng)) @ schmidt_state(lam))
+    return np.array([v / np.linalg.norm(v) for v in states])
+
+
+def test_schmidt_route_matches_the_kraus_oracle():
+    # Unitary covariance: any pure input has the two-copy output entropy of
+    # its Schmidt weights, which the Haar leg takes from eigvalsh(M M^H).
+    rng = np.random.default_rng(241)
+    for d in (2, 3, 4, 5, 6):
+        psi = covariance_states(d, rng)
+        weights = entropy._schmidt_weights(psi, d)
+        _check_schmidt_rows(weights)
+        lo, hi = td.t_range(d)
+        for t in (lo, 0.5 * lo, 0.0, 0.5 * hi, hi):
+            ch = td.new_channel(d, t)
+            s1, s2 = entropy._split_rows(ch, weights)
+            want = [entropy_brute(np.linalg.eigvalsh(kraus_two_copy_output(ch, v))) for v in psi]
+            assert np.max(np.abs(s1 + s2 - want)) <= 1e-12, (d, t)
+
+
+def test_schmidt_weights_of_product_and_near_product_states():
+    rng = np.random.default_rng(251)
+    for d in (2, 3, 4, 5, 6):
+        weights = entropy._schmidt_weights(covariance_states(d, rng), d)
+        assert np.all(np.diff(weights, axis=1) <= 0.0)
+        assert weights[3] == pytest.approx(np.eye(d)[0], abs=1e-15)
+        assert weights[4, :-1] == pytest.approx(np.full(d - 1, 1.0 / (d - 1)), abs=1e-14)
+        assert 0.0 <= weights[4, -1] <= 1e-14
+
+
+def test_every_additivity_gap_runs_the_dense_check(monkeypatch):
+    # One dense call per cell, on the first min(n_random, _DENSE_CHECK_STATES)
+    # states of the cell's stream, whatever their count.
+    plain, calls = entropy.apply_two_copies, []
+
+    def counted(ch, mat):
+        calls.append(mat.shape)
+        return plain(ch, mat)
+
+    monkeypatch.setattr(entropy, "apply_two_copies", counted)
+    for n_random in (0, 5, _DENSE_CHECK_STATES, 3 * _DENSE_CHECK_STATES + 1):
+        calls.clear()
+        td.additivity_gap(td.new_channel(3, -0.4), td.OptimizerConfig(restarts=1, n_random=n_random))
+        assert calls == [(min(max(n_random, 1), _DENSE_CHECK_STATES), 9, 9)], n_random
+
+
+def test_the_dense_check_holds_the_closed_form_to_its_tolerance(monkeypatch):
+    # Scaling the dense output by 1 + e keeps its spectrum nonnegative and
+    # moves each entropy by e (S - 1) + O(e^2), with S near ln 16 here:
+    # past _COVARIANCE_TOL at e = 1e-8, well inside it at e = 1e-13.
+    plain = entropy.apply_two_copies
+    ch = td.new_channel(4, -0.2)
+    cfg = td.OptimizerConfig(restarts=1, n_random=3)
+    want = td.additivity_gap(ch, cfg)
+    for e, fails in ((1e-8, True), (1e-13, False)):
+        monkeypatch.setattr(entropy, "apply_two_copies", lambda ch, mat: (1.0 + e) * plain(ch, mat))
+        if fails:
+            with pytest.raises(CovarianceMismatch, match="differ by") as raised:
+                td.additivity_gap(ch, cfg)
+            assert not isinstance(raised.value, td.TdchanError)
+        else:
+            assert td.additivity_gap(ch, cfg) == want
 
 
 def test_optimizer_config_rejects_negative_counts():
@@ -492,7 +568,7 @@ def search_cases():
             yield td.new_channel(d, t)
 
 
-def test_memoized_objective_gives_the_unmemoized_search(monkeypatch):
+def test_probe_gives_the_value_and_argmin_of_a_call_per_row(monkeypatch):
     # The probe's one batch against a fresh simplex_output_entropy call
     # per row, with the tie rule applied here: the same value and argmin.
     cfg = td.OptimizerConfig(restarts=3, seed=23)
@@ -506,7 +582,7 @@ def test_memoized_objective_gives_the_unmemoized_search(monkeypatch):
         assert bits(arg.values.tolist()) == bits(want), (ch.d, ch.t)
 
 
-def test_lockstep_search_gives_each_start_its_run_alone(monkeypatch):
+def test_probe_gives_each_row_the_bits_of_a_one_row_split(monkeypatch):
     # Every row of the batch, vertices and barycenter and draws and
     # lattice, gets the (S1, S2) bits of a one-row _split_rows call.
     cfg = td.OptimizerConfig(restarts=3, seed=41)
@@ -524,7 +600,7 @@ def test_lockstep_search_gives_each_start_its_run_alone(monkeypatch):
         assert split_bits(batch) == [split_bits(plain(ch, [lam]))[0] for lam in lams], (ch.d, ch.t)
 
 
-def test_lockstep_rounds_batch_the_kernel_calls(monkeypatch):
+def test_probe_makes_one_secular_kernel_call(monkeypatch):
     # One secular-roots kernel call per probe, over every row at once.
     ch = td.new_channel(4, td.t_range(4)[0])
     plain, calls = entropy._secular_block_roots, []
@@ -538,7 +614,7 @@ def test_lockstep_rounds_batch_the_kernel_calls(monkeypatch):
     assert calls == [ch.d + 1 + 20 + len(entropy._simplex_lattice(ch.d))]
 
 
-def test_memoized_objective_keeps_no_failed_evaluation(monkeypatch):
+def test_probe_after_a_failed_evaluation_gives_the_clean_result(monkeypatch):
     # A probe whose evaluation fails raises, and the next probe evaluates
     # every row again and returns the result of a clean run.
     ch = td.new_channel(3, -0.25)
@@ -569,7 +645,7 @@ def test_memoized_objective_keeps_no_failed_evaluation(monkeypatch):
     assert bits(got[1].values.tolist()) == bits(want[1].values.tolist())
 
 
-def test_memo_keeps_no_state_between_searches(monkeypatch):
+def test_probe_keeps_no_state_between_calls(monkeypatch):
     # A, then B at the same d, against B alone.  The probes share their
     # vertices and lattice, so values kept across calls would show, in
     # the result or in the rows B evaluates.

@@ -13,8 +13,10 @@ import numpy as np
 from scipy.optimize import minimize
 
 import tdchan as td
-from tdchan.entropy import _TAG_SIMPLEX, _project
+from tdchan.entropy import _TAG_SIMPLEX
 from tdchan.sampling import rng_stream
+
+from oracles import simplex_projection_sort
 
 
 def scipy_descent(ch, lam0):
@@ -22,7 +24,7 @@ def scipy_descent(ch, lam0):
 
     def fun(x):
         x = x.tolist()
-        return td.simplex_output_entropy(ch, _project(x + [1.0 - math.fsum(x)]))
+        return td.simplex_output_entropy(ch, simplex_projection_sort(x + [1.0 - math.fsum(x)]))
 
     res = minimize(
         fun,
@@ -33,7 +35,7 @@ def scipy_descent(ch, lam0):
     return float(res.fun)
 
 
-def test_nelder_mead_matches_scipy_on_the_optimizer_starts():
+def test_probe_matches_scipy_descents_from_its_starts():
     cfg = td.OptimizerConfig(restarts=2, seed=3)
     for d in (2, 3, 4, 5):
         lo, hi = td.t_range(d)
