@@ -168,7 +168,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument(
-        "--restarts", type=int, default=50, help="random unit vectors to try, >= 0; 0 still tries one"
+        "--restarts",
+        type=int,
+        default=50,
+        help="random unit vectors to try, >= 0; 0 still tries one"
+        " (the name is kept for compatibility: nothing restarts)",
     )
     _common_flags(p, seed=True, log_base=True, tol=True)
 
@@ -179,7 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--restarts",
         type=int,
         default=50,
-        help="random simplex rows probed, >= 0, besides the vertices, the barycenter and the lattice",
+        help="random simplex rows probed, >= 0, besides the vertices, the barycenter and the lattice"
+        " (the name is kept for compatibility: nothing restarts)",
     )
     p.add_argument(
         "--n-random", type=int, default=200, help="Haar-random two-copy states, >= 0; 0 still draws one"

@@ -79,13 +79,16 @@ _TAG_UNIT = 3
 class OptimizerConfig:
     """Sample counts and seed of the entropy probes.
 
-    restarts counts the random simplex rows of minimize_simplex_entropy
-    and the unit vectors of min_output_entropy; n_random counts the
-    Haar-random states of additivity_gap, whose entropies come from their
-    Schmidt weights, and of which the first _DENSE_CHECK_STATES are also
-    checked against the dense two-copy route.  Neither may be negative;
-    0 draws no random simplex row, but still one unit vector and one
-    Haar-random state.
+    The class name and the field name restarts are kept for API
+    compatibility: no optimizer runs and nothing restarts.  restarts
+    sizes two unrelated samples: the random simplex rows of
+    minimize_simplex_entropy, probed besides the vertices, the barycenter
+    and the lattice, and the random unit vectors of min_output_entropy.
+    n_random counts the Haar-random states of additivity_gap, whose
+    entropies come from their Schmidt weights, and of which the first
+    _DENSE_CHECK_STATES are also checked against the dense two-copy
+    route.  Neither may be negative; 0 draws no random simplex row, but
+    still one unit vector and one Haar-random state.
     """
 
     restarts: int = 50

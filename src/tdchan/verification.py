@@ -68,10 +68,10 @@ from .majorization import (
     _elem_sym_table,
     _finite_nu,
     _loo_elem_sym,
+    _phi_table,
+    _schur_defects,
     _sum_in_order,
     elem_sym,
-    phi_k_batch,
-    schur_defect_batch,
 )
 from .sampling import exponentials_from_uniforms, philox_stream
 from .spectrum import secular_roots_batch
@@ -113,11 +113,11 @@ def _polytope_point(nu, d: int) -> np.ndarray:
 def first_term_value(nu, k: int) -> float:
     """sum_l (1 - nu_l) s_{n-k-1}(nu \\ l) for 0 <= k <= n-1; nonnegative
     already under the weaker constraint sum nu >= n - 2."""
-    v = _finite_nu(nu)[None, :]
-    n = v.shape[1]
+    v = _finite_nu(nu)
+    n = v.size
     if not (0 <= k <= n - 1):
         raise BadK(f"k={k} outside [0, {n - 1}]")
-    return float(_first_terms(v, _elem_sym_table(v))[0, n - k - 1])
+    return float(_first_terms(v, _elem_sym_table(v))[n - k - 1])
 
 
 def main_inequality_lhs(nu, k: int, d: int, t: float) -> float:
@@ -279,15 +279,15 @@ def _cell_key(kind: str, d: int, t_idx: int) -> int:
     return ((kind_idx * 256 + d) * 65536 + t_idx) * 256
 
 
-def _first_terms(nu: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """sum_l (1 - nu_l) s_r(nu \\ l) for r = 0..n-1, per row of an (N, n) nu; (N, n).
+def _first_terms(cols: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """sum_l (1 - nu_l) s_r(nu \\ l) for r = 0..n-1; [r, ...] for a coordinate-leading (n, ...) nu.
 
     table is the s table of nu.  Column r of the leave-one-out table has
     the same bits as a downdate that stops at r, so one call serves
     every k.
     """
-    loo = _loo_elem_sym(nu, table, nu.shape[1] - 1)
-    return _sum_in_order((1.0 - nu)[:, :, None] * loo, 1)
+    loo = _loo_elem_sym(cols, table, cols.shape[0] - 1)
+    return _sum_in_order((1.0 - cols) * loo)
 
 
 def _margins_main(nu: np.ndarray, d: int, t: float) -> np.ndarray:
@@ -296,8 +296,9 @@ def _margins_main(nu: np.ndarray, d: int, t: float) -> np.ndarray:
     margin_k = first_{n-k-1} - coef s_{n-k}, all from one s table.
     """
     n = nu.shape[1]
-    table = _elem_sym_table(nu)
-    return _first_terms(nu, table)[:, ::-1] - _rhs_coefficient(d, t) * table[:, n:0:-1]
+    cols = nu.T.copy()
+    table = _elem_sym_table(cols)
+    return (_first_terms(cols, table)[::-1] - _rhs_coefficient(d, t) * table[n:0:-1]).T
 
 
 def _lambda_batch(gen: np.random.Generator, d: int, count: int) -> np.ndarray:
@@ -308,10 +309,10 @@ def _sympol_margins(ch: Channel, lams: np.ndarray) -> np.ndarray:
     """Minus the worst relative defect over k of s_{d-k}(gamma) = phi_k(nu), per row."""
     d = ch.d
     gamma = secular_roots_batch(ch, lams) / ch.c1
-    lhs = _elem_sym_table(gamma)[:, d - np.arange(d)]
-    rhs = phi_k_batch(1.0 + ch.ratio * lams, ch)
+    lhs = _elem_sym_table(gamma.T.copy())[d:0:-1]  # [k, row]
+    rhs = _phi_table((1.0 + ch.ratio * lams).T.copy(), ch)
     scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    return -np.max(np.abs(lhs - rhs) / scale, axis=1)
+    return -np.max(np.abs(lhs - rhs) / scale, axis=0)
 
 
 def _schur_margins(ch: Channel, lams: np.ndarray, picks: np.ndarray) -> np.ndarray:
@@ -321,7 +322,7 @@ def _schur_margins(ch: Channel, lams: np.ndarray, picks: np.ndarray) -> np.ndarr
     a = np.minimum((picks[:, 1] * d).astype(int), d - 1)
     b = np.minimum((picks[:, 2] * (d - 1)).astype(int), d - 2)
     b += b >= a
-    return -schur_defect_batch(1.0 + ch.ratio * lams, k, a, b, ch)
+    return -_schur_defects(1.0 + ch.ratio * lams, k, a, b, ch)
 
 
 # margins(stream, d, t, samples) -> (k_values, margins) of one cell, per
@@ -344,7 +345,7 @@ def _second_term_cell(stream, d, t, samples):
     # Column n - k of the s table holds s_{n-k}, the margin of k = 1..n.
     n = d - 2
     nu = _polytope_batch(stream(), n, -box_ratio(d, t), samples)
-    return list(range(1, n + 1)), _elem_sym_table(nu)[:, :n]
+    return list(range(1, n + 1)), _elem_sym_table(nu.T.copy())[:n].T
 
 
 def _extreme_cell(stream, d, t, samples):

@@ -125,6 +125,84 @@ def elem_sym_brute(values, q: int) -> float:
     return float(sum(np.prod(c) for c in itertools.combinations(values, q)))
 
 
+def partial_phi_full_tensor(nu, ch: Channel) -> np.ndarray:
+    """d phi_k / d nu_i for every row, i and k; (N, d, d) indexed [row, i, k].
+
+    The full-tensor route: the s table and the leave-one-out table of
+    every coordinate, then a leave-two-out table over every pair,
+    (N, d, d, d - 1), masked where l == i and summed over l in
+    coordinate order.  The recurrences are written out here, on
+    row-leading arrays, with no call into the package, and the
+    arithmetic of each entry is that of the package's kernel, so the
+    two routes must agree bit for bit.
+    """
+    nu = np.asarray(nu, dtype=float)
+    count, d = nu.shape
+    coef = ch.t**2 / ch.c2
+    table = np.zeros((d + 1, count))
+    table[0] = 1.0
+    for c in range(d):
+        table[1 : c + 2] += nu[:, c] * table[: c + 1]
+    loo = np.empty((count, d, d))  # [row, i, r] = s_r(nu \ i)
+    loo[:, :, 0] = 1.0
+    for r in range(1, d):
+        loo[:, :, r] = table[r][:, None] - nu * loo[:, :, r - 1]
+    loo2 = np.empty((count, d, d, d - 1))  # [row, i, l, r] = s_r(nu \ {i, l})
+    loo2[..., 0] = 1.0
+    for r in range(1, d - 1):
+        loo2[..., r] = loo[:, :, r][:, :, None] - nu[:, None, :] * loo2[..., r - 1]
+    terms = np.where(
+        ~np.eye(d, dtype=bool)[None, :, :, None], (nu[:, None, :] - 1.0)[..., None] * loo2, 0.0
+    )
+    inner = terms[:, :, 0]
+    for l in range(1, d):
+        inner = inner + terms[:, :, l]
+    # s_{d-2-k} vanishes at k = d - 1: pad r = -1 with a zero column.
+    inner = np.concatenate([np.zeros((count, d, 1)), inner], axis=2)
+    k = np.arange(d)
+    return (1.0 + coef) * loo[:, :, d - 1 - k] + coef * inner[:, :, d - 1 - k]
+
+
+def schur_defect_full_tensor(nu, k, i, j, ch: Channel) -> np.ndarray:
+    """(nu_i - nu_j)(d phi_k/d nu_i - d phi_k/d nu_j) per row, from partial_phi_full_tensor."""
+    nu = np.asarray(nu, dtype=float)
+    rows = np.arange(nu.shape[0])
+    partial = partial_phi_full_tensor(nu, ch)
+    return (nu[rows, i] - nu[rows, j]) * (partial[rows, i, k] - partial[rows, j, k])
+
+
+def mp_elem_sym(values, q: int):
+    """s_q of mpf values by explicit combinations; 0 outside [0, len(values)]."""
+    if q < 0 or q > len(values):
+        return mpmath.mpf(0)
+    return mpmath.fsum(mpmath.fprod(c) for c in itertools.combinations(values, q))
+
+
+def mp_partial_phi(t: float, nu, k: int, i: int, dps: int = 50) -> float:
+    """d phi_k / d nu_i at dps digits, by differentiating phi_k term by term.
+
+    phi_k = s_{d-k}(nu) + (t^2/c2) sum_l s_{d-1-k}(nu \\ l)(nu_l - 1), and
+    d s_r / d nu_i = s_{r-1}(nu \\ i): no downdate recurrence is involved.
+    t and nu are taken exactly, and c2 = 2t(1-t)/d is formed in mpmath.
+    """
+    d = len(nu)
+    with mpmath.workdps(dps):
+        tt = mpmath.mpf(t)
+        v = [mpmath.mpf(float(x)) for x in nu]
+        coef = tt**2 / (2 * tt * (1 - tt) / d)
+
+        def without(*drop):
+            return [x for m, x in enumerate(v) if m not in drop]
+
+        total = mp_elem_sym(without(i), d - k - 1)
+        for l in range(d):
+            if l == i:  # d/d nu_i of (nu_i - 1) s_{d-1-k}(nu \ i)
+                total += coef * mp_elem_sym(without(i), d - 1 - k)
+            else:  # (nu_l - 1) d/d nu_i s_{d-1-k}(nu \ l)
+                total += coef * (v[l] - 1) * mp_elem_sym(without(l, i), d - 2 - k)
+        return float(total)
+
+
 def central_difference(f, x: np.ndarray, i: int, step: float = 1e-6) -> float:
     """Central finite difference of f along coordinate i."""
     xp = np.array(x, dtype=float)

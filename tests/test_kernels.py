@@ -5,11 +5,14 @@ coincide or lie within rounding of each other, weights exactly zero or
 down to 1e-30, and t at both endpoints and at zero.  The spectrum is
 checked against a 50-digit mpmath oracle, and each batch row against the
 single-vector call bit for bit; the leave-one-out downdates against
-brute-force sums; the scan margins against the per-sample scalar route.
+brute-force sums; the scan margins against the per-sample scalar route;
+the partial-derivative kernel against the full-tensor route bit for bit
+and against a 50-digit mpmath derivative.
 """
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,7 +27,13 @@ from tdchan.sampling import philox_stream
 from tdchan.spectrum import secular_roots_batch
 from tdchan.verification import _first_terms, _lambda_batch, _schur_margins, _sympol_margins
 
-from oracles import elem_sym_brute, mp_secular_block_roots
+from oracles import (
+    elem_sym_brute,
+    mp_partial_phi,
+    mp_secular_block_roots,
+    partial_phi_full_tensor,
+    schur_defect_full_tensor,
+)
 
 ROOT_TOL = 1e-13
 MARGIN_TOL = 1e-12
@@ -280,7 +289,7 @@ def test_single_downdate_matches_brute(values):
     assert loo.shape == (n, n)
     for l, r in itertools.product(range(n), range(n)):
         ref = elem_sym_brute(_drop(values, l), r)
-        assert loo[l, r] == pytest.approx(ref, abs=1e-12 * math.comb(n - 1, r))
+        assert loo[r, l] == pytest.approx(ref, abs=1e-12 * math.comb(n - 1, r))
 
 
 @settings(max_examples=60, deadline=None)
@@ -289,12 +298,12 @@ def test_double_downdate_matches_brute(values):
     m = np.array(values)
     n = m.size
     loo = _loo_elem_sym(m, _elem_sym_table(m), n - 1)
-    loo2 = _loo_elem_sym(m[None, :], loo, n - 2)
-    assert loo2.shape == (n, n, n - 1)
+    loo2 = _loo_elem_sym(m[:, None], loo, n - 2)
+    assert loo2.shape == (n - 1, n, n)
     for i, l in itertools.permutations(range(n), 2):
         for r in range(n - 1):
             ref = elem_sym_brute(_drop(values, i, l), r)
-            assert loo2[i, l, r] == pytest.approx(ref, abs=1e-12 * math.comb(n - 2, r))
+            assert loo2[r, l, i] == pytest.approx(ref, abs=1e-12 * math.comb(n - 2, r))
 
 
 def _hex(a):
@@ -310,32 +319,91 @@ unit_batches = st.integers(1, 10).flatmap(
 @given(unit_batches)
 def test_symmetric_tables_give_each_row_its_one_row_bits(rows):
     # The tables, the leave-one-out downdate, the broadcast leave-two-out
-    # call of partial_phi_k_batch and the in-order first-term sums of the
-    # main scan, for a batch and for each of its rows alone.
+    # call of the partial-derivative kernel and the in-order first-term
+    # sums of the main scan, for a batch and for each of its rows alone.
+    # Every table is degree-leading with the rows on its last axis.
     m = np.array(rows)
     n = m.shape[1]
-    table = _elem_sym_table(m)
-    loo = _loo_elem_sym(m, table, n - 1)
-    loo2 = _loo_elem_sym(m[:, None, :], loo, max(n - 2, 0))
-    first = _first_terms(m, table)
-    assert table.shape == (len(m), n + 1) and loo.shape == (len(m), n, n)
+    cols = m.T.copy()
+    table = _elem_sym_table(cols)
+    loo = _loo_elem_sym(cols, table, n - 1)
+    loo2 = _loo_elem_sym(cols[:, None, :], loo, max(n - 2, 0))
+    first = _first_terms(cols, table)
+    assert table.shape == (n + 1, len(m)) and loo.shape == (n, n, len(m))
     for row, values in enumerate(m):
-        alone = _elem_sym_table(values[None, :])
-        assert _hex(alone) == _hex(table[row]) == _hex(_elem_sym_table(values))
-        alone_loo = _loo_elem_sym(values[None, :], alone, n - 1)
-        assert _hex(alone_loo) == _hex(loo[row])
-        alone_loo2 = _loo_elem_sym(values[None, None, :], alone_loo, max(n - 2, 0))
-        assert _hex(alone_loo2) == _hex(loo2[row])
-        assert _hex(_first_terms(values[None, :], alone)) == _hex(first[row])
+        alone = _elem_sym_table(values[:, None])
+        assert _hex(alone) == _hex(table[:, row]) == _hex(_elem_sym_table(values))
+        alone_loo = _loo_elem_sym(values[:, None], alone, n - 1)
+        assert _hex(alone_loo) == _hex(loo[..., row])
+        alone_loo2 = _loo_elem_sym(values[:, None, None], alone_loo, max(n - 2, 0))
+        assert _hex(alone_loo2) == _hex(loo2[..., row])
+        assert _hex(_first_terms(values[:, None], alone)) == _hex(first[:, row])
         # Summed over l from first to last, as a loop over Python floats adds.
         for r in range(n):
-            total = (1.0 - float(values[0])) * float(loo[row, 0, r])
+            total = (1.0 - float(values[0])) * float(loo[r, 0, row])
             for l in range(1, n):
-                total += (1.0 - float(values[l])) * float(loo[row, l, r])
-            assert first[row, r].hex() == total.hex()
+                total += (1.0 - float(values[l])) * float(loo[r, l, row])
+            assert first[r, row].hex() == total.hex()
         # A downdate that stops at degree r gives column r the same bits.
         for r in range(n):
-            assert _hex(_loo_elem_sym(m, table, r)[..., r]) == _hex(loo[..., r])
+            assert _hex(_loo_elem_sym(cols, table, r)[r]) == _hex(loo[r])
+
+
+# ------------------------------------------------ partial-derivative kernel
+
+
+@st.composite
+def nu_batches(draw, max_rows=5):
+    """(channel, (N, d) nu) with d = 3..8, t at either scan endpoint or inside,
+    and Schmidt weights of which some are exactly zero."""
+    d = draw(st.integers(3, 8))
+    lo = -1.0 / (d - 1)
+    t = draw(st.one_of(st.sampled_from([lo, -1e-6]), st.floats(lo, -1e-6)))
+    weight = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    row = st.lists(weight, min_size=d, max_size=d).filter(lambda w: sum(w) > 0.0)
+    lams = np.array(draw(st.lists(row, min_size=1, max_size=max_rows)))
+    ch = td.new_channel(d, t)
+    return ch, 1.0 + ch.ratio * (lams / lams.sum(axis=1, keepdims=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(nu_batches(), st.randoms(use_true_random=False))
+def test_partial_kernel_matches_full_tensor_route_bit_for_bit(batch, rnd):
+    ch, nu = batch
+    d = ch.d
+    assert _hex(td.partial_phi_k_batch(nu, ch)) == _hex(partial_phi_full_tensor(nu, ch))
+    k = [rnd.randrange(d) for _ in nu]
+    i = [rnd.randrange(d) for _ in nu]
+    j = [(a + 1 + rnd.randrange(d - 1)) % d for a in i]
+    got = td.schur_defect_batch(nu, k, i, j, ch)
+    assert _hex(got) == _hex(schur_defect_full_tensor(nu, k, i, j, ch))
+
+
+@settings(max_examples=40, deadline=None)
+@given(nu_batches(max_rows=1))
+def test_partial_kernel_matches_mpmath_derivative(batch):
+    ch, nu = batch
+    got = td.partial_phi_k_batch(nu, ch)[0]
+    for i, k in itertools.product(range(ch.d), range(ch.d)):
+        ref = mp_partial_phi(ch.t, nu[0], k, i)
+        assert abs(got[i, k] - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_schur_defect_batch_allocates_no_full_leave_two_out_table():
+    # The full (N, d, d, d - 1) table is what partial_phi_k_batch builds;
+    # the Schur route builds tables for its two coordinates only.
+    d, count = 12, 500
+    ch = td.new_channel(d, -0.5 / (d - 1))
+    rng = np.random.default_rng(7)
+    nu = 1.0 + ch.ratio * rng.dirichlet(np.ones(d), count)
+    i = rng.integers(0, d, count)
+    tracemalloc.start()
+    try:
+        td.schur_defect_batch(nu, rng.integers(0, d, count), i, (i + 1) % d, ch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < count * d * d * (d - 1) * nu.itemsize
 
 
 # ------------------------------------------------------------- scan margins
@@ -393,15 +461,15 @@ def test_phi_sums_add_their_terms_in_coordinate_order():
         ch = td.new_channel(d, -0.5 / (d - 1))
         coef = ch.t**2 / ch.c2
         nu = 1.0 + ch.ratio * rng.dirichlet(np.ones(d), size=12)
-        table = _elem_sym_table(nu)
-        loo = _loo_elem_sym(nu, table, d - 1)
+        table = _elem_sym_table(nu.T.copy())
+        loo = _loo_elem_sym(nu.T.copy(), table, d - 1)
         phis = td.phi_k_batch(nu, ch)
         for row, k in itertools.product(range(12), range(d)):
             r = d - 1 - k
-            inner = (float(nu[row, 0]) - 1.0) * float(loo[row, 0, r])
+            inner = (float(nu[row, 0]) - 1.0) * float(loo[r, 0, row])
             for l in range(1, d):
-                inner += (float(nu[row, l]) - 1.0) * float(loo[row, l, r])
-            assert phis[row, k].hex() == (float(table[row, d - k]) + coef * inner).hex()
+                inner += (float(nu[row, l]) - 1.0) * float(loo[r, l, row])
+            assert phis[row, k].hex() == (float(table[d - k, row]) + coef * inner).hex()
 
 
 def test_phi_batches_match_wrappers():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,63 @@ def test_scalar_phi_routes_reject_non_finite_nu(bad):
         td.partial_phi_k(nu, 1, 0, ch)
     with pytest.raises(OutOfRange):
         td.schur_defect(nu, 1, 0, 2, ch)
+
+
+# The batch routes raise what the scalar routes raise, for any bad row.
+BATCH_NU = np.array([[-1.0, 1.0, 1.0], [0.0, 0.4, 0.6]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_batch_phi_routes_reject_non_finite_nu(bad):
+    ch = td.new_channel(3, -0.5)
+    nu = BATCH_NU.copy()
+    nu[1, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRange):
+            td.phi_k_batch(nu, ch)
+        with pytest.raises(OutOfRange):
+            td.partial_phi_k_batch(nu, ch)
+        with pytest.raises(OutOfRange):
+            td.schur_defect_batch(nu, [1, 1], [0, 0], [2, 2], ch)
+
+
+def test_schur_defect_batch_rejects_indices_outside_range():
+    # A negative index would wrap to a valid coordinate.
+    ch = td.new_channel(3, -0.5)
+    with pytest.raises(IndexError):
+        td.schur_defect_batch(BATCH_NU[:1], [1], [-1], [0], ch)
+    with pytest.raises(IndexError):
+        td.schur_defect_batch(BATCH_NU, [1, 1], [0, 0], [2, -1], ch)
+    with pytest.raises(IndexError):
+        td.schur_defect_batch(BATCH_NU, [1, 1], [0, 3], [2, 2], ch)
+
+
+def test_schur_defect_batch_rejects_equal_indices():
+    ch = td.new_channel(3, -0.5)
+    with pytest.raises(IndexError):
+        td.schur_defect_batch(BATCH_NU, [1, 1], [0, 1], [2, 1], ch)
+
+
+def test_schur_defect_batch_rejects_k_outside_range():
+    ch = td.new_channel(3, -0.5)
+    for k in (3, -1):
+        with pytest.raises(BadK):
+            td.schur_defect_batch(BATCH_NU, [1, k], [0, 0], [2, 2], ch)
+
+
+def test_schur_defect_batch_rejects_non_integer_and_misshapen_indices():
+    ch = td.new_channel(3, -0.5)
+    with pytest.raises(IndexError):
+        td.schur_defect_batch(BATCH_NU, [1, 1], [0.0, 0.0], [2, 2], ch)
+    with pytest.raises(BadLength):
+        td.schur_defect_batch(BATCH_NU, [1, 1, 1], [0, 0], [2, 2], ch)
+
+
+def test_schur_defect_batch_takes_scalar_indices_for_every_row():
+    ch = td.new_channel(3, -0.5)
+    got = td.schur_defect_batch(BATCH_NU, 1, 0, 2, ch)
+    assert got.tolist() == [td.schur_defect(row, 1, 0, 2, ch) for row in BATCH_NU]
 
 
 def test_scalar_phi_routes_take_plain_sequences():
