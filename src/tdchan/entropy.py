@@ -21,11 +21,23 @@ Natural logarithms throughout; CLI handles base conversion on output.
 
 The probe evaluates the two-copy entropy on a fixed batch of Schmidt
 vectors: the d vertices, the barycenter, cfg.restarts uniform draws and
-the finest simplex lattice {k / m} of at most _LATTICE_ROWS rows.  The
-tests find the entropy concave on the simplex (chord slacks over the
-whole t range, the worst one at 50 digits), so its minimum sits at a
-vertex, where it equals 2h; the other rows are evidence that no
-interior point beats it.  The whole batch goes through _split_rows: S1
+one nonincreasing row per permutation orbit of the finest simplex
+lattice {k / m} whose C(m + d - 1, d - 1) rows fit _LATTICE_ROWS.  The
+channel is unitarily covariant, Phi(U mu U^H) = conj(U) Phi(mu) U^T.
+Permuting the Schmidt weights is the product unitary P x P on the
+input, which conjugates the two-copy output by a unitary, so every
+permutation of a row has the same output spectrum and one row stands
+for its orbit: 250, 91, 34, 18, 11, 5 and 3 rows at d = 2, 3, 4, 5, 6, 8
+and 10, where the full lattice has up to 500.  So _LATTICE_ROWS sets m,
+the full lattice's budget, not the number of rows probed.  The rows of
+one orbit agree to rounding, not bit for bit: wherever |t| >= 1e-6 the
+probe gives the minimum and argmin of the full lattice bit for bit, but
+near t = 0, where the entropy is flat to rounding, the minimum may move
+by a few ulp (by at most 1.8e-15, at |t| <= 1e-9, on 702 cells
+compared).  The tests find the entropy concave on the simplex (chord
+slacks over the whole t range, the worst one at 50 digits), so its
+minimum sits at a vertex, where it equals 2h; the other rows are
+evidence that no interior point beats it.  The whole batch goes through _split_rows: S1
 takes the pair values of every row as one array, and S2 the roots of
 every row from one spectrum._secular_block_roots call, the kernel behind
 secular_roots and secular_roots_batch.  A row gets the same bits there
@@ -49,20 +61,20 @@ comes from one reduction, _entropy_rows.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Channel, DensityMatrix, apply_two_copies
+from .channel import Channel, DensityMatrix, apply_two_copies, check_finite
 from .errors import ConfigError, CovarianceMismatch, NotPSD
 from .sampling import haar_states, rng_stream
 from .spectrum import SchmidtVector, _as_schmidt, _check_schmidt_rows, _secular_block_roots
 
 ENTROPY_CLAMP = 1e-15  # eigenvalues at or below this contribute 0 ln 0 := 0
 EIGENVALUE_FLOOR = -1e-10
-# Row budget of the simplex lattice that minimize_simplex_entropy probes.
+# Row budget of the full simplex lattice, which sets its resolution m;
+# minimize_simplex_entropy probes one row per permutation orbit of it.
 _LATTICE_ROWS = 500
 # Haar-random states per cell whose entropy the dense two-copy route
 # recomputes, and the largest |S_dense - S_closed| it may find.
@@ -83,7 +95,9 @@ class OptimizerConfig:
     compatibility: no optimizer runs and nothing restarts.  restarts
     sizes two unrelated samples: the random simplex rows of
     minimize_simplex_entropy, probed besides the vertices, the barycenter
-    and the lattice, and the random unit vectors of min_output_entropy.
+    and one row per permutation orbit of the lattice (250, 91, 34, 18,
+    11, 5 and 3 rows at d = 2, 3, 4, 5, 6, 8 and 10), and the random unit
+    vectors of min_output_entropy.
     n_random counts the Haar-random states of additivity_gap, whose
     entropies come from their Schmidt weights, and of which the first
     _DENSE_CHECK_STATES are also checked against the dense two-copy
@@ -116,15 +130,18 @@ def _entropy_rows(p: np.ndarray) -> np.ndarray:
     Entries at or below ENTROPY_CLAMP count as exact zeros and entries
     at or above 1 as exact ones, so both contribute 0: a root that rounds
     to 1 + 2**-52 would otherwise add -p ln p < 0 and make an entropy
-    negative.  An entry below EIGENVALUE_FLOOR raises NotPSD.
+    negative.  A NaN or infinite entry raises OutOfRange, and a finite
+    entry below EIGENVALUE_FLOOR NotPSD; one mask over the array finds
+    both.
 
     The logarithms are math.log's, not np.log's, whose last bit differs
     on some inputs, and each row's terms are subtracted from 0 column by
     column.  So every row gets the bits of a Python loop over its entries.
     """
-    low = p < EIGENVALUE_FLOOR
-    if low.any():
-        raise NotPSD(f"entropy of a vector with entry {p[low][0]}")
+    bad = ~((p >= EIGENVALUE_FLOOR) & (p < math.inf))
+    if bad.any():
+        check_finite(p, "entropy input entries")
+        raise NotPSD(f"entropy of a vector with entry {p[bad][0]}")
     q = np.where((p > ENTROPY_CLAMP) & (p < 1.0), p, 1.0)
     terms = q * np.fromiter(map(math.log, q.ravel().tolist()), float, q.size).reshape(q.shape)
     total = np.zeros(len(p))
@@ -138,7 +155,8 @@ def entropy_of(values: np.ndarray) -> float:
 
     Entries at or below the clamp threshold are treated as exact zeros,
     and entries at or above 1 as exact ones, so both contribute 0.
-    Entries below -1e-10 indicate a genuinely non-PSD input and raise.
+    Entries below -1e-10 indicate a genuinely non-PSD input and raise
+    NotPSD; a NaN or infinite entry raises OutOfRange.
     """
     return float(_entropy_rows(np.asarray(values, dtype=float).reshape(1, -1))[0])
 
@@ -218,18 +236,33 @@ def min_output_entropy(ch: Channel, cfg: OptimizerConfig = OptimizerConfig()) ->
 
 
 def _simplex_lattice(d: int) -> np.ndarray:
-    """The rows k / m, k in N^d with sum k = m, of the finest lattice that fits.
+    """One nonincreasing row k / m per permutation orbit of the lattice {k / m : k in N^d, sum k = m}.
 
-    m is the largest resolution whose C(m + d - 1, d - 1) rows number at
-    most _LATTICE_ROWS, and at least 1, where the rows are the vertices:
-    m = 30, 12, 8, 6 and 4 at d = 3, 4, 5, 6 and 8.  The rows come from
-    the stars-and-bars positions, in their lexicographic order.
+    m is the largest resolution whose full lattice, C(m + d - 1, d - 1)
+    rows, numbers at most _LATTICE_ROWS, and at least 1, where the rows
+    are the vertices: m = 499, 30, 12, 8, 6, 4 and 3 at d = 2, 3, 4, 5,
+    6, 8 and 10.  The two-copy entropy is the same on every permutation
+    of a Schmidt vector, so only the partitions of m into at most d parts
+    are built: 250, 91, 34, 18, 11, 5 and 3 rows at those d.  Each part
+    is at most the one before it and at least the rest's share of the
+    slots left, so every branch of the recursion ends in a row.  Rows
+    come in descending lexicographic order, (m, 0, ..., 0) first.
     """
     m = 1
     while math.comb(m + d, d - 1) <= _LATTICE_ROWS:
         m += 1
-    bars = np.array(list(itertools.combinations(range(m + d - 1), d - 1)))
-    return (np.diff(bars, axis=1, prepend=-1, append=m + d - 1) - 1) / m
+    rows: list[list[int]] = []
+
+    def extend(prefix: list[int], rest: int, cap: int) -> None:
+        slots = d - len(prefix)
+        if slots == 1:
+            rows.append(prefix + [rest])
+            return
+        for k in range(min(cap, rest), -(-rest // slots) - 1, -1):
+            extend(prefix + [k], rest - k, k)
+
+    extend([], m, m)
+    return np.array(rows, dtype=float) / m
 
 
 def minimize_simplex_entropy(
@@ -240,16 +273,21 @@ def minimize_simplex_entropy(
     The probe is one batch of rows: the d vertices, the barycenter,
     cfg.restarts uniform-simplex draws (the rows of one flat Dirichlet
     block from one stream, so the first k rows do not depend on
-    cfg.restarts) and _simplex_lattice(d).  All of
-    them are checked by _check_schmidt_rows and evaluated by one
-    _split_rows call, which gives each row the bits that
-    simplex_output_entropy gives it alone.  When the best row does not
-    beat the best vertex by more than 1e-12, that vertex is reported as
-    argmin, with the lower of the two values.
+    cfg.restarts) and _simplex_lattice(d), one nonincreasing row per
+    permutation orbit of the lattice, since the entropy does not change
+    under a permutation of the Schmidt weights.  All of them are checked
+    by _check_schmidt_rows and evaluated by one _split_rows call, which
+    gives each row the bits that simplex_output_entropy gives it alone.
+    When the best row does not beat the best vertex by more than 1e-12,
+    that vertex is reported as argmin, with the lower of the two values.
 
-    restarts counts the random rows.  Wherever the entropy is concave on
+    restarts counts the random rows: at restarts = 20 the batch has 115
+    rows at d = 3 and 59 at d = 4.  Wherever the entropy is concave on
     the simplex, which the tests check on chords, its minimum lies at a
-    vertex and no other row can beat it.
+    vertex and no other row can beat it.  Wherever |t| >= 1e-6 the
+    result has the bits of a probe of every lattice row; nearer t = 0,
+    where the entropy is flat to rounding, the value may differ from it
+    by a few ulp.
     """
     d = ch.d
     draws = rng_stream(cfg.seed, _TAG_SIMPLEX).dirichlet(np.ones(d), size=cfg.restarts)

@@ -115,6 +115,21 @@ def simplex_projection_bisect(x) -> np.ndarray:
     return np.maximum(x - mid, 0.0)
 
 
+def simplex_lattice_full(d: int, budget: int) -> np.ndarray:
+    """Every row k / m, k in N^d with sum k = m, of the finest lattice that fits budget.
+
+    m is the largest resolution whose C(m + d - 1, d - 1) rows number at
+    most budget, and at least 1.  The rows come from the stars-and-bars
+    positions, in their lexicographic order: every composition of m, with
+    no two rows equal.
+    """
+    m = 1
+    while math.comb(m + d, d - 1) <= budget:
+        m += 1
+    bars = np.array(list(itertools.combinations(range(m + d - 1), d - 1)))
+    return (np.diff(bars, axis=1, prepend=-1, append=m + d - 1) - 1) / m
+
+
 def elem_sym_brute(values, q: int) -> float:
     """Elementary symmetric polynomial by explicit combinations."""
     values = list(values)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -27,6 +28,7 @@ from oracles import (
     kraus_two_copy_output,
     mp_two_copy_entropy,
     schmidt_state,
+    simplex_lattice_full,
     simplex_projection_bisect,
     simplex_projection_sort,
 )
@@ -93,6 +95,25 @@ def test_entropy_rows_takes_its_logarithms_from_math_log():
     p = np.random.default_rng(257).uniform(size=(1000, 100))
     want = [bits(entropy_loop(row, ENTROPY_CLAMP)) for row in p.tolist()]
     assert bits(entropy._entropy_rows(p).tolist()) == want
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_entropy_rows_rejects_non_finite_entries(bad):
+    # A NaN or infinite entry anywhere raises OutOfRange, also beside an
+    # entry that alone would raise NotPSD; it never counts as a one.
+    rng = np.random.default_rng(269)
+    for _ in range(30):
+        p = rng.dirichlet(np.ones(int(rng.integers(1, 8))), size=int(rng.integers(1, 5)))
+        if rng.random() < 0.3:
+            p[rng.integers(len(p)), rng.integers(p.shape[1])] = -1e-9
+        p[rng.integers(len(p)), rng.integers(p.shape[1])] = bad
+        with pytest.raises(OutOfRange, match="must be finite"):
+            entropy._entropy_rows(p)
+        with pytest.raises(OutOfRange, match="must be finite"):
+            td.entropy_of(p.ravel())
+    for row in ([bad, 0.5], [0.5, bad], [bad]):
+        with pytest.raises(OutOfRange):
+            td.entropy_of(row)
 
 
 def test_von_neumann_entropy():
@@ -469,15 +490,83 @@ def probe_calls(monkeypatch, ch, cfg, values=None):
     return result, calls
 
 
+# Partitions of m into at most d parts: one row per permutation orbit.
+ORBIT_ROWS = {2: 250, 3: 91, 4: 34, 5: 18, 6: 11, 8: 5, 10: 3}
+
+
 @pytest.mark.parametrize("d, m", [(2, 499), (3, 30), (4, 12), (5, 8), (6, 6), (8, 4), (10, 3)])
 def test_simplex_lattice_is_the_finest_that_fits_the_budget(d, m):
+    full = simplex_lattice_full(d, entropy._LATTICE_ROWS)
+    assert len(full) == math.comb(m + d - 1, d - 1) <= entropy._LATTICE_ROWS < math.comb(m + d, d - 1)
     lattice = entropy._simplex_lattice(d)
-    assert len(lattice) == math.comb(m + d - 1, d - 1) <= entropy._LATTICE_ROWS < math.comb(m + d, d - 1)
+    assert len(lattice) == ORBIT_ROWS[d]
     k = np.rint(lattice * m).astype(int)
     assert np.array_equal(lattice, k / m)
     assert (k >= 0).all() and (k.sum(axis=1) == m).all()
-    # Distinct compositions of m, as many as there are: all of them.
+    # Nonincreasing and distinct: one row per orbit, and no orbit twice.
+    assert (np.diff(k, axis=1) <= 0).all()
     assert len({tuple(row) for row in k.tolist()}) == len(k)
+    # The permutations of the rows are every composition of m and, since
+    # the rows are compositions, nothing else: sorting each composition
+    # in descending order gives a row, and every row is reached.
+    compositions = np.rint(full * m).astype(int).tolist()
+    assert {tuple(sorted(row, reverse=True)) for row in compositions} == {tuple(row) for row in k.tolist()}
+
+
+def test_two_copy_entropy_is_the_same_on_every_permutation_of_a_row():
+    # Permuting the Schmidt weights is a product unitary on the input, so
+    # S1 + S2 may move by rounding only, zero and tied weights included.
+    rng = np.random.default_rng(263)
+    for d in (2, 3, 4, 5):
+        lo, hi = td.t_range(d)
+        for t in (lo, 0.5 * lo, -1e-9, 1e-9, 0.5 * hi, hi, float(rng.uniform(lo, hi))):
+            ch = td.new_channel(d, t)
+            for case in range(6):
+                # A zero weight, a tie, or both, wherever d leaves room.
+                zero = case % 3 != 1
+                tie = case % 3 != 0 and not (zero and d == 2)
+                row = rng.dirichlet(np.ones(d))
+                if zero:
+                    row[d - 1] = 0.0
+                if tie:
+                    row[0] = row[1]
+                row /= row.sum()
+                perms = np.array(list(itertools.permutations(row)))
+                _check_schmidt_rows(perms)
+                s1, s2 = entropy._split_rows(ch, perms)
+                total = s1 + s2
+                assert np.ptp(total) <= 4e-15, (d, t, row.tolist(), np.ptp(total))
+
+
+def orbit_probe_cells():
+    # The benchmark's additivity cells (restarts 20, a 9-point grid over
+    # the t range at d = 3 and 4) on two seeds, then d = 2..10.
+    for seed in (5, 11):
+        cfg = td.OptimizerConfig(restarts=20, n_random=120, seed=seed)
+        for d in (3, 4):
+            for t in np.linspace(-1.0 / (d - 1), 1.0 / (d + 1), 9).tolist():
+                yield td.new_channel(d, t), cfg
+    cfg = td.OptimizerConfig(restarts=20, seed=0)
+    for d in range(2, 11):
+        for t in np.linspace(*td.t_range(d), 9).tolist() + [-1e-6, 1e-6, -1e-9, 1e-9, -1e-7, 3e-8]:
+            yield td.new_channel(d, t), cfg
+
+
+def test_probe_on_orbits_gives_the_full_lattice_probe(monkeypatch):
+    # Wherever |t| >= 1e-6 the orbit rows give the minimum and argmin of
+    # every lattice row bit for bit.  Nearer t = 0 the entropy is flat to
+    # rounding and the minimum may move by a few ulp, the argmin not.
+    # At t = 0 itself every row has the same value, bit for bit.
+    for ch, cfg in orbit_probe_cells():
+        val, arg = td.minimize_simplex_entropy(ch, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(entropy, "_simplex_lattice", lambda d: simplex_lattice_full(d, entropy._LATTICE_ROWS))
+            want_val, want_arg = td.minimize_simplex_entropy(ch, cfg)
+        assert bits(arg.values.tolist()) == bits(want_arg.values.tolist()), (ch.d, ch.t)
+        if abs(ch.t) >= 1e-6 or ch.t == 0.0:
+            assert bits(val) == bits(want_val), (ch.d, ch.t)
+        else:
+            assert abs(val - want_val) <= 4e-15, (ch.d, ch.t)
 
 
 @pytest.mark.parametrize("restarts", [0, 7])
