@@ -61,6 +61,7 @@ comes from one reduction, _entropy_rows.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -235,6 +236,7 @@ def min_output_entropy(ch: Channel, cfg: OptimizerConfig = OptimizerConfig()) ->
     return float(values[best]), v[best]
 
 
+@functools.cache
 def _simplex_lattice(d: int) -> np.ndarray:
     """One nonincreasing row k / m per permutation orbit of the lattice {k / m : k in N^d, sum k = m}.
 
@@ -246,7 +248,8 @@ def _simplex_lattice(d: int) -> np.ndarray:
     are built: 250, 91, 34, 18, 11, 5 and 3 rows at those d.  Each part
     is at most the one before it and at least the rest's share of the
     slots left, so every branch of the recursion ends in a row.  Rows
-    come in descending lexicographic order, (m, 0, ..., 0) first.
+    come in descending lexicographic order, (m, 0, ..., 0) first.  Built
+    once per d and returned read-only.
     """
     m = 1
     while math.comb(m + d, d - 1) <= _LATTICE_ROWS:
@@ -262,7 +265,9 @@ def _simplex_lattice(d: int) -> np.ndarray:
             extend(prefix + [k], rest - k, k)
 
     extend([], m, m)
-    return np.array(rows, dtype=float) / m
+    lattice = np.array(rows, dtype=float) / m
+    lattice.flags.writeable = False
+    return lattice
 
 
 def minimize_simplex_entropy(

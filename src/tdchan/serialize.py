@@ -7,6 +7,7 @@ IEEE doubles exactly, so identical reports serialize to identical bytes.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -21,11 +22,32 @@ def fmt_float(x: float) -> str:
 
 
 def to_json(obj) -> str:
-    """JSON text with 17-significant-digit floats, insertion-ordered keys."""
+    """JSON text with 17-significant-digit floats, insertion-ordered keys.
+
+    Dispatches on the exact type of obj first; numpy scalars, tuples,
+    arrays and subclasses fall through to _to_json_other.
+    """
+    kind = type(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if kind is int:
+        return str(obj)
+    if kind is float:
+        return fmt_float(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is list:
+        return "[" + ", ".join(map(to_json, obj)) + "]"
+    if kind is dict:
+        inner = ", ".join(f"{encode_basestring_ascii(str(k))}: {to_json(v)}" for k, v in obj.items())
+        return "{" + inner + "}"
     if obj is None:
         return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
+    return _to_json_other(obj)
+
+
+def _to_json_other(obj) -> str:
+    """to_json of numpy scalars and arrays, tuples and subclasses of the exact types."""
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):

@@ -38,13 +38,30 @@ _scan_cell turns the margins into a ScanReport.  The order of _KINDS
 must not change: a kind's index in it is part of every stream key, so a
 reordering would change the bytes of every report.
 
+Layout: _polytope_batch returns nu coordinate-leading, as (n, N)
+columns: row l holds coordinate l of every sample.  It reads the
+(N, n + 3) Philox block row by row, transposes it once, and normalizes
+the exponential spacings by one in-order sum over the coordinate rows,
+so every later step is one contiguous operation over all samples.  The
+"main" and "second_term" cells hand those columns to the degree-leading
+symmetric-polynomial tables as they are, and "k0" adds its reciprocal
+terms over them in coordinate order, as k0_defect does.  The "sympol"
+and "schur" cells read their Schmidt vectors as a transposed view of
+the same normalizer.
+
 Determinism: every scan cell draws from one counter-based Philox stream
 keyed by (seed, kind, d, t index), and each sample reads a fixed number
-of consecutive doubles from it (n + 3 for a polytope row), so reports
+of consecutive doubles from it (n + 3 for a polytope sample), so reports
 are identical across runs and across any thread count.  All k of a cell
-share its rows: "main" and "second_term" evaluate every k on one draw,
-from one s table and, for "main", one leave-one-out table.  "extreme"
-and "final_poly" draw nothing and open no stream.
+share its samples: "main" and "second_term" evaluate every k on one
+draw, from one s table and, for "main", one leave-one-out table.
+"extreme" and "final_poly" draw nothing and open no stream.
+
+Threads: run_scan lists its (d, t) jobs in order and gives each of its
+threads one task, a fixed slice of them: worker w runs jobs w,
+w + threads, ... in turn.  The reports are put back in (d, t) order,
+and when cells raise, the exception of the earliest failing job in that
+order is raised, as with one thread.
 """
 
 from __future__ import annotations
@@ -127,7 +144,7 @@ def main_inequality_lhs(nu, k: int, d: int, t: float) -> float:
     if not (0 <= k <= n - 1):
         raise BadK(f"k={k} outside [0, {n - 1}]")
     _check_t(d, t)
-    return float(_margins_main(v[None, :], d, t)[0, k])
+    return float(_margins_main(v[:, None], d, t)[k, 0])
 
 
 def second_term_value(nu, k: int) -> float:
@@ -160,7 +177,7 @@ def k0_defect(nu, d: int, t: float) -> float:
         raise NearZeroNu(f"coordinate too close to zero: {v}")
     if int(np.sum(v < 0.0)) != 1:
         raise BadSignPattern(f"expected exactly one negative coordinate in {v}")
-    return _rhs_coefficient(d, t) - float(np.sum((1.0 - v) / v))
+    return float(_k0_slacks(v[:, None], d, t)[0])
 
 
 def extreme_point_defect(d: int, t: float) -> float | None:
@@ -189,37 +206,45 @@ def final_polynomial(d: int, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _simplex_rows(u: np.ndarray) -> np.ndarray:
-    """Uniform points of the probability simplex, one per row of uniforms u.
+def _simplex_cols(u: np.ndarray) -> np.ndarray:
+    """Uniform points of the probability simplex, one per column of uniforms u (m, N).
 
-    Normalized exponential spacings; dropping the last coordinate of a
-    row gives a uniform point of the solid simplex {w >= 0, sum w <= 1}.
+    Normalized exponential spacings, summed over the m coordinate rows
+    in order, first to last; dropping the last row gives uniform points
+    of the solid simplex {w >= 0, sum w <= 1}.  A row-wise np.sum adds
+    in the same order for fewer than 8 terms, so the bits of a point do
+    not depend on the layout for m <= 7.
     """
     expo = exponentials_from_uniforms(u)
-    return expo / np.maximum(expo.sum(axis=1), 1e-300)[:, None]
+    total = expo[0]
+    for row in expo[1:]:
+        total = total + row
+    return expo / np.maximum(total, 1e-300)
 
 
 def _polytope_batch(
     gen: np.random.Generator, n: int, radius: float, count: int, corner_only: bool = False
 ) -> np.ndarray:
-    """count exact samples of the nu polytope whose simplex has radius R.
+    """count exact samples of the nu polytope whose simplex has radius R, as (n, count) columns.
 
-    Every row reads n + 3 consecutive stream doubles: a stratum double, a
-    position double, then n + 1 uniforms for w.  The corner stratum
-    y = (R - 1) w + e_pos is drawn when the stratum double is >= 1/2 and
-    R > 1, or always with corner_only (which returns no rows when R <= 1);
-    otherwise the whole-polytope stratum y = R w.  Returns nu = 1 - y.
+    Every sample reads n + 3 consecutive stream doubles: a stratum
+    double, a position double, then n + 1 uniforms for w.  The corner
+    stratum y = (R - 1) w + e_pos is drawn when the stratum double is
+    >= 1/2 and R > 1, or always with corner_only (which returns no
+    samples when R <= 1); otherwise the whole-polytope stratum y = R w.
+    Returns nu = 1 - y, coordinate-leading: row l holds coordinate l of
+    every sample.
     """
     if corner_only and radius <= 1.0:
-        return np.empty((0, n))
-    block = gen.random((count, n + 3))
-    w = _simplex_rows(block[:, 2:])[:, :n]
-    corner = corner_only | ((block[:, 0] >= 0.5) & (radius > 1.0))
+        return np.empty((n, 0))
+    block = gen.random((count, n + 3)).T.copy()
+    w = _simplex_cols(block[2:])[:n]
+    corner = corner_only | ((block[0] >= 0.5) & (radius > 1.0))
     scale = np.where(corner, radius - 1.0, radius)
-    nu = 1.0 - scale[:, None] * w
-    rows = np.flatnonzero(corner)
-    pos = np.minimum((block[rows, 1] * n).astype(int), n - 1)
-    nu[rows, pos] = -scale[rows] * w[rows, pos]  # 1 - y_pos without cancellation
+    nu = 1.0 - scale * w
+    cols = np.flatnonzero(corner)
+    pos = np.minimum((block[1, cols] * n).astype(int), n - 1)
+    nu[pos, cols] = -scale[cols] * w[pos, cols]  # 1 - y_pos without cancellation
     return nu
 
 
@@ -233,7 +258,7 @@ def sample_polytope(d: int, t: float, rng: np.random.Generator) -> np.ndarray:
     """
     n = _polytope_n(d)
     _check_t(d, t)
-    return _polytope_batch(rng, n, -box_ratio(d, t), 1)[0]
+    return _polytope_batch(rng, n, -box_ratio(d, t), 1)[:, 0]
 
 
 def polytope_vertices(d: int, t: float) -> np.ndarray:
@@ -290,19 +315,31 @@ def _first_terms(cols: np.ndarray, table: np.ndarray) -> np.ndarray:
     return _sum_in_order((1.0 - cols) * loo)
 
 
-def _margins_main(nu: np.ndarray, d: int, t: float) -> np.ndarray:
-    """main_inequality_lhs per row of an (N, n) nu and every k; (N, n), column k.
+def _margins_main(cols: np.ndarray, d: int, t: float) -> np.ndarray:
+    """main_inequality_lhs for every column of a coordinate-leading (n, N) nu and every k; [k, column].
 
     margin_k = first_{n-k-1} - coef s_{n-k}, all from one s table.
     """
-    n = nu.shape[1]
-    cols = nu.T.copy()
+    n = cols.shape[0]
     table = _elem_sym_table(cols)
-    return (_first_terms(cols, table)[::-1] - _rhs_coefficient(d, t) * table[n:0:-1]).T
+    return _first_terms(cols, table)[::-1] - _rhs_coefficient(d, t) * table[n:0:-1]
+
+
+def _k0_slacks(cols: np.ndarray, d: int, t: float) -> np.ndarray:
+    """k0_defect for every column of a coordinate-leading (n, N) nu, unchecked; (N,).
+
+    The reciprocal terms are added in coordinate order, first to last,
+    which a row-wise np.sum also does for n < 8.
+    """
+    total = (1.0 - cols[0]) / cols[0]
+    for row in cols[1:]:
+        total = total + (1.0 - row) / row
+    return _rhs_coefficient(d, t) - total
 
 
 def _lambda_batch(gen: np.random.Generator, d: int, count: int) -> np.ndarray:
-    return _simplex_rows(gen.random((count, d)))
+    """count uniform Schmidt vectors as (count, d) rows, a transposed view of simplex columns."""
+    return _simplex_cols(gen.random((count, d)).T).T
 
 
 def _sympol_margins(ch: Channel, lams: np.ndarray) -> np.ndarray:
@@ -332,20 +369,20 @@ def _schur_margins(ch: Channel, lams: np.ndarray, picks: np.ndarray) -> np.ndarr
 def _main_cell(stream, d, t, samples):
     n = d - 2
     nu = _polytope_batch(stream(), n, -box_ratio(d, t), samples)
-    return list(range(n)), _margins_main(np.vstack([nu, polytope_vertices(d, t)]), d, t)
+    return list(range(n)), _margins_main(np.hstack([nu, polytope_vertices(d, t).T]), d, t)
 
 
 def _k0_cell(stream, d, t, samples):
     nu = _polytope_batch(stream(), d - 2, -box_ratio(d, t), samples, corner_only=True)
-    nu = nu[((nu < 0.0).sum(axis=1) == 1) & (np.abs(nu).min(axis=1) > NEAR_ZERO_NU)]
-    return [0], _rhs_coefficient(d, t) - ((1.0 - nu) / nu).sum(axis=1)
+    nu = nu[:, ((nu < 0.0).sum(axis=0) == 1) & (np.abs(nu).min(axis=0) > NEAR_ZERO_NU)]
+    return [0], _k0_slacks(nu, d, t)
 
 
 def _second_term_cell(stream, d, t, samples):
     # Column n - k of the s table holds s_{n-k}, the margin of k = 1..n.
     n = d - 2
     nu = _polytope_batch(stream(), n, -box_ratio(d, t), samples)
-    return list(range(1, n + 1)), _elem_sym_table(nu.T.copy())[:n].T
+    return list(range(1, n + 1)), _elem_sym_table(nu)[:n]
 
 
 def _extreme_cell(stream, d, t, samples):
@@ -403,8 +440,11 @@ def run_scan(
 
     The default grid has 9 points spanning [-1/(d-1), -1e-6].  The kind,
     every d and every t of the grid are checked before any cell runs.
-    Reports come back in (d, t) order regardless of the thread count,
-    and their contents are independent of it as well.
+    With threads > 1, worker w runs jobs w, w + threads, ... in order,
+    one task per worker.  Reports come back in (d, t) order regardless
+    of the thread count, and their contents are independent of it as
+    well; a failing cell raises the exception of the earliest failing
+    job in (d, t) order, the one threads=1 raises.
     """
     if kind not in _KINDS:
         raise ConfigError(f"kind must be one of {SCAN_KINDS}, got {kind!r}")
@@ -423,7 +463,26 @@ def run_scan(
             _check_t(d, t)
             jobs.append((kind, d, t, t_idx, samples, seed))
 
-    if threads and threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda job: _scan_cell(*job), jobs))
-    return [_scan_cell(*job) for job in jobs]
+    workers = min(threads or 1, len(jobs))
+    if workers <= 1:
+        return [_scan_cell(*job) for job in jobs]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        slices = list(pool.map(_run_in_order, (jobs[w::workers] for w in range(workers))))
+    failed = [(w + len(done) * workers, exc) for w, (done, exc) in enumerate(slices) if exc is not None]
+    if failed:
+        raise min(failed, key=lambda failure: failure[0])[1]
+    reports = [None] * len(jobs)
+    for w, (done, _) in enumerate(slices):
+        reports[w::workers] = done
+    return reports
+
+
+def _run_in_order(jobs: list) -> tuple[list[ScanReport], Exception | None]:
+    """The reports of jobs run in order, up to the first that raises, and its exception."""
+    reports = []
+    for job in jobs:
+        try:
+            reports.append(_scan_cell(*job))
+        except Exception as exc:
+            return reports, exc
+    return reports, None

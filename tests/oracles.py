@@ -8,6 +8,7 @@ symmetric-polynomial implementations under test.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import mpmath
@@ -281,3 +282,46 @@ def mp_two_copy_entropy(t, lam):
     c2 = 2 * tt * (1 - tt) / d
     gamma = [c1 + c2 / 2 * (lam[a] + lam[b]) for a in range(d) for b in range(d) if a != b]
     return mp_entropy(gamma) + mp_entropy(mp_block_roots(tt, lam))
+
+
+def polytope_batch_rows(
+    gen: np.random.Generator, n: int, radius: float, count: int, corner_only: bool = False
+) -> np.ndarray:
+    """The row-major polytope sampler: count samples as (count, n) rows.
+
+    Reads the same n + 3 doubles per sample as verification._polytope_batch
+    and normalizes each row of exponential spacings by a row-wise np.sum.
+    """
+    if corner_only and radius <= 1.0:
+        return np.empty((0, n))
+    block = gen.random((count, n + 3))
+    expo = -np.log1p(-block[:, 2:])
+    w = (expo / np.maximum(expo.sum(axis=1), 1e-300)[:, None])[:, :n]
+    corner = corner_only | ((block[:, 0] >= 0.5) & (radius > 1.0))
+    scale = np.where(corner, radius - 1.0, radius)
+    nu = 1.0 - scale[:, None] * w
+    rows = np.flatnonzero(corner)
+    pos = np.minimum((block[rows, 1] * n).astype(int), n - 1)
+    nu[rows, pos] = -scale[rows] * w[rows, pos]
+    return nu
+
+
+def to_json_recursive(obj) -> str:
+    """JSON text with 17-significant-digit floats, by isinstance checks in one recursion."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return "NaN" if obj != obj else format(float(obj), ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        inner = ", ".join(f"{json.dumps(str(k))}: {to_json_recursive(v)}" for k, v in obj.items())
+        return "{" + inner + "}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
+        return "[" + ", ".join(to_json_recursive(v) for v in seq) + "]"
+    raise TypeError(f"cannot serialize {type(obj)!r}")

@@ -18,6 +18,8 @@ from tdchan import entropy, spectrum
 from tdchan.cli import main
 from tdchan.serialize import density_from_obj, density_to_obj, fmt_float, to_json
 
+from oracles import to_json_recursive
+
 
 # ------------------------------------------------------------------ serialize
 
@@ -31,6 +33,36 @@ def test_fmt_float_roundtrip():
 def test_to_json_shapes():
     s = to_json({"a": [1.0, 2.5], "b": {"c": None}})
     assert json.loads(s) == {"a": [1.0, 2.5], "b": {"c": None}}
+
+
+_json_floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([-0.0, float("nan"), float("-inf")])
+_json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | _json_floats
+    | st.text()
+    | _json_floats.map(np.float64)
+    | st.floats(width=32).map(np.float32)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.lists(_json_floats, max_size=4).map(np.array)
+    | st.lists(st.lists(st.integers(-9, 9), min_size=2, max_size=2), max_size=3).map(np.array)
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=5) | st.integers(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_to_json_matches_the_recursive_encoder(value):
+    # Exact-type dispatch first, isinstance fallback for numpy scalars,
+    # arrays and tuples: the bytes of the one-recursion encoder.
+    assert to_json(value) == to_json_recursive(value)
 
 
 def test_density_obj_roundtrip():

@@ -513,6 +513,16 @@ def test_simplex_lattice_is_the_finest_that_fits_the_budget(d, m):
     assert {tuple(sorted(row, reverse=True)) for row in compositions} == {tuple(row) for row in k.tolist()}
 
 
+def test_simplex_lattice_is_built_once_per_d_and_read_only():
+    for d in (2, 3, 5):
+        lattice = entropy._simplex_lattice(d)
+        assert entropy._simplex_lattice(d) is lattice
+        with pytest.raises(ValueError):
+            lattice[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            lattice *= 2.0
+
+
 def test_two_copy_entropy_is_the_same_on_every_permutation_of_a_row():
     # Permuting the Schmidt weights is a product unitary on the input, so
     # S1 + S2 may move by rounding only, zero and tied weights included.

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from scipy import optimize, stats
@@ -34,7 +36,7 @@ from tdchan.verification import (
     second_term_value,
 )
 
-from oracles import elem_sym_brute
+from oracles import elem_sym_brute, polytope_batch_rows
 
 
 # ------------------------------------------------------------- scalar formulas
@@ -104,13 +106,13 @@ def test_main_margin_routes_match_brute_force():
             t = float(t)
             nu = np.vstack(
                 [
-                    _polytope_batch(philox_stream(d, 0), n, -box_ratio(d, t), 6),
+                    _polytope_batch(philox_stream(d, 0), n, -box_ratio(d, t), 6).T,
                     polytope_vertices(d, t),
                 ]
             )
-            margins = _margins_main(nu, d, t)
+            margins = _margins_main(nu.T.copy(), d, t)
             for k in range(n):
-                for row, margin in zip(nu, margins[:, k]):
+                for row, margin in zip(nu, margins[k]):
                     first = sum(
                         (1.0 - row[l]) * elem_sym_brute(np.delete(row, l), n - k - 1)
                         for l in range(n)
@@ -138,7 +140,7 @@ def test_scan_cells_match_brute_force_margins_on_their_one_draw(monkeypatch, kin
         reports = run_scan(kind, [d], t_grid=grid, samples=samples, seed=seed)
         for t_idx, (t, rep) in enumerate(zip(grid.tolist(), reports)):
             gen = philox_stream(seed, _cell_key(kind, d, t_idx))
-            nu = _polytope_batch(gen, n, -box_ratio(d, t), samples)
+            nu = _polytope_batch(gen, n, -box_ratio(d, t), samples).T
             if vertices:
                 nu = np.vstack([nu, polytope_vertices(d, t)])
             if kind == "main":
@@ -214,6 +216,20 @@ def test_polytope_routes_reject_non_finite_nu(bad):
         k0_defect(nu, 4, -0.25)
 
 
+def test_k0_cell_gives_each_sample_the_bits_of_k0_defect():
+    # At the steepest t the corner radius is R - 1 = 1.  Up to d = 12,
+    # where n = 10 terms would be added pairwise by a row-wise np.sum,
+    # the scan and the scalar route add the reciprocals in one order.
+    for d in range(3, 13):
+        t = float(default_t_grid(d)[0])
+        key = _cell_key("k0", d, 0)
+        _, margins = verification._k0_cell(lambda: philox_stream(6, key), d, t, 40)
+        nu = _polytope_batch(philox_stream(6, key), d - 2, -box_ratio(d, t), 40, corner_only=True).T
+        want = [k0_defect(row, d, t) for row in nu if np.abs(row).min() > 1e-12]
+        assert len(want) == len(margins) > 30
+        assert np.array(want).tobytes() == margins.tobytes(), d
+
+
 def test_extreme_point_defect():
     assert extreme_point_defect(4, -1.0 / 3.0) == pytest.approx(2.0)
     assert extreme_point_defect(3, -0.5) == pytest.approx(2.0)
@@ -276,8 +292,8 @@ def test_batch_polytope_feasibility_and_determinism():
         lower = 1.0 + ratio
         gen_a = philox_stream(42, _cell_key("main", d, 0) + 2)
         gen_b = philox_stream(42, _cell_key("main", d, 0) + 2)
-        rows_a = _polytope_batch(gen_a, n, -ratio, 512, force)
-        rows_b = _polytope_batch(gen_b, n, -ratio, 512, force)
+        rows_a = _polytope_batch(gen_a, n, -ratio, 512, force).T
+        rows_b = _polytope_batch(gen_b, n, -ratio, 512, force).T
         assert np.array_equal(rows_a, rows_b)
         if force and lower >= 0.0:
             assert rows_a.shape == (0, n)  # the corner stratum is empty
@@ -289,6 +305,28 @@ def test_batch_polytope_feasibility_and_determinism():
         assert np.all(np.sum(rows_a < 0.0, axis=1) <= 1)
         if force:
             assert np.all(np.sum(rows_a < 0.0, axis=1) == 1)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2000])
+def test_polytope_batch_columns_have_the_row_major_bits(count):
+    # The spacings are summed over the coordinate rows in order; a
+    # row-wise np.sum adds its n + 1 < 8 terms in the same order, so up
+    # to d = 8 every sample has the row-major sampler's bits, on both
+    # strata (R > 1 at the steep end of the grid, R <= 1 at the flat end)
+    # and with corner_only.  From d = 9 on np.sum adds pairwise, and the
+    # samples move in the last bits only.
+    for d in range(3, 13):
+        n = d - 2
+        for t_idx, t in enumerate(default_t_grid(d).tolist()):
+            for corner_only in (False, True):
+                key = _cell_key("main", d, t_idx)
+                got = _polytope_batch(philox_stream(3, key), n, -box_ratio(d, t), count, corner_only)
+                want = polytope_batch_rows(philox_stream(3, key), n, -box_ratio(d, t), count, corner_only)
+                assert got.shape == want.shape[::-1]
+                if d <= 8:
+                    assert got.T.tobytes() == want.tobytes(), (d, t, corner_only)
+                else:
+                    assert np.max(np.abs(got.T - want), initial=0.0) <= 1e-15, (d, t, corner_only)
 
 
 def _ks_pvalue(values, a, b):
@@ -305,7 +343,7 @@ def test_polytope_batch_strata_are_uniform():
     radius = -box_ratio(d, t)
     assert 1.0 < radius < 2.0
     gen = philox_stream(2024, _cell_key("k0", d, 0))
-    y = 1.0 - _polytope_batch(gen, n, radius, 4000, corner_only=True)
+    y = 1.0 - _polytope_batch(gen, n, radius, 4000, corner_only=True).T
     pos = np.argmax(y, axis=1)
     assert np.all(y[np.arange(y.shape[0]), pos] >= 1.0)
     radial = (y.sum(axis=1) - 1.0) / (radius - 1.0)
@@ -318,11 +356,11 @@ def test_polytope_batch_strata_are_uniform():
 
     # each stratum has probability 1/2; the corners fill n ((R-1)/R)^n of the whole
     gen = philox_stream(2024, _cell_key("main", d, 0) + 1)
-    y = 1.0 - _polytope_batch(gen, n, radius, 8000)
+    y = 1.0 - _polytope_batch(gen, n, radius, 8000).T
     no_negative = 0.5 * (1.0 - n * ((radius - 1.0) / radius) ** n)
     assert abs(np.mean(y.max(axis=1) < 1.0) - no_negative) < 0.03
     gen = philox_stream(7, 1)
-    y = 1.0 - _polytope_batch(gen, n, 0.9, 4000)  # R < 1: only the whole stratum
+    y = 1.0 - _polytope_batch(gen, n, 0.9, 4000).T  # R < 1: only the whole stratum
     assert _ks_pvalue(y.sum(axis=1) / 0.9, n, 1) > 0.01
     assert _ks_pvalue(y[:, 0] / y.sum(axis=1), 1, n - 1) > 0.01
 
@@ -422,6 +460,46 @@ def test_run_scan_thread_determinism():
     assert len(a) == len(b)
     for ra, rb in zip(a, b):
         assert ra == rb
+
+
+@pytest.mark.parametrize("kind", SCAN_KINDS)
+def test_run_scan_reports_do_not_depend_on_the_thread_count(kind):
+    # Worker w runs cells w, w + threads, ... of the 14: 2 threads take
+    # 7 each, 3 take 5, 5 and 4, and 40 are more workers than cells.
+    grid = default_t_grid(4, 7)
+    want = run_scan(kind, [3, 4], t_grid=grid, samples=50, seed=4, threads=1)
+    assert len(want) == 14
+    for threads in (2, 3, 40):
+        assert run_scan(kind, [3, 4], t_grid=grid, samples=50, seed=4, threads=threads) == want
+
+
+class _EarlierCellFailed(Exception):
+    pass
+
+
+class _LaterCellFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("threads", [2, 3, 40])
+def test_run_scan_raises_the_earliest_failing_cell(monkeypatch, threads):
+    # Cell 4 of 18 in (d, t) order fails late, cell 8 at once.  Every
+    # thread count raises what threads=1 raises: cell 4's exception.
+    cells = [(d, t) for d in (3, 4) for t in default_t_grid(d).tolist()]
+
+    def margins(stream, d, t, samples):
+        index = cells.index((d, t))
+        if index == 4:
+            time.sleep(0.05)
+            raise _EarlierCellFailed(index)
+        if index == 8:
+            raise _LaterCellFailed(index)
+        return [], np.array([1.0])
+
+    monkeypatch.setitem(verification._KINDS, "extreme", (2, margins))
+    for count in (1, threads):
+        with pytest.raises(_EarlierCellFailed):
+            run_scan("extreme", [3, 4], samples=1, threads=count)
 
 
 def test_run_scan_custom_grid_and_guards():
