@@ -135,11 +135,6 @@ def apply(ch: Channel, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(out)
 
 
-def apply_raw(ch: Channel, mat: np.ndarray) -> np.ndarray:
-    """Channel action on an arbitrary matrix, no validation (linear map)."""
-    return ch.t * mat.T + (1.0 - ch.t) * np.trace(mat) * np.eye(ch.d) / ch.d
-
-
 @dataclass(frozen=True)
 class KrausSet:
     """Kraus operators of one of the two extreme channels."""

@@ -27,9 +27,8 @@ channel is unitarily covariant, Phi(U mu U^H) = conj(U) Phi(mu) U^T.
 Permuting the Schmidt weights is the product unitary P x P on the
 input, which conjugates the two-copy output by a unitary, so every
 permutation of a row has the same output spectrum and one row stands
-for its orbit: 250, 91, 34, 18, 11, 5 and 3 rows at d = 2, 3, 4, 5, 6, 8
-and 10, where the full lattice has up to 500.  So _LATTICE_ROWS sets m,
-the full lattice's budget, not the number of rows probed.  The rows of
+for its orbit (_simplex_lattice gives the row counts).  So _LATTICE_ROWS
+sets m, the full lattice's budget, not the number of rows probed.  The rows of
 one orbit agree to rounding, not bit for bit: wherever |t| >= 1e-6 the
 probe gives the minimum and argmin of the full lattice bit for bit, but
 near t = 0, where the entropy is flat to rounding, the minimum may move
@@ -96,8 +95,7 @@ class OptimizerConfig:
     compatibility: no optimizer runs and nothing restarts.  restarts
     sizes two unrelated samples: the random simplex rows of
     minimize_simplex_entropy, probed besides the vertices, the barycenter
-    and one row per permutation orbit of the lattice (250, 91, 34, 18,
-    11, 5 and 3 rows at d = 2, 3, 4, 5, 6, 8 and 10), and the random unit
+    and one row per permutation orbit of the lattice, and the random unit
     vectors of min_output_entropy.
     n_random counts the Haar-random states of additivity_gap, whose
     entropies come from their Schmidt weights, and of which the first

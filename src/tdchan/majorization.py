@@ -2,29 +2,46 @@
 
 The secular eigenvalues scale to gamma_i = g_i / c1, and the Schmidt
 coefficients transform to nu_a = 1 + (c2/c1) lam_a, which for t <= 0 live
-in the box [1 + 2td/(1-t), 1].  The elementary symmetric polynomials of
-the scaled roots are polynomials in nu:
+in the box [1 + 2td/(1-t), 1].  The elementary symmetric polynomials s_r
+of the scaled roots are polynomials in nu:
 
     s_{d-k}(gamma) = phi_k(nu)
-                   = s_{d-k}(nu) + (t^2/c2) sum_l s_{d-1-k}(nu \\ l)(nu_l - 1),
+                   = s_{d-k}(nu) + c sum_l s_{d-1-k}(nu \\ l)(nu_l - 1),
 
-and Schur-concavity of every phi_k is what drives the entropy comparison
-between Schmidt vectors: if lam majorizes lam', the secular part of the
-output entropy can only grow.  The Schur criterion uses the exact partial
-derivatives
+with c = t^2/c2 = td/(2(1-t)), and Schur-concavity of every phi_k is
+what drives the entropy comparison between Schmidt vectors: if lam
+majorizes lam', the secular part of the output entropy can only grow.
 
-    d phi_k / d nu_i = (1 + t^2/c2) s_{d-1-k}(nu \\ i)
-                       + (t^2/c2) sum_{l != i} (nu_l - 1) s_{d-2-k}(nu \\ {i, l}).
+Two counting facts, sum_l nu_l s_{r-1}(nu \\ l) = r s_r(nu) and
+sum_l s_{r-1}(nu \\ l) = (d - r + 1) s_{r-1}(nu), turn every quantity
+here into two terms of one s table.  With m = d - k and s_r = 0 for
+r < 0:
 
-The tables behind these are degree-leading: s_r of a batch sits at
-[r, ..., row], with the rows on the last axis, so every step of a
-recurrence is one contiguous operation over all rows.  The partials come
-from one kernel that builds leave-one-out and leave-two-out tables only
-for the coordinates it is asked for.  The Schur criterion reads two
-coordinates per row, so it costs O(d^2) per row; only
-partial_phi_k_batch, which returns every partial, builds the O(d^3)
-table.  The batch functions validate their inputs as the scalar ones do,
-and the scalar functions are one-row calls of the same kernels.
+    phi_k(nu)          = (1 + c m) s_m(nu) - c (k + 1) s_{m-1}(nu),
+    d phi_k / d nu_i   = (1 + c m) s_{m-1}(nu \\ i) - c (k + 1) s_{m-2}(nu \\ i),
+
+the second because d s_r / d nu_i = s_{r-1}(nu \\ i).  The same facts
+put the paper's main margin on n coordinates in the form
+
+    margin_k(nu) = (k + 1) s_{n-k-1}(nu) - (n - k + coef) s_{n-k}(nu),
+
+coef = 2(1 + t(d-1))/(td) = 2 + 1/c.  Since s_r(nu \\ i) - s_r(nu \\ j)
+= (nu_j - nu_i) s_{r-1}(nu \\ {i, j}), the Schur criterion is that margin
+at the d - 2 remaining coordinates, for every k in 0..d-1:
+
+    schur_defect(nu, k, i, j) = c (nu_i - nu_j)^2 margin_k(nu \\ {i, j}).
+
+The padding s_{-1} = s_{-2} = 0 makes it 0 at k = d - 1 and
+-(1 + 2c)(nu_i - nu_j)^2 at k = d - 2.  So a row of the Schur criterion
+costs one s table of d - 2 coordinates, and the main scan and the Schur
+criterion share one margin kernel, _main_margins.
+
+The tables are degree-leading: s_r of a batch sits at [r, ..., row],
+with the rows on the last axis, so every step of the recurrence is one
+contiguous operation over all rows, and a row gets the same bits alone
+as in any batch.  The batch functions validate their inputs as the
+scalar ones do, and the scalar functions are one-row calls of the same
+kernels.
 """
 
 from __future__ import annotations
@@ -113,40 +130,6 @@ def _elem_sym_table(cols: np.ndarray) -> np.ndarray:
     return e
 
 
-def _loo_elem_sym(cols: np.ndarray, table: np.ndarray, q: int) -> np.ndarray:
-    """s_0..s_q without coordinate l, for each row l of cols; a new [r, l, ...] array.
-
-    cols is coordinate-leading, (n, ...); table is degree-leading and
-    holds s_0..s_q of the full vector, and table[r] broadcasts against
-    cols.  Downdate recurrence b_r(l) = s_r - m_l b_{r-1}(l), stable for
-    |m_l| <= 1, which holds on the nu box.  cols may hold only some of
-    the coordinates: the Schur path passes the two it reads, so its
-    tables are O(d^2) per row.  Applied to a leave-one-out table
-    [r, i, ...] with cols[:, None] it gives the leave-two-out values
-    s_r(m \\ {i, l}) as [r, l, i, ...].  Column r has the same bits for
-    every q >= r.
-    """
-    b = np.empty((q + 1,) + np.broadcast_shapes(cols.shape, (1,) + table.shape[1:]))
-    b[0] = 1.0
-    for r in range(1, q + 1):
-        b[r] = table[r] - cols * b[r - 1]
-    return b
-
-
-def _sum_in_order(terms: np.ndarray) -> np.ndarray:
-    """terms[:, l] summed over l one index at a time, first to last; drops axis 1.
-
-    terms is a degree-leading [r, l, ...] table, and the result keeps its
-    layout, [r, ...].  np.sum groups the terms pairwise when the axis is
-    contiguous in memory, so its bits would depend on the layout and the
-    batch size.
-    """
-    total = terms[:, 0]
-    for l in range(1, terms.shape[1]):
-        total = total + terms[:, l]
-    return total
-
-
 def elem_sym(values, q: int) -> float:
     """Elementary symmetric polynomial s_q via the incremental product recurrence.
 
@@ -203,53 +186,76 @@ def _check_phi_args(nu, k: int, ch: Channel) -> np.ndarray:
     return row
 
 
-def _phi_table(cols: np.ndarray, ch: Channel) -> np.ndarray:
-    """phi_k of a coordinate-leading (d, N) nu for every k; (d, N) indexed [k, row]."""
-    d = cols.shape[0]
-    table = _elem_sym_table(cols)
-    loo = _loo_elem_sym(cols, table, d - 1)
-    inner = _sum_in_order((cols - 1.0) * loo)  # sum_l (nu_l - 1) s_r(nu \ l), [r, row]
-    return table[d:0:-1] + (ch.t**2 / ch.c2) * inner[::-1]
+def _rhs_coefficient(d: int, t: float) -> float:
+    """coef = 2(1 + t(d-1))/(td), the main inequality's coefficient; 2 + 1/c with c = t^2/c2."""
+    return 2.0 * (1.0 + t * (d - 1)) / (t * d)
 
 
-def _partial_phi_rows(nu: np.ndarray, ch: Channel, idx: np.ndarray) -> np.ndarray:
-    """d phi_k / d nu_i at the coordinates idx (N, m) of each row; (N, m, d), [row, slot, k].
+def _main_margins(s_lo, s_hi, k, n: int, coef: float):
+    """(k + 1) s_{n-k-1} - (n - k + coef) s_{n-k}: the main margin from its two s values.
 
-    nu is (N, d), and neither input is checked.  Only the selected
-    coordinates get leave-one-out and leave-two-out tables, so the work
-    is O(m d^2) per row.  Each partial gets the bits it has with every
-    coordinate selected.
+    The main scan passes slices of one s table with k a column; the
+    Schur criterion passes values gathered at a per-row k.
     """
-    count, d = nu.shape
-    coef = ch.t**2 / ch.c2
-    cols = nu.T.copy()  # [l, row]
-    picked = cols[idx.T, np.arange(count)]  # [slot, row]
-    loo = _loo_elem_sym(picked, _elem_sym_table(cols), d - 1)  # [r, slot, row]
-    loo2 = _loo_elem_sym(cols[:, None, :], loo, d - 2)  # [r, l, slot, row]
-    others = np.arange(d)[:, None, None] != idx.T  # [l, slot, row]
-    inner = _sum_in_order(np.where(others, (cols - 1.0)[:, None, :] * loo2, 0.0))
-    # s_{d-2-k} vanishes at k = d - 1: pad r = -1 with a zero row.
-    inner = np.concatenate([np.zeros((1,) + inner.shape[1:]), inner])
-    return ((1.0 + coef) * loo[::-1] + coef * inner[::-1]).T
+    return (k + 1) * s_lo - (n - k + coef) * s_hi
+
+
+def _phi_terms(table: np.ndarray, ch: Channel) -> np.ndarray:
+    """(1 + c m) s_m - c (k + 1) s_{m-1}, m = d - k, for k = 0..d-1; [k, ...].
+
+    table is a degree-leading (d + 1, ...) table.  The s table of nu
+    gives phi_k(nu); that of nu \\ i with a zero row for degree -1 in
+    front gives d phi_k / d nu_i.
+    """
+    d = table.shape[0] - 1
+    c = ch.t**2 / ch.c2
+    k = np.arange(d).reshape((d,) + (1,) * (table.ndim - 1))
+    return (1.0 + c * (d - k)) * table[d:0:-1] - c * (k + 1) * table[d - 1 :: -1]
+
+
+def _partial_phi(cols: np.ndarray, ch: Channel, coords) -> np.ndarray:
+    """d phi_k / d nu_i for each i in coords, of a coordinate-leading (d, N) nu; [k, slot, row].
+
+    Each partial comes from the s table of the d - 1 other coordinates,
+    taken in order, so a partial has the same bits whichever coords are
+    asked for.
+    """
+    d = cols.shape[0]
+    others = np.array([[l for l in range(d) if l != i] for i in coords], dtype=np.intp)
+    table = _elem_sym_table(cols[others.T])  # [r, slot, row]
+    return _phi_terms(np.concatenate([np.zeros((1,) + table.shape[1:]), table]), ch)
 
 
 def _schur_defects(nu: np.ndarray, k, i, j, ch: Channel) -> np.ndarray:
-    """schur_defect per row of an unchecked (N, d) nu, with per-row index arrays; (N,)."""
-    rows = np.arange(nu.shape[0])
-    partial = _partial_phi_rows(nu, ch, np.stack([i, j], axis=1))
-    return (nu[rows, i] - nu[rows, j]) * (partial[rows, 0, k] - partial[rows, 1, k])
+    """c (nu_i - nu_j)^2 margin_k(nu \\ {i, j}) per row of an unchecked (N, d) nu; (N,).
+
+    k, i and j are per-row index arrays.  The s table of the d - 2
+    remaining coordinates gets two zero rows in front, for degrees -2
+    and -1, and only here is the margin's pair of s values gathered at
+    a per-row k.
+    """
+    count, d = nu.shape
+    n = d - 2
+    rows = np.arange(count)
+    keep = np.ones(nu.shape, dtype=bool)
+    keep[rows, i] = False
+    keep[rows, j] = False
+    table = _elem_sym_table(nu[keep].reshape(count, n).T.copy())
+    padded = np.concatenate([np.zeros((2, count)), table])  # padded[r + 2] = s_r
+    margin = _main_margins(padded[n + 1 - k, rows], padded[n + 2 - k, rows], k, n, _rhs_coefficient(d, ch.t))
+    gap = nu[rows, i] - nu[rows, j]
+    return ch.t**2 / ch.c2 * (gap * gap) * margin
 
 
 def phi_k_batch(nu: np.ndarray, ch: Channel) -> np.ndarray:
     """phi_k for every row of an (N, d) nu array and every k; (N, d), column k."""
-    return _phi_table(_check_phi_batch(nu, ch).T.copy(), ch).T
+    return _phi_terms(_elem_sym_table(_check_phi_batch(nu, ch).T.copy()), ch).T
 
 
 def partial_phi_k_batch(nu: np.ndarray, ch: Channel) -> np.ndarray:
     """d phi_k / d nu_i for every row, i and k; (N, d, d) indexed [row, i, k]."""
     nu = _check_phi_batch(nu, ch)
-    count, d = nu.shape
-    return _partial_phi_rows(nu, ch, np.broadcast_to(np.arange(d), (count, d)))
+    return _partial_phi(nu.T.copy(), ch, range(ch.d)).transpose(2, 1, 0)
 
 
 def schur_defect_batch(nu: np.ndarray, k, i, j, ch: Channel) -> np.ndarray:
@@ -270,7 +276,7 @@ def schur_defect_batch(nu: np.ndarray, k, i, j, ch: Channel) -> np.ndarray:
 
 
 def phi_k(nu, k: int, ch: Channel) -> float:
-    """s_{d-k}(nu) + (t^2/c2) sum_l s_{d-1-k}(nu \\ l)(nu_l - 1), for a length-d nu."""
+    """s_{d-k}(nu) + c sum_l s_{d-1-k}(nu \\ l)(nu_l - 1), c = t^2/c2, for a length-d nu."""
     return float(phi_k_batch(_check_phi_args(nu, k, ch), ch)[0, k])
 
 
@@ -285,11 +291,14 @@ def partial_phi_k(nu, k: int, i: int, ch: Channel) -> float:
     """Exact partial derivative of phi_k with respect to nu_i."""
     row = _check_phi_args(nu, k, ch)
     _check_below(i, ch.d, IndexError, "i")
-    return float(_partial_phi_rows(row, ch, np.array([[i]]))[0, 0, k])
+    return float(_partial_phi(row.T.copy(), ch, [i])[k, 0, 0])
 
 
 def schur_defect(nu, k: int, i: int, j: int, ch: Channel) -> float:
-    """(nu_i - nu_j)(d phi_k/d nu_i - d phi_k/d nu_j); <= 0 when Schur-concave."""
+    """(nu_i - nu_j)(d phi_k/d nu_i - d phi_k/d nu_j); <= 0 when Schur-concave.
+
+    Computed as c (nu_i - nu_j)^2 margin_k(nu \\ {i, j}), with c = t^2/c2.
+    """
     if i == j:
         raise IndexError("need distinct indices")
     return float(schur_defect_batch(np.asarray(nu, dtype=float).reshape(1, -1), k, i, j, ch)[0])

@@ -32,15 +32,6 @@ def philox_stream(seed: int, cell: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR with phase-normalized diagonal."""
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(a)
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
-
-
 def haar_states(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     """count Haar-random pure states, (count, dim): complex Gaussian rows, normalized.
 
@@ -51,13 +42,6 @@ def haar_states(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((count, 2, dim))
     psi = g[:, 0] + 1j * g[:, 1]
     return psi / np.linalg.norm(psi, axis=1, keepdims=True)
-
-
-def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Random full-rank density matrix G G* / tr(G G*) with Gaussian G."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    m = g @ g.conj().T
-    return m / np.trace(m).real
 
 
 def exponentials_from_uniforms(u: np.ndarray) -> np.ndarray:

@@ -124,24 +124,23 @@ def sigma12(ch: Channel, lam: "SchmidtVector | np.ndarray") -> DensityMatrix:
     Diagonal entries c1 + (c2/2)(lam_a + lam_b) on |ab>, plus the
     t^2 sqrt(lam_a lam_b) coherences between |aa> and |bb>.
     """
-    lam = _as_schmidt(ch, lam)
-    d = ch.d
-    v = lam.values
-    m = np.zeros((d * d, d * d))
-    for a in range(d):
-        for b in range(d):
-            m[a * d + b, a * d + b] = ch.c1 + 0.5 * ch.c2 * (v[a] + v[b])
+    v = _as_schmidt(ch, lam).values
+    m = np.diag(_pair_grid(ch, v).ravel())
     root = np.sqrt(v)
-    for a in range(d):
-        for b in range(d):
-            m[a * d + a, b * d + b] += ch.t**2 * root[a] * root[b]
+    same = np.arange(ch.d) * (ch.d + 1)  # |aa> sits at row a d + a
+    m[same[:, None], same] += np.outer(ch.t**2 * root, root)
     return DensityMatrix(m)
+
+
+def _pair_grid(ch: Channel, v: np.ndarray) -> np.ndarray:
+    """c1 + (c2/2)(lam_a + lam_b) for every ordered pair (a, b), a == b included; (d, d)."""
+    return ch.c1 + 0.5 * ch.c2 * (v[:, None] + v[None, :])
 
 
 def _pair_values(ch: Channel, v: np.ndarray) -> np.ndarray:
     """gamma_ab = c1 + (c2/2)(lam_a + lam_b) over ordered pairs a != b, lexicographic."""
     d = v.size
-    pair = ch.c1 + 0.5 * ch.c2 * (v[:, None] + v[None, :])
+    pair = _pair_grid(ch, v)
     # Past the first entry, the diagonal of the flattened d x d array is
     # every (d+1)-th entry; dropping that column keeps row-major order.
     return pair.ravel()[1:].reshape(d - 1, d + 1)[:, :d].ravel()

@@ -20,6 +20,12 @@ The central inequality (margin reported by the "main" scan) is, for
     sum_l (1 - nu_l) s_{n-k-1}(nu \\ l)
         - [2 (1 + t(d-1)) / (t d)] s_{n-k}(nu)  >=  0.
 
+Since sum_l s_{r-1}(nu \\ l) = (n - r + 1) s_{r-1}(nu) and
+sum_l nu_l s_{r-1}(nu \\ l) = r s_r(nu), its left side is
+(k + 1) s_{n-k-1}(nu) - (n - k + coef) s_{n-k}(nu), two terms of one s
+table.  The Schur criterion is this margin again, at the d - 2
+coordinates of nu \\ {i, j} (see tdchan.majorization).
+
 Supporting scans cover the sign of the subtracted term s_{n-k}(nu) for
 1 <= k <= n (negative excursions exist for n >= 3; see
 second_term_value), the k = 0 reciprocal form
@@ -54,7 +60,7 @@ keyed by (seed, kind, d, t index), and each sample reads a fixed number
 of consecutive doubles from it (n + 3 for a polytope sample), so reports
 are identical across runs and across any thread count.  All k of a cell
 share its samples: "main" and "second_term" evaluate every k on one
-draw, from one s table and, for "main", one leave-one-out table.
+draw, from one s table.
 "extreme" and "final_poly" draw nothing and open no stream.
 
 Threads: run_scan lists its (d, t) jobs in order and gives each of its
@@ -84,10 +90,10 @@ from .channel import Channel, new_channel
 from .majorization import (
     _elem_sym_table,
     _finite_nu,
-    _loo_elem_sym,
-    _phi_table,
+    _main_margins,
+    _phi_terms,
+    _rhs_coefficient,
     _schur_defects,
-    _sum_in_order,
     elem_sym,
 )
 from .sampling import exponentials_from_uniforms, philox_stream
@@ -100,10 +106,6 @@ NEAR_ZERO_NU = 1e-12
 def box_ratio(d: int, t: float) -> float:
     """2td/(1-t): the lower box bound for nu is 1 + this ratio."""
     return 2.0 * t * d / (1.0 - t)
-
-
-def _rhs_coefficient(d: int, t: float) -> float:
-    return 2.0 * (1.0 + t * (d - 1)) / (t * d)
 
 
 def _check_t(d: int, t: float) -> None:
@@ -129,12 +131,17 @@ def _polytope_point(nu, d: int) -> np.ndarray:
 
 def first_term_value(nu, k: int) -> float:
     """sum_l (1 - nu_l) s_{n-k-1}(nu \\ l) for 0 <= k <= n-1; nonnegative
-    already under the weaker constraint sum nu >= n - 2."""
+    already under the weaker constraint sum nu >= n - 2.
+
+    Computed as (k + 1) s_{n-k-1}(nu) - (n - k) s_{n-k}(nu), the main
+    margin with coef = 0.
+    """
     v = _finite_nu(nu)
     n = v.size
     if not (0 <= k <= n - 1):
         raise BadK(f"k={k} outside [0, {n - 1}]")
-    return float(_first_terms(v, _elem_sym_table(v))[n - k - 1])
+    s = _elem_sym_table(v)
+    return float(_main_margins(s[n - k - 1], s[n - k], k, n, 0.0))
 
 
 def main_inequality_lhs(nu, k: int, d: int, t: float) -> float:
@@ -304,25 +311,14 @@ def _cell_key(kind: str, d: int, t_idx: int) -> int:
     return ((kind_idx * 256 + d) * 65536 + t_idx) * 256
 
 
-def _first_terms(cols: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """sum_l (1 - nu_l) s_r(nu \\ l) for r = 0..n-1; [r, ...] for a coordinate-leading (n, ...) nu.
-
-    table is the s table of nu.  Column r of the leave-one-out table has
-    the same bits as a downdate that stops at r, so one call serves
-    every k.
-    """
-    loo = _loo_elem_sym(cols, table, cols.shape[0] - 1)
-    return _sum_in_order((1.0 - cols) * loo)
-
-
 def _margins_main(cols: np.ndarray, d: int, t: float) -> np.ndarray:
     """main_inequality_lhs for every column of a coordinate-leading (n, N) nu and every k; [k, column].
 
-    margin_k = first_{n-k-1} - coef s_{n-k}, all from one s table.
+    margin_k = (k + 1) s_{n-k-1} - (n - k + coef) s_{n-k}, from two slices of one s table.
     """
     n = cols.shape[0]
-    table = _elem_sym_table(cols)
-    return _first_terms(cols, table)[::-1] - _rhs_coefficient(d, t) * table[n:0:-1]
+    s = _elem_sym_table(cols)
+    return _main_margins(s[n - 1 :: -1], s[n:0:-1], np.arange(n)[:, None], n, _rhs_coefficient(d, t))
 
 
 def _k0_slacks(cols: np.ndarray, d: int, t: float) -> np.ndarray:
@@ -347,7 +343,7 @@ def _sympol_margins(ch: Channel, lams: np.ndarray) -> np.ndarray:
     d = ch.d
     gamma = secular_roots_batch(ch, lams) / ch.c1
     lhs = _elem_sym_table(gamma.T.copy())[d:0:-1]  # [k, row]
-    rhs = _phi_table((1.0 + ch.ratio * lams).T.copy(), ch)
+    rhs = _phi_terms(_elem_sym_table((1.0 + ch.ratio * lams).T.copy()), ch)
     scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     return -np.max(np.abs(lhs - rhs) / scale, axis=0)
 

@@ -17,6 +17,22 @@ import numpy as np
 from tdchan.channel import Channel, channel_kraus
 
 
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary via QR with phase-normalized diagonal."""
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(a)
+    phases = np.diag(r).copy()
+    phases /= np.abs(phases)
+    return q * phases
+
+
+def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Random full-rank density matrix G G* / tr(G G*) with Gaussian G."""
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
 def schmidt_state(lam: np.ndarray) -> np.ndarray:
     """|psi> = sum_a sqrt(lam_a) |aa> on the doubled system."""
     lam = np.asarray(lam, dtype=float)
@@ -48,6 +64,25 @@ def kraus_two_copy_output(ch: Channel, state: np.ndarray) -> np.ndarray:
             out += big @ rho @ big.conj().T
         rho = out
     return rho
+
+
+def sigma12_loops(ch: Channel, lam) -> np.ndarray:
+    """The dense two-copy output of a Schmidt input, filled entry by entry in two double loops.
+
+    c1 + (c2/2)(lam_a + lam_b) on the diagonal entry of |ab>, then
+    t^2 sqrt(lam_a) sqrt(lam_b) added between |aa> and |bb>.
+    """
+    v = np.asarray(lam, dtype=float)
+    d = ch.d
+    m = np.zeros((d * d, d * d))
+    for a in range(d):
+        for b in range(d):
+            m[a * d + b, a * d + b] = ch.c1 + 0.5 * ch.c2 * (v[a] + v[b])
+    root = np.sqrt(v)
+    for a in range(d):
+        for b in range(d):
+            m[a * d + a, b * d + b] += ch.t**2 * root[a] * root[b]
+    return m
 
 
 def dense_two_copy_spectrum(ch: Channel, lam: np.ndarray) -> np.ndarray:
@@ -141,6 +176,22 @@ def elem_sym_brute(values, q: int) -> float:
     return float(sum(np.prod(c) for c in itertools.combinations(values, q)))
 
 
+def loo_elem_sym(cols: np.ndarray, table: np.ndarray, q: int) -> np.ndarray:
+    """s_0..s_q without coordinate l, for each row l of cols; a new [r, l, ...] array.
+
+    The downdate recurrence b_r(l) = s_r - m_l b_{r-1}(l), stable for
+    |m_l| <= 1.  cols is coordinate-leading, (n, ...), and table holds
+    s_0..s_q of the full vector, degree-leading, so that table[r]
+    broadcasts against cols.  Applied to a leave-one-out table [r, i, ...]
+    with cols[:, None] it gives s_r(m \\ {i, l}) as [r, l, i, ...].
+    """
+    b = np.empty((q + 1,) + np.broadcast_shapes(cols.shape, (1,) + table.shape[1:]))
+    b[0] = 1.0
+    for r in range(1, q + 1):
+        b[r] = table[r] - cols * b[r - 1]
+    return b
+
+
 def partial_phi_full_tensor(nu, ch: Channel) -> np.ndarray:
     """d phi_k / d nu_i for every row, i and k; (N, d, d) indexed [row, i, k].
 
@@ -148,9 +199,7 @@ def partial_phi_full_tensor(nu, ch: Channel) -> np.ndarray:
     every coordinate, then a leave-two-out table over every pair,
     (N, d, d, d - 1), masked where l == i and summed over l in
     coordinate order.  The recurrences are written out here, on
-    row-leading arrays, with no call into the package, and the
-    arithmetic of each entry is that of the package's kernel, so the
-    two routes must agree bit for bit.
+    row-leading arrays, with no call into the package.
     """
     nu = np.asarray(nu, dtype=float)
     count, d = nu.shape
@@ -194,6 +243,37 @@ def mp_elem_sym(values, q: int):
     return mpmath.fsum(mpmath.fprod(c) for c in itertools.combinations(values, q))
 
 
+def _mp_phi_setup(t, nu):
+    """(c, nu) as mpf at the working precision: c = t^2/c2 with c2 = 2t(1-t)/d formed in mpmath."""
+    tt = mpmath.mpf(t)
+    return tt**2 / (2 * tt * (1 - tt) / len(nu)), [mpmath.mpf(float(x)) for x in nu]
+
+
+def _without(values, *drop):
+    return [x for m, x in enumerate(values) if m not in drop]
+
+
+def mp_phi(t: float, nu, k: int, dps: int = 50) -> float:
+    """phi_k(nu) = s_{d-k}(nu) + c sum_l s_{d-1-k}(nu \\ l)(nu_l - 1) at dps digits, term by term."""
+    d = len(nu)
+    with mpmath.workdps(dps):
+        coef, v = _mp_phi_setup(t, nu)
+        inner = mpmath.fsum((v[l] - 1) * mp_elem_sym(_without(v, l), d - 1 - k) for l in range(d))
+        return float(mp_elem_sym(v, d - k) + coef * inner)
+
+
+def _mp_partial(coef, v, k: int, i: int):
+    """d phi_k / d nu_i as an mpf: phi_k differentiated term by term."""
+    d = len(v)
+    total = mp_elem_sym(_without(v, i), d - k - 1)
+    for l in range(d):
+        if l == i:  # d/d nu_i of (nu_i - 1) s_{d-1-k}(nu \ i)
+            total += coef * mp_elem_sym(_without(v, i), d - 1 - k)
+        else:  # (nu_l - 1) d/d nu_i s_{d-1-k}(nu \ l)
+            total += coef * (v[l] - 1) * mp_elem_sym(_without(v, l, i), d - 2 - k)
+    return total
+
+
 def mp_partial_phi(t: float, nu, k: int, i: int, dps: int = 50) -> float:
     """d phi_k / d nu_i at dps digits, by differentiating phi_k term by term.
 
@@ -201,22 +281,30 @@ def mp_partial_phi(t: float, nu, k: int, i: int, dps: int = 50) -> float:
     d s_r / d nu_i = s_{r-1}(nu \\ i): no downdate recurrence is involved.
     t and nu are taken exactly, and c2 = 2t(1-t)/d is formed in mpmath.
     """
-    d = len(nu)
+    with mpmath.workdps(dps):
+        return float(_mp_partial(*_mp_phi_setup(t, nu), k, i))
+
+
+def mp_schur_defect(t: float, nu, k: int, i: int, j: int, dps: int = 50):
+    """(nu_i - nu_j)(d phi_k/d nu_i - d phi_k/d nu_j) as an mpf, from the term-by-term partials."""
+    with mpmath.workdps(dps):
+        coef, v = _mp_phi_setup(t, nu)
+        return (v[i] - v[j]) * (_mp_partial(coef, v, k, i) - _mp_partial(coef, v, k, j))
+
+
+def mp_main_margin(t: float, d: int, nu, k: int, dps: int = 50):
+    """sum_l (1 - nu_l) s_{n-k-1}(nu \\ l) - coef s_{n-k}(nu) as an mpf, for n = len(nu).
+
+    The main inequality as the paper writes it, with coef = 2(1 + t(d-1))/(td)
+    formed in mpmath; k may run past n - 1, where s of a negative degree is 0.
+    """
+    n = len(nu)
     with mpmath.workdps(dps):
         tt = mpmath.mpf(t)
         v = [mpmath.mpf(float(x)) for x in nu]
-        coef = tt**2 / (2 * tt * (1 - tt) / d)
-
-        def without(*drop):
-            return [x for m, x in enumerate(v) if m not in drop]
-
-        total = mp_elem_sym(without(i), d - k - 1)
-        for l in range(d):
-            if l == i:  # d/d nu_i of (nu_i - 1) s_{d-1-k}(nu \ i)
-                total += coef * mp_elem_sym(without(i), d - 1 - k)
-            else:  # (nu_l - 1) d/d nu_i s_{d-1-k}(nu \ l)
-                total += coef * (v[l] - 1) * mp_elem_sym(without(l, i), d - 2 - k)
-        return float(total)
+        coef = 2 * (1 + tt * (d - 1)) / (tt * d)
+        first = mpmath.fsum((1 - v[l]) * mp_elem_sym(_without(v, l), n - k - 1) for l in range(n))
+        return first - coef * mp_elem_sym(v, n - k)
 
 
 def central_difference(f, x: np.ndarray, i: int, step: float = 1e-6) -> float:

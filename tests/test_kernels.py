@@ -4,10 +4,13 @@ Inputs come from hypothesis and force the degenerate cases: poles that
 coincide or lie within rounding of each other, weights exactly zero or
 down to 1e-30, and t at both endpoints and at zero.  The spectrum is
 checked against a 50-digit mpmath oracle, and each batch row against the
-single-vector call bit for bit; the leave-one-out downdates against
-brute-force sums; the scan margins against the per-sample scalar route;
-the partial-derivative kernel against the full-tensor route bit for bit
-and against a 50-digit mpmath derivative.
+single-vector call bit for bit; the s tables and the leave-one-out
+downdate oracle against brute-force sums; the counting facts and the
+Schur-main identity behind the two-term formulas, the last at 50
+digits; each two-term formula against its evaluation on Python floats
+bit for bit; the scan margins against the per-sample scalar route; and
+phi_k, its partials and the Schur defect against the full-tensor route
+and a 50-digit mpmath evaluation.
 """
 
 import itertools
@@ -16,20 +19,25 @@ import tracemalloc
 import warnings
 
 import numpy as np
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tdchan as td
 from tdchan.errors import OutOfRange, SumMismatch
-from tdchan.majorization import _elem_sym_table, _loo_elem_sym
+from tdchan.majorization import _elem_sym_table, _rhs_coefficient
 from tdchan.sampling import philox_stream
 from tdchan.spectrum import secular_roots_batch
-from tdchan.verification import _first_terms, _lambda_batch, _schur_margins, _sympol_margins
+from tdchan.verification import _lambda_batch, _margins_main, _schur_margins, _sympol_margins
 
 from oracles import (
     elem_sym_brute,
+    loo_elem_sym,
+    mp_main_margin,
     mp_partial_phi,
+    mp_phi,
+    mp_schur_defect,
     mp_secular_block_roots,
     partial_phi_full_tensor,
     schur_defect_full_tensor,
@@ -285,7 +293,7 @@ def test_single_downdate_matches_brute(values):
     table = _elem_sym_table(m)
     for q in range(n + 1):
         assert table[q] == pytest.approx(elem_sym_brute(values, q), abs=1e-12 * math.comb(n, q))
-    loo = _loo_elem_sym(m, table, n - 1)
+    loo = loo_elem_sym(m, table, n - 1)
     assert loo.shape == (n, n)
     for l, r in itertools.product(range(n), range(n)):
         ref = elem_sym_brute(_drop(values, l), r)
@@ -297,8 +305,8 @@ def test_single_downdate_matches_brute(values):
 def test_double_downdate_matches_brute(values):
     m = np.array(values)
     n = m.size
-    loo = _loo_elem_sym(m, _elem_sym_table(m), n - 1)
-    loo2 = _loo_elem_sym(m[:, None], loo, n - 2)
+    loo = loo_elem_sym(m, _elem_sym_table(m), n - 1)
+    loo2 = loo_elem_sym(m[:, None], loo, n - 2)
     assert loo2.shape == (n - 1, n, n)
     for i, l in itertools.permutations(range(n), 2):
         for r in range(n - 1):
@@ -318,35 +326,35 @@ unit_batches = st.integers(1, 10).flatmap(
 @settings(max_examples=150, deadline=None)
 @given(unit_batches)
 def test_symmetric_tables_give_each_row_its_one_row_bits(rows):
-    # The tables, the leave-one-out downdate, the broadcast leave-two-out
-    # call of the partial-derivative kernel and the in-order first-term
-    # sums of the main scan, for a batch and for each of its rows alone.
-    # Every table is degree-leading with the rows on its last axis.
+    # The s table and the main margins, for a batch and for each of its
+    # rows alone.  Every table is degree-leading with the rows on its
+    # last axis.
     m = np.array(rows)
     n = m.shape[1]
+    d = n + 2
+    t = -0.5 / (d - 1)
     cols = m.T.copy()
     table = _elem_sym_table(cols)
-    loo = _loo_elem_sym(cols, table, n - 1)
-    loo2 = _loo_elem_sym(cols[:, None, :], loo, max(n - 2, 0))
-    first = _first_terms(cols, table)
-    assert table.shape == (n + 1, len(m)) and loo.shape == (n, n, len(m))
+    margins = _margins_main(cols, d, t)
+    assert table.shape == (n + 1, len(m)) and margins.shape == (n, len(m))
     for row, values in enumerate(m):
         alone = _elem_sym_table(values[:, None])
         assert _hex(alone) == _hex(table[:, row]) == _hex(_elem_sym_table(values))
-        alone_loo = _loo_elem_sym(values[:, None], alone, n - 1)
-        assert _hex(alone_loo) == _hex(loo[..., row])
-        alone_loo2 = _loo_elem_sym(values[:, None, None], alone_loo, max(n - 2, 0))
-        assert _hex(alone_loo2) == _hex(loo2[..., row])
-        assert _hex(_first_terms(values[:, None], alone)) == _hex(first[:, row])
-        # Summed over l from first to last, as a loop over Python floats adds.
-        for r in range(n):
-            total = (1.0 - float(values[0])) * float(loo[r, 0, row])
-            for l in range(1, n):
-                total += (1.0 - float(values[l])) * float(loo[r, l, row])
-            assert first[r, row].hex() == total.hex()
-        # A downdate that stops at degree r gives column r the same bits.
-        for r in range(n):
-            assert _hex(_loo_elem_sym(cols, table, r)[r]) == _hex(loo[r])
+        assert _hex(_margins_main(values[:, None], d, t)) == _hex(margins[:, row])
+
+
+@settings(max_examples=150, deadline=None)
+@given(unit_vectors)
+def test_counting_facts_behind_the_two_term_formulas(values):
+    # sum_l m_l s_{r-1}(m \ l) = r s_r(m) and sum_l s_{r-1}(m \ l) = (n - r + 1) s_{r-1}(m).
+    m = np.array(values)
+    n = m.size
+    table = _elem_sym_table(m)
+    loo = loo_elem_sym(m, table, n - 1)  # [r, l] = s_r(m \ l)
+    for r in range(1, n + 1):
+        tol = 1e-12 * n * math.comb(n, r)
+        assert math.fsum(m * loo[r - 1]) == pytest.approx(r * table[r], abs=tol)
+        assert math.fsum(loo[r - 1]) == pytest.approx((n - r + 1) * table[r - 1], abs=tol)
 
 
 # ------------------------------------------------ partial-derivative kernel
@@ -366,17 +374,37 @@ def nu_batches(draw, max_rows=5):
     return ch, 1.0 + ch.ratio * (lams / lams.sum(axis=1, keepdims=True))
 
 
+def _schur_scale(ch, nu, i, j):
+    """|c| |nu_i - nu_j| max(1, |coef|) per row: the scale of the Schur defect's rounding."""
+    rows = np.arange(len(nu))
+    coef = _rhs_coefficient(ch.d, ch.t)
+    return abs(ch.t**2 / ch.c2) * np.abs(nu[rows, i] - nu[rows, j]) * max(1.0, abs(coef))
+
+
+def _random_picks(rnd, d, count):
+    k = [rnd.randrange(d) for _ in range(count)]
+    i = [rnd.randrange(d) for _ in range(count)]
+    j = [(a + 1 + rnd.randrange(d - 1)) % d for a in i]
+    return np.array(k), np.array(i), np.array(j)
+
+
+# The full-tensor oracle sums d - 1 leave-two-out terms per partial, and
+# its rounding reaches 2.7e-14 of max(1, |partial|), and 2.4e-14 of the
+# Schur scale, at d = 3..8; the two-term kernels round less.
+ORACLE_TOL = 1e-13
+
+
 @settings(max_examples=150, deadline=None)
 @given(nu_batches(), st.randoms(use_true_random=False))
-def test_partial_kernel_matches_full_tensor_route_bit_for_bit(batch, rnd):
+def test_partial_kernel_matches_full_tensor_route(batch, rnd):
     ch, nu = batch
-    d = ch.d
-    assert _hex(td.partial_phi_k_batch(nu, ch)) == _hex(partial_phi_full_tensor(nu, ch))
-    k = [rnd.randrange(d) for _ in nu]
-    i = [rnd.randrange(d) for _ in nu]
-    j = [(a + 1 + rnd.randrange(d - 1)) % d for a in i]
+    ref = partial_phi_full_tensor(nu, ch)
+    got = td.partial_phi_k_batch(nu, ch)
+    assert np.all(np.abs(got - ref) <= ORACLE_TOL * np.maximum(1.0, np.abs(ref)))
+    k, i, j = _random_picks(rnd, ch.d, len(nu))
     got = td.schur_defect_batch(nu, k, i, j, ch)
-    assert _hex(got) == _hex(schur_defect_full_tensor(nu, k, i, j, ch))
+    ref = schur_defect_full_tensor(nu, k, i, j, ch)
+    assert np.all(np.abs(got - ref) <= ORACLE_TOL * _schur_scale(ch, nu, i, j))
 
 
 @settings(max_examples=40, deadline=None)
@@ -390,8 +418,9 @@ def test_partial_kernel_matches_mpmath_derivative(batch):
 
 
 def test_schur_defect_batch_allocates_no_full_leave_two_out_table():
-    # The full (N, d, d, d - 1) table is what partial_phi_k_batch builds;
-    # the Schur route builds tables for its two coordinates only.
+    # The full-tensor route holds an (N, d, d, d - 1) leave-two-out table;
+    # the Schur route holds one s table of d - 2 coordinates, so its peak
+    # stays below one d x d table per row.
     d, count = 12, 500
     ch = td.new_channel(d, -0.5 / (d - 1))
     rng = np.random.default_rng(7)
@@ -403,7 +432,83 @@ def test_schur_defect_batch_allocates_no_full_leave_two_out_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < count * d * d * (d - 1) * nu.itemsize
+    assert peak < count * d * d * nu.itemsize
+
+
+# ------------------------------------------------ identities and mpmath
+
+# phi_k within 1e-14 of max(1, |phi_k|) at 50 digits.  The Schur defect
+# within SCHUR_MP_TOL of |c| |nu_i - nu_j| max(1, |coef|): the margin's
+# two terms grow like (k + 1) C(d - 2, k + 1), about 60 at d = 8, and
+# their rounding reaches 1.2e-14 of that scale there (4.2e-15 at d <= 6).
+PHI_MP_TOL = 1e-14
+SCHUR_MP_TOL = 3e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(nu_batches(max_rows=1), st.randoms(use_true_random=False))
+def test_phi_and_schur_defect_match_mpmath(batch, rnd):
+    ch, nu = batch
+    d = ch.d
+    phis = td.phi_k_batch(nu, ch)[0]
+    for k in range(d):
+        ref = mp_phi(ch.t, nu[0], k)
+        assert abs(phis[k] - ref) <= PHI_MP_TOL * max(1.0, abs(ref))
+    _, i, j = _random_picks(rnd, d, 1)
+    got = td.schur_defect_batch(np.repeat(nu, d, axis=0), np.arange(d), i[0], j[0], ch)
+    scale = _schur_scale(ch, nu, i, j)[0]
+    for k in range(d):
+        ref = mp_schur_defect(ch.t, nu[0], k, int(i[0]), int(j[0]))
+        assert abs(got[k] - ref) <= SCHUR_MP_TOL * scale
+
+
+SCHUR_POINTS = [
+    (3, -0.5, [0.5, 0.3, 0.2]),
+    (3, -0.5, [1.0, 0.0, 0.0]),
+    (4, -1.0 / 3.0, [0.6, 0.4, 0.0, 0.0]),
+    (5, -0.25, [0.1, 0.2, 0.0, 0.3, 0.4]),
+    (5, -0.1, [0.35, 0.05, 0.25, 0.0, 0.35]),
+    (7, -1.0 / 6.0, [0.3, 0.0, 0.1, 0.2, 0.0, 0.15, 0.25]),
+    (8, -0.05, [0.2, 0.1, 0.0, 0.05, 0.25, 0.1, 0.3, 0.0]),
+]
+
+
+@pytest.mark.parametrize("d, t, lam", SCHUR_POINTS)
+def test_schur_defect_is_the_main_margin_of_the_other_coordinates(d, t, lam):
+    # schur_defect(nu, k, i, j) = c (nu_i - nu_j)^2 margin_k(nu \ {i, j}) with
+    # n = d - 2, at 50 digits: the defect from the term-by-term partials,
+    # the margin in the paper's leave-one-out form.  At k = d - 1 it is 0,
+    # and at k = d - 2 it is -(1 + 2c)(nu_i - nu_j)^2.
+    ch = td.new_channel(d, t)
+    nu = 1.0 + ch.ratio * np.array(lam)
+    with mpmath.workdps(50):
+        tt = mpmath.mpf(t)
+        c = tt**2 / (2 * tt * (1 - tt) / d)
+        for i, j in itertools.permutations(range(d), 2):
+            gap2 = (mpmath.mpf(nu[i]) - mpmath.mpf(nu[j])) ** 2
+            rest = [x for m, x in enumerate(nu) if m not in (i, j)]
+            for k in range(d):
+                defect = mp_schur_defect(t, nu, k, i, j)
+                assert abs(defect - c * gap2 * mp_main_margin(t, d, rest, k)) <= 1e-40 * max(1, gap2)
+                got = td.schur_defect(nu, k, i, j, ch)
+                assert abs(got - defect) <= SCHUR_MP_TOL * float(_schur_scale(ch, nu[None], i, j)[0])
+            assert abs(mp_schur_defect(t, nu, d - 1, i, j)) <= 1e-40
+            assert abs(mp_schur_defect(t, nu, d - 2, i, j) + (1 + 2 * c) * gap2) <= 1e-40
+
+
+@settings(max_examples=100, deadline=None)
+@given(nu_batches(), st.randoms(use_true_random=False))
+def test_schur_defect_at_the_two_top_k(batch, rnd):
+    # The padding s_{-1} = s_{-2} = 0: exactly 0 at k = d - 1, and
+    # -(1 + 2c)(nu_i - nu_j)^2 at k = d - 2, up to the rounding of c coef.
+    ch, nu = batch
+    d = ch.d
+    _, i, j = _random_picks(rnd, d, len(nu))
+    assert np.all(td.schur_defect_batch(nu, d - 1, i, j, ch) == 0.0)
+    gap = nu[np.arange(len(nu)), i] - nu[np.arange(len(nu)), j]
+    c = ch.t**2 / ch.c2
+    got = td.schur_defect_batch(nu, d - 2, i, j, ch)
+    assert np.all(np.abs(got + (1.0 + 2.0 * c) * gap**2) <= 1e-14 * _schur_scale(ch, nu, i, j))
 
 
 # ------------------------------------------------------------- scan margins
@@ -455,21 +560,45 @@ def test_schur_margins_match_scalar_route(cell):
         assert abs(margin + td.schur_defect(nu, k, a, b, ch)) <= MARGIN_TOL
 
 
-def test_phi_sums_add_their_terms_in_coordinate_order():
-    rng = np.random.default_rng(5)
-    for d in (3, 5, 8):
-        ch = td.new_channel(d, -0.5 / (d - 1))
-        coef = ch.t**2 / ch.c2
-        nu = 1.0 + ch.ratio * rng.dirichlet(np.ones(d), size=12)
-        table = _elem_sym_table(nu.T.copy())
-        loo = _loo_elem_sym(nu.T.copy(), table, d - 1)
-        phis = td.phi_k_batch(nu, ch)
-        for row, k in itertools.product(range(12), range(d)):
-            r = d - 1 - k
-            inner = (float(nu[row, 0]) - 1.0) * float(loo[r, 0, row])
-            for l in range(1, d):
-                inner += (float(nu[row, l]) - 1.0) * float(loo[r, l, row])
-            assert phis[row, k].hex() == (float(table[d - k, row]) + coef * inner).hex()
+@settings(max_examples=100, deadline=None)
+@given(nu_batches(), st.randoms(use_true_random=False))
+def test_two_term_formulas_match_python_floats_bit_for_bit(batch, rnd):
+    # Each formula evaluated on Python floats, in the kernel's order, from
+    # the s table of the coordinates it reads; and each row alone gets the
+    # bits it gets in the batch.
+    ch, nu = batch
+    d, n = ch.d, ch.d - 2
+    c = ch.t**2 / ch.c2
+    coef = _rhs_coefficient(d, ch.t)
+    k, i, j = _random_picks(rnd, d, len(nu))
+    phis = td.phi_k_batch(nu, ch)
+    partials = td.partial_phi_k_batch(nu, ch)
+    defects = td.schur_defect_batch(nu, k, i, j, ch)
+    margins = _margins_main(nu.T[:n].copy(), d, ch.t)
+    for row, vec in enumerate(nu):
+        s = _elem_sym_table(vec).tolist()
+        for kk in range(d):
+            m = d - kk
+            assert phis[row, kk].hex() == ((1.0 + c * m) * s[m] - c * (kk + 1) * s[m - 1]).hex()
+            for ii in range(d):
+                rest = [0.0] + _elem_sym_table(np.delete(vec, ii)).tolist()  # rest[r + 1] = s_r(nu \ i)
+                want = (1.0 + c * m) * rest[m] - c * (kk + 1) * rest[m - 1]
+                assert partials[row, ii, kk].hex() == want.hex()
+        w = _elem_sym_table(vec[:n]).tolist()
+        for kk in range(n):
+            want = (kk + 1) * w[n - kk - 1] - (n - kk + coef) * w[n - kk]
+            assert margins[kk, row].hex() == want.hex()
+            first = (kk + 1) * w[n - kk - 1] - (n - kk) * w[n - kk]
+            assert td.first_term_value(vec[:n], kk).hex() == first.hex()
+        a, b, kk = int(i[row]), int(j[row]), int(k[row])
+        rest = [0.0, 0.0] + _elem_sym_table(np.delete(vec, [a, b])).tolist()  # rest[r + 2] = s_r
+        gap = float(vec[a]) - float(vec[b])
+        want = c * (gap * gap) * ((kk + 1) * rest[n - kk + 1] - (n - kk + coef) * rest[n - kk + 2])
+        assert defects[row].hex() == want.hex()
+        alone = nu[row : row + 1]
+        assert _hex(td.phi_k_batch(alone, ch)) == _hex(phis[row])
+        assert _hex(td.partial_phi_k_batch(alone, ch)) == _hex(partials[row])
+        assert td.schur_defect_batch(alone, kk, a, b, ch)[0].hex() == defects[row].hex()
 
 
 def test_phi_batches_match_wrappers():

@@ -14,6 +14,7 @@ from oracles import (
     kraus_two_copy_output,
     mp_secular_block_roots,
     schmidt_state,
+    sigma12_loops,
 )
 
 ROOT_TOL = 1e-13
@@ -127,6 +128,22 @@ def test_sigma12_is_valid_state_and_matches_kraus():
             assert sig.dim == d * d
             ref = kraus_two_copy_output(ch, schmidt_state(lam))
             assert np.max(np.abs(sig.mat - ref)) < 1e-10
+
+
+def test_sigma12_matches_the_double_loop_fill_byte_for_byte():
+    rng = np.random.default_rng(103)
+    for d in range(2, 7):
+        lo, hi = td.t_range(d)
+        rows = [rng.dirichlet(np.ones(d)), np.eye(d)[d - 1], np.full(d, 1.0 / d)]
+        zero = rng.dirichlet(np.ones(d))
+        zero[::2] = 0.0
+        rows.append(zero / zero.sum())
+        for lam in rows:
+            for t in (lo, hi, 0.5 * lo, float(rng.uniform(lo, hi))):
+                ch = td.new_channel(d, t)
+                got = td.sigma12(ch, td.SchmidtVector(lam)).mat
+                want = np.asarray(sigma12_loops(ch, lam), dtype=complex)
+                assert got.tobytes() == want.tobytes(), (d, t, lam)
 
 
 def test_sigma12_product_structure_at_vertex():
