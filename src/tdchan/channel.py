@@ -69,6 +69,42 @@ class Channel:
         """c2 / c1 = 2 t d / (1 - t); in [-2, 0] for t <= 0."""
         return 2.0 * self.t * self.d / (1.0 - self.t)
 
+    @property
+    def t2(self) -> float:
+        """t^2, the weight of the rank-one part of the secular block."""
+        return self.t**2
+
+
+@dataclass(frozen=True)
+class ChannelRows:
+    """The constants of several channels of one d, one channel per row of a batch.
+
+    Each constant is an (N,) array that repeats, row by row, the Python
+    float of that row's Channel, so a kernel that reads it where it would
+    read a Channel's gives every row the bits its own Channel gives.
+    """
+
+    d: int
+    t: np.ndarray
+    t2: np.ndarray
+    c1: np.ndarray
+    c2: np.ndarray
+    ratio: np.ndarray
+
+    @staticmethod
+    def repeat(channels: "list[Channel]", counts: "list[int]") -> "ChannelRows":
+        """counts[i] rows of channels[i], in order; the channels share one d."""
+
+        def rows(name):
+            return np.repeat([getattr(ch, name) for ch in channels], counts)
+
+        return ChannelRows(channels[0].d, *map(rows, ("t", "t2", "c1", "c2", "ratio")))
+
+
+def by_row(value, ndim: int):
+    """A Channel's scalar as it is, or a ChannelRows array shaped (N, 1, ...) for rows-first arrays of ndim axes."""
+    return value if np.ndim(value) == 0 else np.reshape(value, (-1,) + (1,) * (ndim - 1))
+
 
 def new_channel(d: int, t: float) -> Channel:
     """Validated constructor.
@@ -224,10 +260,12 @@ def apply_two_copies(ch: Channel, mat: np.ndarray) -> np.ndarray:
         + t(1-t) [ (tr_2 X)^T (x) I/d  +  I/d (x) (tr_1 X)^T ]
         + (1-t)^2 tr(X) I/d^2,
 
-    which only needs partial traces and transposes.  The Kronecker
-    products are broadcast products over the index split (i, j, k, l) of
-    row i d + j and column k d + l, the same products np.kron takes, so a
-    stack gives each matrix the bits it gets alone.
+    which only needs partial traces and transposes.  With row i d + j
+    and column k d + l split as (i, j, k, l), the first Kronecker
+    product lives on j == l and the second on i == k, so each is added
+    in place through a writeable einsum diagonal view of the output, and
+    the trace term through its diagonal.  Every step is elementwise, so
+    a stack gives each matrix the bits it gets alone.
     """
     d = ch.d
     x = np.asarray(mat, dtype=complex)
@@ -237,11 +275,14 @@ def apply_two_copies(ch: Channel, mat: np.ndarray) -> np.ndarray:
     x4 = x.reshape(x.shape[:-2] + (d, d, d, d))
     tr1 = np.swapaxes(np.einsum("...ijik->...jk", x4), -1, -2)
     tr2 = np.swapaxes(np.einsum("...ijkj->...ik", x4), -1, -2)
-    eye = np.eye(d)
-    left = (tr2[..., :, None, :, None] * eye[:, None, :]).reshape(x.shape)
-    right = (eye[:, None, :, None] * tr1[..., None, :, None, :]).reshape(x.shape)
-    out = t * t * np.swapaxes(x, -1, -2)
-    out += t * (1.0 - t) * (left / d + right / d)
-    trace = (1.0 - t) ** 2 * np.trace(x, axis1=-2, axis2=-1)
-    out += trace[..., None, None] * np.eye(d * d) / (d * d)
+    # A C-ordered output, so that the reshape below is a view of it.
+    out = np.multiply(t * t, np.swapaxes(x, -1, -2), out=np.empty(x.shape, dtype=complex))
+    out4 = out.reshape(x4.shape)
+    weight = t * (1.0 - t)
+    left = np.einsum("...ijkj->...ijk", out4)
+    left += weight * (tr2 / d)[..., :, None, :]
+    right = np.einsum("...ijil->...ijl", out4)
+    right += weight * (tr1 / d)[..., None, :, :]
+    diagonal = np.einsum("...ii->...i", out)
+    diagonal += ((1.0 - t) ** 2 * np.trace(x, axis1=-2, axis2=-1) / (d * d))[..., None]
     return out

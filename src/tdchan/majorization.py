@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import Channel
+from .channel import Channel, ChannelRows
 from .errors import BadK, BadLength, LengthMismatch, OutOfRange, SumMismatch, ZeroT
 from .spectrum import SchmidtVector, secular_roots
 
@@ -200,15 +200,16 @@ def _main_margins(s_lo, s_hi, k, n: int, coef: float):
     return (k + 1) * s_lo - (n - k + coef) * s_hi
 
 
-def _phi_terms(table: np.ndarray, ch: Channel) -> np.ndarray:
+def _phi_terms(table: np.ndarray, ch: "Channel | ChannelRows") -> np.ndarray:
     """(1 + c m) s_m - c (k + 1) s_{m-1}, m = d - k, for k = 0..d-1; [k, ...].
 
     table is a degree-leading (d + 1, ...) table.  The s table of nu
     gives phi_k(nu); that of nu \\ i with a zero row for degree -1 in
-    front gives d phi_k / d nu_i.
+    front gives d phi_k / d nu_i.  The constants of a ChannelRows are
+    per row, on the table's last axis.
     """
     d = table.shape[0] - 1
-    c = ch.t**2 / ch.c2
+    c = ch.t2 / ch.c2
     k = np.arange(d).reshape((d,) + (1,) * (table.ndim - 1))
     return (1.0 + c * (d - k)) * table[d:0:-1] - c * (k + 1) * table[d - 1 :: -1]
 
@@ -226,10 +227,11 @@ def _partial_phi(cols: np.ndarray, ch: Channel, coords) -> np.ndarray:
     return _phi_terms(np.concatenate([np.zeros((1,) + table.shape[1:]), table]), ch)
 
 
-def _schur_defects(nu: np.ndarray, k, i, j, ch: Channel) -> np.ndarray:
+def _schur_defects(nu: np.ndarray, k, i, j, ch: "Channel | ChannelRows") -> np.ndarray:
     """c (nu_i - nu_j)^2 margin_k(nu \\ {i, j}) per row of an unchecked (N, d) nu; (N,).
 
-    k, i and j are per-row index arrays.  The s table of the d - 2
+    k, i and j are per-row index arrays, and ch a Channel or a
+    ChannelRows with one channel per row.  The s table of the d - 2
     remaining coordinates gets two zero rows in front, for degrees -2
     and -1, and only here is the margin's pair of s values gathered at
     a per-row k.
@@ -244,7 +246,7 @@ def _schur_defects(nu: np.ndarray, k, i, j, ch: Channel) -> np.ndarray:
     padded = np.concatenate([np.zeros((2, count)), table])  # padded[r + 2] = s_r
     margin = _main_margins(padded[n + 1 - k, rows], padded[n + 2 - k, rows], k, n, _rhs_coefficient(d, ch.t))
     gap = nu[rows, i] - nu[rows, j]
-    return ch.t**2 / ch.c2 * (gap * gap) * margin
+    return ch.t2 / ch.c2 * (gap * gap) * margin
 
 
 def phi_k_batch(nu: np.ndarray, ch: Channel) -> np.ndarray:

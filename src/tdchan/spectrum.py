@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import Channel, DensityMatrix, check_finite
+from .channel import Channel, ChannelRows, DensityMatrix, by_row, check_finite
 from .errors import OutOfRange, SumMismatch
 
 SCHMIDT_SUM_TOL = 1e-12
@@ -153,21 +153,22 @@ def offdiag_eigenvalues(ch: Channel, lam: "SchmidtVector | np.ndarray") -> list[
     return [(a, b, g) for (a, b), g in zip(pairs, _pair_values(ch, lam.values))]
 
 
-def _secular_block_roots(ch: Channel, rows: np.ndarray) -> np.ndarray:
+def _secular_block_roots(ch: "Channel | ChannelRows", rows: np.ndarray) -> np.ndarray:
     """Eigenvalues of the diagonal-plus-rank-one block of every row; (N, d), rows descending.
 
-    rows is an (N, d) array of validated Schmidt vectors lam.  Each block
+    rows is an (N, d) array of validated Schmidt vectors lam, and ch a
+    Channel or a ChannelRows with one channel per row.  Each block
     diag(c1 + c2 lam) + t^2 sqrt(lam) sqrt(lam)^T is built in an
     (N, d, d) stack and diagonalized by one np.linalg.eigvalsh call,
     which runs LAPACK on each matrix of the stack in turn, so a row gets
     the same bits alone as in any batch.  Every secular root in the
     package comes from here.
     """
-    d = rows.shape[1]
     root = np.sqrt(rows)
-    block = ch.t**2 * (root[:, :, None] * root[:, None, :])
-    diagonal = np.arange(d)
-    block[:, diagonal, diagonal] += ch.c1 + ch.c2 * rows
+    block = root[:, :, None] * root[:, None, :]
+    block *= by_row(ch.t2, 3)
+    diagonal = np.einsum("nii->ni", block)  # a writeable view
+    diagonal += by_row(ch.c1, 2) + by_row(ch.c2, 2) * rows
     return np.linalg.eigvalsh(block)[:, ::-1]
 
 
@@ -185,10 +186,11 @@ def _as_schmidt_rows(ch: Channel, lams) -> np.ndarray:
     return rows
 
 
-def secular_roots_batch(ch: Channel, lams) -> np.ndarray:
+def secular_roots_batch(ch: "Channel | ChannelRows", lams) -> np.ndarray:
     """secular_roots for every row of an (N, d) array; (N, d), rows descending.
 
-    Row i has the same bits as secular_roots(ch, lams[i]).
+    Row i has the same bits as secular_roots(ch, lams[i]), or, for a
+    ChannelRows, as secular_roots of row i's own channel.
     """
     return _secular_block_roots(ch, _as_schmidt_rows(ch, lams))
 

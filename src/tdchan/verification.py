@@ -37,43 +37,57 @@ positive quadratic 3(td)^2 + 3(1-t)(td) + (1-t)^2, the secular
 symmetric-polynomial identity, and the Schur criterion.
 
 Scan kinds: _KINDS maps each kind to the least d it accepts and to its
-margins(stream, d, t, samples) -> (k_values, margins) for one cell, and
-SCAN_KINDS lists its keys.  run_scan checks the kind, every d and every
-t of the grid against [-1/(d-1), 0) before any cell runs; one
-_scan_cell turns the margins into a ScanReport.  The order of _KINDS
-must not change: a kind's index in it is part of every stream key, so a
-reordering would change the bytes of every report.
+margins(streams, d, ts, samples) -> (k_values, segments) for a batch of
+cells of one d, and SCAN_KINDS lists its keys.  run_scan checks the
+kind, every d and every t of the grid against [-1/(d-1), 0), samples and
+threads before any cell runs; _scan_batch turns each cell's segment of
+margins into its ScanReport.  The order of _KINDS must not change: a
+kind's index in it is part of every stream key, so a reordering would
+change the bytes of every report.
 
-Layout: _polytope_batch returns nu coordinate-leading, as (n, N)
-columns: row l holds coordinate l of every sample.  It reads the
-(N, n + 3) Philox block row by row, transposes it once, and normalizes
-the exponential spacings by one in-order sum over the coordinate rows,
-so every later step is one contiguous operation over all samples.  The
-"main" and "second_term" cells hand those columns to the degree-leading
+Batches: a batch is a run of cells of one d, of at most _BATCH_ROWS
+rows (samples) in all; a cell of as many samples or more runs alone.
+Each cell opens its own stream and draws its block, in its own order
+and layout, straight into its rows of one batch array.  Everything after
+the draw runs once over all rows of the batch, with the t-dependent
+constants as per-row arrays (ChannelRows for the sympol and schur
+kinds), and a cell's report comes from its own segment of columns.  A
+segment can be empty (k0 with R <= 1) or shortened by the k0 filter.
+
+Layout: _polytope_cols returns nu coordinate-leading, as (n, N)
+columns: row l holds coordinate l of every sample.  It transposes the
+(N, n + 3) block of Philox doubles once and normalizes the exponential
+spacings by one in-order sum over the coordinate rows, so every later
+step is one contiguous operation over all samples.  The "main" and
+"second_term" kinds hand those columns to the degree-leading
 symmetric-polynomial tables as they are, and "k0" adds its reciprocal
 terms over them in coordinate order, as k0_defect does.  The "sympol"
-and "schur" cells read their Schmidt vectors as a transposed view of
+and "schur" kinds read their Schmidt vectors as a transposed view of
 the same normalizer.
 
 Determinism: every scan cell draws from one counter-based Philox stream
 keyed by (seed, kind, d, t index), and each sample reads a fixed number
-of consecutive doubles from it (n + 3 for a polytope sample), so reports
-are identical across runs and across any thread count.  All k of a cell
-share its samples: "main" and "second_term" evaluate every k on one
-draw, from one s table.
-"extreme" and "final_poly" draw nothing and open no stream.
+of consecutive doubles from it (n + 3 for a polytope sample).  Every
+step after the draw works per row: elementwise ufuncs, eigvalsh one
+matrix at a time, and reductions per column.  So reports are identical
+across runs, batch sizes and thread counts.  All k of a cell share its
+samples: "main" and "second_term" evaluate every k on one draw, from
+one s table.  "extreme" and "final_poly" draw nothing and open no
+stream.
 
 Threads: run_scan lists its (d, t) jobs in order and gives each of its
 threads one task, a fixed slice of them: worker w runs jobs w,
-w + threads, ... in turn.  The reports are put back in (d, t) order,
-and when cells raise, the exception of the earliest failing job in that
-order is raised, as with one thread.
+w + threads, ... in turn, consecutive jobs of one d as one batch.  The
+reports are put back in (d, t) order.  A batch that raises runs again
+one cell at a time, and when cells raise, the exception of the earliest
+failing job in (d, t) order is raised, as with one thread.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +100,7 @@ from .errors import (
     ConfigError,
     NearZeroNu,
 )
-from .channel import Channel, new_channel
+from .channel import Channel, ChannelRows, by_row, new_channel
 from .majorization import (
     _elem_sym_table,
     _finite_nu,
@@ -244,7 +258,16 @@ def _polytope_batch(
     """
     if corner_only and radius <= 1.0:
         return np.empty((n, 0))
-    block = gen.random((count, n + 3)).T.copy()
+    return _polytope_cols(gen.random((count, n + 3)), n, radius, corner_only)
+
+
+def _polytope_cols(block: np.ndarray, n: int, radius, corner_only: bool = False) -> np.ndarray:
+    """The nu of _polytope_batch for every row of an (N, n + 3) block of stream doubles, as (n, N) columns.
+
+    radius is a scalar or one radius per row.  The block is transposed
+    once, and every later step is elementwise over the columns.
+    """
+    block = block.T.copy()
     w = _simplex_cols(block[2:])[:n]
     corner = corner_only | ((block[0] >= 0.5) & (radius > 1.0))
     scale = np.where(corner, radius - 1.0, radius)
@@ -311,21 +334,23 @@ def _cell_key(kind: str, d: int, t_idx: int) -> int:
     return ((kind_idx * 256 + d) * 65536 + t_idx) * 256
 
 
-def _margins_main(cols: np.ndarray, d: int, t: float) -> np.ndarray:
+def _margins_main(cols: np.ndarray, d: int, t) -> np.ndarray:
     """main_inequality_lhs for every column of a coordinate-leading (n, N) nu and every k; [k, column].
 
-    margin_k = (k + 1) s_{n-k-1} - (n - k + coef) s_{n-k}, from two slices of one s table.
+    margin_k = (k + 1) s_{n-k-1} - (n - k + coef) s_{n-k}, from two slices
+    of one s table.  t is a scalar or one t per column.
     """
     n = cols.shape[0]
     s = _elem_sym_table(cols)
     return _main_margins(s[n - 1 :: -1], s[n:0:-1], np.arange(n)[:, None], n, _rhs_coefficient(d, t))
 
 
-def _k0_slacks(cols: np.ndarray, d: int, t: float) -> np.ndarray:
+def _k0_slacks(cols: np.ndarray, d: int, t) -> np.ndarray:
     """k0_defect for every column of a coordinate-leading (n, N) nu, unchecked; (N,).
 
-    The reciprocal terms are added in coordinate order, first to last,
-    which a row-wise np.sum also does for n < 8.
+    t is a scalar or one t per column.  The reciprocal terms are added in
+    coordinate order, first to last, which a row-wise np.sum also does
+    for n < 8.
     """
     total = (1.0 - cols[0]) / cols[0]
     for row in cols[1:]:
@@ -333,100 +358,208 @@ def _k0_slacks(cols: np.ndarray, d: int, t: float) -> np.ndarray:
     return _rhs_coefficient(d, t) - total
 
 
-def _lambda_batch(gen: np.random.Generator, d: int, count: int) -> np.ndarray:
-    """count uniform Schmidt vectors as (count, d) rows, a transposed view of simplex columns."""
-    return _simplex_cols(gen.random((count, d)).T).T
+def _lambda_rows(u: np.ndarray) -> np.ndarray:
+    """Uniform Schmidt vectors from an (N, d) block of uniforms, as (N, d) rows: a transposed view of simplex columns."""
+    return _simplex_cols(u.T).T
 
 
-def _sympol_margins(ch: Channel, lams: np.ndarray) -> np.ndarray:
+def _sympol_margins(ch: Channel | ChannelRows, lams: np.ndarray) -> np.ndarray:
     """Minus the worst relative defect over k of s_{d-k}(gamma) = phi_k(nu), per row."""
     d = ch.d
-    gamma = secular_roots_batch(ch, lams) / ch.c1
+    gamma = secular_roots_batch(ch, lams) / by_row(ch.c1, 2)
     lhs = _elem_sym_table(gamma.T.copy())[d:0:-1]  # [k, row]
-    rhs = _phi_terms(_elem_sym_table((1.0 + ch.ratio * lams).T.copy()), ch)
+    rhs = _phi_terms(_elem_sym_table((1.0 + by_row(ch.ratio, 2) * lams).T.copy()), ch)
     scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     return -np.max(np.abs(lhs - rhs) / scale, axis=0)
 
 
-def _schur_margins(ch: Channel, lams: np.ndarray, picks: np.ndarray) -> np.ndarray:
+def _schur_margins(ch: Channel | ChannelRows, lams: np.ndarray, picks: np.ndarray) -> np.ndarray:
     """Minus the Schur defect at one (k, a, b) per row, drawn from picks in [0, 1)^3."""
     d = ch.d
     k = np.minimum((picks[:, 0] * d).astype(int), d - 1)
     a = np.minimum((picks[:, 1] * d).astype(int), d - 1)
     b = np.minimum((picks[:, 2] * (d - 1)).astype(int), d - 2)
     b += b >= a
-    return -_schur_defects(1.0 + ch.ratio * lams, k, a, b, ch)
+    return -_schur_defects(1.0 + by_row(ch.ratio, 2) * lams, k, a, b, ch)
 
 
-# margins(stream, d, t, samples) -> (k_values, margins) of one cell, per
-# kind; stream() opens the cell's Philox stream.
+# margins(streams, d, ts, samples) -> (k_values, segments) of a batch of
+# cells of one d, per kind: streams[c]() opens the Philox stream of the
+# cell at t = ts[c], and segments[c] holds its margins, with its columns on
+# the last axis.
 
 
-def _main_cell(stream, d, t, samples):
+def _draw(streams, counts: list[int], *widths: int) -> list[np.ndarray]:
+    """Each cell's stream doubles, drawn straight into its rows of one (sum(counts), width) array per width.
+
+    Cell c opens streams[c] and fills its counts[c] rows of each array in
+    turn, the order and layout of its own gen.random((count, width))
+    calls.  A cell of no rows opens no stream.
+    """
+    blocks = [np.empty((sum(counts), width)) for width in widths]
+    lo = 0
+    for stream, count in zip(streams, counts):
+        if count:
+            gen = stream()
+            for block in blocks:
+                gen.random(out=block[lo : lo + count])
+        lo += count
+    return blocks
+
+
+def _segments(margins: np.ndarray, counts: list[int]) -> list[np.ndarray]:
+    """margins split into consecutive segments of counts[c] columns, as views."""
+    return [margins] if len(counts) == 1 else np.split(margins, np.cumsum(counts)[:-1], axis=-1)
+
+
+def _by_cell(values: list, counts: list[int]):
+    """One value per cell, repeated over its counts[c] columns; a batch of one cell keeps its scalar."""
+    return values[0] if len(values) == 1 else np.repeat(values, counts)
+
+
+def _channels(d: int, ts: list[float], counts: list[int]) -> Channel | ChannelRows:
+    """The validated channel of each cell, repeated over its counts[c] rows; a batch of one keeps its Channel."""
+    channels = [new_channel(d, t) for t in ts]
+    return channels[0] if len(channels) == 1 else ChannelRows.repeat(channels, counts)
+
+
+def _polytope_cells(streams, d: int, ts: list[float], samples: int, corner_only: bool = False):
+    """The samples of every cell, side by side as (n, N) columns, and the count of each cell.
+
+    A corner-only cell whose simplex radius is at most 1 has no samples.
+    """
     n = d - 2
-    nu = _polytope_batch(stream(), n, -box_ratio(d, t), samples)
-    return list(range(n)), _margins_main(np.hstack([nu, polytope_vertices(d, t).T]), d, t)
+    radius = [-box_ratio(d, t) for t in ts]
+    counts = [0 if corner_only and r <= 1.0 else samples for r in radius]
+    if not any(counts):
+        return np.empty((n, 0)), counts
+    [block] = _draw(streams, counts, n + 3)
+    return _polytope_cols(block, n, _by_cell(radius, counts), corner_only), counts
 
 
-def _k0_cell(stream, d, t, samples):
-    nu = _polytope_batch(stream(), d - 2, -box_ratio(d, t), samples, corner_only=True)
-    nu = nu[:, ((nu < 0.0).sum(axis=0) == 1) & (np.abs(nu).min(axis=0) > NEAR_ZERO_NU)]
-    return [0], _k0_slacks(nu, d, t)
+def _main_cells(streams, d, ts, samples):
+    # Each cell's segment holds its samples, then the vertices of its polytope.
+    nu, counts = _polytope_cells(streams, d, ts, samples)
+    vertices = [polytope_vertices(d, t).T for t in ts]
+    cols = np.hstack([part for cell, ends in zip(_segments(nu, counts), vertices) for part in (cell, ends)])
+    sizes = [count + ends.shape[1] for count, ends in zip(counts, vertices)]
+    return list(range(d - 2)), _segments(_margins_main(cols, d, _by_cell(ts, sizes)), sizes)
 
 
-def _second_term_cell(stream, d, t, samples):
+def _k0_cells(streams, d, ts, samples):
+    nu, counts = _polytope_cells(streams, d, ts, samples, corner_only=True)
+    keep = ((nu < 0.0).sum(axis=0) == 1) & (np.abs(nu).min(axis=0) > NEAR_ZERO_NU)
+    kept = [np.count_nonzero(cell) for cell in _segments(keep, counts)]
+    return [0], _segments(_k0_slacks(nu[:, keep], d, _by_cell(ts, kept)), kept)
+
+
+def _second_term_cells(streams, d, ts, samples):
     # Column n - k of the s table holds s_{n-k}, the margin of k = 1..n.
     n = d - 2
-    nu = _polytope_batch(stream(), n, -box_ratio(d, t), samples)
-    return list(range(1, n + 1)), _elem_sym_table(nu)[:n]
+    nu, counts = _polytope_cells(streams, d, ts, samples)
+    return list(range(1, n + 1)), _segments(_elem_sym_table(nu)[:n], counts)
 
 
-def _extreme_cell(stream, d, t, samples):
-    value = extreme_point_defect(d, t)
-    return [], np.array([] if value is None else [value])
+def _extreme_cells(streams, d, ts, samples):
+    values = [extreme_point_defect(d, t) for t in ts]
+    return [], [np.array([] if value is None else [value]) for value in values]
 
 
-def _final_poly_cell(stream, d, t, samples):
-    return [], np.array([final_polynomial(d, t)])
+def _final_poly_cells(streams, d, ts, samples):
+    return [], [np.array([final_polynomial(d, t)]) for t in ts]
 
 
-def _sympol_cell(stream, d, t, samples):
-    return list(range(d)), _sympol_margins(new_channel(d, t), _lambda_batch(stream(), d, samples))
+def _sympol_cells(streams, d, ts, samples):
+    counts = [samples] * len(ts)
+    ch = _channels(d, ts, counts)
+    return list(range(d)), _segments(_sympol_margins(ch, _lambda_rows(*_draw(streams, counts, d))), counts)
 
 
-def _schur_cell(stream, d, t, samples):
-    gen = stream()
-    lams = _lambda_batch(gen, d, samples)
-    return list(range(d)), _schur_margins(new_channel(d, t), lams, gen.random((samples, 3)))
+def _schur_cells(streams, d, ts, samples):
+    counts = [samples] * len(ts)
+    ch = _channels(d, ts, counts)
+    u, picks = _draw(streams, counts, d, 3)
+    return list(range(d)), _segments(_schur_margins(ch, _lambda_rows(u), picks), counts)
 
 
 # kind -> (least d, margins).  The order is part of every stream key.
 _KINDS = {
-    "main": (3, _main_cell),
-    "k0": (3, _k0_cell),
-    "second_term": (3, _second_term_cell),
-    "extreme": (2, _extreme_cell),
-    "final_poly": (2, _final_poly_cell),
-    "sympol": (3, _sympol_cell),
-    "schur": (3, _schur_cell),
+    "main": (3, _main_cells),
+    "k0": (3, _k0_cells),
+    "second_term": (3, _second_term_cells),
+    "extreme": (2, _extreme_cells),
+    "final_poly": (2, _final_poly_cells),
+    "sympol": (3, _sympol_cells),
+    "schur": (3, _schur_cells),
 }
 SCAN_KINDS = tuple(_KINDS)
 
+# The most rows (samples) one batch of cells holds.  The time per row of
+# every kind falls steeply with the rows per call up to about 2000 and then
+# flattens; the sympol kind, whose eigvalsh dominates, gains nothing more.
+# A larger budget also raises the peak memory of a scan.
+_BATCH_ROWS = 2048
 
-def _scan_cell(kind: str, d: int, t: float, t_idx: int, samples: int, seed: int) -> ScanReport:
-    """The report of one (kind, d, t) cell, over all its k."""
-    stream = functools.partial(philox_stream, seed, _cell_key(kind, d, t_idx))
-    k_values, margins = _KINDS[kind][1](stream, d, t, samples)
-    return ScanReport(
-        kind=kind,
-        d=d,
-        t_values=[t],
-        k_values=k_values,
-        samples=int(margins.size),
-        violations=int(np.sum(margins < -VIOLATION_TOL)),
-        worst_margin=float(np.min(margins)) if margins.size else None,
-        seed=seed,
-    )
+
+def _scan_batch(kind: str, jobs: list, samples: int, seed: int) -> list[ScanReport]:
+    """The reports of (d, t, t_idx) jobs of one d, run as one batch; each from its own segment."""
+    d = jobs[0][0]
+    streams = [functools.partial(philox_stream, seed, _cell_key(kind, d, t_idx)) for _, _, t_idx in jobs]
+    ts = [t for _, t, _ in jobs]
+    k_values, segments = _KINDS[kind][1](streams, d, ts, samples)
+    return [
+        ScanReport(
+            kind=kind,
+            d=d,
+            t_values=[t],
+            k_values=list(k_values),
+            samples=int(margins.size),
+            violations=int(np.count_nonzero(margins < -VIOLATION_TOL)),
+            worst_margin=float(margins.min()) if margins.size else None,
+            seed=seed,
+        )
+        for t, margins in zip(ts, segments)
+    ]
+
+
+def _batches(jobs: list, size: int) -> list[list]:
+    """jobs cut, in order, into runs of consecutive jobs of one d, at most size jobs each."""
+    batches = []
+    for job in jobs:
+        if batches and len(batches[-1]) < size and batches[-1][0][0] == job[0]:
+            batches[-1].append(job)
+        else:
+            batches.append([job])
+    return batches
+
+
+def _run_in_order(kind: str, samples: int, seed: int, size: int, jobs: list) -> tuple[list[ScanReport], Exception | None]:
+    """The reports of jobs run in order, batch by batch, up to the first cell that raises, and its exception.
+
+    A batch that raises runs again one cell at a time, so the exception
+    is that of its first failing cell.
+    """
+    reports = []
+    for batch in _batches(jobs, size):
+        try:
+            reports += _scan_batch(kind, batch, samples, seed)
+            continue
+        except Exception as exc:
+            failure = exc
+        if len(batch) > 1:
+            done, failure = _run_in_order(kind, samples, seed, 1, batch)
+            reports += done
+        if failure is not None:
+            return reports, failure
+    return reports, None
+
+
+def _whole(value, name: str) -> int:
+    """value as an int; ConfigError unless it is an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 def run_scan(
@@ -434,36 +567,49 @@ def run_scan(
 ) -> list[ScanReport]:
     """Scan one kind over dimensions and a t grid; one report per (d, t).
 
-    The default grid has 9 points spanning [-1/(d-1), -1e-6].  The kind,
-    every d and every t of the grid are checked before any cell runs.
-    With threads > 1, worker w runs jobs w, w + threads, ... in order,
-    one task per worker.  Reports come back in (d, t) order regardless
-    of the thread count, and their contents are independent of it as
-    well; a failing cell raises the exception of the earliest failing
-    job in (d, t) order, the one threads=1 raises.
+    d_values and t_grid may each be one value or a sequence.  The default
+    grid has 9 points spanning [-1/(d-1), -1e-6].  The kind, every d and
+    every t of the grid, samples and threads are checked before any cell
+    runs.  With W = min(threads, cells) workers, worker w runs jobs w,
+    w + W, ... in order, one task per worker, and consecutive jobs of one
+    d in its slice run as one batch of at most _BATCH_ROWS rows; a cell
+    of as many samples or more runs alone.  Reports come back in (d, t) order
+    regardless of the thread count, and their contents are independent of
+    it and of the batches as well; a failing cell raises the exception of
+    the earliest failing job in (d, t) order, the one threads=1 raises.
     """
     if kind not in _KINDS:
         raise ConfigError(f"kind must be one of {SCAN_KINDS}, got {kind!r}")
     least_d = _KINDS[kind][0]
-    d_list = [int(d) for d in (d_values if np.iterable(d_values) else [d_values])]
+    d_list = [_whole(d, "d") for d in (d_values if np.iterable(d_values) else [d_values])]
     for d in d_list:
         if d < least_d:
             raise ConfigError(f"kind {kind!r} needs d >= {least_d}, got {d}")
+    samples, threads = _whole(samples, "samples"), _whole(threads, "threads")
     if samples < 1:
         raise ConfigError("need samples >= 1")
+    if threads < 1:
+        raise ConfigError(f"need threads >= 1, got {threads}")
+
+    if t_grid is not None:
+        t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
+        if t_grid.ndim > 1:
+            raise ConfigError(f"t_grid must be one t or a 1-D grid, got shape {t_grid.shape}")
 
     jobs = []
     for d in d_list:
-        grid = np.asarray(t_grid, dtype=float) if t_grid is not None else default_t_grid(d)
+        grid = t_grid if t_grid is not None else default_t_grid(d)
         for t_idx, t in enumerate(grid.tolist()):
             _check_t(d, t)
-            jobs.append((kind, d, t, t_idx, samples, seed))
+            jobs.append((d, t, t_idx))
 
-    workers = min(threads or 1, len(jobs))
-    if workers <= 1:
-        return [_scan_cell(*job) for job in jobs]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        slices = list(pool.map(_run_in_order, (jobs[w::workers] for w in range(workers))))
+    workers = max(1, min(threads, len(jobs)))
+    run = functools.partial(_run_in_order, kind, samples, seed, max(1, _BATCH_ROWS // samples))
+    if workers == 1:
+        slices = [run(jobs)]
+    else:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+            slices = list(pool.map(run, (jobs[w::workers] for w in range(workers))))
     failed = [(w + len(done) * workers, exc) for w, (done, exc) in enumerate(slices) if exc is not None]
     if failed:
         raise min(failed, key=lambda failure: failure[0])[1]
@@ -471,14 +617,3 @@ def run_scan(
     for w, (done, _) in enumerate(slices):
         reports[w::workers] = done
     return reports
-
-
-def _run_in_order(jobs: list) -> tuple[list[ScanReport], Exception | None]:
-    """The reports of jobs run in order, up to the first that raises, and its exception."""
-    reports = []
-    for job in jobs:
-        try:
-            reports.append(_scan_cell(*job))
-        except Exception as exc:
-            return reports, exc
-    return reports, None

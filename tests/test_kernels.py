@@ -29,7 +29,7 @@ from tdchan.errors import OutOfRange, SumMismatch
 from tdchan.majorization import _elem_sym_table, _rhs_coefficient
 from tdchan.sampling import philox_stream
 from tdchan.spectrum import secular_roots_batch
-from tdchan.verification import _lambda_batch, _margins_main, _schur_margins, _sympol_margins
+from tdchan.verification import _lambda_rows, _margins_main, _schur_margins, _sympol_margins
 
 from oracles import (
     elem_sym_brute,
@@ -527,7 +527,7 @@ def scan_cells(draw):
 def test_sympol_margins_match_scalar_route(cell):
     d, t, seed = cell
     ch = td.new_channel(d, t)
-    lams = _lambda_batch(philox_stream(seed, 0), d, 25)
+    lams = _lambda_rows(philox_stream(seed, 0).random((25, d)))
     got = _sympol_margins(ch, lams)
     for lam, margin in zip(lams, got):
         sv = td.SchmidtVector(lam)
@@ -547,7 +547,7 @@ def test_schur_margins_match_scalar_route(cell):
     d, t, seed = cell
     ch = td.new_channel(d, t)
     gen = philox_stream(seed, 0)
-    lams = _lambda_batch(gen, d, 25)
+    lams = _lambda_rows(gen.random((25, d)))
     picks = gen.random((25, 3))
     got = _schur_margins(ch, lams, picks)
     for lam, pick, margin in zip(lams, picks, got):

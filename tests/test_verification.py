@@ -223,7 +223,7 @@ def test_k0_cell_gives_each_sample_the_bits_of_k0_defect():
     for d in range(3, 13):
         t = float(default_t_grid(d)[0])
         key = _cell_key("k0", d, 0)
-        _, margins = verification._k0_cell(lambda: philox_stream(6, key), d, t, 40)
+        _, [margins] = verification._k0_cells([lambda: philox_stream(6, key)], d, [t], 40)
         nu = _polytope_batch(philox_stream(6, key), d - 2, -box_ratio(d, t), 40, corner_only=True).T
         want = [k0_defect(row, d, t) for row in nu if np.abs(row).min() > 1e-12]
         assert len(want) == len(margins) > 30
@@ -473,6 +473,80 @@ def test_run_scan_reports_do_not_depend_on_the_thread_count(kind):
         assert run_scan(kind, [3, 4], t_grid=grid, samples=50, seed=4, threads=threads) == want
 
 
+def _batch_sizes(monkeypatch, kind):
+    """Record the number of cells of every batch the kind's margins function gets."""
+    least_d, margins = verification._KINDS[kind]
+    sizes = []
+
+    def recorded(streams, d, ts, samples):
+        sizes.append(len(ts))
+        return margins(streams, d, ts, samples)
+
+    monkeypatch.setitem(verification._KINDS, kind, (least_d, recorded))
+    return sizes
+
+
+@pytest.mark.parametrize("kind", SCAN_KINDS)
+def test_batched_reports_have_the_bits_of_cells_run_alone(monkeypatch, kind):
+    # Around the budget: 1 and 7 samples batch every cell of a d, half the
+    # budget pairs them, and from budget - 1 up each cell runs alone.
+    # repr tells -0.0 from 0.0, which == does not.
+    budget = verification._BATCH_ROWS
+    grid = default_t_grid(4, 3)
+    sizes = _batch_sizes(monkeypatch, kind)
+    for samples in (1, 7, budget // 2, budget - 1, budget, budget + 1):
+        sizes.clear()
+        got = run_scan(kind, [3, 4], t_grid=grid, samples=samples, seed=8)
+        assert sizes == ([3, 3] if samples < budget // 3 else [2, 1, 2, 1] if samples == budget // 2 else [1] * 6)
+        with monkeypatch.context() as alone:
+            alone.setattr(verification, "_BATCH_ROWS", 1)
+            want = run_scan(kind, [3, 4], t_grid=grid, samples=samples, seed=8)
+        assert repr(got) == repr(want), samples
+
+
+def test_k0_batch_mixes_empty_and_sampled_cells(monkeypatch):
+    # R = -2td/(1-t) falls from 2 to 0 along the default grid: the cells
+    # with R <= 1 have no one-negative stratum, report no samples and
+    # share one batch with cells whose filter keeps only some samples.
+    sizes = _batch_sizes(monkeypatch, "k0")
+    got = run_scan("k0", [4], samples=60, seed=2)
+    assert sizes == [9]
+    with monkeypatch.context() as alone:
+        alone.setattr(verification, "_BATCH_ROWS", 1)
+        assert repr(run_scan("k0", [4], samples=60, seed=2)) == repr(got)
+    empty = [rep.samples == 0 and rep.worst_margin is None for rep in got]
+    assert 0 < sum(empty) < 9
+    assert all(0 < rep.samples <= 60 for rep, none in zip(got, empty) if not none)
+
+
+def test_run_scan_takes_a_scalar_t_as_one_t():
+    assert run_scan("main", 3, t_grid=-0.25, samples=20) == run_scan("main", [3], t_grid=[-0.25], samples=20)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(d_values=[3.7]),
+        dict(d_values=[3, np.float64(4.0)]),
+        dict(samples=2.5),
+        dict(samples="200"),
+        dict(threads=-2),
+        dict(threads=0),
+        dict(threads=1.5),
+        dict(t_grid=[[-0.25, -0.1]]),
+    ],
+)
+def test_run_scan_rejects_malformed_arguments_before_any_cell(monkeypatch, kwargs):
+    # A non-integer d or samples used to be truncated or to reach numpy,
+    # threads < 1 used to run serially, and a 2-D grid reached _check_t.
+    opened = []
+    monkeypatch.setattr(verification, "philox_stream", lambda *key: opened.append(key))
+    args = dict(kind="main", d_values=[3], samples=10, threads=1) | kwargs
+    with pytest.raises(ConfigError):
+        run_scan(**args)
+    assert opened == []
+
+
 class _EarlierCellFailed(Exception):
     pass
 
@@ -483,23 +557,28 @@ class _LaterCellFailed(Exception):
 
 @pytest.mark.parametrize("threads", [2, 3, 40])
 def test_run_scan_raises_the_earliest_failing_cell(monkeypatch, threads):
-    # Cell 4 of 18 in (d, t) order fails late, cell 8 at once.  Every
-    # thread count raises what threads=1 raises: cell 4's exception.
+    # Cell 4 of 18 in (d, t) order fails late, cell 8 at once.  At
+    # threads=1 both sit in the one batch of d = 3, which raises cell 8's
+    # exception first; its cells then run one at a time.  Every thread
+    # count raises what threads=1 raises: cell 4's exception.
     cells = [(d, t) for d in (3, 4) for t in default_t_grid(d).tolist()]
+    batches = []
 
-    def margins(stream, d, t, samples):
-        index = cells.index((d, t))
-        if index == 4:
+    def margins(streams, d, ts, samples):
+        indices = [cells.index((d, t)) for t in ts]
+        batches.append(indices)
+        if 8 in indices:
+            raise _LaterCellFailed(8)
+        if 4 in indices:
             time.sleep(0.05)
-            raise _EarlierCellFailed(index)
-        if index == 8:
-            raise _LaterCellFailed(index)
-        return [], np.array([1.0])
+            raise _EarlierCellFailed(4)
+        return [], [np.array([1.0]) for _ in ts]
 
     monkeypatch.setitem(verification._KINDS, "extreme", (2, margins))
     for count in (1, threads):
         with pytest.raises(_EarlierCellFailed):
             run_scan("extreme", [3, 4], samples=1, threads=count)
+    assert batches[:6] == [list(range(9)), [0], [1], [2], [3], [4]]
 
 
 def test_run_scan_custom_grid_and_guards():
