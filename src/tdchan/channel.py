@@ -21,11 +21,12 @@ d^4 x d^4 superoperator.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadDimension, DimensionMismatch, NotPSD, OutOfRange
+from .errors import BadDimension, ConfigError, DimensionMismatch, NotPSD, OutOfRange
 
 # Validation tolerances for density matrices.  No CLI flag sets them: --tol
 # is the tolerance of the spectrum, min-entropy and additivity checks only.
@@ -38,6 +39,14 @@ def check_finite(values: np.ndarray, what: str) -> None:
     """Raise OutOfRange unless every entry of values is finite (no NaN, no inf)."""
     if not np.isfinite(values).all():
         raise OutOfRange(f"{what} must be finite")
+
+
+def _whole(value, name: str) -> int:
+    """value as an int; ConfigError unless it is an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 def t_range(d: int) -> tuple[float, float]:

@@ -66,9 +66,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Channel, DensityMatrix, apply_two_copies, check_finite
+from .channel import Channel, DensityMatrix, _whole, apply_two_copies, check_finite
 from .errors import ConfigError, CovarianceMismatch, NotPSD
-from .sampling import haar_states, rng_stream
+from .sampling import _lambda_rows, haar_states, philox_stream
 from .spectrum import SchmidtVector, _as_schmidt, _check_schmidt_rows, _secular_block_roots
 
 ENTROPY_CLAMP = 1e-15  # eigenvalues at or below this contribute 0 ln 0 := 0
@@ -81,7 +81,8 @@ _LATTICE_ROWS = 500
 _DENSE_CHECK_STATES = 16
 _COVARIANCE_TOL = 1e-10
 
-# Substream tags so the sample families never collide.
+# The Philox cell keys of the three sample families.  A scan cell's key
+# has a low byte of 0, so these never open a scan cell's stream.
 _TAG_SIMPLEX = 1
 _TAG_HAAR = 2
 _TAG_UNIT = 3
@@ -100,8 +101,9 @@ class OptimizerConfig:
     n_random counts the Haar-random states of additivity_gap, whose
     entropies come from their Schmidt weights, and of which the first
     _DENSE_CHECK_STATES are also checked against the dense two-copy
-    route.  Neither may be negative; 0 draws no random simplex row, but
-    still one unit vector and one Haar-random state.
+    route.  All three must be integers, and neither count may be
+    negative; 0 draws no random simplex row, but still one unit vector
+    and one Haar-random state.
     """
 
     restarts: int = 50
@@ -109,6 +111,8 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("restarts", "n_random", "seed"):
+            _whole(getattr(self, name), name)
         if self.restarts < 0:
             raise ConfigError(f"restarts must be >= 0, got {self.restarts}")
         if self.n_random < 0:
@@ -133,16 +137,16 @@ def _entropy_rows(p: np.ndarray) -> np.ndarray:
     entry below EIGENVALUE_FLOOR NotPSD; one mask over the array finds
     both.
 
-    The logarithms are math.log's, not np.log's, whose last bit differs
-    on some inputs, and each row's terms are subtracted from 0 column by
-    column.  So every row gets the bits of a Python loop over its entries.
+    Each row's terms are subtracted from 0 column by column, in order, so
+    a row gets the same bits alone as in a batch of any height; a
+    row-wise np.sum of 8 or more terms would not.
     """
     bad = ~((p >= EIGENVALUE_FLOOR) & (p < math.inf))
     if bad.any():
         check_finite(p, "entropy input entries")
         raise NotPSD(f"entropy of a vector with entry {p[bad][0]}")
     q = np.where((p > ENTROPY_CLAMP) & (p < 1.0), p, 1.0)
-    terms = q * np.fromiter(map(math.log, q.ravel().tolist()), float, q.size).reshape(q.shape)
+    terms = q * np.log(q)
     total = np.zeros(len(p))
     for column in terms.T:
         total -= column
@@ -215,19 +219,13 @@ def min_entropy_closed_form(ch: Channel) -> float:
 def min_output_entropy(ch: Channel, cfg: OptimizerConfig = OptimizerConfig()) -> tuple[float, np.ndarray]:
     """Numerical minimum of S(Phi(|psi><psi|)) over pure states.
 
-    Samples max(cfg.restarts, 1) unit vectors, real and complex Gaussian
-    draws in turn: row r takes the real and the imaginary parts of row r
-    of one (count, 2, d) standard-normal block, and even rows drop the
-    imaginary part.  One eigvalsh call and one _entropy_rows call cover
-    every vector.  Returns (best value, first vector that attains it);
-    the closed form is the certificate it is checked against in the test
-    suite.
+    Samples max(cfg.restarts, 1) Haar-random unit vectors, the rows of
+    haar_states on one stream.  One eigvalsh call and one _entropy_rows
+    call cover every vector.  Returns (best value, first vector that
+    attains it); the closed form is the certificate it is checked against
+    in the test suite.
     """
-    count = max(cfg.restarts, 1)
-    g = rng_stream(cfg.seed, _TAG_UNIT).standard_normal((count, 2, ch.d))
-    g[::2, 1] = 0.0
-    v = g[:, 0] + 1j * g[:, 1]
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    v = haar_states(max(cfg.restarts, 1), ch.d, philox_stream(cfg.seed, _TAG_UNIT))
     out = ch.t * (v.conj()[:, :, None] * v[:, None, :]) + (1.0 - ch.t) * np.eye(ch.d) / ch.d
     values = _entropy_rows(np.linalg.eigvalsh(out))
     best = int(np.argmin(values))
@@ -274,13 +272,13 @@ def minimize_simplex_entropy(
     """Minimum of simplex_output_entropy over a fixed probe of the simplex.
 
     The probe is one batch of rows: the d vertices, the barycenter,
-    cfg.restarts uniform-simplex draws (the rows of one flat Dirichlet
-    block from one stream, so the first k rows do not depend on
-    cfg.restarts) and _simplex_lattice(d), one nonincreasing row per
-    permutation orbit of the lattice, since the entropy does not change
-    under a permutation of the Schmidt weights.  All of them are checked
-    by _check_schmidt_rows and evaluated by one _split_rows call, which
-    gives each row the bits that simplex_output_entropy gives it alone.
+    cfg.restarts uniform-simplex draws (_lambda_rows of d doubles per row
+    from one stream, so the first k rows do not depend on cfg.restarts)
+    and _simplex_lattice(d), one nonincreasing row per permutation orbit
+    of the lattice, since the entropy does not change under a permutation
+    of the Schmidt weights.  All of them are checked by
+    _check_schmidt_rows and evaluated by one _split_rows call, which gives
+    each row the bits that simplex_output_entropy gives it alone.
     When the best row does not beat the best vertex by more than 1e-12,
     that vertex is reported as argmin, with the lower of the two values.
 
@@ -293,7 +291,7 @@ def minimize_simplex_entropy(
     by a few ulp.
     """
     d = ch.d
-    draws = rng_stream(cfg.seed, _TAG_SIMPLEX).dirichlet(np.ones(d), size=cfg.restarts)
+    draws = _lambda_rows(philox_stream(cfg.seed, _TAG_SIMPLEX).random((cfg.restarts, d)))
     rows = np.vstack([np.eye(d), np.full((1, d), 1.0 / d), draws, _simplex_lattice(d)])
     _check_schmidt_rows(rows)
     s1, s2 = _split_rows(ch, rows)
@@ -347,7 +345,7 @@ def _random_state_entropies(ch: Channel, cfg: OptimizerConfig) -> np.ndarray:
     against the dense route by _check_covariance.
     """
     count = max(cfg.n_random, 1)
-    psi = haar_states(count, ch.d**2, rng_stream(cfg.seed, _TAG_HAAR))
+    psi = haar_states(count, ch.d**2, philox_stream(cfg.seed, _TAG_HAAR))
     weights = _schmidt_weights(psi, ch.d)
     _check_schmidt_rows(weights)
     s1, s2 = _split_rows(ch, weights)

@@ -1,11 +1,10 @@
-"""Deterministic random sampling helpers.
+"""Deterministic random sampling: one stream family and its samplers.
 
-All randomness in the package flows through named substreams so that scans
-and optimizers are reproducible bit for bit: a stream is identified by a
-user seed plus a short tuple of nonnegative integers (domain tag, sample
-index, ...).  Counter-based Philox generators are used for the scan engine
-because disjoint key/counter blocks stay identical no matter how the
-surrounding loop is chunked or threaded.
+Every Generator in the package comes from philox_stream, keyed by the
+user seed and one cell key: the scan engine's _cell_key or one of the
+entropy probes' tags.  A stream's draws do not depend on how the loop
+around it is chunked or threaded, and each sampler reads a fixed number
+of doubles per row.
 """
 
 from __future__ import annotations
@@ -15,21 +14,36 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 
-def rng_stream(seed: int, *path: int) -> np.random.Generator:
-    """Independent generator for the substream identified by (seed, *path)."""
-    entropy = (int(seed) & _MASK64,) + tuple(int(p) & _MASK64 for p in path)
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
-
-
 def philox_stream(seed: int, cell: int) -> np.random.Generator:
-    """Counter-based generator for one scan cell.
+    """Counter-based generator for one cell.
 
     The 128-bit Philox key packs the user seed in the high word and the
-    cell index in the low word, so distinct cells get independent streams
+    cell key in the low word, so distinct cells get independent streams
     by construction.
     """
     key = ((int(seed) & _MASK64) << 64) | (int(cell) & _MASK64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _simplex_cols(u: np.ndarray) -> np.ndarray:
+    """Uniform points of the probability simplex, one per column of uniforms u (m, N).
+
+    Normalized exponential spacings -log1p(-u), summed over the m
+    coordinate rows in order, first to last; dropping the last row gives
+    uniform points of the solid simplex {w >= 0, sum w <= 1}.  A row-wise
+    np.sum adds in the same order for fewer than 8 terms, so the bits of
+    a point do not depend on the layout for m <= 7.
+    """
+    expo = -np.log1p(-u)
+    total = expo[0]
+    for row in expo[1:]:
+        total = total + row
+    return expo / np.maximum(total, 1e-300)
+
+
+def _lambda_rows(u: np.ndarray) -> np.ndarray:
+    """Uniform Schmidt vectors from an (N, d) block of uniforms, as (N, d) rows: a transposed view of simplex columns."""
+    return _simplex_cols(u.T).T
 
 
 def haar_states(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -42,12 +56,3 @@ def haar_states(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((count, 2, dim))
     psi = g[:, 0] + 1j * g[:, 1]
     return psi / np.linalg.norm(psi, axis=1, keepdims=True)
-
-
-def exponentials_from_uniforms(u: np.ndarray) -> np.ndarray:
-    """Map uniforms in [0, 1) to Exp(1) variates, elementwise.
-
-    Used by the scan engine to build simplex points from raw Philox
-    doubles without variable-rate consumption of the stream.
-    """
-    return -np.log1p(-u)

@@ -39,11 +39,11 @@ symmetric-polynomial identity, and the Schur criterion.
 Scan kinds: _KINDS maps each kind to the least d it accepts and to its
 margins(streams, d, ts, samples) -> (k_values, segments) for a batch of
 cells of one d, and SCAN_KINDS lists its keys.  run_scan checks the
-kind, every d and every t of the grid against [-1/(d-1), 0), samples and
-threads before any cell runs; _scan_batch turns each cell's segment of
-margins into its ScanReport.  The order of _KINDS must not change: a
-kind's index in it is part of every stream key, so a reordering would
-change the bytes of every report.
+kind, every d and every t of the grid against [-1/(d-1), 0), samples,
+seed and threads before any cell runs; _scan_batch turns each cell's
+segment of margins into its ScanReport.  The order of _KINDS must not
+change: a kind's index in it is part of every stream key, so a
+reordering would change the bytes of every report.
 
 Batches: a batch is a run of cells of one d, of at most _BATCH_ROWS
 rows (samples) in all; a cell of as many samples or more runs alone.
@@ -87,7 +87,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,7 +99,7 @@ from .errors import (
     ConfigError,
     NearZeroNu,
 )
-from .channel import Channel, ChannelRows, by_row, new_channel
+from .channel import Channel, ChannelRows, _whole, by_row, new_channel
 from .majorization import (
     _elem_sym_table,
     _finite_nu,
@@ -110,7 +109,7 @@ from .majorization import (
     _schur_defects,
     elem_sym,
 )
-from .sampling import exponentials_from_uniforms, philox_stream
+from .sampling import _lambda_rows, _simplex_cols, philox_stream
 from .spectrum import secular_roots_batch
 
 VIOLATION_TOL = 1e-9  # a margin below -1e-9 counts as a violation
@@ -227,22 +226,6 @@ def final_polynomial(d: int, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _simplex_cols(u: np.ndarray) -> np.ndarray:
-    """Uniform points of the probability simplex, one per column of uniforms u (m, N).
-
-    Normalized exponential spacings, summed over the m coordinate rows
-    in order, first to last; dropping the last row gives uniform points
-    of the solid simplex {w >= 0, sum w <= 1}.  A row-wise np.sum adds
-    in the same order for fewer than 8 terms, so the bits of a point do
-    not depend on the layout for m <= 7.
-    """
-    expo = exponentials_from_uniforms(u)
-    total = expo[0]
-    for row in expo[1:]:
-        total = total + row
-    return expo / np.maximum(total, 1e-300)
-
-
 def _polytope_batch(
     gen: np.random.Generator, n: int, radius: float, count: int, corner_only: bool = False
 ) -> np.ndarray:
@@ -356,11 +339,6 @@ def _k0_slacks(cols: np.ndarray, d: int, t) -> np.ndarray:
     for row in cols[1:]:
         total = total + (1.0 - row) / row
     return _rhs_coefficient(d, t) - total
-
-
-def _lambda_rows(u: np.ndarray) -> np.ndarray:
-    """Uniform Schmidt vectors from an (N, d) block of uniforms, as (N, d) rows: a transposed view of simplex columns."""
-    return _simplex_cols(u.T).T
 
 
 def _sympol_margins(ch: Channel | ChannelRows, lams: np.ndarray) -> np.ndarray:
@@ -554,14 +532,6 @@ def _run_in_order(kind: str, samples: int, seed: int, size: int, jobs: list) -> 
     return reports, None
 
 
-def _whole(value, name: str) -> int:
-    """value as an int; ConfigError unless it is an integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-
-
 def run_scan(
     kind: str, d_values, t_grid=None, samples: int = 1000, seed: int = 0, threads: int = 1
 ) -> list[ScanReport]:
@@ -569,8 +539,8 @@ def run_scan(
 
     d_values and t_grid may each be one value or a sequence.  The default
     grid has 9 points spanning [-1/(d-1), -1e-6].  The kind, every d and
-    every t of the grid, samples and threads are checked before any cell
-    runs.  With W = min(threads, cells) workers, worker w runs jobs w,
+    every t of the grid, samples, seed and threads are checked before any
+    cell runs.  With W = min(threads, cells) workers, worker w runs jobs w,
     w + W, ... in order, one task per worker, and consecutive jobs of one
     d in its slice run as one batch of at most _BATCH_ROWS rows; a cell
     of as many samples or more runs alone.  Reports come back in (d, t) order
@@ -585,7 +555,7 @@ def run_scan(
     for d in d_list:
         if d < least_d:
             raise ConfigError(f"kind {kind!r} needs d >= {least_d}, got {d}")
-    samples, threads = _whole(samples, "samples"), _whole(threads, "threads")
+    samples, seed, threads = _whole(samples, "samples"), _whole(seed, "seed"), _whole(threads, "threads")
     if samples < 1:
         raise ConfigError("need samples >= 1")
     if threads < 1:

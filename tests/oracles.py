@@ -103,13 +103,17 @@ def entropy_brute(values: np.ndarray, clamp: float = 1e-15) -> float:
 def entropy_loop(values, clamp: float) -> float:
     """-sum p ln p by a Python loop over the entries, in order.
 
-    Each entry in (clamp, 1) subtracts p * math.log(p) from a total that
-    starts at 0.0; every other entry adds nothing.
+    Each entry in (clamp, 1) subtracts p * ln p from a total that starts
+    at 0.0, with ln p from one np.log call on the row; every other entry
+    adds nothing.
     """
+    values = [float(p) for p in values]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.log(np.array(values, dtype=float)).tolist()
     total = 0.0
-    for p in values:
+    for p, log_p in zip(values, logs):
         if clamp < p < 1.0:
-            total -= p * math.log(p)
+            total -= p * log_p
     return total
 
 

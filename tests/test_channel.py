@@ -126,9 +126,7 @@ def test_apply_matches_defining_formula():
 
 def test_apply_covariance():
     # conjugating the input by U conjugates the output by conj(U)
-    from tdchan.sampling import rng_stream
-
-    rng = rng_stream(7, 1)
+    rng = np.random.default_rng(7)
     for d in (2, 3, 4):
         lo, hi = td.t_range(d)
         for _ in range(10):

@@ -13,13 +13,15 @@ from tdchan.entropy import (
     _DENSE_CHECK_STATES,
     _TAG_HAAR,
     _TAG_SIMPLEX,
+    _TAG_UNIT,
     ENTROPY_CLAMP,
     EIGENVALUE_FLOOR,
     _random_state_entropies,
 )
 from tdchan.errors import ConfigError, CovarianceMismatch, NotPSD, OutOfRange
-from tdchan.sampling import rng_stream
+from tdchan.sampling import haar_states, philox_stream
 from tdchan.spectrum import _check_schmidt_rows
+from tdchan.verification import SCAN_KINDS, _cell_key
 
 from oracles import (
     dense_two_copy_spectrum,
@@ -89,9 +91,10 @@ def test_entropy_rows_is_the_sequential_loop_bit_for_bit(data):
     assert [bits(td.entropy_of(row)) for row in rows] == want
 
 
-def test_entropy_rows_takes_its_logarithms_from_math_log():
-    # numpy's log differs from math.log in the last bit on about one
-    # input in a thousand, so these rows would tell the two apart.
+def test_entropy_rows_takes_its_logarithms_from_np_log_of_each_row():
+    # One np.log call over the whole batch gives each entry the bits that
+    # np.log of its row alone gives it; rows of 8 or more terms would also
+    # tell a row-wise np.sum from the in-order subtraction.
     p = np.random.default_rng(257).uniform(size=(1000, 100))
     want = [bits(entropy_loop(row, ENTROPY_CLAMP)) for row in p.tolist()]
     assert bits(entropy._entropy_rows(p).tolist()) == want
@@ -206,12 +209,14 @@ def test_min_entropy_closed_form_is_single_copy_output_entropy():
 
 
 def test_min_output_entropy_matches_closed_form():
+    # The vectors are the Haar-random rows of haar_states on one stream.
     cfg = td.OptimizerConfig(restarts=8, seed=5)
     for d, t in ((2, -1.0), (3, -0.5), (3, 0.25), (4, -0.2)):
         ch = td.new_channel(d, t)
         best, arg = td.min_output_entropy(ch, cfg)
         assert best == pytest.approx(td.min_entropy_closed_form(ch), abs=1e-9)
         assert np.linalg.norm(arg) == pytest.approx(1.0, abs=1e-12)
+        assert arg.tolist() in haar_states(8, d, philox_stream(5, _TAG_UNIT)).tolist()
 
 
 def test_project_to_simplex():
@@ -313,7 +318,7 @@ def test_random_state_entropy_matches_the_kraus_route():
     for d, t, n_random in ((2, -1.0, 0), (3, -0.3, _DENSE_CHECK_STATES + 5), (4, 0.15, 2 * _DENSE_CHECK_STATES)):
         ch = td.new_channel(d, t)
         cfg = td.OptimizerConfig(restarts=0, n_random=n_random, seed=19)
-        g = rng_stream(19, _TAG_HAAR).standard_normal((max(n_random, 1), 2, d * d))
+        g = philox_stream(19, _TAG_HAAR).standard_normal((max(n_random, 1), 2, d * d))
         states = [v / np.linalg.norm(v) for v in g[:, 0] + 1j * g[:, 1]]
         want = [entropy_brute(np.linalg.eigvalsh(kraus_two_copy_output(ch, v))) for v in states]
         assert np.max(np.abs(_random_state_entropies(ch, cfg) - want)) <= 1e-12
@@ -411,6 +416,37 @@ def test_optimizer_config_rejects_negative_counts():
         with pytest.raises(ConfigError):
             td.OptimizerConfig(**kwargs)
     td.OptimizerConfig(restarts=0, n_random=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(restarts=2.5),
+        dict(restarts=np.float64(3.0)),
+        dict(n_random=2.5),
+        dict(n_random="20"),
+        dict(seed=1.5),
+        dict(seed="7"),
+        dict(seed=None),
+    ],
+)
+def test_optimizer_config_rejects_non_integers(kwargs):
+    # restarts=2.5 and n_random=2.5 used to fail later inside numpy, and
+    # seed=1.5 silently ran seed 1.
+    with pytest.raises(ConfigError, match="must be an integer"):
+        td.OptimizerConfig(**kwargs)
+    td.OptimizerConfig(restarts=np.int64(3), n_random=np.int32(5), seed=np.uint8(7))
+
+
+def test_entropy_keys_never_open_a_scan_cells_stream():
+    # No entropy key has a low byte of 0, and every scan key has, over all
+    # kinds, d = 2..64 and every 16-bit t index.
+    tags = [_TAG_SIMPLEX, _TAG_HAAR, _TAG_UNIT]
+    assert len(set(tags)) == 3 and all(tag & 0xFF for tag in tags)
+    t_idx = np.arange(65536, dtype=np.int64)
+    for kind in SCAN_KINDS:
+        for d in range(2, 65):
+            assert not (_cell_key(kind, d, t_idx) & 0xFF).any(), (kind, d)
 
 
 # ------------------------------------------------- the simplex probe
@@ -584,11 +620,26 @@ def test_probe_is_one_batch_of_vertices_barycenter_draws_and_lattice(monkeypatch
     d = 4
     cfg = td.OptimizerConfig(restarts=restarts, seed=3)
     _, calls = probe_calls(monkeypatch, td.new_channel(d, -0.2), cfg)
-    # Drawn one row at a time: the block's rows do not depend on its size.
-    gen = rng_stream(3, _TAG_SIMPLEX)
-    draws = [gen.dirichlet(np.ones(d)).tolist() for _ in range(restarts)]
+    # Drawn one row at a time: normalized exponential spacings of d
+    # doubles, summed in order.
+    gen = philox_stream(3, _TAG_SIMPLEX)
+    draws = []
+    for _ in range(restarts):
+        spacings = (-np.log1p(-gen.random(d))).tolist()
+        total = spacings[0]
+        for x in spacings[1:]:
+            total += x
+        draws.append([x / total for x in spacings])
     want = np.eye(d).tolist() + [[1.0 / d] * d] + draws + entropy._simplex_lattice(d).tolist()
     assert calls == [want]
+
+
+def test_probe_takes_the_first_k_random_rows_of_any_larger_restarts(monkeypatch):
+    d, ch = 5, td.new_channel(5, -0.1)
+    _, [every] = probe_calls(monkeypatch, ch, td.OptimizerConfig(restarts=12, seed=29))
+    for k in (0, 1, 4, 11):
+        _, [rows] = probe_calls(monkeypatch, ch, td.OptimizerConfig(restarts=k, seed=29))
+        assert bits(rows[d + 1 : d + 1 + k]) == bits(every[d + 1 : d + 1 + k]), k
 
 
 @pytest.mark.parametrize("row", ["barycenter", "draw", "lattice"])
@@ -637,12 +688,11 @@ def test_probe_propagates_not_psd(monkeypatch):
 
 
 def test_probe_checks_every_row(monkeypatch):
-    class OffSimplex:
-        def dirichlet(self, alpha, size):
-            d = len(alpha)
-            return np.tile([1.5] + [-0.5 / (d - 1)] * (d - 1), (size, 1))
+    def off_simplex(u):
+        d = u.shape[1]
+        return np.tile([1.5] + [-0.5 / (d - 1)] * (d - 1), (len(u), 1))
 
-    monkeypatch.setattr(entropy, "rng_stream", lambda *path: OffSimplex())
+    monkeypatch.setattr(entropy, "_lambda_rows", off_simplex)
     with pytest.raises(OutOfRange):
         td.minimize_simplex_entropy(td.new_channel(3, -0.25), td.OptimizerConfig(restarts=1))
 

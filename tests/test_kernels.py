@@ -27,9 +27,9 @@ from hypothesis import strategies as st
 import tdchan as td
 from tdchan.errors import OutOfRange, SumMismatch
 from tdchan.majorization import _elem_sym_table, _rhs_coefficient
-from tdchan.sampling import philox_stream
+from tdchan.sampling import _lambda_rows, philox_stream
 from tdchan.spectrum import secular_roots_batch
-from tdchan.verification import _lambda_rows, _margins_main, _schur_margins, _sympol_margins
+from tdchan.verification import _margins_main, _schur_margins, _sympol_margins
 
 from oracles import (
     elem_sym_brute,

@@ -2,7 +2,7 @@
 
 scipy is the oracle here only; the package itself does not import it.
 minimize_simplex_entropy probes a fixed batch of rows instead of
-descending.  A descent from each of its starts (the Dirichlet draws,
+descending.  A descent from each of its starts (the uniform draws,
 the vertices and the barycenter) on the projected objective must end
 at the probe's minimum, to 1e-12: no start descends below it.
 """
@@ -14,7 +14,7 @@ from scipy.optimize import minimize
 
 import tdchan as td
 from tdchan.entropy import _TAG_SIMPLEX
-from tdchan.sampling import rng_stream
+from tdchan.sampling import _lambda_rows, philox_stream
 
 from oracles import simplex_projection_sort
 
@@ -42,7 +42,7 @@ def test_probe_matches_scipy_descents_from_its_starts():
         for t in (lo, 0.5 * lo, 0.0, 0.5 * hi, hi):
             ch = td.new_channel(d, t)
             probe, _ = td.minimize_simplex_entropy(ch, cfg)
-            starts = rng_stream(cfg.seed, _TAG_SIMPLEX).dirichlet(np.ones(d), size=cfg.restarts).tolist()
+            starts = _lambda_rows(philox_stream(cfg.seed, _TAG_SIMPLEX).random((cfg.restarts, d))).tolist()
             starts += np.eye(d).tolist() + [[1.0 / d] * d]
             for lam0 in starts:
                 descent = scipy_descent(ch, lam0)

@@ -534,11 +534,15 @@ def test_run_scan_takes_a_scalar_t_as_one_t():
         dict(threads=0),
         dict(threads=1.5),
         dict(t_grid=[[-0.25, -0.1]]),
+        dict(seed=1.5),
+        dict(seed="7"),
+        dict(seed=None),
     ],
 )
 def test_run_scan_rejects_malformed_arguments_before_any_cell(monkeypatch, kwargs):
     # A non-integer d or samples used to be truncated or to reach numpy,
     # threads < 1 used to run serially, and a 2-D grid reached _check_t.
+    # seed=1.5 ran seed 1 and reported 1.5, and seed=None raised TypeError.
     opened = []
     monkeypatch.setattr(verification, "philox_stream", lambda *key: opened.append(key))
     args = dict(kind="main", d_values=[3], samples=10, threads=1) | kwargs
