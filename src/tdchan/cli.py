@@ -91,13 +91,14 @@ def _common_flags(
 ) -> None:
     """--format on every subcommand; each other flag only where it is read."""
     if seed:
-        p.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
+        p.add_argument("--seed", type=int, default=0, help="base RNG seed, in [0, 2^64) (default 0)")
     if threads:
         p.add_argument(
             "--threads",
             type=int,
             default=None,
-            help="worker threads; default TDCHAN_THREADS or the CPU count",
+            metavar="N",
+            help="at most N worker threads; default TDCHAN_THREADS or the CPUs this process may use",
         )
     if log_base:
         p.add_argument("--log-base", choices=("e", "2"), default="e", help="entropy unit")
@@ -121,7 +122,7 @@ def _resolve_tol(value: float | None, default: float) -> float:
 
 
 def _resolve_threads(value: int | None) -> int:
-    """--threads, else TDCHAN_THREADS, else the CPU count.
+    """--threads, else TDCHAN_THREADS, else the number of CPUs this process may run on.
 
     A --threads below 1, or a TDCHAN_THREADS that is not a positive
     integer, exits 3; an empty TDCHAN_THREADS counts as unset.
@@ -132,6 +133,8 @@ def _resolve_threads(value: int | None) -> int:
         return value
     env = os.environ.get("TDCHAN_THREADS")
     if not env:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     if not env.isdecimal() or int(env) < 1:
         raise ConfigError(f"TDCHAN_THREADS must be a positive integer, got {env!r}")

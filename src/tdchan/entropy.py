@@ -68,7 +68,7 @@ import numpy as np
 
 from .channel import Channel, DensityMatrix, _whole, apply_two_copies, check_finite
 from .errors import ConfigError, CovarianceMismatch, NotPSD
-from .sampling import _lambda_rows, haar_states, philox_stream
+from .sampling import _check_seed, _lambda_rows, haar_states, philox_stream
 from .spectrum import SchmidtVector, _as_schmidt, _check_schmidt_rows, _secular_block_roots
 
 ENTROPY_CLAMP = 1e-15  # eigenvalues at or below this contribute 0 ln 0 := 0
@@ -101,9 +101,9 @@ class OptimizerConfig:
     n_random counts the Haar-random states of additivity_gap, whose
     entropies come from their Schmidt weights, and of which the first
     _DENSE_CHECK_STATES are also checked against the dense two-copy
-    route.  All three must be integers, and neither count may be
-    negative; 0 draws no random simplex row, but still one unit vector
-    and one Haar-random state.
+    route.  All three must be integers, the seed in [0, 2^64), and neither
+    count may be negative; 0 draws no random simplex row, but still one
+    unit vector and one Haar-random state.
     """
 
     restarts: int = 50
@@ -111,8 +111,9 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("restarts", "n_random", "seed"):
+        for name in ("restarts", "n_random"):
             _whole(getattr(self, name), name)
+        _check_seed(self.seed)
         if self.restarts < 0:
             raise ConfigError(f"restarts must be >= 0, got {self.restarts}")
         if self.n_random < 0:

@@ -11,7 +11,22 @@ from __future__ import annotations
 
 import numpy as np
 
+from .channel import _whole
+from .errors import ConfigError
+
 _MASK64 = (1 << 64) - 1
+
+
+def _check_seed(seed) -> int:
+    """seed as an int in [0, 2^64), the seeds philox_stream keys on; ConfigError otherwise.
+
+    philox_stream reduces a seed mod 2^64, so a seed outside the range
+    would draw the samples of another seed and report its own.
+    """
+    seed = _whole(seed, "seed")
+    if not 0 <= seed <= _MASK64:
+        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
 
 
 def philox_stream(seed: int, cell: int) -> np.random.Generator:

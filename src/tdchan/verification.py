@@ -36,14 +36,15 @@ on the one-negative stratum, its worst extreme point, the strictly
 positive quadratic 3(td)^2 + 3(1-t)(td) + (1-t)^2, the secular
 symmetric-polynomial identity, and the Schur criterion.
 
-Scan kinds: _KINDS maps each kind to the least d it accepts and to its
+Scan kinds: _KINDS maps each kind to the least d it accepts, to its
 margins(streams, d, ts, samples) -> (k_values, segments) for a batch of
-cells of one d, and SCAN_KINDS lists its keys.  run_scan checks the
-kind, every d and every t of the grid against [-1/(d-1), 0), samples,
-seed and threads before any cell runs; _scan_batch turns each cell's
-segment of margins into its ScanReport.  The order of _KINDS must not
-change: a kind's index in it is part of every stream key, so a
-reordering would change the bytes of every report.
+cells of one d, and to its fan-out width (see Threads); SCAN_KINDS
+lists its keys.  run_scan checks the kind, every d and every t of the
+grid against [-1/(d-1), 0), samples, seed and threads before any cell
+runs; _scan_batch turns each cell's segment of margins into its
+ScanReport.  The order of _KINDS must not change: a kind's index in it
+is part of every stream key, so a reordering would change the bytes of
+every report.
 
 Batches: a batch is a run of cells of one d, of at most _BATCH_ROWS
 rows (samples) in all; a cell of as many samples or more runs alone.
@@ -75,18 +76,25 @@ samples: "main" and "second_term" evaluate every k on one draw, from
 one s table.  "extreme" and "final_poly" draw nothing and open no
 stream.
 
-Threads: run_scan lists its (d, t) jobs in order and gives each of its
-threads one task, a fixed slice of them: worker w runs jobs w,
-w + threads, ... in turn, consecutive jobs of one d as one batch.  The
-reports are put back in (d, t) order.  A batch that raises runs again
-one cell at a time, and when cells raise, the exception of the earliest
-failing job in (d, t) order is raised, as with one thread.
+Threads: run_scan takes threads as an upper bound.  It starts worker
+threads only when the kind's widest batch, rows x d, reaches the kind's
+fan-out width in _KINDS; otherwise every batch runs in order on the
+calling thread.  Below that width, a batch is a run of numpy calls too
+short to release the interpreter lock for long, and a second thread
+mostly waits for it.  When it fans out, run_scan lists its (d, t) jobs in
+order and gives each of its threads one task, a fixed slice of them:
+worker w runs jobs w, w + threads, ... in turn, consecutive jobs of one d
+as one batch.  The reports are put back in (d, t) order.  A batch that
+raises runs again one cell at a time, and when cells raise, the
+exception of the earliest failing job in (d, t) order is raised, as with
+one thread.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,8 +117,8 @@ from .majorization import (
     _schur_defects,
     elem_sym,
 )
-from .sampling import _lambda_rows, _simplex_cols, philox_stream
-from .spectrum import secular_roots_batch
+from .sampling import _check_seed, _lambda_rows, _simplex_cols, philox_stream
+from .spectrum import _secular_block_roots
 
 VIOLATION_TOL = 1e-9  # a margin below -1e-9 counts as a violation
 NEAR_ZERO_NU = 1e-12
@@ -344,7 +352,7 @@ def _k0_slacks(cols: np.ndarray, d: int, t) -> np.ndarray:
 def _sympol_margins(ch: Channel | ChannelRows, lams: np.ndarray) -> np.ndarray:
     """Minus the worst relative defect over k of s_{d-k}(gamma) = phi_k(nu), per row."""
     d = ch.d
-    gamma = secular_roots_batch(ch, lams) / by_row(ch.c1, 2)
+    gamma = _secular_block_roots(ch, lams) / by_row(ch.c1, 2)
     lhs = _elem_sym_table(gamma.T.copy())[d:0:-1]  # [k, row]
     rhs = _phi_terms(_elem_sym_table((1.0 + by_row(ch.ratio, 2) * lams).T.copy()), ch)
     scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
@@ -460,15 +468,55 @@ def _schur_cells(streams, d, ts, samples):
     return list(range(d)), _segments(_schur_margins(ch, _lambda_rows(u), picks), counts)
 
 
-# kind -> (least d, margins).  The order is part of every stream key.
+# A second worker thread pays only once a batch's numpy calls are long.
+# Measured: the median time of run_scan on 2 threads over its time on 1,
+# 15-25 alternated runs each, on a 2-vCPU VM with BLAS on one thread
+# (Python 3.11, numpy 2.4).  The width is that of the widest batch, its
+# rows x d.
+#
+#   kind         d     samples  width  2 threads / 1
+#   main         3:6   2000     12000  1.60
+#   k0           3:6   2000     12000  1.70
+#   second_term  3:6   2000     12000  1.56
+#   schur        3:6   2000     12000  1.28
+#   main         8     2000     16000  1.18
+#   k0           8     2000     16000  1.57
+#   second_term  8     2000     16000  1.02
+#   schur        8     2000     16000  0.83
+#   main         3:10  200      18000  1.81 (most batches far narrower)
+#   main         9     2000     18000  0.93
+#   k0           9     2000     18000  1.01
+#   main         10    2000     20000  0.81-0.86
+#   second_term  10    2000     20000  0.96
+#   k0           10    2000     20000  0.91
+#   main         3:6   4000     24000  0.94
+#   schur        3:6   4000     24000  0.74
+#   schur        6:12  2000     24000  0.78
+#   main         3:6   8000     48000  0.63
+#   sympol       3:5   50       2250   1.44
+#   sympol       3:5   100      4500   1.47
+#   sympol       3     500      6000   1.00-1.03
+#   sympol       3     1000     6000   0.82
+#   sympol       3:5   200      9000   0.96-0.99
+#   sympol       3:5   500      10000  0.75
+#   extreme      3:6   1        -      2.33
+#
+# The elementwise kinds cross over near 18000; sympol, whose batch is
+# mostly one eigvalsh call with the lock released, near 6000.  extreme
+# and final_poly compute one value per cell and never pay.
+_ELEMENTWISE_FAN_OUT = 20000
+_EIGVALSH_FAN_OUT = 6000
+
+# kind -> (least d, margins, fan-out width).  The order is part of every
+# stream key.
 _KINDS = {
-    "main": (3, _main_cells),
-    "k0": (3, _k0_cells),
-    "second_term": (3, _second_term_cells),
-    "extreme": (2, _extreme_cells),
-    "final_poly": (2, _final_poly_cells),
-    "sympol": (3, _sympol_cells),
-    "schur": (3, _schur_cells),
+    "main": (3, _main_cells, _ELEMENTWISE_FAN_OUT),
+    "k0": (3, _k0_cells, _ELEMENTWISE_FAN_OUT),
+    "second_term": (3, _second_term_cells, _ELEMENTWISE_FAN_OUT),
+    "extreme": (2, _extreme_cells, math.inf),
+    "final_poly": (2, _final_poly_cells, math.inf),
+    "sympol": (3, _sympol_cells, _EIGVALSH_FAN_OUT),
+    "schur": (3, _schur_cells, _ELEMENTWISE_FAN_OUT),
 }
 SCAN_KINDS = tuple(_KINDS)
 
@@ -539,14 +587,18 @@ def run_scan(
 
     d_values and t_grid may each be one value or a sequence.  The default
     grid has 9 points spanning [-1/(d-1), -1e-6].  The kind, every d and
-    every t of the grid, samples, seed and threads are checked before any
-    cell runs.  With W = min(threads, cells) workers, worker w runs jobs w,
-    w + W, ... in order, one task per worker, and consecutive jobs of one
-    d in its slice run as one batch of at most _BATCH_ROWS rows; a cell
-    of as many samples or more runs alone.  Reports come back in (d, t) order
-    regardless of the thread count, and their contents are independent of
-    it and of the batches as well; a failing cell raises the exception of
-    the earliest failing job in (d, t) order, the one threads=1 raises.
+    every t of the grid, samples, seed (an integer in [0, 2^64)) and
+    threads are checked before any cell runs.  Consecutive jobs of one d
+    run as one batch of at most _BATCH_ROWS rows; a cell of as many samples
+    or more runs alone.  threads is an upper bound: the scan starts
+    W = min(threads, cells) workers only when its widest batch, rows x d
+    on one thread, reaches the kind's fan-out width in _KINDS, and runs
+    every batch on the calling thread otherwise.  Worker w runs jobs w,
+    w + W, ... in order, one task per worker, batched as above within its
+    slice.  Reports come back in (d, t) order regardless of the thread
+    count, and their contents are independent of it and of the batches as
+    well; a failing cell raises the exception of the earliest failing job
+    in (d, t) order, the one threads=1 raises.
     """
     if kind not in _KINDS:
         raise ConfigError(f"kind must be one of {SCAN_KINDS}, got {kind!r}")
@@ -555,7 +607,7 @@ def run_scan(
     for d in d_list:
         if d < least_d:
             raise ConfigError(f"kind {kind!r} needs d >= {least_d}, got {d}")
-    samples, seed, threads = _whole(samples, "samples"), _whole(seed, "seed"), _whole(threads, "threads")
+    samples, seed, threads = _whole(samples, "samples"), _check_seed(seed), _whole(threads, "threads")
     if samples < 1:
         raise ConfigError("need samples >= 1")
     if threads < 1:
@@ -573,8 +625,10 @@ def run_scan(
             _check_t(d, t)
             jobs.append((d, t, t_idx))
 
-    workers = max(1, min(threads, len(jobs)))
-    run = functools.partial(_run_in_order, kind, samples, seed, max(1, _BATCH_ROWS // samples))
+    size = max(1, _BATCH_ROWS // samples)
+    widest = max((len(batch) * samples * batch[0][0] for batch in _batches(jobs, size)), default=0)
+    workers = max(1, min(threads, len(jobs))) if widest >= _KINDS[kind][2] else 1
+    run = functools.partial(_run_in_order, kind, samples, seed, size)
     if workers == 1:
         slices = [run(jobs)]
     else:

@@ -374,6 +374,27 @@ def test_negative_optimizer_counts_exit_3(capsys, argv):
     assert err.count("\n") == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--kind", "main", "--d", "3", "--samples", "5"],
+        ["schur-scan", "--d", "3", "--samples", "5"],
+        ["min-entropy", "--d", "3", "--t", "-0.5", "--restarts", "2"],
+        ["additivity", "--d", "3", "--t", "-0.5", "--restarts", "1", "--n-random", "1"],
+    ],
+)
+def test_seeds_outside_the_philox_range_exit_3(capsys, argv):
+    # The streams reduce a seed mod 2^64: --seed -1 drew the samples of
+    # 2^64 - 1 and reported -1.
+    for seed in ("-1", str(2**64)):
+        code, out, err = run_cli(capsys, *argv, f"--seed={seed}")
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and "seed" in err
+    code, out, _ = run_cli(capsys, *argv, f"--seed={2**64 - 1}")
+    assert code == 0 and out
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
     "argv",
@@ -453,6 +474,19 @@ def test_threads_env_override(monkeypatch):
     assert _resolve_threads(2) == 2
     monkeypatch.delenv("TDCHAN_THREADS")
     assert _resolve_threads(None) >= 1
+
+
+def test_threads_default_to_the_cpus_this_process_may_run_on(monkeypatch):
+    from tdchan.cli import _resolve_threads
+
+    monkeypatch.delenv("TDCHAN_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert _resolve_threads(None) == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _resolve_threads(None) == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _resolve_threads(None) == 1
 
 
 @pytest.mark.parametrize(

@@ -438,6 +438,15 @@ def test_optimizer_config_rejects_non_integers(kwargs):
     td.OptimizerConfig(restarts=np.int64(3), n_random=np.int32(5), seed=np.uint8(7))
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_optimizer_config_rejects_seeds_outside_the_philox_range(seed):
+    # The streams reduce a seed mod 2^64: seed=-1 drew the samples of
+    # 2^64 - 1 and reported -1.
+    with pytest.raises(ConfigError, match="seed must be in"):
+        td.OptimizerConfig(seed=seed)
+    assert td.OptimizerConfig(seed=2**64 - 1).seed == 2**64 - 1
+
+
 def test_entropy_keys_never_open_a_scan_cells_stream():
     # No entropy key has a low byte of 0, and every scan key has, over all
     # kinds, d = 2..64 and every 16-bit t index.

@@ -1,3 +1,4 @@
+import concurrent.futures
 import time
 
 import numpy as np
@@ -454,35 +455,95 @@ def test_run_scan_margins_nonnegative():
         assert rep.worst_margin is None or rep.worst_margin >= -1e-9
 
 
-def test_run_scan_thread_determinism():
+def _fan_out_always(monkeypatch):
+    """Give every kind a fan-out width of 0, so that threads > 1 starts the pool even on small cells."""
+    for kind, (least_d, margins, _) in list(verification._KINDS.items()):
+        monkeypatch.setitem(verification._KINDS, kind, (least_d, margins, 0))
+
+
+def _pools(monkeypatch):
+    """Record the max_workers of every ThreadPoolExecutor a scan starts."""
+    started = []
+    executor = concurrent.futures.ThreadPoolExecutor
+
+    class Recorded(executor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
+    return started
+
+
+def test_run_scan_thread_determinism(monkeypatch):
+    _fan_out_always(monkeypatch)
+    started = _pools(monkeypatch)
     a = run_scan("main", [3, 4, 5], samples=400, seed=9, threads=1)
     b = run_scan("main", [3, 4, 5], samples=400, seed=9, threads=8)
+    assert started == [8]
     assert len(a) == len(b)
     for ra, rb in zip(a, b):
         assert ra == rb
 
 
 @pytest.mark.parametrize("kind", SCAN_KINDS)
-def test_run_scan_reports_do_not_depend_on_the_thread_count(kind):
+def test_run_scan_reports_do_not_depend_on_the_thread_count(monkeypatch, kind):
     # Worker w runs cells w, w + threads, ... of the 14: 2 threads take
     # 7 each, 3 take 5, 5 and 4, and 40 are more workers than cells.
+    # These cells are too small to fan out on their own.
+    _fan_out_always(monkeypatch)
+    started = _pools(monkeypatch)
     grid = default_t_grid(4, 7)
     want = run_scan(kind, [3, 4], t_grid=grid, samples=50, seed=4, threads=1)
     assert len(want) == 14
     for threads in (2, 3, 40):
         assert run_scan(kind, [3, 4], t_grid=grid, samples=50, seed=4, threads=threads) == want
+    assert started == [2, 3, 14]
+
+
+def test_threads_is_an_upper_bound_on_the_workers(monkeypatch):
+    # At 400 samples a batch holds the 5 cells of one d, 2000 rows: at
+    # d = 5, 10000 wide.  That is below the fan-out width of main, which
+    # then runs on the calling thread, and above that of sympol.
+    want = {kind: run_scan(kind, [3, 4, 5], samples=400, seed=9, threads=1) for kind in ("main", "sympol")}
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(concurrent.futures, "ThreadPoolExecutor", refused)
+        assert run_scan("main", [3, 4, 5], samples=400, seed=9, threads=2) == want["main"]
+        with pytest.raises(AssertionError, match="a pool was started"):
+            run_scan("sympol", [3, 4, 5], samples=400, seed=9, threads=2)
+    started = _pools(monkeypatch)
+    assert run_scan("sympol", [3, 4, 5], samples=400, seed=9, threads=2) == want["sympol"]
+    assert started == [2]
+
+
+@pytest.mark.parametrize("kind", ["main", "k0", "second_term", "schur", "sympol"])
+def test_the_pool_starts_once_the_widest_batch_reaches_the_fan_out_width(monkeypatch, kind):
+    # At samples >= _BATCH_ROWS / 2 every cell runs alone, so the widest
+    # batch is samples x d at the largest d.
+    width = verification._KINDS[kind][2]
+    d = min(10, width // (verification._BATCH_ROWS // 2 + 1))
+    grid = [-0.5 / (d - 1), -0.1 / (d - 1)]
+    started = _pools(monkeypatch)
+    for samples in (-(-width // d) - 1, -(-width // d)):
+        assert samples > verification._BATCH_ROWS // 2
+        run_scan(kind, [3, d], t_grid=grid, samples=samples, threads=2)
+    assert started == [2]
 
 
 def _batch_sizes(monkeypatch, kind):
     """Record the number of cells of every batch the kind's margins function gets."""
-    least_d, margins = verification._KINDS[kind]
+    least_d, margins, fan_out = verification._KINDS[kind]
     sizes = []
 
     def recorded(streams, d, ts, samples):
         sizes.append(len(ts))
         return margins(streams, d, ts, samples)
 
-    monkeypatch.setitem(verification._KINDS, kind, (least_d, recorded))
+    monkeypatch.setitem(verification._KINDS, kind, (least_d, recorded, fan_out))
     return sizes
 
 
@@ -537,18 +598,27 @@ def test_run_scan_takes_a_scalar_t_as_one_t():
         dict(seed=1.5),
         dict(seed="7"),
         dict(seed=None),
+        dict(seed=-1),
+        dict(seed=2**64),
     ],
 )
 def test_run_scan_rejects_malformed_arguments_before_any_cell(monkeypatch, kwargs):
     # A non-integer d or samples used to be truncated or to reach numpy,
     # threads < 1 used to run serially, and a 2-D grid reached _check_t.
     # seed=1.5 ran seed 1 and reported 1.5, and seed=None raised TypeError.
+    # seed=-1 drew the samples of seed 2^64 - 1 and reported -1.
     opened = []
     monkeypatch.setattr(verification, "philox_stream", lambda *key: opened.append(key))
     args = dict(kind="main", d_values=[3], samples=10, threads=1) | kwargs
     with pytest.raises(ConfigError):
         run_scan(**args)
     assert opened == []
+
+
+def test_run_scan_takes_every_seed_philox_keys_on():
+    reports = run_scan("main", 3, t_grid=-0.25, samples=20, seed=2**64 - 1)
+    assert reports[0].seed == 2**64 - 1
+    assert reports != run_scan("main", 3, t_grid=-0.25, samples=20, seed=0)
 
 
 class _EarlierCellFailed(Exception):
@@ -564,7 +634,8 @@ def test_run_scan_raises_the_earliest_failing_cell(monkeypatch, threads):
     # Cell 4 of 18 in (d, t) order fails late, cell 8 at once.  At
     # threads=1 both sit in the one batch of d = 3, which raises cell 8's
     # exception first; its cells then run one at a time.  Every thread
-    # count raises what threads=1 raises: cell 4's exception.
+    # count raises what threads=1 raises: cell 4's exception.  A fan-out
+    # width of 0 starts the pool on these one-value cells.
     cells = [(d, t) for d in (3, 4) for t in default_t_grid(d).tolist()]
     batches = []
 
@@ -578,10 +649,12 @@ def test_run_scan_raises_the_earliest_failing_cell(monkeypatch, threads):
             raise _EarlierCellFailed(4)
         return [], [np.array([1.0]) for _ in ts]
 
-    monkeypatch.setitem(verification._KINDS, "extreme", (2, margins))
+    monkeypatch.setitem(verification._KINDS, "extreme", (2, margins, 0))
+    started = _pools(monkeypatch)
     for count in (1, threads):
         with pytest.raises(_EarlierCellFailed):
             run_scan("extreme", [3, 4], samples=1, threads=count)
+    assert started == [min(threads, len(cells))]
     assert batches[:6] == [list(range(9)), [0], [1], [2], [3], [4]]
 
 
