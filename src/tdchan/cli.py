@@ -15,9 +15,9 @@ Exit codes: 0 success, 1 a checked quantity violated its tolerance,
 (any error outside the package's validation errors).
 
 Output is deterministic for a fixed seed: scan sampling uses
-counter-based streams, one per cell, and the cells that run together as
-one batch give each cell the bits it gets alone, so neither --threads
-nor the way it groups cells into batches changes the bytes printed.
+counter-based streams, one per cell, the batches of cells do not depend
+on --threads, and a batch gives each cell the bits it gets alone, so
+neither --threads nor the batching changes the bytes printed.
 """
 
 from __future__ import annotations

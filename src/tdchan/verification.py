@@ -39,9 +39,8 @@ symmetric-polynomial identity, and the Schur criterion.
 Scan kinds: _KINDS maps each kind to the least d it accepts, to its
 margins(streams, d, ts, samples) -> (k_values, segments) for a batch of
 cells of one d, and to its fan-out width (see Threads); SCAN_KINDS
-lists its keys.  run_scan checks the kind, every d and every t of the
-grid against [-1/(d-1), 0), samples, seed and threads before any cell
-runs; _scan_batch turns each cell's segment of margins into its
+lists its keys.  run_scan checks every argument before any cell runs;
+_scan_batch turns each cell's segment of margins into its
 ScanReport.  The order of _KINDS must not change: a kind's index in it
 is part of every stream key, so a reordering would change the bytes of
 every report.
@@ -76,18 +75,16 @@ samples: "main" and "second_term" evaluate every k on one draw, from
 one s table.  "extreme" and "final_poly" draw nothing and open no
 stream.
 
-Threads: run_scan takes threads as an upper bound.  It starts worker
-threads only when the kind's widest batch, rows x d, reaches the kind's
-fan-out width in _KINDS; otherwise every batch runs in order on the
+Threads: run_scan cuts its (d, t) jobs into batches once, in order, and
+the batches do not depend on threads.  threads is an upper bound: worker
+threads start only when the kind's widest batch, rows x d, reaches the
+kind's fan-out width in _KINDS; otherwise every batch runs in order on the
 calling thread.  Below that width, a batch is a run of numpy calls too
 short to release the interpreter lock for long, and a second thread
-mostly waits for it.  When it fans out, run_scan lists its (d, t) jobs in
-order and gives each of its threads one task, a fixed slice of them:
-worker w runs jobs w, w + threads, ... in turn, consecutive jobs of one d
-as one batch.  The reports are put back in (d, t) order.  A batch that
-raises runs again one cell at a time, and when cells raise, the
-exception of the earliest failing job in (d, t) order is raised, as with
-one thread.
+mostly waits for it.  When it fans out, min(threads, batches) workers
+take one batch per task, and the results are read in batch order.  A
+batch that raises runs again one cell at a time, so every thread count
+raises the exception of the earliest failing cell in (d, t) order.
 """
 
 from __future__ import annotations
@@ -320,7 +317,12 @@ def default_t_grid(d: int, points: int = 9) -> np.ndarray:
 
 
 def _cell_key(kind: str, d: int, t_idx: int) -> int:
-    """The Philox key of one cell; its low byte is 0."""
+    """The Philox key of one cell.
+
+    From the high bits down: the kind's index in SCAN_KINDS, d in 8 bits,
+    t_idx in 16 bits, and a zero byte.  run_scan keeps d <= 255 and
+    t_idx < 65536, so no two cells of a scan share a key.
+    """
     kind_idx = SCAN_KINDS.index(kind)
     return ((kind_idx * 256 + d) * 65536 + t_idx) * 256
 
@@ -559,54 +561,41 @@ def _batches(jobs: list, size: int) -> list[list]:
     return batches
 
 
-def _run_in_order(kind: str, samples: int, seed: int, size: int, jobs: list) -> tuple[list[ScanReport], Exception | None]:
-    """The reports of jobs run in order, batch by batch, up to the first cell that raises, and its exception.
+def _run_batch(kind: str, samples: int, seed: int, batch: list) -> list[ScanReport]:
+    """The reports of one batch.
 
-    A batch that raises runs again one cell at a time, so the exception
-    is that of its first failing cell.
+    A batch of several cells that raises runs again one cell at a time:
+    that raises the exception of its first failing cell, or gives the
+    cells' reports when none fails alone.
     """
-    reports = []
-    for batch in _batches(jobs, size):
-        try:
-            reports += _scan_batch(kind, batch, samples, seed)
-            continue
-        except Exception as exc:
-            failure = exc
-        if len(batch) > 1:
-            done, failure = _run_in_order(kind, samples, seed, 1, batch)
-            reports += done
-        if failure is not None:
-            return reports, failure
-    return reports, None
+    try:
+        return _scan_batch(kind, batch, samples, seed)
+    except Exception:
+        if len(batch) == 1:
+            raise
+    return [report for job in batch for report in _scan_batch(kind, [job], samples, seed)]
 
 
 def run_scan(
     kind: str, d_values, t_grid=None, samples: int = 1000, seed: int = 0, threads: int = 1
 ) -> list[ScanReport]:
-    """Scan one kind over dimensions and a t grid; one report per (d, t).
+    """Scan one kind over dimensions and a t grid; one report per (d, t), in (d, t) order.
 
     d_values and t_grid may each be one value or a sequence.  The default
-    grid has 9 points spanning [-1/(d-1), -1e-6].  The kind, every d and
-    every t of the grid, samples, seed (an integer in [0, 2^64)) and
-    threads are checked before any cell runs.  Consecutive jobs of one d
-    run as one batch of at most _BATCH_ROWS rows; a cell of as many samples
-    or more runs alone.  threads is an upper bound: the scan starts
-    W = min(threads, cells) workers only when its widest batch, rows x d
-    on one thread, reaches the kind's fan-out width in _KINDS, and runs
-    every batch on the calling thread otherwise.  Worker w runs jobs w,
-    w + W, ... in order, one task per worker, batched as above within its
-    slice.  Reports come back in (d, t) order regardless of the thread
-    count, and their contents are independent of it and of the batches as
-    well; a failing cell raises the exception of the earliest failing job
-    in (d, t) order, the one threads=1 raises.
+    grid has 9 points spanning [-1/(d-1), -1e-6].  The kind, every d (at
+    most 255), every t of the grid (at most 65536 points), samples, seed
+    (an integer in [0, 2^64)) and threads are checked before any cell
+    runs.  threads is an upper bound on the worker threads; the batches,
+    the reports and the exception a failing cell raises do not depend on
+    it (see Batches and Threads above).
     """
     if kind not in _KINDS:
         raise ConfigError(f"kind must be one of {SCAN_KINDS}, got {kind!r}")
     least_d = _KINDS[kind][0]
     d_list = [_whole(d, "d") for d in (d_values if np.iterable(d_values) else [d_values])]
     for d in d_list:
-        if d < least_d:
-            raise ConfigError(f"kind {kind!r} needs d >= {least_d}, got {d}")
+        if not least_d <= d <= 255:
+            raise ConfigError(f"kind {kind!r} needs {least_d} <= d <= 255, got {d}")
     samples, seed, threads = _whole(samples, "samples"), _check_seed(seed), _whole(threads, "threads")
     if samples < 1:
         raise ConfigError("need samples >= 1")
@@ -617,6 +606,8 @@ def run_scan(
         t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
         if t_grid.ndim > 1:
             raise ConfigError(f"t_grid must be one t or a 1-D grid, got shape {t_grid.shape}")
+        if t_grid.size > 65536:
+            raise ConfigError(f"t_grid may hold at most 65536 points, got {t_grid.size}")
 
     jobs = []
     for d in d_list:
@@ -625,19 +616,11 @@ def run_scan(
             _check_t(d, t)
             jobs.append((d, t, t_idx))
 
-    size = max(1, _BATCH_ROWS // samples)
-    widest = max((len(batch) * samples * batch[0][0] for batch in _batches(jobs, size)), default=0)
-    workers = max(1, min(threads, len(jobs))) if widest >= _KINDS[kind][2] else 1
-    run = functools.partial(_run_in_order, kind, samples, seed, size)
-    if workers == 1:
-        slices = [run(jobs)]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            slices = list(pool.map(run, (jobs[w::workers] for w in range(workers))))
-    failed = [(w + len(done) * workers, exc) for w, (done, exc) in enumerate(slices) if exc is not None]
-    if failed:
-        raise min(failed, key=lambda failure: failure[0])[1]
-    reports = [None] * len(jobs)
-    for w, (done, _) in enumerate(slices):
-        reports[w::workers] = done
-    return reports
+    batches = _batches(jobs, max(1, _BATCH_ROWS // samples))
+    widest = max((len(batch) * samples * batch[0][0] for batch in batches), default=0)
+    workers = min(threads, len(batches)) if widest >= _KINDS[kind][2] else 1
+    run = functools.partial(_run_batch, kind, samples, seed)
+    if workers <= 1:
+        return [report for reports in map(run, batches) for report in reports]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        return [report for reports in pool.map(run, batches) for report in reports]

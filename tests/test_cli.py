@@ -512,6 +512,16 @@ def test_bad_thread_counts_exit_3(capsys, monkeypatch, command, argv, env):
     assert err.count("\n") == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", [["verify", "--kind", "main"], ["schur-scan"]])
+@pytest.mark.parametrize("argv", [["--d", "3:256"], ["--d", "3", "--t-grid=-0.4:-0.1:65537"]])
+def test_scans_whose_stream_keys_would_collide_exit_3(capsys, command, argv):
+    # The stream key holds d in 8 bits and the t index in 16.
+    code, out, err = run_cli(capsys, *command, *argv, "--samples", "5")
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
+
+
 @pytest.mark.parametrize("grid", ["5", "nan", "0", "--t-grid=-0.5:0:3", "--t-grid=-0.6"])
 @pytest.mark.parametrize("kind", ["main", "k0", "second-term", "extreme", "final-poly", "sympol", "schur", "all"])
 def test_t_outside_the_domain_exits_3_for_every_kind(capsys, kind, grid):

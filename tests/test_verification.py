@@ -476,7 +476,10 @@ def _pools(monkeypatch):
 
 
 def test_run_scan_thread_determinism(monkeypatch):
+    # A budget of 800 rows pairs the 400-sample cells: each d's 9 cells make
+    # 5 batches, 15 in all, enough to fill 8 workers.
     _fan_out_always(monkeypatch)
+    monkeypatch.setattr(verification, "_BATCH_ROWS", 800)
     started = _pools(monkeypatch)
     a = run_scan("main", [3, 4, 5], samples=400, seed=9, threads=1)
     b = run_scan("main", [3, 4, 5], samples=400, seed=9, threads=8)
@@ -488,17 +491,54 @@ def test_run_scan_thread_determinism(monkeypatch):
 
 @pytest.mark.parametrize("kind", SCAN_KINDS)
 def test_run_scan_reports_do_not_depend_on_the_thread_count(monkeypatch, kind):
-    # Worker w runs cells w, w + threads, ... of the 14: 2 threads take
-    # 7 each, 3 take 5, 5 and 4, and 40 are more workers than cells.
-    # These cells are too small to fan out on their own.
+    # A budget of 100 rows pairs the 50-sample cells: each d's 7 cells make
+    # batches of 2, 2, 2 and 1, 8 batches in all, one task each.  2 and 3
+    # workers share them, and 40 threads start one worker per batch.
+    # These cells are too small to fan out on their own.  Every thread
+    # count runs the same batches; pool tasks finish in any order, so the
+    # batches compare as multisets.
     _fan_out_always(monkeypatch)
+    monkeypatch.setattr(verification, "_BATCH_ROWS", 100)
+    batches = _batch_ts(monkeypatch, kind)
     started = _pools(monkeypatch)
     grid = default_t_grid(4, 7)
     want = run_scan(kind, [3, 4], t_grid=grid, samples=50, seed=4, threads=1)
-    assert len(want) == 14
+    want_batches = sorted(batches)
+    assert len(want) == 14 and len(want_batches) == 8
     for threads in (2, 3, 40):
+        batches.clear()
         assert run_scan(kind, [3, 4], t_grid=grid, samples=50, seed=4, threads=threads) == want
-    assert started == [2, 3, 14]
+        assert sorted(batches) == want_batches
+    assert started == [2, 3, 8]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_batch_that_raises_gives_the_reports_of_its_cells_run_alone(monkeypatch, threads):
+    # The margins function fails on every batch of more than one cell, so
+    # each batch runs again one cell at a time.
+    least_d, margins, _ = verification._KINDS["main"]
+
+    def alone_only(streams, d, ts, samples):
+        if len(ts) > 1:
+            raise RuntimeError("a batch of several cells")
+        return margins(streams, d, ts, samples)
+
+    grid = default_t_grid(4, 7)
+    with monkeypatch.context() as alone:
+        alone.setattr(verification, "_BATCH_ROWS", 1)
+        want = run_scan("main", [3, 4], t_grid=grid, samples=50, seed=4)
+    monkeypatch.setitem(verification._KINDS, "main", (least_d, alone_only, 0))
+    started = _pools(monkeypatch)
+    assert repr(run_scan("main", [3, 4], t_grid=grid, samples=50, seed=4, threads=threads)) == repr(want)
+    assert started == ([] if threads == 1 else [2])
+
+
+def test_a_scan_of_no_dimensions_starts_no_pool(monkeypatch):
+    _fan_out_always(monkeypatch)
+    started = _pools(monkeypatch)
+    for kind in SCAN_KINDS:
+        assert run_scan(kind, [], threads=2) == []
+    assert started == []
 
 
 def test_threads_is_an_upper_bound_on_the_workers(monkeypatch):
@@ -534,17 +574,17 @@ def test_the_pool_starts_once_the_widest_batch_reaches_the_fan_out_width(monkeyp
     assert started == [2]
 
 
-def _batch_sizes(monkeypatch, kind):
-    """Record the number of cells of every batch the kind's margins function gets."""
+def _batch_ts(monkeypatch, kind):
+    """Record the ts list of every batch the kind's margins function gets."""
     least_d, margins, fan_out = verification._KINDS[kind]
-    sizes = []
+    batches = []
 
     def recorded(streams, d, ts, samples):
-        sizes.append(len(ts))
+        batches.append(list(ts))
         return margins(streams, d, ts, samples)
 
     monkeypatch.setitem(verification._KINDS, kind, (least_d, recorded, fan_out))
-    return sizes
+    return batches
 
 
 @pytest.mark.parametrize("kind", SCAN_KINDS)
@@ -554,11 +594,11 @@ def test_batched_reports_have_the_bits_of_cells_run_alone(monkeypatch, kind):
     # repr tells -0.0 from 0.0, which == does not.
     budget = verification._BATCH_ROWS
     grid = default_t_grid(4, 3)
-    sizes = _batch_sizes(monkeypatch, kind)
+    batches = _batch_ts(monkeypatch, kind)
     for samples in (1, 7, budget // 2, budget - 1, budget, budget + 1):
-        sizes.clear()
+        batches.clear()
         got = run_scan(kind, [3, 4], t_grid=grid, samples=samples, seed=8)
-        assert sizes == ([3, 3] if samples < budget // 3 else [2, 1, 2, 1] if samples == budget // 2 else [1] * 6)
+        assert [len(ts) for ts in batches] == ([3, 3] if samples < budget // 3 else [2, 1, 2, 1] if samples == budget // 2 else [1] * 6)
         with monkeypatch.context() as alone:
             alone.setattr(verification, "_BATCH_ROWS", 1)
             want = run_scan(kind, [3, 4], t_grid=grid, samples=samples, seed=8)
@@ -569,9 +609,9 @@ def test_k0_batch_mixes_empty_and_sampled_cells(monkeypatch):
     # R = -2td/(1-t) falls from 2 to 0 along the default grid: the cells
     # with R <= 1 have no one-negative stratum, report no samples and
     # share one batch with cells whose filter keeps only some samples.
-    sizes = _batch_sizes(monkeypatch, "k0")
+    batches = _batch_ts(monkeypatch, "k0")
     got = run_scan("k0", [4], samples=60, seed=2)
-    assert sizes == [9]
+    assert [len(ts) for ts in batches] == [9]
     with monkeypatch.context() as alone:
         alone.setattr(verification, "_BATCH_ROWS", 1)
         assert repr(run_scan("k0", [4], samples=60, seed=2)) == repr(got)
@@ -600,13 +640,17 @@ def test_run_scan_takes_a_scalar_t_as_one_t():
         dict(seed=None),
         dict(seed=-1),
         dict(seed=2**64),
+        dict(d_values=[3, 256]),
+        dict(t_grid=np.linspace(-0.5, -1e-6, 65537)),
     ],
 )
 def test_run_scan_rejects_malformed_arguments_before_any_cell(monkeypatch, kwargs):
     # A non-integer d or samples used to be truncated or to reach numpy,
     # threads < 1 used to run serially, and a 2-D grid reached _check_t.
     # seed=1.5 ran seed 1 and reported 1.5, and seed=None raised TypeError.
-    # seed=-1 drew the samples of seed 2^64 - 1 and reported -1.
+    # seed=-1 drew the samples of seed 2^64 - 1 and reported -1.  The
+    # stream key holds d in 8 bits and the t index in 16: d = 256 shared
+    # its keys with the next kind's d = 0, and t index 65536 with d + 1.
     opened = []
     monkeypatch.setattr(verification, "philox_stream", lambda *key: opened.append(key))
     args = dict(kind="main", d_values=[3], samples=10, threads=1) | kwargs
@@ -629,13 +673,20 @@ class _LaterCellFailed(Exception):
     pass
 
 
+def test_the_stream_key_takes_every_d_and_t_index_run_scan_accepts():
+    assert verification._cell_key("main", 255, 65535) < verification._cell_key("k0", 0, 0)
+    grid = np.linspace(-1.0 / 254, -1e-6, 65536)
+    assert len(run_scan("final_poly", [255], t_grid=grid, samples=1)) == 65536
+
+
 @pytest.mark.parametrize("threads", [2, 3, 40])
 def test_run_scan_raises_the_earliest_failing_cell(monkeypatch, threads):
-    # Cell 4 of 18 in (d, t) order fails late, cell 8 at once.  At
-    # threads=1 both sit in the one batch of d = 3, which raises cell 8's
-    # exception first; its cells then run one at a time.  Every thread
-    # count raises what threads=1 raises: cell 4's exception.  A fan-out
-    # width of 0 starts the pool on these one-value cells.
+    # Cell 4 of 18 in (d, t) order fails late, cell 8 at once.  In the
+    # default budget both sit in the one batch of d = 3, which raises cell
+    # 8's exception first; its cells then run one at a time.  At a budget
+    # of 1 row each cell is a pool task of its own, and cell 8 fails first
+    # in wall time.  Every thread count raises cell 4's exception.  A
+    # fan-out width of 0 starts the pool on these one-value cells.
     cells = [(d, t) for d in (3, 4) for t in default_t_grid(d).tolist()]
     batches = []
 
@@ -654,8 +705,12 @@ def test_run_scan_raises_the_earliest_failing_cell(monkeypatch, threads):
     for count in (1, threads):
         with pytest.raises(_EarlierCellFailed):
             run_scan("extreme", [3, 4], samples=1, threads=count)
-    assert started == [min(threads, len(cells))]
     assert batches[:6] == [list(range(9)), [0], [1], [2], [3], [4]]
+    monkeypatch.setattr(verification, "_BATCH_ROWS", 1)
+    for count in (1, threads):
+        with pytest.raises(_EarlierCellFailed):
+            run_scan("extreme", [3, 4], samples=1, threads=count)
+    assert started == [2, min(threads, len(cells))]
 
 
 def test_run_scan_custom_grid_and_guards():
