@@ -42,7 +42,7 @@ from .entropy import (
 )
 from .errors import ConfigError, TdchanError
 from .spectrum import SchmidtVector, full_spectrum, sigma12
-from .verification import SCAN_KINDS, run_scan
+from .verification import SCAN_KINDS, _check_t_points, run_scan
 
 LN2 = float(np.log(2.0))
 
@@ -63,20 +63,31 @@ def _parse_int_range(text: str) -> list[int]:
     raise argparse.ArgumentTypeError(f"expected D or LO:HI, got {text!r}")
 
 
-def _parse_t_grid(text: str) -> np.ndarray:
-    """'a:b:steps' -> linspace(a, b, steps); a bare float -> one value."""
+def _parse_t_grid(text: str) -> tuple[float, float, int]:
+    """'a:b:steps' -> (a, b, steps); a bare float t -> (t, t, 1).
+
+    Nothing is built here: _t_values builds the grid once the command has
+    checked its size.
+    """
     parts = text.split(":")
     try:
         if len(parts) == 1:
-            return np.array([float(parts[0])])
+            t = float(text)
+            return t, t, 1
         if len(parts) == 3:
             a, b, steps = float(parts[0]), float(parts[1]), int(parts[2])
             if steps < 2:
                 raise ValueError
-            return np.linspace(a, b, steps)
+            return a, b, steps
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected T or A:B:STEPS, got {text!r}")
+
+
+def _t_values(grid: tuple[float, float, int]) -> np.ndarray:
+    """The values of a _parse_t_grid result: [t] for one value, else linspace(a, b, steps)."""
+    a, b, steps = grid
+    return np.array([a]) if steps == 1 else np.linspace(a, b, steps)
 
 
 def _parse_lambda(text: str) -> np.ndarray:
@@ -318,10 +329,10 @@ def _cmd_min_entropy(args) -> int:
 def _cmd_additivity(args) -> int:
     tol = _resolve_tol(args.tol, 1e-6)
     lo, hi = t_range(args.d)
-    grid = args.t if args.t is not None else np.linspace(lo, hi, 9)
+    grid = _t_values(args.t) if args.t is not None else np.linspace(lo, hi, 9)
     rows = []
     worst = np.inf
-    for t in np.asarray(grid, dtype=float):
+    for t in grid:
         ch = new_channel(args.d, t)
         cfg = OptimizerConfig(restarts=args.restarts, n_random=args.n_random, seed=args.seed)
         gap, min_simplex, min_random = additivity_gap(ch, cfg)
@@ -341,11 +352,15 @@ def _cmd_additivity(args) -> int:
 
 def _cmd_verify(args) -> int:
     threads = _resolve_threads(args.threads)
+    t_grid = None
+    if args.t_grid is not None:
+        _check_t_points(args.t_grid[2])
+        t_grid = _t_values(args.t_grid)
     kinds = SCAN_KINDS if args.kind == "all" else [args.kind.replace("-", "_")]
     reports = []
     for kind in kinds:
         reports += run_scan(
-            kind, args.d, t_grid=args.t_grid, samples=args.samples, seed=args.seed, threads=threads
+            kind, args.d, t_grid=t_grid, samples=args.samples, seed=args.seed, threads=threads
         )
     header = ["kind", "d", "t", "k_values", "samples", "violations", "worst_margin", "seed"]
     rows = [

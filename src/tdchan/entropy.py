@@ -48,11 +48,14 @@ two-copy output of a pure input has the spectrum of the Schmidt-diagonal
 input with the same Schmidt weights.  The weights of every state come
 from one batched eigvalsh of M M^H, with M the state as a d x d matrix,
 and their entropies from one _split_rows call, as the probe's do.  The
-dense route, apply_two_copies and a d^2 x d^2 eigvalsh, runs only on the
-first _DENSE_CHECK_STATES states of each cell, as a check of that
-reduction: a residual above _COVARIANCE_TOL raises CovarianceMismatch,
-which is no TdchanError, since then the library and not its input is at
-fault.
+states and their weights do not depend on t: _haar_sample builds them
+once per (seed, d, n_random) and every t of a grid shares them.  It
+keeps the last key's sample, n_random * d doubles of weights and the
+first _DENSE_CHECK_STATES states, of d^2 complex entries each.  The
+dense route, apply_two_copies and a d^2 x d^2 eigvalsh, runs on every
+cell, on those first states only, as a check of that reduction: a
+residual above _COVARIANCE_TOL raises CovarianceMismatch, which is no
+TdchanError, since then the library and not its input is at fault.
 
 Every entropy in the module, of a vector or of each row of an array,
 comes from one reduction, _entropy_rows.
@@ -101,9 +104,13 @@ class OptimizerConfig:
     n_random counts the Haar-random states of additivity_gap, whose
     entropies come from their Schmidt weights, and of which the first
     _DENSE_CHECK_STATES are also checked against the dense two-copy
-    route.  All three must be integers, the seed in [0, 2^64), and neither
-    count may be negative; 0 draws no random simplex row, but still one
-    unit vector and one Haar-random state.
+    route at every t.  The states and their weights are built once per
+    (seed, d, n_random) and shared by every t (see _haar_sample); the
+    last sample, n_random * d doubles of weights and 16 states, stays
+    alive after the call returns.  All
+    three must be integers, the seed in [0, 2^64), and neither count may
+    be negative; 0 draws no random simplex row, but still one unit
+    vector and one Haar-random state.
     """
 
     restarts: int = 50
@@ -336,22 +343,43 @@ def _check_covariance(ch: Channel, psi: np.ndarray, closed: np.ndarray) -> None:
         )
 
 
+@functools.lru_cache(maxsize=1)
+def _haar_sample(seed: int, d: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(dense_states, weights) of count Haar-random states on d x d; both read-only.
+
+    The states are the rows of haar_states on the _TAG_HAAR stream of
+    seed, so state r is the same for every count past r.  weights holds
+    the Schmidt weights of every state, (count, d), checked by
+    _check_schmidt_rows; dense_states keeps only the first
+    _DENSE_CHECK_STATES states, the ones _check_covariance needs.  None of
+    it depends on t, so a t grid at one (seed, d, count) builds it once.
+    The one cached entry stays alive after the call returns, until a
+    call with another key replaces it: count * d doubles and at most 16
+    states of d^2 complex entries, about 0.1 MB at d = 16 and count =
+    200, but 0.2 GB at d = 24 and count = 10^6.
+    """
+    psi = haar_states(count, d * d, philox_stream(seed, _TAG_HAAR))
+    weights = _schmidt_weights(psi, d)
+    _check_schmidt_rows(weights)
+    dense_states = psi[:_DENSE_CHECK_STATES].copy()
+    for array in (dense_states, weights):
+        array.flags.writeable = False
+    return dense_states, weights
+
+
 def _random_state_entropies(ch: Channel, cfg: OptimizerConfig) -> np.ndarray:
     """Two-copy output entropy of each of max(cfg.n_random, 1) Haar-random states; (count,).
 
-    The states are the rows of haar_states on the cell's one stream, so
-    state r is the same for every n_random past r.  Their Schmidt weights
-    go through one _split_rows call, which gives each row the bits of a
-    one-row call.  The first _DENSE_CHECK_STATES states are then checked
-    against the dense route by _check_covariance.
+    The states and their Schmidt weights come from _haar_sample, built
+    once per (seed, d, count) and shared by every t.  The weights go
+    through one _split_rows call, which gives each row the bits of a
+    one-row call.  Then, on every call, the first _DENSE_CHECK_STATES
+    states are checked against the dense route by _check_covariance.
     """
-    count = max(cfg.n_random, 1)
-    psi = haar_states(count, ch.d**2, philox_stream(cfg.seed, _TAG_HAAR))
-    weights = _schmidt_weights(psi, ch.d)
-    _check_schmidt_rows(weights)
+    dense_states, weights = _haar_sample(cfg.seed, ch.d, max(cfg.n_random, 1))
     s1, s2 = _split_rows(ch, weights)
     values = s1 + s2
-    _check_covariance(ch, psi[:_DENSE_CHECK_STATES], values[:_DENSE_CHECK_STATES])
+    _check_covariance(ch, dense_states, values[: len(dense_states)])
     return values
 
 

@@ -316,6 +316,12 @@ def default_t_grid(d: int, points: int = 9) -> np.ndarray:
     return np.linspace(-1.0 / (d - 1), -1e-6, points)
 
 
+def _check_t_points(size: int) -> None:
+    """Raise ConfigError for a t grid of more than 65536 points, which _cell_key cannot tell apart."""
+    if size > 65536:
+        raise ConfigError(f"t_grid may hold at most 65536 points, got {size}")
+
+
 def _cell_key(kind: str, d: int, t_idx: int) -> int:
     """The Philox key of one cell.
 
@@ -606,8 +612,7 @@ def run_scan(
         t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
         if t_grid.ndim > 1:
             raise ConfigError(f"t_grid must be one t or a 1-D grid, got shape {t_grid.shape}")
-        if t_grid.size > 65536:
-            raise ConfigError(f"t_grid may hold at most 65536 points, got {t_grid.size}")
+        _check_t_points(t_grid.size)
 
     jobs = []
     for d in d_list:

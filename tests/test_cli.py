@@ -522,6 +522,28 @@ def test_scans_whose_stream_keys_would_collide_exit_3(capsys, command, argv):
     assert err.count("\n") == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", [["verify", "--kind", "main"], ["schur-scan"]])
+def test_an_oversized_t_grid_exits_3_before_it_is_built(capsys, monkeypatch, command):
+    # The size of an A:B:STEPS grid is checked from STEPS, so a grid the
+    # scan would reject is never built: no np.linspace call asks for more
+    # points than a scan may take.
+    plain, nums = np.linspace, []
+
+    def recording(start, stop, num=50, **kwargs):
+        nums.append(num)
+        return plain(start, stop, num, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", recording)
+    code, out, err = run_cli(capsys, *command, "--d", "3", "--t-grid=-0.4:-0.1:20000000", "--samples", "5")
+    assert code == 3
+    assert out == ""
+    assert err == "error: t_grid may hold at most 65536 points, got 20000000\n"
+    assert max(nums, default=0) <= 65536
+    code, out, _ = run_cli(capsys, *command, "--d", "3", "--t-grid=-0.4:-0.1:5", "--samples", "1")
+    assert code == 0 and nums == [5]
+    assert [row["t_values"][0] for row in json.loads(out)] == plain(-0.4, -0.1, 5).tolist()
+
+
 @pytest.mark.parametrize("grid", ["5", "nan", "0", "--t-grid=-0.5:0:3", "--t-grid=-0.6"])
 @pytest.mark.parametrize("kind", ["main", "k0", "second-term", "extreme", "final-poly", "sympol", "schur", "all"])
 def test_t_outside_the_domain_exits_3_for_every_kind(capsys, kind, grid):

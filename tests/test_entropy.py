@@ -411,6 +411,91 @@ def test_the_dense_check_holds_the_closed_form_to_its_tolerance(monkeypatch):
             assert td.additivity_gap(ch, cfg) == want
 
 
+@pytest.fixture
+def cold_haar_cache():
+    """An empty _haar_sample cache, emptied again after the test."""
+    entropy._haar_sample.cache_clear()
+    yield
+    entropy._haar_sample.cache_clear()
+
+
+def count_calls(monkeypatch, name):
+    """Replace entropy.<name> by a wrapper that records its calls; returns the list of their arguments."""
+    plain, calls = getattr(entropy, name), []
+
+    def counted(*args):
+        calls.append(args)
+        return plain(*args)
+
+    monkeypatch.setattr(entropy, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 8])
+def test_a_t_grid_builds_its_haar_sample_once_and_gets_the_cold_bits(monkeypatch, cold_haar_cache, d):
+    # The grid holds both ends of the t range and t = 0.  Warm, one Haar
+    # sample serves every t; cleared before every call, each t builds its
+    # own.  Both give the same bits.
+    lo, hi = td.t_range(d)
+    grid = sorted({*np.linspace(lo, hi, 9).tolist(), 0.0})
+    assert grid[0] == lo and grid[-1] == hi
+    cfg = td.OptimizerConfig(restarts=2, n_random=_DENSE_CHECK_STATES + 3, seed=37)
+    states = count_calls(monkeypatch, "haar_states")
+    weights = count_calls(monkeypatch, "_schmidt_weights")
+    warm = [bits(td.additivity_gap(td.new_channel(d, t), cfg)) for t in grid]
+    assert len(states) == len(weights) == 1
+    cold = []
+    for t in grid:
+        entropy._haar_sample.cache_clear()
+        cold.append(bits(td.additivity_gap(td.new_channel(d, t), cfg)))
+    assert len(states) == len(weights) == 1 + len(grid)
+    assert warm == cold
+
+
+def test_haar_samples_are_keyed_by_seed_d_and_count_and_read_only(monkeypatch, cold_haar_cache):
+    states = count_calls(monkeypatch, "haar_states")
+    cfg = td.OptimizerConfig(restarts=0, n_random=5, seed=11)
+    td.additivity_gap(td.new_channel(3, -0.2), cfg)
+    td.additivity_gap(td.new_channel(3, 0.1), cfg)
+    assert [args[:2] for args in states] == [(5, 9)]
+    for d, other in (
+        (3, td.OptimizerConfig(restarts=0, n_random=5, seed=12)),
+        (4, cfg),
+        (3, td.OptimizerConfig(restarts=0, n_random=6, seed=11)),
+    ):
+        td.additivity_gap(td.new_channel(d, -0.2), other)
+    assert len(states) == 4
+    # n_random = 0 and 1 both draw one state, the same one.
+    td.additivity_gap(td.new_channel(3, -0.2), td.OptimizerConfig(n_random=0, seed=11))
+    td.additivity_gap(td.new_channel(3, 0.2), td.OptimizerConfig(n_random=1, seed=11))
+    assert len(states) == 5
+    info = entropy._haar_sample.cache_info()
+    assert info.maxsize == info.currsize == 1
+
+    for count in (1, _DENSE_CHECK_STATES + 4):
+        dense, weights = entropy._haar_sample(11, 3, count)
+        assert dense.shape == (min(count, _DENSE_CHECK_STATES), 9) and weights.shape == (count, 3)
+        assert bits(dense.tolist()) == bits(haar_states(count, 9, philox_stream(11, _TAG_HAAR))[: len(dense)].tolist())
+        for array in (dense, weights):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 0.5
+            with pytest.raises(ValueError):
+                array *= 2.0
+
+
+def test_a_warm_haar_sample_still_runs_the_dense_check(monkeypatch, cold_haar_cache):
+    # Only the t-independent half of the Haar leg is shared: the dense
+    # route runs on every cell, so a fault there shows at any t.
+    plain = entropy.apply_two_copies
+    cfg = td.OptimizerConfig(restarts=1, n_random=5, seed=3)
+    td.additivity_gap(td.new_channel(3, -0.4), cfg)
+    monkeypatch.setattr(entropy, "apply_two_copies", lambda ch, mat: (1.0 + 1e-6) * plain(ch, mat))
+    with pytest.raises(CovarianceMismatch, match="differ by"):
+        td.additivity_gap(td.new_channel(3, 0.1), cfg)
+    assert entropy._haar_sample.cache_info().hits == 1
+
+
 def test_optimizer_config_rejects_negative_counts():
     for kwargs in ({"restarts": -1}, {"n_random": -1}, {"restarts": -5, "n_random": -3}):
         with pytest.raises(ConfigError):
