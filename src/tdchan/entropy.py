@@ -47,15 +47,23 @@ block from one stream.  The channel is unitarily covariant, so the
 two-copy output of a pure input has the spectrum of the Schmidt-diagonal
 input with the same Schmidt weights.  The weights of every state come
 from one batched eigvalsh of M M^H, with M the state as a d x d matrix,
-and their entropies from one _split_rows call, as the probe's do.  The
-states and their weights do not depend on t: _haar_sample builds them
-once per (seed, d, n_random) and every t of a grid shares them.  It
-keeps the last key's sample, n_random * d doubles of weights and the
-first _DENSE_CHECK_STATES states, of d^2 complex entries each.  The
-dense route, apply_two_copies and a d^2 x d^2 eigvalsh, runs on every
-cell, on those first states only, as a check of that reduction: a
-residual above _COVARIANCE_TOL raises CovarianceMismatch, which is no
-TdchanError, since then the library and not its input is at fault.
+and their entropies from one _split_rows call, as the probe's do.
+
+Only the t-dependent work runs per cell.  Three read-only caches hold
+the rest, each built on first use.  _probe_rows keeps the probe's rows
+for the last (seed, d, restarts).  _haar_sample keeps, for the last
+(seed, d, n_random), the weights of every state and the first
+_DENSE_CHECK_STATES states with their Schmidt factors from one batched
+SVD.  _pair_index keeps the pair table of S1 for each d.  The dense route runs on every cell, on those first states
+only, as a check of the covariance reduction: apply_two_copies gives
+their outputs, one matmul per tensor index rotates each into its
+Schmidt bases in O(d^5), and the result is compared entrywise with
+sigma12 at the cached weights.  A Frobenius residual above
+_residual_tol(d), which by the Fannes-Audenaert bound keeps the dense
+and closed-form entropies within _COVARIANCE_TOL, raises
+CovarianceMismatch, which is no TdchanError, since then the library and
+not its input is at fault.  No d^2 x d^2 eigvalsh runs; the tests check
+the spectrum of sigma12 against _split_rows instead.
 
 Every entropy in the module, of a vector or of each row of an array,
 comes from one reduction, _entropy_rows.
@@ -66,6 +74,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,8 +88,8 @@ EIGENVALUE_FLOOR = -1e-10
 # Row budget of the full simplex lattice, which sets its resolution m;
 # minimize_simplex_entropy probes one row per permutation orbit of it.
 _LATTICE_ROWS = 500
-# Haar-random states per cell whose entropy the dense two-copy route
-# recomputes, and the largest |S_dense - S_closed| it may find.
+# Haar-random states per cell that the dense two-copy route recomputes,
+# and the largest |S_dense - S_closed| its residual tolerance allows.
 _DENSE_CHECK_STATES = 16
 _COVARIANCE_TOL = 1e-10
 
@@ -104,10 +113,13 @@ class OptimizerConfig:
     n_random counts the Haar-random states of additivity_gap, whose
     entropies come from their Schmidt weights, and of which the first
     _DENSE_CHECK_STATES are also checked against the dense two-copy
-    route at every t.  The states and their weights are built once per
-    (seed, d, n_random) and shared by every t (see _haar_sample); the
-    last sample, n_random * d doubles of weights and 16 states, stays
-    alive after the call returns.  All
+    route at every t.  Nothing that does not depend on t is rebuilt per
+    t: the probe rows are built once per (seed, d, restarts) (see
+    _probe_rows) and the states, their weights and the Schmidt factors
+    of the checked ones once per (seed, d, n_random) (see _haar_sample).
+    The last entry of each, at most (d + 251 + restarts) * d doubles of
+    rows, and n_random * d doubles of weights plus 16 states of
+    3 d^2 complex entries, stays alive after the call returns.  All
     three must be integers, the seed in [0, 2^64), and neither count may
     be negative; 0 draws no random simplex row, but still one unit
     vector and one Haar-random state.
@@ -177,6 +189,15 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return entropy_of(np.linalg.eigvalsh(rho.mat))
 
 
+@functools.cache
+def _pair_index(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.tril_indices(d, -1): the unordered pairs (a, b), a > b, that S1 sums; built once per d, read-only."""
+    pairs = np.tril_indices(d, -1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
 def _split_rows(ch: Channel, lams) -> tuple[np.ndarray, np.ndarray]:
     """(S1, S2) arrays of the two-copy output, one entry per row of lams, validated Schmidt vectors.
 
@@ -188,7 +209,7 @@ def _split_rows(ch: Channel, lams) -> tuple[np.ndarray, np.ndarray]:
     one-row call.
     """
     rows = np.asarray(lams, dtype=float)
-    a, b = np.tril_indices(rows.shape[1], -1)
+    a, b = _pair_index(rows.shape[1])
     s1 = 2.0 * _entropy_rows(ch.c1 + 0.5 * ch.c2 * (rows[:, a] + rows[:, b]))
     s2 = _entropy_rows(_secular_block_roots(ch, rows))
     return s1, s2
@@ -274,6 +295,24 @@ def _simplex_lattice(d: int) -> np.ndarray:
     return lattice
 
 
+@functools.lru_cache(maxsize=1)
+def _probe_rows(seed: int, d: int, restarts: int) -> np.ndarray:
+    """The rows minimize_simplex_entropy probes at (seed, d, restarts); read-only.
+
+    The d vertices, the barycenter, restarts uniform-simplex draws from
+    the _TAG_SIMPLEX stream of seed and _simplex_lattice(d), in that
+    order, checked by _check_schmidt_rows.  None of it depends on t, so
+    a t grid at one key builds them once; the one cached entry, at most
+    (d + 251 + restarts) * d doubles, stays alive until a call with
+    another key replaces it.
+    """
+    draws = _lambda_rows(philox_stream(seed, _TAG_SIMPLEX).random((restarts, d)))
+    rows = np.vstack([np.eye(d), np.full((1, d), 1.0 / d), draws, _simplex_lattice(d)])
+    _check_schmidt_rows(rows)
+    rows.flags.writeable = False
+    return rows
+
+
 def minimize_simplex_entropy(
     ch: Channel, cfg: OptimizerConfig = OptimizerConfig()
 ) -> tuple[float, SchmidtVector]:
@@ -284,11 +323,12 @@ def minimize_simplex_entropy(
     from one stream, so the first k rows do not depend on cfg.restarts)
     and _simplex_lattice(d), one nonincreasing row per permutation orbit
     of the lattice, since the entropy does not change under a permutation
-    of the Schmidt weights.  All of them are checked by
-    _check_schmidt_rows and evaluated by one _split_rows call, which gives
-    each row the bits that simplex_output_entropy gives it alone.
+    of the Schmidt weights.  _probe_rows builds and checks them once per
+    (seed, d, restarts), and one _split_rows call evaluates them, which
+    gives each row the bits that simplex_output_entropy gives it alone.
     When the best row does not beat the best vertex by more than 1e-12,
-    that vertex is reported as argmin, with the lower of the two values.
+    that vertex is reported as argmin, with the lower of the two values;
+    the argmin is a copy of its row, never a view of the shared rows.
 
     restarts counts the random rows: at restarts = 20 the batch has 115
     rows at d = 3 and 59 at d = 4.  Wherever the entropy is concave on
@@ -298,17 +338,14 @@ def minimize_simplex_entropy(
     where the entropy is flat to rounding, the value may differ from it
     by a few ulp.
     """
-    d = ch.d
-    draws = _lambda_rows(philox_stream(cfg.seed, _TAG_SIMPLEX).random((cfg.restarts, d)))
-    rows = np.vstack([np.eye(d), np.full((1, d), 1.0 / d), draws, _simplex_lattice(d)])
-    _check_schmidt_rows(rows)
+    rows = _probe_rows(cfg.seed, ch.d, cfg.restarts)
     s1, s2 = _split_rows(ch, rows)
     values = s1 + s2
 
     best = int(np.argmin(values))
-    vertex = int(np.argmin(values[:d]))
+    vertex = int(np.argmin(values[: ch.d]))
     argmin = vertex if values[vertex] <= values[best] + 1e-12 else best
-    return float(values[best]), SchmidtVector(rows[argmin])
+    return float(values[best]), SchmidtVector(rows[argmin].copy())
 
 
 def _schmidt_weights(psi: np.ndarray, d: int) -> np.ndarray:
@@ -327,60 +364,130 @@ def _schmidt_weights(psi: np.ndarray, d: int) -> np.ndarray:
     return weights / weights.sum(axis=1, keepdims=True)
 
 
-def _check_covariance(ch: Channel, psi: np.ndarray, closed: np.ndarray) -> None:
-    """Raise CovarianceMismatch unless the dense route agrees with closed.
+@functools.cache
+def _residual_tol(d: int) -> float:
+    """The largest Frobenius residual ||E||_F that _check_covariance passes at d.
+
+    Equal matrices have equal spectra, and a small residual keeps the
+    entropies close.  With D = d^2 and T = ||E||_1 / 2 <= sqrt(D) ||E||_F / 2
+    (Cauchy-Schwarz on the singular values of E), the bound of Fannes
+    (1973) in Audenaert's sharp form (J. Phys. A 40, 8127 (2007)) gives
+    |S_dense - S_closed| <= T ln(D - 1) - T ln T - (1 - T) ln(1 - T).
+    The bound increases in T on [0, 1/2], so bisection finds the largest T
+    that keeps it at or below _COVARIANCE_TOL, and a residual at or below
+    2 T / sqrt(D) passes: 3.5e-12 at d = 2, 1.7e-12 at d = 4 and
+    2.5e-13 at d = 24.
+    """
+    big = d * d
+
+    def bound(trace: float) -> float:
+        return trace * math.log(big - 1) - trace * math.log(trace) - (1.0 - trace) * math.log1p(-trace)
+
+    lo, hi = 0.0, _COVARIANCE_TOL  # bound(T) >= T on (0, 1/e]
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if bound(mid) <= _COVARIANCE_TOL else (lo, mid)
+    return 2.0 * lo / math.sqrt(big)
+
+
+def _check_covariance(ch: Channel, sample: _HaarSample) -> None:
+    """Raise CovarianceMismatch unless the dense route agrees with the closed form at sample.weights.
 
     The dense route applies the two-copy channel to |psi><psi| for each
-    row of psi and takes the entropy of the eigvalsh spectrum; closed
-    holds the entropies from the Schmidt weights, one per row.
+    checked state psi = sum_a sqrt(lam_a) |u_a> (x) |conj v_a>, the SVD
+    M = U S V^H of psi as a d x d matrix.  Covariance maps the output to
+    K sigma12(lam) K^H with K = conj(U) (x) V, so K^H (dense output) K
+    must be sigma12 at the cached weights lam: c1 + (c2/2)(lam_a + lam_b)
+    on the diagonal at |ab>, plus t^2 sqrt(lam_a lam_b) between |aa> and
+    |bb>, and 0 elsewhere.  The rotation is one batched matmul per tensor
+    index, O(d^5) per state, written back and forth between the dense
+    output and its input |psi><psi|, so it copies no transpose and
+    allocates nothing of the output's size.  The closed form is
+    subtracted in place, and each state's Frobenius residual is held to
+    _residual_tol(d).
     """
-    sigma = apply_two_copies(ch, psi[:, :, None] * psi.conj()[:, None, :])
-    residual = float(np.max(np.abs(_entropy_rows(np.linalg.eigvalsh(sigma)) - closed)))
-    if not residual <= _COVARIANCE_TOL:
+    d, n, states = ch.d, len(sample.states), sample.states
+    pure = states[:, :, None] * states.conj()[:, None, :]
+    out = apply_two_copies(ch, pure)
+    # The row indices i, j take conj(K)'s factors U and conj(V) = vh^T,
+    # the column indices k, l K's factors conj(U) and V = vh^H.  Each step
+    # contracts the leading index of a transposed view and appends the new
+    # one: (i, j, k, l) -> (j, k, l, a) -> ... -> (a, b, c, e).
+    src, dst = out, pure
+    for factor in (sample.u, sample.vh.swapaxes(1, 2), sample.u.conj(), sample.vh.conj().swapaxes(1, 2)):
+        np.matmul(src.reshape(n, d, d**3).swapaxes(1, 2), factor, out=dst.reshape(n, d**3, d))
+        src, dst = dst, src
+    lam = sample.weights[:n]
+    root = np.sqrt(lam)
+    diagonal = np.einsum("nii->ni", out)  # writeable views
+    diagonal -= (ch.c1 + 0.5 * ch.c2 * (lam[:, :, None] + lam[:, None, :])).reshape(n, d * d)
+    block = np.einsum("naabb->nab", out.reshape(n, d, d, d, d))
+    block -= ch.t2 * root[:, :, None] * root[:, None, :]
+    flat = out.reshape(n, -1).view(float)
+    residual = np.sqrt(np.einsum("ni,ni->n", flat, flat))
+    worst, tol = float(residual.max()), _residual_tol(d)
+    if not worst <= tol:
         raise CovarianceMismatch(
-            f"dense and Schmidt-route entropies differ by {residual:.3e} > {_COVARIANCE_TOL:g}"
-            f" at d={ch.d}, t={ch.t!r}"
+            f"dense and closed-form two-copy outputs differ by {worst:.3e} > {tol:.3e}"
+            f" (Frobenius) at d={d}, t={ch.t!r}"
         )
 
 
+class _HaarSample(NamedTuple):
+    """The t-independent half of a cell's Haar leg; every array read-only.
+
+    states holds the first k = min(count, _DENSE_CHECK_STATES) states,
+    (k, d^2) complex, and u and vh their Schmidt factors, (k, d, d)
+    complex each, with psi = u diag(s) vh as a d x d matrix.  weights
+    holds the Schmidt weights of all count states, (count, d).
+    """
+
+    states: np.ndarray
+    u: np.ndarray
+    vh: np.ndarray
+    weights: np.ndarray
+
+
 @functools.lru_cache(maxsize=1)
-def _haar_sample(seed: int, d: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """(dense_states, weights) of count Haar-random states on d x d; both read-only.
+def _haar_sample(seed: int, d: int, count: int) -> _HaarSample:
+    """The _HaarSample of count Haar-random states on d x d.
 
     The states are the rows of haar_states on the _TAG_HAAR stream of
-    seed, so state r is the same for every count past r.  weights holds
-    the Schmidt weights of every state, (count, d), checked by
-    _check_schmidt_rows; dense_states keeps only the first
-    _DENSE_CHECK_STATES states, the ones _check_covariance needs.  None of
-    it depends on t, so a t grid at one (seed, d, count) builds it once.
-    The one cached entry stays alive after the call returns, until a
-    call with another key replaces it: count * d doubles and at most 16
-    states of d^2 complex entries, about 0.1 MB at d = 16 and count =
-    200, but 0.2 GB at d = 24 and count = 10^6.
+    seed, so state r is the same for every count past r.  The weights of
+    every state come from _schmidt_weights, checked by
+    _check_schmidt_rows; the first _DENSE_CHECK_STATES states, the ones
+    _check_covariance needs, are kept with their Schmidt factors from one
+    batched SVD.  None of it depends on t, so a t grid at one
+    (seed, d, count) builds it once.  The one cached entry stays alive
+    after the call returns, until a call with another key replaces it:
+    count * d doubles and at most 16 states of 3 d^2 complex entries
+    each, about 0.2 MB at d = 16 and count = 200, but 0.2 GB at d = 24
+    and count = 10^6.  No d^4-sized array is kept.
     """
     psi = haar_states(count, d * d, philox_stream(seed, _TAG_HAAR))
     weights = _schmidt_weights(psi, d)
     _check_schmidt_rows(weights)
-    dense_states = psi[:_DENSE_CHECK_STATES].copy()
-    for array in (dense_states, weights):
+    states = psi[:_DENSE_CHECK_STATES].copy()
+    u, _, vh = np.linalg.svd(states.reshape(-1, d, d))
+    sample = _HaarSample(states, u, vh, weights)
+    for array in sample:
         array.flags.writeable = False
-    return dense_states, weights
+    return sample
 
 
 def _random_state_entropies(ch: Channel, cfg: OptimizerConfig) -> np.ndarray:
     """Two-copy output entropy of each of max(cfg.n_random, 1) Haar-random states; (count,).
 
-    The states and their Schmidt weights come from _haar_sample, built
-    once per (seed, d, count) and shared by every t.  The weights go
+    The states, their Schmidt weights and factors come from _haar_sample,
+    built once per (seed, d, count) and shared by every t.  The weights go
     through one _split_rows call, which gives each row the bits of a
     one-row call.  Then, on every call, the first _DENSE_CHECK_STATES
     states are checked against the dense route by _check_covariance.
     """
-    dense_states, weights = _haar_sample(cfg.seed, ch.d, max(cfg.n_random, 1))
-    s1, s2 = _split_rows(ch, weights)
-    values = s1 + s2
-    _check_covariance(ch, dense_states, values[: len(dense_states)])
-    return values
+    sample = _haar_sample(cfg.seed, ch.d, max(cfg.n_random, 1))
+    s1, s2 = _split_rows(ch, sample.weights)
+    _check_covariance(ch, sample)
+    return s1 + s2
 
 
 def additivity_gap(

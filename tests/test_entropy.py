@@ -394,9 +394,10 @@ def test_every_additivity_gap_runs_the_dense_check(monkeypatch):
 
 
 def test_the_dense_check_holds_the_closed_form_to_its_tolerance(monkeypatch):
-    # Scaling the dense output by 1 + e keeps its spectrum nonnegative and
-    # moves each entropy by e (S - 1) + O(e^2), with S near ln 16 here:
-    # past _COVARIANCE_TOL at e = 1e-8, well inside it at e = 1e-13.
+    # Scaling the dense output by 1 + e leaves a residual e sigma12 in the
+    # Schmidt bases, of Frobenius norm between e / 4 and e at d = 4: past
+    # _residual_tol(4), about 1.7e-12, at e = 1e-8, well inside it at
+    # e = 1e-13.
     plain = entropy.apply_two_copies
     ch = td.new_channel(4, -0.2)
     cfg = td.OptimizerConfig(restarts=1, n_random=3)
@@ -409,6 +410,59 @@ def test_the_dense_check_holds_the_closed_form_to_its_tolerance(monkeypatch):
             assert not isinstance(raised.value, td.TdchanError)
         else:
             assert td.additivity_gap(ch, cfg) == want
+
+
+def test_the_dense_check_catches_a_shifted_cached_weight(monkeypatch, cold_haar_cache):
+    # The known positive on the closed-form side: the dense route is
+    # untouched, and one cached weight of one checked state moves by 1e-9.
+    cfg = td.OptimizerConfig(restarts=1, n_random=5, seed=3)
+    ch = td.new_channel(4, -0.2)
+    td.additivity_gap(ch, cfg)
+    plain = entropy._haar_sample
+
+    def shifted(*key):
+        sample = plain(*key)
+        weights = sample.weights.copy()
+        weights[2, 1] += 1e-9
+        return sample._replace(weights=weights)
+
+    with monkeypatch.context() as m, pytest.raises(CovarianceMismatch, match="differ by"):
+        m.setattr(entropy, "_haar_sample", shifted)
+        td.additivity_gap(ch, cfg)
+
+
+def test_the_dense_check_passes_where_the_schmidt_bases_are_not_unique():
+    # Tied Schmidt weights leave the SVD free to rotate the bases within
+    # their span; whatever bases it returns must pass, as must Gaussian
+    # states.  Weights near 0 are left out: eigvalsh(M M^H) finds a zero
+    # weight only to about 1e-17, and the entry comparison sees its square
+    # root through t^2 sqrt(lam_a lam_b) (up to 4e-9 on product states).
+    rng = np.random.default_rng(257)
+    for d in (2, 3, 4, 5, 6):
+        tie = rng.dirichlet(np.ones(d))
+        tie[1] = tie[0]
+        states = [rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d) for _ in range(3)]
+        for lam in (np.full(d, 1.0 / d), tie / tie.sum()):
+            states.append(np.kron(local_unitary(d, rng), local_unitary(d, rng)) @ schmidt_state(lam))
+        psi = np.array([v / np.linalg.norm(v) for v in states])
+        u, _, vh = np.linalg.svd(psi.reshape(-1, d, d))
+        sample = entropy._HaarSample(psi, u, vh, entropy._schmidt_weights(psi, d))
+        lo, hi = td.t_range(d)
+        for t in (lo, 0.5 * lo, 0.0, 0.5 * hi, hi):
+            entropy._check_covariance(td.new_channel(d, t), sample)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 8, 16])
+def test_sigma12_at_the_checked_weights_has_the_split_rows_entropy(d):
+    # The dense check compares the dense output with sigma12 at the cached
+    # weights, not spectra; this is the other link, sigma12's spectrum
+    # against the closed form, on the same states.
+    weights = entropy._haar_sample.__wrapped__(0, d, _DENSE_CHECK_STATES).weights
+    for t in np.linspace(*td.t_range(d), 9).tolist():
+        ch = td.new_channel(d, t)
+        s1, s2 = entropy._split_rows(ch, weights)
+        dense = [td.entropy_of(np.linalg.eigvalsh(td.sigma12(ch, td.SchmidtVector(w)).mat)) for w in weights]
+        assert np.max(np.abs(np.array(dense) - (s1 + s2))) <= 1e-12, (d, t)
 
 
 @pytest.fixture
@@ -473,10 +527,14 @@ def test_haar_samples_are_keyed_by_seed_d_and_count_and_read_only(monkeypatch, c
     assert info.maxsize == info.currsize == 1
 
     for count in (1, _DENSE_CHECK_STATES + 4):
-        dense, weights = entropy._haar_sample(11, 3, count)
+        dense, u, vh, weights = entropy._haar_sample(11, 3, count)
         assert dense.shape == (min(count, _DENSE_CHECK_STATES), 9) and weights.shape == (count, 3)
         assert bits(dense.tolist()) == bits(haar_states(count, 9, philox_stream(11, _TAG_HAAR))[: len(dense)].tolist())
-        for array in (dense, weights):
+        # The Schmidt factors of the dense states: psi = u diag(sqrt(lam)) vh.
+        assert u.shape == vh.shape == (len(dense), 3, 3)
+        rebuilt = u * np.sqrt(weights[: len(dense)])[:, None, :] @ vh
+        assert np.max(np.abs(rebuilt.reshape(len(dense), 9) - dense)) <= 1e-14
+        for array in (dense, u, vh, weights):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0, 0] = 0.5
@@ -692,15 +750,27 @@ def orbit_probe_cells():
             yield td.new_channel(d, t), cfg
 
 
-def test_probe_on_orbits_gives_the_full_lattice_probe(monkeypatch):
+@pytest.fixture
+def cold_probe_cache():
+    """An empty _probe_rows cache, emptied again after the test."""
+    entropy._probe_rows.cache_clear()
+    yield
+    entropy._probe_rows.cache_clear()
+
+
+def test_probe_on_orbits_gives_the_full_lattice_probe(monkeypatch, cold_probe_cache):
     # Wherever |t| >= 1e-6 the orbit rows give the minimum and argmin of
     # every lattice row bit for bit.  Nearer t = 0 the entropy is flat to
     # rounding and the minimum may move by a few ulp, the argmin not.
-    # At t = 0 itself every row has the same value, bit for bit.
+    # At t = 0 itself every row has the same value, bit for bit.  Each
+    # call builds its rows afresh, so the full lattice is used where it
+    # is patched in.
     for ch, cfg in orbit_probe_cells():
+        entropy._probe_rows.cache_clear()
         val, arg = td.minimize_simplex_entropy(ch, cfg)
         with monkeypatch.context() as m:
             m.setattr(entropy, "_simplex_lattice", lambda d: simplex_lattice_full(d, entropy._LATTICE_ROWS))
+            entropy._probe_rows.cache_clear()
             want_val, want_arg = td.minimize_simplex_entropy(ch, cfg)
         assert bits(arg.values.tolist()) == bits(want_arg.values.tolist()), (ch.d, ch.t)
         if abs(ch.t) >= 1e-6 or ch.t == 0.0:
@@ -781,7 +851,7 @@ def test_probe_propagates_not_psd(monkeypatch):
         td.minimize_simplex_entropy(td.new_channel(3, -0.25), td.OptimizerConfig(restarts=2))
 
 
-def test_probe_checks_every_row(monkeypatch):
+def test_probe_checks_every_row(monkeypatch, cold_probe_cache):
     def off_simplex(u):
         d = u.shape[1]
         return np.tile([1.5] + [-0.5 / (d - 1)] * (d - 1), (len(u), 1))
@@ -789,6 +859,86 @@ def test_probe_checks_every_row(monkeypatch):
     monkeypatch.setattr(entropy, "_lambda_rows", off_simplex)
     with pytest.raises(OutOfRange):
         td.minimize_simplex_entropy(td.new_channel(3, -0.25), td.OptimizerConfig(restarts=1))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 8])
+def test_a_t_grid_builds_its_probe_rows_once_and_gets_the_cold_bits(monkeypatch, cold_probe_cache, d):
+    # The grid holds both ends of the t range and t = 0.  Warm, one set of
+    # probe rows serves every t; cleared before every call, each t builds
+    # its own.  Both give the same value and argmin, bit for bit.
+    lo, hi = td.t_range(d)
+    grid = sorted({*np.linspace(lo, hi, 9).tolist(), 0.0})
+    assert grid[0] == lo and grid[-1] == hi
+    cfg = td.OptimizerConfig(restarts=7, seed=43)
+    draws = count_calls(monkeypatch, "_lambda_rows")
+
+    def probe(t):
+        val, arg = td.minimize_simplex_entropy(td.new_channel(d, t), cfg)
+        return bits([val, arg.values.tolist()])
+
+    warm = [probe(t) for t in grid]
+    assert len(draws) == 1
+    cold = []
+    for t in grid:
+        entropy._probe_rows.cache_clear()
+        cold.append(probe(t))
+    assert len(draws) == 1 + len(grid)
+    assert warm == cold
+
+
+def test_probe_rows_are_keyed_by_seed_d_and_restarts_and_read_only(monkeypatch, cold_probe_cache):
+    draws = count_calls(monkeypatch, "_lambda_rows")
+    cfg = td.OptimizerConfig(restarts=4, seed=11)
+    td.minimize_simplex_entropy(td.new_channel(3, -0.2), cfg)
+    td.minimize_simplex_entropy(td.new_channel(3, 0.1), cfg)
+    assert [args[0].shape for args in draws] == [(4, 3)]
+    # n_random is no part of the key.
+    td.minimize_simplex_entropy(td.new_channel(3, 0.2), td.OptimizerConfig(restarts=4, n_random=9, seed=11))
+    assert len(draws) == 1
+    for d, other in (
+        (3, td.OptimizerConfig(restarts=4, seed=12)),
+        (4, cfg),
+        (3, td.OptimizerConfig(restarts=5, seed=11)),
+    ):
+        td.minimize_simplex_entropy(td.new_channel(d, -0.2), other)
+    assert len(draws) == 4
+    info = entropy._probe_rows.cache_info()
+    assert info.maxsize == info.currsize == 1
+
+    rows = entropy._probe_rows(11, 3, 4)
+    assert rows.shape == (3 + 1 + 4 + len(entropy._simplex_lattice(3)), 3)
+    assert not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 0] = 0.5
+    with pytest.raises(ValueError):
+        rows *= 2.0
+
+
+def test_the_probe_argmin_is_a_writeable_copy(cold_probe_cache):
+    # Writing into a returned argmin must not reach the shared rows: the
+    # next call gives the same bits, and its argmin is a new array.
+    cfg = td.OptimizerConfig(restarts=3, seed=5)
+    for d, t in ((3, -0.3), (4, 0.1), (2, 0.0)):
+        ch = td.new_channel(d, t)
+        val, arg = td.minimize_simplex_entropy(ch, cfg)
+        want = bits([val, arg.values.tolist()])
+        assert arg.values.flags.writeable
+        arg.values[:] = -1.0
+        again_val, again = td.minimize_simplex_entropy(ch, cfg)
+        assert bits([again_val, again.values.tolist()]) == want
+        assert not np.shares_memory(again.values, arg.values)
+        assert not np.shares_memory(again.values, entropy._probe_rows(cfg.seed, d, cfg.restarts))
+
+
+def test_pair_index_is_built_once_per_d_and_read_only():
+    for d in (2, 3, 5):
+        a, b = entropy._pair_index(d)
+        assert entropy._pair_index(d)[0] is a
+        want_a, want_b = np.tril_indices(d, -1)
+        assert a.tolist() == want_a.tolist() and b.tolist() == want_b.tolist()
+        for index in (a, b):
+            with pytest.raises(ValueError):
+                index[0] = 1
 
 
 def test_probe_returns_the_best_vertex_bit_for_bit():
