@@ -51,16 +51,22 @@ and their entropies from one _split_rows call, as the probe's do.
 
 Only the t-dependent work runs per cell.  Three read-only caches hold
 the rest, each built on first use.  _probe_rows keeps the probe's rows
-for the last (seed, d, restarts).  _haar_sample keeps, for the last
+for the last (seed, d, restarts), and _haar_sample, for the last
 (seed, d, n_random), the weights of every state and the first
-_DENSE_CHECK_STATES states with their Schmidt factors from one batched
-SVD.  _pair_index keeps the pair table of S1 for each d.  The dense route runs on every cell, on those first states
-only, as a check of the covariance reduction: apply_two_copies gives
-their outputs, one matmul per tensor index rotates each into its
-Schmidt bases in O(d^5), and the result is compared entrywise with
-sigma12 at the cached weights.  A Frobenius residual above
-_residual_tol(d), which by the Fannes-Audenaert bound keeps the dense
-and closed-form entropies within _COVARIANCE_TOL, raises
+_DENSE_CHECK_STATES states with the factors of their reference outputs.
+Both keep, with their rows, the t-independent half of each row's
+entropy (_row_terms): the pair sums lam_a + lam_b and the rank-one
+block sqrt(lam) sqrt(lam)^T.  _pair_index keeps the pair table of S1
+for each d.  So a cell forms only c1 + (c2/2) sums and
+t^2 block + diag(c1 + c2 lam), runs one eigvalsh and two entropy
+reductions, with the bits of an uncached call.  The dense route runs on
+every cell, on the checked states only, as a check of the covariance
+reduction: apply_two_copies gives their outputs, and from each the
+reference K sigma12(lam) K^H at the cached weights is subtracted in
+place in the computational basis, O(d^4) per state.  K is unitary, so
+the Frobenius residual is the one in the Schmidt bases.  A residual
+above _residual_tol(d), which by the Fannes-Audenaert bound keeps the
+dense and closed-form entropies within _COVARIANCE_TOL, raises
 CovarianceMismatch, which is no TdchanError, since then the library and
 not its input is at fault.  No d^2 x d^2 eigvalsh runs; the tests check
 the spectrum of sigma12 against _split_rows instead.
@@ -115,14 +121,15 @@ class OptimizerConfig:
     _DENSE_CHECK_STATES are also checked against the dense two-copy
     route at every t.  Nothing that does not depend on t is rebuilt per
     t: the probe rows are built once per (seed, d, restarts) (see
-    _probe_rows) and the states, their weights and the Schmidt factors
-    of the checked ones once per (seed, d, n_random) (see _haar_sample).
-    The last entry of each, at most (d + 251 + restarts) * d doubles of
-    rows, and n_random * d doubles of weights plus 16 states of
-    3 d^2 complex entries, stays alive after the call returns.  All
-    three must be integers, the seed in [0, 2^64), and neither count may
-    be negative; 0 draws no random simplex row, but still one unit
-    vector and one Haar-random state.
+    _probe_rows) and the states, their weights and the factors of the
+    dense check once per (seed, d, n_random) (see _haar_sample).  The
+    last entry of each stays alive after the call returns; both keep the
+    pair sums and rank-one blocks of their rows, d^2 + d(d-1)/2 doubles
+    per row, so at d = 24 either takes 7.0 kB per row or state (see
+    _probe_rows and _haar_sample for the totals).  All three must be
+    integers, the seed in [0, 2^64), and neither count may be negative;
+    0 draws no random simplex row, but still one unit vector and one
+    Haar-random state.
     """
 
     restarts: int = 50
@@ -154,17 +161,17 @@ def _entropy_rows(p: np.ndarray) -> np.ndarray:
     at or above 1 as exact ones, so both contribute 0: a root that rounds
     to 1 + 2**-52 would otherwise add -p ln p < 0 and make an entropy
     negative.  A NaN or infinite entry raises OutOfRange, and a finite
-    entry below EIGENVALUE_FLOOR NotPSD; one mask over the array finds
-    both.
+    entry below EIGENVALUE_FLOOR NotPSD.  Two reductions, a minimum and
+    a maximum, pass a valid array; only a failure builds a mask, to name
+    the first entry below the floor.
 
     Each row's terms are subtracted from 0 column by column, in order, so
     a row gets the same bits alone as in a batch of any height; a
     row-wise np.sum of 8 or more terms would not.
     """
-    bad = ~((p >= EIGENVALUE_FLOOR) & (p < math.inf))
-    if bad.any():
+    if p.size and not (p.min() >= EIGENVALUE_FLOOR and p.max() < math.inf):
         check_finite(p, "entropy input entries")
-        raise NotPSD(f"entropy of a vector with entry {p[bad][0]}")
+        raise NotPSD(f"entropy of a vector with entry {p[p < EIGENVALUE_FLOOR][0]}")
     q = np.where((p > ENTROPY_CLAMP) & (p < 1.0), p, 1.0)
     terms = q * np.log(q)
     total = np.zeros(len(p))
@@ -198,7 +205,19 @@ def _pair_index(d: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
-def _split_rows(ch: Channel, lams) -> tuple[np.ndarray, np.ndarray]:
+def _row_terms(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sums, outer): the t-independent half of the two-copy entropy of each row of rows, (N, d) Schmidt vectors.
+
+    sums holds lam_a + lam_b over the pairs (a, b) of _pair_index(d),
+    (N, d(d-1)/2), and outer the rank-one stack sqrt(lam) sqrt(lam)^T,
+    (N, d, d), of the secular block before its factor t^2.
+    """
+    a, b = _pair_index(rows.shape[1])
+    root = np.sqrt(rows)
+    return rows[:, a] + rows[:, b], root[:, :, None] * root[:, None, :]
+
+
+def _split_rows(ch: Channel, lams, sums=None, outer=None) -> tuple[np.ndarray, np.ndarray]:
     """(S1, S2) arrays of the two-copy output, one entry per row of lams, validated Schmidt vectors.
 
     Built from the two families directly, with no Spectrum record.
@@ -206,12 +225,16 @@ def _split_rows(ch: Channel, lams) -> tuple[np.ndarray, np.ndarray]:
     (1, 0), (2, 0), (2, 1), ... and doubles.  S2 sums the secular roots
     in descending order.  The roots of all rows come from one
     _secular_block_roots call, and each row gets the same bits as a
-    one-row call.
+    one-row call.  sums and outer, if given, are _row_terms(lams), which
+    a caller evaluating many t at the same rows keeps; then only
+    c1 + (c2/2) sums, the blocks t^2 outer + diag(c1 + c2 lam), their
+    eigvalsh and the two entropy reductions run, with the same bits.
     """
     rows = np.asarray(lams, dtype=float)
-    a, b = _pair_index(rows.shape[1])
-    s1 = 2.0 * _entropy_rows(ch.c1 + 0.5 * ch.c2 * (rows[:, a] + rows[:, b]))
-    s2 = _entropy_rows(_secular_block_roots(ch, rows))
+    if sums is None:
+        sums, outer = _row_terms(rows)
+    s1 = 2.0 * _entropy_rows(ch.c1 + 0.5 * ch.c2 * sums)
+    s2 = _entropy_rows(_secular_block_roots(ch, rows, outer))
     return s1, s2
 
 
@@ -295,22 +318,43 @@ def _simplex_lattice(d: int) -> np.ndarray:
     return lattice
 
 
-@functools.lru_cache(maxsize=1)
-def _probe_rows(seed: int, d: int, restarts: int) -> np.ndarray:
-    """The rows minimize_simplex_entropy probes at (seed, d, restarts); read-only.
+def _read_only(entry):
+    """entry, a NamedTuple of arrays, with every array made read-only."""
+    for array in entry:
+        array.flags.writeable = False
+    return entry
 
-    The d vertices, the barycenter, restarts uniform-simplex draws from
-    the _TAG_SIMPLEX stream of seed and _simplex_lattice(d), in that
-    order, checked by _check_schmidt_rows.  None of it depends on t, so
-    a t grid at one key builds them once; the one cached entry, at most
-    (d + 251 + restarts) * d doubles, stays alive until a call with
-    another key replaces it.
+
+class _ProbeRows(NamedTuple):
+    """The t-independent half of a cell's simplex probe; every array read-only.
+
+    rows holds the probed Schmidt vectors, (N, d), and sums and outer
+    their _row_terms.
+    """
+
+    rows: np.ndarray
+    sums: np.ndarray
+    outer: np.ndarray
+
+
+@functools.lru_cache(maxsize=1)
+def _probe_rows(seed: int, d: int, restarts: int) -> _ProbeRows:
+    """The _ProbeRows that minimize_simplex_entropy probes at (seed, d, restarts).
+
+    The rows are the d vertices, the barycenter, restarts uniform-simplex
+    draws from the _TAG_SIMPLEX stream of seed and _simplex_lattice(d),
+    in that order, checked by _check_schmidt_rows.  None of it depends on
+    t, so a t grid at one key builds it once.  The one cached entry stays
+    alive until a call with another key replaces it: per row, d doubles
+    of rows, d(d-1)/2 of sums and d^2 of outer.  At d = 24 that is 7.0 kB
+    a row, for d + 3 + restarts rows: 0.54 MB at restarts = 50, and
+    7.0 GB at restarts = 10^6: sums and outer make the entry 36 times
+    the size of the rows alone.
     """
     draws = _lambda_rows(philox_stream(seed, _TAG_SIMPLEX).random((restarts, d)))
     rows = np.vstack([np.eye(d), np.full((1, d), 1.0 / d), draws, _simplex_lattice(d)])
     _check_schmidt_rows(rows)
-    rows.flags.writeable = False
-    return rows
+    return _read_only(_ProbeRows(rows, *_row_terms(rows)))
 
 
 def minimize_simplex_entropy(
@@ -324,8 +368,9 @@ def minimize_simplex_entropy(
     and _simplex_lattice(d), one nonincreasing row per permutation orbit
     of the lattice, since the entropy does not change under a permutation
     of the Schmidt weights.  _probe_rows builds and checks them once per
-    (seed, d, restarts), and one _split_rows call evaluates them, which
-    gives each row the bits that simplex_output_entropy gives it alone.
+    (seed, d, restarts), with their _row_terms, and one _split_rows call
+    evaluates them, which gives each row the bits that
+    simplex_output_entropy gives it alone.
     When the best row does not beat the best vertex by more than 1e-12,
     that vertex is reported as argmin, with the lower of the two values;
     the argmin is a copy of its row, never a view of the shared rows.
@@ -338,8 +383,8 @@ def minimize_simplex_entropy(
     where the entropy is flat to rounding, the value may differ from it
     by a few ulp.
     """
-    rows = _probe_rows(cfg.seed, ch.d, cfg.restarts)
-    s1, s2 = _split_rows(ch, rows)
+    rows, sums, outer = _probe_rows(cfg.seed, ch.d, cfg.restarts)
+    s1, s2 = _split_rows(ch, rows, sums, outer)
     values = s1 + s2
 
     best = int(np.argmin(values))
@@ -390,46 +435,49 @@ def _residual_tol(d: int) -> float:
     return 2.0 * lo / math.sqrt(big)
 
 
+def _covariance_residuals(ch: Channel, sample: _HaarSample) -> np.ndarray:
+    """||out - K sigma12(lam) K^H||_F for each checked state of sample; (k,).
+
+    out is the dense two-copy output of |psi><psi|, from apply_two_copies,
+    and K sigma12(lam) K^H the covariant image of the closed form at the
+    cached weights lam (see _haar_sample_of).  K is unitary, so this is
+    the Frobenius norm of K^H out K - sigma12(lam), the residual in the
+    Schmidt bases.  The reference
+    c1 I + (c2/2)(P (x) I + I (x) Q) + t^2 w w^H is subtracted from out
+    in place: c1 through its diagonal, the Kronecker terms through
+    writeable einsum diagonal views, as apply_two_copies adds its own,
+    and t^2 w w^H by way of the spent |psi><psi| buffer.  That is O(d^4)
+    per state, and allocates nothing of the output's size besides
+    |psi><psi| and the output itself.
+    """
+    d, states = ch.d, sample.states
+    n = len(states)
+    pure = states[:, :, None] * states.conj()[:, None, :]
+    out = apply_two_copies(ch, pure)
+    diagonal = np.einsum("nii->ni", out)  # writeable views
+    diagonal -= ch.c1
+    half = 0.5 * ch.c2
+    out4 = out.reshape(n, d, d, d, d)
+    left = np.einsum("nijkj->nijk", out4)  # (P (x) I) lives on j == l
+    left -= half * sample.p[:, :, None, :]
+    right = np.einsum("nijil->nijl", out4)  # (I (x) Q) lives on i == k
+    right -= half * sample.q[:, None, :, :]
+    out -= np.multiply(ch.t2 * sample.w[:, :, None], sample.w.conj()[:, None, :], out=pure)
+    flat = out.reshape(n, -1).view(float)
+    return np.sqrt(np.einsum("ni,ni->n", flat, flat))
+
+
 def _check_covariance(ch: Channel, sample: _HaarSample) -> None:
     """Raise CovarianceMismatch unless the dense route agrees with the closed form at sample.weights.
 
-    The dense route applies the two-copy channel to |psi><psi| for each
-    checked state psi = sum_a sqrt(lam_a) |u_a> (x) |conj v_a>, the SVD
-    M = U S V^H of psi as a d x d matrix.  Covariance maps the output to
-    K sigma12(lam) K^H with K = conj(U) (x) V, so K^H (dense output) K
-    must be sigma12 at the cached weights lam: c1 + (c2/2)(lam_a + lam_b)
-    on the diagonal at |ab>, plus t^2 sqrt(lam_a lam_b) between |aa> and
-    |bb>, and 0 elsewhere.  The rotation is one batched matmul per tensor
-    index, O(d^5) per state, written back and forth between the dense
-    output and its input |psi><psi|, so it copies no transpose and
-    allocates nothing of the output's size.  The closed form is
-    subtracted in place, and each state's Frobenius residual is held to
-    _residual_tol(d).
+    Each checked state's residual from _covariance_residuals must stay
+    at or below _residual_tol(d).
     """
-    d, n, states = ch.d, len(sample.states), sample.states
-    pure = states[:, :, None] * states.conj()[:, None, :]
-    out = apply_two_copies(ch, pure)
-    # The row indices i, j take conj(K)'s factors U and conj(V) = vh^T,
-    # the column indices k, l K's factors conj(U) and V = vh^H.  Each step
-    # contracts the leading index of a transposed view and appends the new
-    # one: (i, j, k, l) -> (j, k, l, a) -> ... -> (a, b, c, e).
-    src, dst = out, pure
-    for factor in (sample.u, sample.vh.swapaxes(1, 2), sample.u.conj(), sample.vh.conj().swapaxes(1, 2)):
-        np.matmul(src.reshape(n, d, d**3).swapaxes(1, 2), factor, out=dst.reshape(n, d**3, d))
-        src, dst = dst, src
-    lam = sample.weights[:n]
-    root = np.sqrt(lam)
-    diagonal = np.einsum("nii->ni", out)  # writeable views
-    diagonal -= (ch.c1 + 0.5 * ch.c2 * (lam[:, :, None] + lam[:, None, :])).reshape(n, d * d)
-    block = np.einsum("naabb->nab", out.reshape(n, d, d, d, d))
-    block -= ch.t2 * root[:, :, None] * root[:, None, :]
-    flat = out.reshape(n, -1).view(float)
-    residual = np.sqrt(np.einsum("ni,ni->n", flat, flat))
-    worst, tol = float(residual.max()), _residual_tol(d)
+    worst, tol = float(_covariance_residuals(ch, sample).max()), _residual_tol(ch.d)
     if not worst <= tol:
         raise CovarianceMismatch(
             f"dense and closed-form two-copy outputs differ by {worst:.3e} > {tol:.3e}"
-            f" (Frobenius) at d={d}, t={ch.t!r}"
+            f" (Frobenius) at d={ch.d}, t={ch.t!r}"
         )
 
 
@@ -437,15 +485,45 @@ class _HaarSample(NamedTuple):
     """The t-independent half of a cell's Haar leg; every array read-only.
 
     states holds the first k = min(count, _DENSE_CHECK_STATES) states,
-    (k, d^2) complex, and u and vh their Schmidt factors, (k, d, d)
-    complex each, with psi = u diag(s) vh as a d x d matrix.  weights
-    holds the Schmidt weights of all count states, (count, d).
+    (k, d^2) complex, and p, q and w the factors of their reference
+    outputs K sigma12(lam) K^H (see _haar_sample_of): p and q (k, d, d)
+    complex, w (k, d^2) complex.  weights holds the Schmidt weights of
+    all count states, (count, d), and sums and outer their _row_terms.
     """
 
     states: np.ndarray
-    u: np.ndarray
-    vh: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    w: np.ndarray
     weights: np.ndarray
+    sums: np.ndarray
+    outer: np.ndarray
+
+
+def _haar_sample_of(psi: np.ndarray, weights: np.ndarray) -> _HaarSample:
+    """The _HaarSample of the states psi, (count, d^2), at their Schmidt weights, (count, d).
+
+    A state psi = sum_a sqrt(lam_a) |u_a> (x) |conj v_a>, from the SVD
+    M = U S V^H of psi as a d x d matrix, is conj(K) sum_a sqrt(lam_a) |aa>
+    with K = conj(U) (x) V on the doubled system.  The channel is
+    covariant, Phi(W mu W^H) = conj(W) Phi(mu) W^T, so the two-copy
+    output of psi is K sigma12(lam) K^H, which is
+    c1 I + (c2/2)(P (x) I + I (x) Q) + t^2 w w^H with
+    P = conj(U) diag(lam) U^T, Q = V diag(lam) V^H and
+    w = vec(conj(U) diag(sqrt(lam)) V^T).  One batched SVD of the first
+    _DENSE_CHECK_STATES states gives their U and V, and lam are their
+    rows of weights, so a fault in a weight reaches P, Q and w.  No
+    array of d^4 entries is built.  The arrays passed in are kept, and
+    made read-only with the rest.
+    """
+    d = weights.shape[1]
+    states = psi[:_DENSE_CHECK_STATES].copy()
+    u, _, vh = np.linalg.svd(states.reshape(-1, d, d))
+    lam, conj_u = weights[: len(states), None, :], u.conj()
+    p = (conj_u * lam) @ u.swapaxes(1, 2)
+    q = (vh.conj().swapaxes(1, 2) * lam) @ vh
+    w = ((conj_u * np.sqrt(lam)) @ vh.conj()).reshape(len(states), d * d)
+    return _read_only(_HaarSample(states, p, q, w, weights, *_row_terms(weights)))
 
 
 @functools.lru_cache(maxsize=1)
@@ -455,37 +533,33 @@ def _haar_sample(seed: int, d: int, count: int) -> _HaarSample:
     The states are the rows of haar_states on the _TAG_HAAR stream of
     seed, so state r is the same for every count past r.  The weights of
     every state come from _schmidt_weights, checked by
-    _check_schmidt_rows; the first _DENSE_CHECK_STATES states, the ones
-    _check_covariance needs, are kept with their Schmidt factors from one
-    batched SVD.  None of it depends on t, so a t grid at one
-    (seed, d, count) builds it once.  The one cached entry stays alive
-    after the call returns, until a call with another key replaces it:
-    count * d doubles and at most 16 states of 3 d^2 complex entries
-    each, about 0.2 MB at d = 16 and count = 200, but 0.2 GB at d = 24
-    and count = 10^6.  No d^4-sized array is kept.
+    _check_schmidt_rows, and go to _haar_sample_of.  None of it depends
+    on t, so a t grid at one (seed, d, count) builds it once.  The one
+    cached entry stays alive after the call returns, until a call with
+    another key replaces it: per state, d doubles of weights,
+    d(d-1)/2 of sums and d^2 of outer, and for the first 16 states
+    4 d^2 complex entries of states, p, q and w.  At d = 24 that is
+    2.0 MB at count = 200, and 7.0 GB at count = 10^6: sums and outer
+    make the entry 36 times the size of the weights alone.
     """
     psi = haar_states(count, d * d, philox_stream(seed, _TAG_HAAR))
     weights = _schmidt_weights(psi, d)
     _check_schmidt_rows(weights)
-    states = psi[:_DENSE_CHECK_STATES].copy()
-    u, _, vh = np.linalg.svd(states.reshape(-1, d, d))
-    sample = _HaarSample(states, u, vh, weights)
-    for array in sample:
-        array.flags.writeable = False
-    return sample
+    return _haar_sample_of(psi, weights)
 
 
 def _random_state_entropies(ch: Channel, cfg: OptimizerConfig) -> np.ndarray:
     """Two-copy output entropy of each of max(cfg.n_random, 1) Haar-random states; (count,).
 
-    The states, their Schmidt weights and factors come from _haar_sample,
-    built once per (seed, d, count) and shared by every t.  The weights go
-    through one _split_rows call, which gives each row the bits of a
-    one-row call.  Then, on every call, the first _DENSE_CHECK_STATES
-    states are checked against the dense route by _check_covariance.
+    The states, their Schmidt weights with their _row_terms, and the
+    factors of the dense check come from _haar_sample, built once per
+    (seed, d, count) and shared by every t.  The weights go through one
+    _split_rows call, which gives each row the bits of a one-row call.
+    Then, on every call, the first _DENSE_CHECK_STATES states are checked
+    against the dense route by _check_covariance.
     """
     sample = _haar_sample(cfg.seed, ch.d, max(cfg.n_random, 1))
-    s1, s2 = _split_rows(ch, sample.weights)
+    s1, s2 = _split_rows(ch, sample.weights, sample.sums, sample.outer)
     _check_covariance(ch, sample)
     return s1 + s2
 

@@ -85,6 +85,25 @@ def sigma12_loops(ch: Channel, lam) -> np.ndarray:
     return m
 
 
+def covariance_residuals_kron(ch: Channel, states, weights, outputs) -> np.ndarray:
+    """||K^H out K - sigma12(lam)||_F for each state, with K = conj(U) (x) V built by np.kron.
+
+    Each state psi, read as the d x d matrix M = U S V^H (np.linalg.svd
+    of that state alone), is conj(K) applied to sum_a s_a |aa>.  The
+    channel maps W mu W^H to conj(W) Phi(mu) W^T, so the dense output out
+    of the same row of outputs, rotated into the Schmidt bases, must be
+    sigma12 at the Schmidt weights lam of the same row of weights, filled
+    in by sigma12_loops.
+    """
+    d = ch.d
+    residuals = []
+    for psi, lam, out in zip(states, weights, outputs):
+        u, _, vh = np.linalg.svd(np.asarray(psi).reshape(d, d))
+        k = np.kron(u.conj(), vh.conj().T)
+        residuals.append(np.linalg.norm(k.conj().T @ out @ k - sigma12_loops(ch, lam)))
+    return np.array(residuals)
+
+
 def dense_two_copy_spectrum(ch: Channel, lam: np.ndarray) -> np.ndarray:
     """Eigenvalues (descending) of the Kraus-route two-copy output."""
     sigma = kraus_two_copy_output(ch, schmidt_state(lam))

@@ -24,6 +24,7 @@ from tdchan.spectrum import _check_schmidt_rows
 from tdchan.verification import SCAN_KINDS, _cell_key
 
 from oracles import (
+    covariance_residuals_kron,
     dense_two_copy_spectrum,
     entropy_brute,
     entropy_loop,
@@ -414,21 +415,40 @@ def test_the_dense_check_holds_the_closed_form_to_its_tolerance(monkeypatch):
 
 def test_the_dense_check_catches_a_shifted_cached_weight(monkeypatch, cold_haar_cache):
     # The known positive on the closed-form side: the dense route is
-    # untouched, and one cached weight of one checked state moves by 1e-9.
+    # untouched, and one weight of one checked state moves by 1e-9 on its
+    # way into _haar_sample_of, the one constructor of P, Q and w.
     cfg = td.OptimizerConfig(restarts=1, n_random=5, seed=3)
     ch = td.new_channel(4, -0.2)
     td.additivity_gap(ch, cfg)
-    plain = entropy._haar_sample
+    plain = entropy._haar_sample_of
 
-    def shifted(*key):
-        sample = plain(*key)
-        weights = sample.weights.copy()
+    def shifted(psi, weights):
+        weights = weights.copy()
         weights[2, 1] += 1e-9
-        return sample._replace(weights=weights)
+        return plain(psi, weights)
 
     with monkeypatch.context() as m, pytest.raises(CovarianceMismatch, match="differ by"):
-        m.setattr(entropy, "_haar_sample", shifted)
+        m.setattr(entropy, "_haar_sample_of", shifted)
+        entropy._haar_sample.cache_clear()
         td.additivity_gap(ch, cfg)
+
+
+@pytest.mark.parametrize("factor, entry", [("p", (2, 1, 1)), ("q", (2, 3, 0)), ("w", (2, 5))])
+def test_the_dense_check_catches_a_shifted_cached_factor(factor, entry):
+    # The known positives on the reference side: one entry of one cached
+    # factor of K sigma12 K^H moves by 1e-9, the dense route untouched.
+    # At t = 0 the factors carry weight c2 = t^2 = 0, so only t != 0 is
+    # held to it; the unshifted sample passes everywhere.
+    sample = entropy._haar_sample.__wrapped__(3, 4, 5)
+    moved = getattr(sample, factor).copy()
+    moved[entry] += 1e-9
+    shifted = sample._replace(**{factor: moved})
+    lo, hi = td.t_range(4)
+    for t in (lo, -0.2, 0.5 * hi, hi):
+        ch = td.new_channel(4, t)
+        entropy._check_covariance(ch, sample)
+        with pytest.raises(CovarianceMismatch, match="differ by"):
+            entropy._check_covariance(ch, shifted)
 
 
 def test_the_dense_check_passes_where_the_schmidt_bases_are_not_unique():
@@ -445,11 +465,44 @@ def test_the_dense_check_passes_where_the_schmidt_bases_are_not_unique():
         for lam in (np.full(d, 1.0 / d), tie / tie.sum()):
             states.append(np.kron(local_unitary(d, rng), local_unitary(d, rng)) @ schmidt_state(lam))
         psi = np.array([v / np.linalg.norm(v) for v in states])
-        u, _, vh = np.linalg.svd(psi.reshape(-1, d, d))
-        sample = entropy._HaarSample(psi, u, vh, entropy._schmidt_weights(psi, d))
+        sample = entropy._haar_sample_of(psi, entropy._schmidt_weights(psi, d))
         lo, hi = td.t_range(d)
         for t in (lo, 0.5 * lo, 0.0, 0.5 * hi, hi):
             entropy._check_covariance(td.new_channel(d, t), sample)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 8, 16])
+def test_covariance_residuals_match_the_kronecker_oracle(d):
+    # The library subtracts K sigma12 K^H from the dense output in the
+    # computational basis; the oracle rotates the same output into the
+    # Schmidt bases with an explicit Kronecker K and subtracts sigma12.
+    # K is unitary, so the two residuals agree to rounding, on Haar and
+    # Gaussian states and on locally rotated Schmidt states with tied
+    # weights, which leave the SVD free to rotate within a tie.
+    rng = np.random.default_rng(269 + d)
+    haar = haar_states(10, d * d, philox_stream(d, _TAG_HAAR))
+    gaussian = rng.standard_normal((3, d * d)) + 1j * rng.standard_normal((3, d * d))
+    tie = rng.dirichlet(np.ones(d))
+    tie[1] = tie[0]
+    rest = np.full(d, 0.4 / (d - 1))  # one weight apart, the other d - 1 tied
+    rest[0] = 0.6
+    tied = [
+        np.kron(local_unitary(d, rng), local_unitary(d, rng)) @ schmidt_state(lam)
+        for lam in (np.full(d, 1.0 / d), tie / tie.sum(), rest)
+    ]
+    psi = np.vstack([haar, gaussian, tied])
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    assert len(psi) == _DENSE_CHECK_STATES
+    weights = entropy._schmidt_weights(psi, d)
+    sample = entropy._haar_sample_of(psi, weights)
+    lo, hi = td.t_range(d)
+    for t in (lo, 0.5 * lo, 0.0, 0.5 * hi, hi):
+        ch = td.new_channel(d, t)
+        got = entropy._covariance_residuals(ch, sample)
+        outputs = td.apply_two_copies(ch, psi[:, :, None] * psi.conj()[:, None, :])
+        want = covariance_residuals_kron(ch, psi, weights, outputs)
+        assert np.max(np.abs(got - want)) <= 1e-15, (d, t, got.tolist(), want.tolist())
+        assert got.max() <= entropy._residual_tol(d), (d, t)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 8, 16])
@@ -483,6 +536,16 @@ def count_calls(monkeypatch, name):
 
     monkeypatch.setattr(entropy, name, counted)
     return calls
+
+
+def assert_row_terms(rows, sums, outer):
+    """sums and outer are the pair sums over np.tril_indices and the sqrt(lam) sqrt(lam)^T stack of rows, bit for bit."""
+    n, d = rows.shape
+    a, b = np.tril_indices(d, -1)
+    assert bits(sums.tolist()) == bits((rows[:, a] + rows[:, b]).tolist())
+    root = np.sqrt(rows)
+    assert outer.shape == (n, d, d)
+    assert bits(outer.tolist()) == bits([[[x * y for y in r] for x in r] for r in root.tolist()])
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 8])
@@ -527,19 +590,27 @@ def test_haar_samples_are_keyed_by_seed_d_and_count_and_read_only(monkeypatch, c
     assert info.maxsize == info.currsize == 1
 
     for count in (1, _DENSE_CHECK_STATES + 4):
-        dense, u, vh, weights = entropy._haar_sample(11, 3, count)
+        sample = entropy._haar_sample(11, 3, count)
+        dense, p, q, w, weights, sums, outer = sample
         assert dense.shape == (min(count, _DENSE_CHECK_STATES), 9) and weights.shape == (count, 3)
         assert bits(dense.tolist()) == bits(haar_states(count, 9, philox_stream(11, _TAG_HAAR))[: len(dense)].tolist())
-        # The Schmidt factors of the dense states: psi = u diag(sqrt(lam)) vh.
-        assert u.shape == vh.shape == (len(dense), 3, 3)
-        rebuilt = u * np.sqrt(weights[: len(dense)])[:, None, :] @ vh
-        assert np.max(np.abs(rebuilt.reshape(len(dense), 9) - dense)) <= 1e-14
-        for array in (dense, u, vh, weights):
+        # The factors of K sigma12 K^H, read off each state as the d x d
+        # matrix M: P = conj(M M^H), Q = M^H M and w = conj(psi).
+        m = dense.reshape(-1, 3, 3)
+        assert p.shape == q.shape == (len(dense), 3, 3) and w.shape == dense.shape
+        assert np.max(np.abs(p - (m @ m.conj().swapaxes(1, 2)).conj())) <= 1e-14
+        assert np.max(np.abs(q - m.conj().swapaxes(1, 2) @ m)) <= 1e-14
+        assert np.max(np.abs(w - dense.conj())) <= 1e-14
+        assert_row_terms(weights, sums, outer)
+        for array in sample:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0, 0] = 0.5
             with pytest.raises(ValueError):
                 array *= 2.0
+        for t in (-0.5, 0.0, 0.25):
+            ch = td.new_channel(3, t)
+            assert split_bits(entropy._split_rows(ch, weights, sums, outer)) == split_bits(entropy._split_rows(ch, weights))
 
 
 def test_a_warm_haar_sample_still_runs_the_dense_check(monkeypatch, cold_haar_cache):
@@ -667,9 +738,9 @@ def probe_calls(monkeypatch, ch, cfg, values=None):
     """
     plain, calls = entropy._split_rows, []
 
-    def record(ch, lams):
+    def record(ch, lams, *terms):
         calls.append(np.asarray(lams).tolist())
-        splits = plain(ch, lams)
+        splits = plain(ch, lams, *terms)
         return splits if values is None else values(lams, splits)
 
     with monkeypatch.context() as m:
@@ -841,8 +912,8 @@ def test_interior_row_that_beats_every_vertex_is_the_argmin(monkeypatch, row):
 def test_probe_propagates_not_psd(monkeypatch):
     plain = entropy._secular_block_roots
 
-    def negative_root(ch, rows):
-        roots = plain(ch, rows)
+    def negative_root(ch, rows, *outer):
+        roots = plain(ch, rows, *outer)
         roots[-1, -1] = -1e-9
         return roots
 
@@ -905,13 +976,19 @@ def test_probe_rows_are_keyed_by_seed_d_and_restarts_and_read_only(monkeypatch, 
     info = entropy._probe_rows.cache_info()
     assert info.maxsize == info.currsize == 1
 
-    rows = entropy._probe_rows(11, 3, 4)
+    rows, sums, outer = entropy._probe_rows(11, 3, 4)
     assert rows.shape == (3 + 1 + 4 + len(entropy._simplex_lattice(3)), 3)
-    assert not rows.flags.writeable
-    with pytest.raises(ValueError):
-        rows[0, 0] = 0.5
-    with pytest.raises(ValueError):
-        rows *= 2.0
+    assert_row_terms(rows, sums, outer)
+    for array in (rows, sums, outer):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            array *= 2.0
+    # Evaluated from the cached terms or from the rows alone, the same bits.
+    for t in (-0.5, 0.0, 0.25):
+        ch = td.new_channel(3, t)
+        assert split_bits(entropy._split_rows(ch, rows, sums, outer)) == split_bits(entropy._split_rows(ch, rows))
 
 
 def test_the_probe_argmin_is_a_writeable_copy(cold_probe_cache):
@@ -927,7 +1004,7 @@ def test_the_probe_argmin_is_a_writeable_copy(cold_probe_cache):
         again_val, again = td.minimize_simplex_entropy(ch, cfg)
         assert bits([again_val, again.values.tolist()]) == want
         assert not np.shares_memory(again.values, arg.values)
-        assert not np.shares_memory(again.values, entropy._probe_rows(cfg.seed, d, cfg.restarts))
+        assert not np.shares_memory(again.values, entropy._probe_rows(cfg.seed, d, cfg.restarts).rows)
 
 
 def test_pair_index_is_built_once_per_d_and_read_only():
@@ -981,8 +1058,8 @@ def test_probe_gives_each_row_the_bits_of_a_one_row_split(monkeypatch):
     cfg = td.OptimizerConfig(restarts=3, seed=41)
     plain, splits = entropy._split_rows, []
 
-    def record(ch, lams):
-        splits.append((ch, lams, plain(ch, lams)))
+    def record(ch, lams, *terms):
+        splits.append((ch, lams, plain(ch, lams, *terms)))
         return splits[-1][2]
 
     monkeypatch.setattr(entropy, "_split_rows", record)
@@ -998,9 +1075,9 @@ def test_probe_makes_one_secular_kernel_call(monkeypatch):
     ch = td.new_channel(4, td.t_range(4)[0])
     plain, calls = entropy._secular_block_roots, []
 
-    def counted(ch, rows):
+    def counted(ch, rows, *outer):
         calls.append(len(rows))
-        return plain(ch, rows)
+        return plain(ch, rows, *outer)
 
     monkeypatch.setattr(entropy, "_secular_block_roots", counted)
     td.minimize_simplex_entropy(ch, td.OptimizerConfig(restarts=20))
@@ -1015,12 +1092,12 @@ def test_probe_after_a_failed_evaluation_gives_the_clean_result(monkeypatch):
     plain = entropy._split_rows
     rows, fail = [], []
 
-    def fails_when_asked(ch, lams):
+    def fails_when_asked(ch, lams, *terms):
         rows.extend(tuple(lam) for lam in lams)
         if fail:
             fail.clear()
             raise NotPSD("this evaluation fails")
-        return plain(ch, lams)
+        return plain(ch, lams, *terms)
 
     monkeypatch.setattr(entropy, "_split_rows", fails_when_asked)
     want = td.minimize_simplex_entropy(ch, cfg)
