@@ -330,11 +330,11 @@ def _cmd_additivity(args) -> int:
     tol = _resolve_tol(args.tol, 1e-6)
     lo, hi = t_range(args.d)
     grid = _t_values(args.t) if args.t is not None else np.linspace(lo, hi, 9)
+    cfg = OptimizerConfig(restarts=args.restarts, n_random=args.n_random, seed=args.seed)
     rows = []
     worst = np.inf
     for t in grid:
         ch = new_channel(args.d, t)
-        cfg = OptimizerConfig(restarts=args.restarts, n_random=args.n_random, seed=args.seed)
         gap, min_simplex, min_random = additivity_gap(ch, cfg)
         worst = min(worst, gap)
         rows.append(

@@ -50,18 +50,14 @@ from one batched eigvalsh of M M^H, with M the state as a d x d matrix,
 and their entropies from one _split_rows call, as the probe's do.
 
 Only the t-dependent work runs per cell.  Three read-only caches hold
-the rest, each built on first use.  _probe_rows keeps the probe's rows
-for the last (seed, d, restarts), and _haar_sample, for the last
+the rest, each built on first use: _probe_rows keeps the probe's rows
+for the last (seed, d, restarts), _haar_sample, for the last
 (seed, d, n_random), the weights of every state and the first
-_DENSE_CHECK_STATES states with the factors of their reference outputs.
-Both keep, with their rows, the t-independent half of each row's
-entropy (_row_terms): the pair sums lam_a + lam_b and the rank-one
-block sqrt(lam) sqrt(lam)^T.  _pair_index keeps the pair table of S1
-for each d.  So a cell forms only c1 + (c2/2) sums and
-t^2 block + diag(c1 + c2 lam), runs one eigvalsh and two entropy
-reductions, with the bits of an uncached call.  The dense route runs on
-every cell, on the checked states only, as a check of the covariance
-reduction: apply_two_copies gives their outputs, and from each the
+_DENSE_CHECK_STATES states with the factors of their reference outputs,
+and _pair_index the pair table of S1 for each d.  Their docstrings give
+what each entry holds.  The dense route runs on every cell, on the
+checked states only, as a check of the covariance reduction:
+apply_two_copies gives their outputs, and from each the
 reference K sigma12(lam) K^H at the cached weights is subtracted in
 place in the computational basis, O(d^4) per state.  K is unitary, so
 the Frobenius residual is the one in the Schmidt bases.  A residual
@@ -120,14 +116,12 @@ class OptimizerConfig:
     entropies come from their Schmidt weights, and of which the first
     _DENSE_CHECK_STATES are also checked against the dense two-copy
     route at every t.  Nothing that does not depend on t is rebuilt per
-    t: the probe rows are built once per (seed, d, restarts) (see
-    _probe_rows) and the states, their weights and the factors of the
-    dense check once per (seed, d, n_random) (see _haar_sample).  The
-    last entry of each stays alive after the call returns; both keep the
-    pair sums and rank-one blocks of their rows, d^2 + d(d-1)/2 doubles
-    per row, so at d = 24 either takes 7.0 kB per row or state (see
-    _probe_rows and _haar_sample for the totals).  All three must be
-    integers, the seed in [0, 2^64), and neither count may be negative;
+    t: the probe rows are built once per (seed, d, restarts) and the
+    states, their weights and the factors of the dense check once per
+    (seed, d, n_random); the last entry of each stays alive after the
+    call returns (see _probe_rows and _haar_sample for its size).  All
+    three must be integers, the seed in [0, 2^64), and neither count may
+    be negative;
     0 draws no random simplex row, but still one unit vector and one
     Haar-random state.
     """
@@ -205,19 +199,7 @@ def _pair_index(d: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
-def _row_terms(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sums, outer): the t-independent half of the two-copy entropy of each row of rows, (N, d) Schmidt vectors.
-
-    sums holds lam_a + lam_b over the pairs (a, b) of _pair_index(d),
-    (N, d(d-1)/2), and outer the rank-one stack sqrt(lam) sqrt(lam)^T,
-    (N, d, d), of the secular block before its factor t^2.
-    """
-    a, b = _pair_index(rows.shape[1])
-    root = np.sqrt(rows)
-    return rows[:, a] + rows[:, b], root[:, :, None] * root[:, None, :]
-
-
-def _split_rows(ch: Channel, lams, sums=None, outer=None) -> tuple[np.ndarray, np.ndarray]:
+def _split_rows(ch: Channel, lams) -> tuple[np.ndarray, np.ndarray]:
     """(S1, S2) arrays of the two-copy output, one entry per row of lams, validated Schmidt vectors.
 
     Built from the two families directly, with no Spectrum record.
@@ -225,16 +207,12 @@ def _split_rows(ch: Channel, lams, sums=None, outer=None) -> tuple[np.ndarray, n
     (1, 0), (2, 0), (2, 1), ... and doubles.  S2 sums the secular roots
     in descending order.  The roots of all rows come from one
     _secular_block_roots call, and each row gets the same bits as a
-    one-row call.  sums and outer, if given, are _row_terms(lams), which
-    a caller evaluating many t at the same rows keeps; then only
-    c1 + (c2/2) sums, the blocks t^2 outer + diag(c1 + c2 lam), their
-    eigvalsh and the two entropy reductions run, with the same bits.
+    one-row call.
     """
     rows = np.asarray(lams, dtype=float)
-    if sums is None:
-        sums, outer = _row_terms(rows)
-    s1 = 2.0 * _entropy_rows(ch.c1 + 0.5 * ch.c2 * sums)
-    s2 = _entropy_rows(_secular_block_roots(ch, rows, outer))
+    a, b = _pair_index(rows.shape[1])
+    s1 = 2.0 * _entropy_rows(ch.c1 + 0.5 * ch.c2 * (rows[:, a] + rows[:, b]))
+    s2 = _entropy_rows(_secular_block_roots(ch, rows))
     return s1, s2
 
 
@@ -250,11 +228,10 @@ def simplex_output_entropy(ch: Channel, lam: "SchmidtVector | list[float]") -> f
     """Two-copy output entropy of the Schmidt-diagonal input lam.
 
     lam may be a plain list of d floats, checked as a SchmidtVector
-    checks it; it gives the same bits as entropy_split and as the
-    batched probe of minimize_simplex_entropy.
+    checks it; it is entropy_split(ch, lam).s_total, which has the bits
+    of the batched probe of minimize_simplex_entropy.
     """
-    s1, s2 = _split_rows(ch, _as_schmidt(ch, lam).values[None, :])
-    return float(s1[0] + s2[0])
+    return entropy_split(ch, lam).s_total
 
 
 def min_entropy_closed_form(ch: Channel) -> float:
@@ -318,43 +295,24 @@ def _simplex_lattice(d: int) -> np.ndarray:
     return lattice
 
 
-def _read_only(entry):
-    """entry, a NamedTuple of arrays, with every array made read-only."""
-    for array in entry:
-        array.flags.writeable = False
-    return entry
-
-
-class _ProbeRows(NamedTuple):
-    """The t-independent half of a cell's simplex probe; every array read-only.
-
-    rows holds the probed Schmidt vectors, (N, d), and sums and outer
-    their _row_terms.
-    """
-
-    rows: np.ndarray
-    sums: np.ndarray
-    outer: np.ndarray
-
-
 @functools.lru_cache(maxsize=1)
-def _probe_rows(seed: int, d: int, restarts: int) -> _ProbeRows:
-    """The _ProbeRows that minimize_simplex_entropy probes at (seed, d, restarts).
+def _probe_rows(seed: int, d: int, restarts: int) -> np.ndarray:
+    """The rows minimize_simplex_entropy probes at (seed, d, restarts); (N, d), read-only.
 
-    The rows are the d vertices, the barycenter, restarts uniform-simplex
-    draws from the _TAG_SIMPLEX stream of seed and _simplex_lattice(d),
-    in that order, checked by _check_schmidt_rows.  None of it depends on
-    t, so a t grid at one key builds it once.  The one cached entry stays
-    alive until a call with another key replaces it: per row, d doubles
-    of rows, d(d-1)/2 of sums and d^2 of outer.  At d = 24 that is 7.0 kB
-    a row, for d + 3 + restarts rows: 0.54 MB at restarts = 50, and
-    7.0 GB at restarts = 10^6: sums and outer make the entry 36 times
-    the size of the rows alone.
+    The d vertices, the barycenter, restarts uniform-simplex draws from
+    the _TAG_SIMPLEX stream of seed and _simplex_lattice(d), in that
+    order, checked by _check_schmidt_rows.  None of it depends on t, so
+    a t grid at one key builds them once.  The one cached entry stays
+    alive until a call with another key replaces it: d doubles per row,
+    for d + 1 + restarts + len(_simplex_lattice(d)) rows.  At d = 24,
+    with its 2 lattice rows, that is 15 kB at restarts = 50 and 0.19 GB
+    at 10^6 rows.
     """
     draws = _lambda_rows(philox_stream(seed, _TAG_SIMPLEX).random((restarts, d)))
     rows = np.vstack([np.eye(d), np.full((1, d), 1.0 / d), draws, _simplex_lattice(d)])
     _check_schmidt_rows(rows)
-    return _read_only(_ProbeRows(rows, *_row_terms(rows)))
+    rows.flags.writeable = False
+    return rows
 
 
 def minimize_simplex_entropy(
@@ -368,9 +326,8 @@ def minimize_simplex_entropy(
     and _simplex_lattice(d), one nonincreasing row per permutation orbit
     of the lattice, since the entropy does not change under a permutation
     of the Schmidt weights.  _probe_rows builds and checks them once per
-    (seed, d, restarts), with their _row_terms, and one _split_rows call
-    evaluates them, which gives each row the bits that
-    simplex_output_entropy gives it alone.
+    (seed, d, restarts), and one _split_rows call evaluates them, which
+    gives each row the bits that simplex_output_entropy gives it alone.
     When the best row does not beat the best vertex by more than 1e-12,
     that vertex is reported as argmin, with the lower of the two values;
     the argmin is a copy of its row, never a view of the shared rows.
@@ -383,8 +340,8 @@ def minimize_simplex_entropy(
     where the entropy is flat to rounding, the value may differ from it
     by a few ulp.
     """
-    rows, sums, outer = _probe_rows(cfg.seed, ch.d, cfg.restarts)
-    s1, s2 = _split_rows(ch, rows, sums, outer)
+    rows = _probe_rows(cfg.seed, ch.d, cfg.restarts)
+    s1, s2 = _split_rows(ch, rows)
     values = s1 + s2
 
     best = int(np.argmin(values))
@@ -488,7 +445,7 @@ class _HaarSample(NamedTuple):
     (k, d^2) complex, and p, q and w the factors of their reference
     outputs K sigma12(lam) K^H (see _haar_sample_of): p and q (k, d, d)
     complex, w (k, d^2) complex.  weights holds the Schmidt weights of
-    all count states, (count, d), and sums and outer their _row_terms.
+    all count states, (count, d).
     """
 
     states: np.ndarray
@@ -496,8 +453,6 @@ class _HaarSample(NamedTuple):
     q: np.ndarray
     w: np.ndarray
     weights: np.ndarray
-    sums: np.ndarray
-    outer: np.ndarray
 
 
 def _haar_sample_of(psi: np.ndarray, weights: np.ndarray) -> _HaarSample:
@@ -523,7 +478,10 @@ def _haar_sample_of(psi: np.ndarray, weights: np.ndarray) -> _HaarSample:
     p = (conj_u * lam) @ u.swapaxes(1, 2)
     q = (vh.conj().swapaxes(1, 2) * lam) @ vh
     w = ((conj_u * np.sqrt(lam)) @ vh.conj()).reshape(len(states), d * d)
-    return _read_only(_HaarSample(states, p, q, w, weights, *_row_terms(weights)))
+    sample = _HaarSample(states, p, q, w, weights)
+    for array in sample:
+        array.flags.writeable = False
+    return sample
 
 
 @functools.lru_cache(maxsize=1)
@@ -536,11 +494,10 @@ def _haar_sample(seed: int, d: int, count: int) -> _HaarSample:
     _check_schmidt_rows, and go to _haar_sample_of.  None of it depends
     on t, so a t grid at one (seed, d, count) builds it once.  The one
     cached entry stays alive after the call returns, until a call with
-    another key replaces it: per state, d doubles of weights,
-    d(d-1)/2 of sums and d^2 of outer, and for the first 16 states
-    4 d^2 complex entries of states, p, q and w.  At d = 24 that is
-    2.0 MB at count = 200, and 7.0 GB at count = 10^6: sums and outer
-    make the entry 36 times the size of the weights alone.
+    another key replaces it: d doubles of weights per state, and for the
+    first 16 states 4 d^2 complex entries of states, p, q and w.  At
+    d = 24 that is 0.63 MB at count = 200 and 0.19 GB at 10^6 states.
+    No d^4-sized array is kept.
     """
     psi = haar_states(count, d * d, philox_stream(seed, _TAG_HAAR))
     weights = _schmidt_weights(psi, d)
@@ -551,15 +508,15 @@ def _haar_sample(seed: int, d: int, count: int) -> _HaarSample:
 def _random_state_entropies(ch: Channel, cfg: OptimizerConfig) -> np.ndarray:
     """Two-copy output entropy of each of max(cfg.n_random, 1) Haar-random states; (count,).
 
-    The states, their Schmidt weights with their _row_terms, and the
-    factors of the dense check come from _haar_sample, built once per
-    (seed, d, count) and shared by every t.  The weights go through one
+    The states, their Schmidt weights and the factors of the dense check
+    come from _haar_sample, built once per (seed, d, count) and shared
+    by every t.  The weights go through one
     _split_rows call, which gives each row the bits of a one-row call.
     Then, on every call, the first _DENSE_CHECK_STATES states are checked
     against the dense route by _check_covariance.
     """
     sample = _haar_sample(cfg.seed, ch.d, max(cfg.n_random, 1))
-    s1, s2 = _split_rows(ch, sample.weights, sample.sums, sample.outer)
+    s1, s2 = _split_rows(ch, sample.weights)
     _check_covariance(ch, sample)
     return s1 + s2
 

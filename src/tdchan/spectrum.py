@@ -153,7 +153,7 @@ def offdiag_eigenvalues(ch: Channel, lam: "SchmidtVector | np.ndarray") -> list[
     return [(a, b, g) for (a, b), g in zip(pairs, _pair_values(ch, lam.values))]
 
 
-def _secular_block_roots(ch: "Channel | ChannelRows", rows: np.ndarray, outer: "np.ndarray | None" = None) -> np.ndarray:
+def _secular_block_roots(ch: "Channel | ChannelRows", rows: np.ndarray) -> np.ndarray:
     """Eigenvalues of the diagonal-plus-rank-one block of every row; (N, d), rows descending.
 
     rows is an (N, d) array of validated Schmidt vectors lam, and ch a
@@ -161,17 +161,12 @@ def _secular_block_roots(ch: "Channel | ChannelRows", rows: np.ndarray, outer: "
     diag(c1 + c2 lam) + t^2 sqrt(lam) sqrt(lam)^T is built in an
     (N, d, d) stack and diagonalized by one np.linalg.eigvalsh call,
     which runs LAPACK on each matrix of the stack in turn, so a row gets
-    the same bits alone as in any batch.  outer, if given, is the
-    (N, d, d) stack sqrt(lam) sqrt(lam)^T that a caller evaluating many
-    t at the same rows keeps; it gives the bits of the stack built here.
-    Every secular root in the package comes from here.
+    the same bits alone as in any batch.  Every secular root in the
+    package comes from here.
     """
-    if outer is None:
-        root = np.sqrt(rows)
-        block = root[:, :, None] * root[:, None, :]
-        block *= by_row(ch.t2, 3)
-    else:
-        block = outer * by_row(ch.t2, 3)
+    root = np.sqrt(rows)
+    block = root[:, :, None] * root[:, None, :]
+    block *= by_row(ch.t2, 3)
     diagonal = np.einsum("nii->ni", block)  # a writeable view
     diagonal += by_row(ch.c1, 2) + by_row(ch.c2, 2) * rows
     return np.linalg.eigvalsh(block)[:, ::-1]

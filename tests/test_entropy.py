@@ -267,6 +267,7 @@ def test_simplex_output_entropy_matches_the_kraus_route():
             got = td.simplex_output_entropy(ch, td.SchmidtVector(lam))
             want = entropy_brute(dense_two_copy_spectrum(ch, lam))
             assert got == pytest.approx(want, abs=1e-12), (d, t, lam.tolist())
+            assert bits(got) == bits(td.entropy_split(ch, lam).s_total), (d, t, lam.tolist())
 
 
 def test_minimize_simplex_entropy_finds_vertex():
@@ -538,16 +539,6 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-def assert_row_terms(rows, sums, outer):
-    """sums and outer are the pair sums over np.tril_indices and the sqrt(lam) sqrt(lam)^T stack of rows, bit for bit."""
-    n, d = rows.shape
-    a, b = np.tril_indices(d, -1)
-    assert bits(sums.tolist()) == bits((rows[:, a] + rows[:, b]).tolist())
-    root = np.sqrt(rows)
-    assert outer.shape == (n, d, d)
-    assert bits(outer.tolist()) == bits([[[x * y for y in r] for x in r] for r in root.tolist()])
-
-
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 8])
 def test_a_t_grid_builds_its_haar_sample_once_and_gets_the_cold_bits(monkeypatch, cold_haar_cache, d):
     # The grid holds both ends of the t range and t = 0.  Warm, one Haar
@@ -591,7 +582,7 @@ def test_haar_samples_are_keyed_by_seed_d_and_count_and_read_only(monkeypatch, c
 
     for count in (1, _DENSE_CHECK_STATES + 4):
         sample = entropy._haar_sample(11, 3, count)
-        dense, p, q, w, weights, sums, outer = sample
+        dense, p, q, w, weights = sample
         assert dense.shape == (min(count, _DENSE_CHECK_STATES), 9) and weights.shape == (count, 3)
         assert bits(dense.tolist()) == bits(haar_states(count, 9, philox_stream(11, _TAG_HAAR))[: len(dense)].tolist())
         # The factors of K sigma12 K^H, read off each state as the d x d
@@ -601,16 +592,12 @@ def test_haar_samples_are_keyed_by_seed_d_and_count_and_read_only(monkeypatch, c
         assert np.max(np.abs(p - (m @ m.conj().swapaxes(1, 2)).conj())) <= 1e-14
         assert np.max(np.abs(q - m.conj().swapaxes(1, 2) @ m)) <= 1e-14
         assert np.max(np.abs(w - dense.conj())) <= 1e-14
-        assert_row_terms(weights, sums, outer)
         for array in sample:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0, 0] = 0.5
             with pytest.raises(ValueError):
                 array *= 2.0
-        for t in (-0.5, 0.0, 0.25):
-            ch = td.new_channel(3, t)
-            assert split_bits(entropy._split_rows(ch, weights, sums, outer)) == split_bits(entropy._split_rows(ch, weights))
 
 
 def test_a_warm_haar_sample_still_runs_the_dense_check(monkeypatch, cold_haar_cache):
@@ -738,9 +725,9 @@ def probe_calls(monkeypatch, ch, cfg, values=None):
     """
     plain, calls = entropy._split_rows, []
 
-    def record(ch, lams, *terms):
+    def record(ch, lams):
         calls.append(np.asarray(lams).tolist())
-        splits = plain(ch, lams, *terms)
+        splits = plain(ch, lams)
         return splits if values is None else values(lams, splits)
 
     with monkeypatch.context() as m:
@@ -912,8 +899,8 @@ def test_interior_row_that_beats_every_vertex_is_the_argmin(monkeypatch, row):
 def test_probe_propagates_not_psd(monkeypatch):
     plain = entropy._secular_block_roots
 
-    def negative_root(ch, rows, *outer):
-        roots = plain(ch, rows, *outer)
+    def negative_root(ch, rows):
+        roots = plain(ch, rows)
         roots[-1, -1] = -1e-9
         return roots
 
@@ -976,19 +963,13 @@ def test_probe_rows_are_keyed_by_seed_d_and_restarts_and_read_only(monkeypatch, 
     info = entropy._probe_rows.cache_info()
     assert info.maxsize == info.currsize == 1
 
-    rows, sums, outer = entropy._probe_rows(11, 3, 4)
+    rows = entropy._probe_rows(11, 3, 4)
     assert rows.shape == (3 + 1 + 4 + len(entropy._simplex_lattice(3)), 3)
-    assert_row_terms(rows, sums, outer)
-    for array in (rows, sums, outer):
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[0, 0] = 0.5
-        with pytest.raises(ValueError):
-            array *= 2.0
-    # Evaluated from the cached terms or from the rows alone, the same bits.
-    for t in (-0.5, 0.0, 0.25):
-        ch = td.new_channel(3, t)
-        assert split_bits(entropy._split_rows(ch, rows, sums, outer)) == split_bits(entropy._split_rows(ch, rows))
+    assert not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 0] = 0.5
+    with pytest.raises(ValueError):
+        rows *= 2.0
 
 
 def test_the_probe_argmin_is_a_writeable_copy(cold_probe_cache):
@@ -1004,7 +985,32 @@ def test_the_probe_argmin_is_a_writeable_copy(cold_probe_cache):
         again_val, again = td.minimize_simplex_entropy(ch, cfg)
         assert bits([again_val, again.values.tolist()]) == want
         assert not np.shares_memory(again.values, arg.values)
-        assert not np.shares_memory(again.values, entropy._probe_rows(cfg.seed, d, cfg.restarts).rows)
+        assert not np.shares_memory(again.values, entropy._probe_rows(cfg.seed, d, cfg.restarts))
+
+
+def retained_bytes(arrays):
+    """Bytes that arrays keep alive: the buffer of each array's owner, followed through .base, counted once."""
+    owners = {}
+    for array in arrays:
+        while isinstance(array.base, np.ndarray):
+            array = array.base
+        owners[id(array)] = array.nbytes
+    return sum(owners.values())
+
+
+@pytest.mark.parametrize("d, probe_bytes, haar_bytes", [(3, 3_480, 14_016), (24, 14_784, 628_224)])
+def test_cache_entries_keep_only_rows_weights_and_dense_check_factors(
+    cold_probe_cache, cold_haar_cache, d, probe_bytes, haar_bytes
+):
+    # At the default restarts = 50 and n_random = 200: d doubles per probe
+    # row, d doubles of weights per state, and 4 d^2 complex entries
+    # (states, p, q and w) for each of the first _DENSE_CHECK_STATES states.
+    restarts, count = 50, 200
+    rows = entropy._probe_rows(0, d, restarts)
+    assert retained_bytes([rows]) == (d + 1 + restarts + len(entropy._simplex_lattice(d))) * d * 8 == probe_bytes
+    k = min(count, _DENSE_CHECK_STATES)
+    sample = entropy._haar_sample(0, d, count)
+    assert retained_bytes(sample) == count * d * 8 + k * d * d * 4 * 16 == haar_bytes
 
 
 def test_pair_index_is_built_once_per_d_and_read_only():
@@ -1058,8 +1064,8 @@ def test_probe_gives_each_row_the_bits_of_a_one_row_split(monkeypatch):
     cfg = td.OptimizerConfig(restarts=3, seed=41)
     plain, splits = entropy._split_rows, []
 
-    def record(ch, lams, *terms):
-        splits.append((ch, lams, plain(ch, lams, *terms)))
+    def record(ch, lams):
+        splits.append((ch, lams, plain(ch, lams)))
         return splits[-1][2]
 
     monkeypatch.setattr(entropy, "_split_rows", record)
@@ -1075,9 +1081,9 @@ def test_probe_makes_one_secular_kernel_call(monkeypatch):
     ch = td.new_channel(4, td.t_range(4)[0])
     plain, calls = entropy._secular_block_roots, []
 
-    def counted(ch, rows, *outer):
+    def counted(ch, rows):
         calls.append(len(rows))
-        return plain(ch, rows, *outer)
+        return plain(ch, rows)
 
     monkeypatch.setattr(entropy, "_secular_block_roots", counted)
     td.minimize_simplex_entropy(ch, td.OptimizerConfig(restarts=20))
@@ -1092,12 +1098,12 @@ def test_probe_after_a_failed_evaluation_gives_the_clean_result(monkeypatch):
     plain = entropy._split_rows
     rows, fail = [], []
 
-    def fails_when_asked(ch, lams, *terms):
+    def fails_when_asked(ch, lams):
         rows.extend(tuple(lam) for lam in lams)
         if fail:
             fail.clear()
             raise NotPSD("this evaluation fails")
-        return plain(ch, lams, *terms)
+        return plain(ch, lams)
 
     monkeypatch.setattr(entropy, "_split_rows", fails_when_asked)
     want = td.minimize_simplex_entropy(ch, cfg)
