@@ -137,13 +137,19 @@ class DensityMatrix:
     """State validated at construction: finite, Hermitian, unit trace, PSD.
 
     Eigenvalues may dip to -1e-10 to tolerate floating point noise from
-    upstream arithmetic.
+    upstream arithmetic.  mat is a read-only copy of the matrix given, so
+    a later write to that matrix changes nothing here.  eigenvalues keeps
+    the ascending eigvalsh(mat) of the PSD check, read-only, so a caller
+    that needs the spectrum diagonalizes nothing again and cannot get a
+    stale one; __eq__ and repr ignore it.
     """
 
     mat: np.ndarray
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.mat, dtype=complex)
+        m = np.array(self.mat, dtype=complex)
+        m.flags.writeable = False
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise BadDimension(f"expected a square matrix, got shape {m.shape}")
         if m.shape[0] < 2:
@@ -154,8 +160,11 @@ class DensityMatrix:
             raise NotPSD("matrix is not Hermitian within 1e-12")
         if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
             raise NotPSD("trace differs from 1 by more than 1e-12")
-        if np.min(np.linalg.eigvalsh(m)) < PSD_TOL:
+        eigenvalues = np.linalg.eigvalsh(m)
+        if np.min(eigenvalues) < PSD_TOL:
             raise NotPSD("matrix has an eigenvalue below -1e-10")
+        eigenvalues.flags.writeable = False
+        object.__setattr__(self, "eigenvalues", eigenvalues)
 
     @property
     def dim(self) -> int:

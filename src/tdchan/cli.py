@@ -284,7 +284,7 @@ def _cmd_spectrum(args) -> int:
     ch = new_channel(args.d, args.t)
     lam = SchmidtVector(args.lam)
     spec = full_spectrum(ch, lam)
-    dense = np.sort(np.linalg.eigvalsh(sigma12(ch, lam).mat))[::-1]
+    dense = np.sort(sigma12(ch, lam).eigenvalues)[::-1]
     delta = float(np.max(np.abs(spec.all_eigenvalues() - dense)))
     result = {
         "offdiag": [float(x) for x in spec.offdiag],

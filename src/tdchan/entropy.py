@@ -52,15 +52,30 @@ and their entropies from one _split_rows call, as the probe's do.
 Only the t-dependent work runs per cell.  Three read-only caches hold
 the rest, each built on first use: _probe_rows keeps the probe's rows
 for the last (seed, d, restarts), _haar_sample, for the last
-(seed, d, n_random), the weights of every state and the first
-_DENSE_CHECK_STATES states with the factors of their reference outputs,
-and _pair_index the pair table of S1 for each d.  Their docstrings give
-what each entry holds.  The dense route runs on every cell, on the
-checked states only, as a check of the covariance reduction:
-apply_two_copies gives their outputs, and from each the
-reference K sigma12(lam) K^H at the cached weights is subtracted in
-place in the computational basis, O(d^4) per state.  K is unitary, so
-the Frobenius residual is the one in the Schmidt bases.  A residual
+(seed, d, n_random), the weights of every state and the dense check of
+the first _DENSE_CHECK_STATES states, and _pair_index the pair table of
+S1 for each d.  Their docstrings give what each entry holds.  The dense
+route checks the covariance reduction on the checked states:
+apply_two_copies gives their outputs, and from each the reference
+K sigma12(lam) K^H at the cached weights is subtracted in place in the
+computational basis, O(d^4) per state.  K is unitary, so the Frobenius
+residual E(t) is the one in the Schmidt bases.  Both sides are quadratic
+polynomials in t with t-independent coefficients, so E(t) is fixed by
+its values at three t: a sample's build evaluates it at -1/(d-1), 0 and
+1/(d+1) and keeps each state's 3 x 3 Gram matrix of those values, and
+each cell reads its residuals from the Gram matrices with the Lagrange
+weights of its t, in O(k).  In exact arithmetic that is the residual of
+the direct route at every t, on one assumption: that apply_two_copies
+is quadratic in t, as its docstring states (_covariance_residuals gives
+the argument).  What is given up: apply_two_copies runs only at the
+three nodes, once per build and not once per cell.  So at run time a
+fault in it that depends on t and vanishes at the nodes (a branch on
+the sign of t, say) is never seen, and a fault introduced into it after
+a key is built shows only at the next build.  The tests check the
+assumption at t off the nodes, against the direct route
+(test_gram_residuals_match_the_direct_dense_residuals) and against an
+independent Kronecker oracle
+(test_covariance_residuals_match_the_kronecker_oracle).  A residual
 above _residual_tol(d), which by the Fannes-Audenaert bound keeps the
 dense and closed-form entropies within _COVARIANCE_TOL, raises
 CovarianceMismatch, which is no TdchanError, since then the library and
@@ -80,7 +95,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import Channel, DensityMatrix, _whole, apply_two_copies, check_finite
+from .channel import Channel, DensityMatrix, _whole, apply_two_copies, check_finite, new_channel, t_range
 from .errors import ConfigError, CovarianceMismatch, NotPSD
 from .sampling import _check_seed, _lambda_rows, haar_states, philox_stream
 from .spectrum import SchmidtVector, _as_schmidt, _check_schmidt_rows, _secular_block_roots
@@ -90,10 +105,14 @@ EIGENVALUE_FLOOR = -1e-10
 # Row budget of the full simplex lattice, which sets its resolution m;
 # minimize_simplex_entropy probes one row per permutation orbit of it.
 _LATTICE_ROWS = 500
-# Haar-random states per cell that the dense two-copy route recomputes,
+# Haar-random states per sample that the dense two-copy route checks,
 # and the largest |S_dense - S_closed| its residual tolerance allows.
 _DENSE_CHECK_STATES = 16
 _COVARIANCE_TOL = 1e-10
+# The most complex entries, d^4 per state, that one residual array of a
+# sample's build holds, one state at least: 8 MB, all 16 checked states up
+# to d = 13.  The build holds four such arrays at once.
+_DENSE_CHUNK_ENTRIES = 2**19
 
 # The Philox cell keys of the three sample families.  A scan cell's key
 # has a low byte of 0, so these never open a scan cell's stream.
@@ -117,8 +136,8 @@ class OptimizerConfig:
     _DENSE_CHECK_STATES are also checked against the dense two-copy
     route at every t.  Nothing that does not depend on t is rebuilt per
     t: the probe rows are built once per (seed, d, restarts) and the
-    states, their weights and the factors of the dense check once per
-    (seed, d, n_random); the last entry of each stays alive after the
+    states, their weights and the Gram matrices of the dense check once
+    per (seed, d, n_random); the last entry of each stays alive after the
     call returns (see _probe_rows and _haar_sample for its size).  All
     three must be integers, the seed in [0, 2^64), and neither count may
     be negative;
@@ -186,8 +205,8 @@ def entropy_of(values: np.ndarray) -> float:
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """-tr rho ln rho via dense diagonalization."""
-    return entropy_of(np.linalg.eigvalsh(rho.mat))
+    """-tr rho ln rho, from the eigenvalues that rho's PSD check computed."""
+    return entropy_of(rho.eigenvalues)
 
 
 @functools.cache
@@ -392,71 +411,14 @@ def _residual_tol(d: int) -> float:
     return 2.0 * lo / math.sqrt(big)
 
 
-def _covariance_residuals(ch: Channel, sample: _HaarSample) -> np.ndarray:
-    """||out - K sigma12(lam) K^H||_F for each checked state of sample; (k,).
-
-    out is the dense two-copy output of |psi><psi|, from apply_two_copies,
-    and K sigma12(lam) K^H the covariant image of the closed form at the
-    cached weights lam (see _haar_sample_of).  K is unitary, so this is
-    the Frobenius norm of K^H out K - sigma12(lam), the residual in the
-    Schmidt bases.  The reference
-    c1 I + (c2/2)(P (x) I + I (x) Q) + t^2 w w^H is subtracted from out
-    in place: c1 through its diagonal, the Kronecker terms through
-    writeable einsum diagonal views, as apply_two_copies adds its own,
-    and t^2 w w^H by way of the spent |psi><psi| buffer.  That is O(d^4)
-    per state, and allocates nothing of the output's size besides
-    |psi><psi| and the output itself.
-    """
-    d, states = ch.d, sample.states
-    n = len(states)
-    pure = states[:, :, None] * states.conj()[:, None, :]
-    out = apply_two_copies(ch, pure)
-    diagonal = np.einsum("nii->ni", out)  # writeable views
-    diagonal -= ch.c1
-    half = 0.5 * ch.c2
-    out4 = out.reshape(n, d, d, d, d)
-    left = np.einsum("nijkj->nijk", out4)  # (P (x) I) lives on j == l
-    left -= half * sample.p[:, :, None, :]
-    right = np.einsum("nijil->nijl", out4)  # (I (x) Q) lives on i == k
-    right -= half * sample.q[:, None, :, :]
-    out -= np.multiply(ch.t2 * sample.w[:, :, None], sample.w.conj()[:, None, :], out=pure)
-    flat = out.reshape(n, -1).view(float)
-    return np.sqrt(np.einsum("ni,ni->n", flat, flat))
+def _gram_nodes(d: int) -> tuple[float, float, float]:
+    """The three t at which a Haar sample's build evaluates the dense check: -1/(d-1), 0 and 1/(d+1)."""
+    lo, hi = t_range(d)
+    return lo, 0.0, hi
 
 
-def _check_covariance(ch: Channel, sample: _HaarSample) -> None:
-    """Raise CovarianceMismatch unless the dense route agrees with the closed form at sample.weights.
-
-    Each checked state's residual from _covariance_residuals must stay
-    at or below _residual_tol(d).
-    """
-    worst, tol = float(_covariance_residuals(ch, sample).max()), _residual_tol(ch.d)
-    if not worst <= tol:
-        raise CovarianceMismatch(
-            f"dense and closed-form two-copy outputs differ by {worst:.3e} > {tol:.3e}"
-            f" (Frobenius) at d={ch.d}, t={ch.t!r}"
-        )
-
-
-class _HaarSample(NamedTuple):
-    """The t-independent half of a cell's Haar leg; every array read-only.
-
-    states holds the first k = min(count, _DENSE_CHECK_STATES) states,
-    (k, d^2) complex, and p, q and w the factors of their reference
-    outputs K sigma12(lam) K^H (see _haar_sample_of): p and q (k, d, d)
-    complex, w (k, d^2) complex.  weights holds the Schmidt weights of
-    all count states, (count, d).
-    """
-
-    states: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
-    w: np.ndarray
-    weights: np.ndarray
-
-
-def _haar_sample_of(psi: np.ndarray, weights: np.ndarray) -> _HaarSample:
-    """The _HaarSample of the states psi, (count, d^2), at their Schmidt weights, (count, d).
+def _reference_factors(states: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """P, Q and w of the reference outputs K sigma12(lam) K^H of states, (n, d^2), at lam, (n, d).
 
     A state psi = sum_a sqrt(lam_a) |u_a> (x) |conj v_a>, from the SVD
     M = U S V^H of psi as a d x d matrix, is conj(K) sum_a sqrt(lam_a) |aa>
@@ -465,20 +427,152 @@ def _haar_sample_of(psi: np.ndarray, weights: np.ndarray) -> _HaarSample:
     output of psi is K sigma12(lam) K^H, which is
     c1 I + (c2/2)(P (x) I + I (x) Q) + t^2 w w^H with
     P = conj(U) diag(lam) U^T, Q = V diag(lam) V^H and
-    w = vec(conj(U) diag(sqrt(lam)) V^T).  One batched SVD of the first
-    _DENSE_CHECK_STATES states gives their U and V, and lam are their
-    rows of weights, so a fault in a weight reaches P, Q and w.  No
-    array of d^4 entries is built.  The arrays passed in are kept, and
-    made read-only with the rest.
+    w = vec(conj(U) diag(sqrt(lam)) V^T): p and q (n, d, d), w (n, d^2),
+    all complex.  One batched SVD gives every U and V, and lam are the
+    given weights, so a fault in a weight reaches P, Q and w.  No array of
+    d^4 entries is built.
     """
-    d = weights.shape[1]
-    states = psi[:_DENSE_CHECK_STATES].copy()
+    d = lam.shape[1]
     u, _, vh = np.linalg.svd(states.reshape(-1, d, d))
-    lam, conj_u = weights[: len(states), None, :], u.conj()
+    lam, conj_u = lam[:, None, :], u.conj()
     p = (conj_u * lam) @ u.swapaxes(1, 2)
     q = (vh.conj().swapaxes(1, 2) * lam) @ vh
     w = ((conj_u * np.sqrt(lam)) @ vh.conj()).reshape(len(states), d * d)
-    sample = _HaarSample(states, p, q, w, weights)
+    return p, q, w
+
+
+def _dense_residuals(ch: Channel, states: np.ndarray, p: np.ndarray, q: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """E(t) = out - K sigma12(lam) K^H for each state, with _reference_factors p, q and w; (n, d^2, d^2).
+
+    out is the dense two-copy output of |psi><psi|, from apply_two_copies.
+    K is unitary, so ||E(t)||_F is the Frobenius norm of
+    K^H out K - sigma12(lam), the residual in the Schmidt bases.  The
+    reference c1 I + (c2/2)(P (x) I + I (x) Q) + t^2 w w^H is subtracted
+    from out in place: c1 through its diagonal, the Kronecker terms
+    through writeable einsum diagonal views, as apply_two_copies adds its
+    own, and t^2 w w^H by way of the spent |psi><psi| buffer.  That is
+    O(d^4) per state, and allocates nothing of the output's size besides
+    |psi><psi| and the output itself.
+    """
+    d, n = ch.d, len(states)
+    pure = states[:, :, None] * states.conj()[:, None, :]
+    out = apply_two_copies(ch, pure)
+    diagonal = np.einsum("nii->ni", out)  # writeable views
+    diagonal -= ch.c1
+    half = 0.5 * ch.c2
+    out4 = out.reshape(n, d, d, d, d)
+    left = np.einsum("nijkj->nijk", out4)  # (P (x) I) lives on j == l
+    left -= half * p[:, :, None, :]
+    right = np.einsum("nijil->nijl", out4)  # (I (x) Q) lives on i == k
+    right -= half * q[:, None, :, :]
+    out -= np.multiply(ch.t2 * w[:, :, None], w.conj()[:, None, :], out=pure)
+    return out
+
+
+def _residual_grams(states: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """G_ij = Re <E(t_i), E(t_j)>_F of each state at the nodes t_i of _gram_nodes(d); (n, 3, 3).
+
+    E(t) is _dense_residuals at a Channel of each node in turn, three
+    apply_two_copies calls on all n states.  The first two nodes'
+    residuals stay alive until the last node is done, so during the last
+    call four arrays of n d^4 complex entries are alive: those two,
+    |psi><psi| and its output.
+    """
+    d = lam.shape[1]
+    factors = _reference_factors(states, lam)
+    grams = np.empty((len(states), 3, 3))
+    flats: list[np.ndarray] = []
+    for i, t in enumerate(_gram_nodes(d)):
+        flats.append(_dense_residuals(new_channel(d, t), states, *factors).reshape(len(states), -1).view(float))
+        for j, other in enumerate(flats):
+            grams[:, i, j] = grams[:, j, i] = np.einsum("ni,ni->n", other, flats[-1])
+    return grams
+
+
+def _covariance_residuals(ch: Channel, sample: _HaarSample) -> np.ndarray:
+    """||E(t)||_F = ||out - K sigma12(lam) K^H||_F for each checked state of sample, at ch.t; (k,).
+
+    Both out = apply_two_copies(|psi><psi|), which is
+    t^2 X^T + t(1-t)[...] + (1-t)^2 tr X I/d^2, and the reference
+    c1 I + (c2/2)(P (x) I + I (x) Q) + t^2 w w^H, with c1 = (1-t)^2/d^2
+    and c2/2 = t(1-t)/d, are quadratic polynomials in t whose coefficients
+    do not depend on t.  So is E(t), and in exact arithmetic
+    E(t) = sum_i l_i(t) E(t_i) over the three nodes t_i of _gram_nodes(d),
+    with the Lagrange weights l_i(t) = prod_{j != i} (t - t_j) / (t_i - t_j),
+    which are exactly (1, 0, 0), (0, 1, 0) or (0, 0, 1) at a node.  Then
+    ||E(t)||_F^2 = l(t)^T G l(t) for the Gram matrix
+    G_ij = Re <E(t_i), E(t_j)>_F kept in sample.gram, which gives the
+    Frobenius residual of the direct route at every t, to rounding: in
+    the tests the two agree within 6.1e-17 from d = 3 on and within
+    1.8e-16 at d = 2, where both are rounding noise of up to 1.3e-15.
+    At a t off the nodes that holds only if apply_two_copies really is
+    quadratic in t, which this function cannot see: a fault in it that
+    vanishes at the nodes passes here.  The tests check it there against
+    the direct route and against a Kronecker oracle (see the module
+    docstring).  This costs O(k) per cell; a rounding below 0 reads as 0.
+    """
+    nodes = _gram_nodes(ch.d)
+    ell = np.array([math.prod((ch.t - b) / (a - b) for b in nodes if b != a) for a in nodes])
+    return np.sqrt(np.maximum(sample.gram @ ell @ ell, 0.0))
+
+
+def _check_covariance(ch: Channel, sample: _HaarSample) -> None:
+    """Raise CovarianceMismatch unless the dense route agrees with the closed form at sample.weights.
+
+    Each checked state's residual at ch.t, from _covariance_residuals,
+    must stay at or below _residual_tol(d).  The message names the cell's
+    d and t, and the index and least Schmidt weight of the worst state: a
+    weight below about 1e-9, which eigvalsh(M M^H) resolves only to about
+    1e-17, can fail the check although the entropies agree.
+    """
+    residuals, tol = _covariance_residuals(ch, sample), _residual_tol(ch.d)
+    worst = int(np.argmax(residuals))
+    if not residuals[worst] <= tol:
+        raise CovarianceMismatch(
+            f"dense and closed-form two-copy outputs differ by {residuals[worst]:.3e} > {tol:.3e}"
+            f" (Frobenius) at d={ch.d}, t={ch.t!r}; worst checked state {worst},"
+            f" least Schmidt weight {sample.weights[worst].min():.3e}"
+        )
+
+
+class _HaarSample(NamedTuple):
+    """The t-independent half of a cell's Haar leg; both arrays read-only.
+
+    weights holds the Schmidt weights of all count states, (count, d), and
+    gram the 3 x 3 Gram matrix of the dense check's residuals at the
+    nodes of _gram_nodes(d) for each of the first
+    k = min(count, _DENSE_CHECK_STATES) states, (k, 3, 3) real (see
+    _covariance_residuals).
+    """
+
+    weights: np.ndarray
+    gram: np.ndarray
+
+
+def _haar_sample_of(psi: np.ndarray, weights: np.ndarray) -> _HaarSample:
+    """The _HaarSample of the states psi, (count, d^2), at their Schmidt weights, (count, d).
+
+    The first k = min(count, _DENSE_CHECK_STATES) states are checked:
+    _reference_factors gives P, Q and w at their rows of weights, and
+    _residual_grams runs the dense check at the three nodes of
+    _gram_nodes(d) and keeps each state's Gram matrix.  The states go in
+    chunks of at most _DENSE_CHUNK_ENTRIES entries, d^4 per state, and at
+    least one state, and the build holds four arrays of a chunk's size at
+    once: one chunk of all 16 states up to d = 13, 8 states a chunk at
+    d = 16 and one at d = 24.  A chunk makes three apply_two_copies calls,
+    one per node, and never raises; the check is _check_covariance's, per
+    cell.  The states and the factors are dropped after the build.  So
+    apply_two_copies runs three times per chunk of a key, not once per
+    cell, and a fault introduced into it after a key is built shows only
+    at the next build.  The weights passed in are kept, and made read-only
+    with the Gram matrices.
+    """
+    d = weights.shape[1]
+    size = max(1, _DENSE_CHUNK_ENTRIES // d**4)
+    k = min(len(psi), _DENSE_CHECK_STATES)
+    chunks = [slice(lo, min(lo + size, k)) for lo in range(0, k, size)]
+    gram = np.concatenate([_residual_grams(psi[chunk], weights[chunk]) for chunk in chunks])
+    sample = _HaarSample(weights, gram)
     for array in sample:
         array.flags.writeable = False
     return sample
@@ -491,13 +585,14 @@ def _haar_sample(seed: int, d: int, count: int) -> _HaarSample:
     The states are the rows of haar_states on the _TAG_HAAR stream of
     seed, so state r is the same for every count past r.  The weights of
     every state come from _schmidt_weights, checked by
-    _check_schmidt_rows, and go to _haar_sample_of.  None of it depends
-    on t, so a t grid at one (seed, d, count) builds it once.  The one
-    cached entry stays alive after the call returns, until a call with
-    another key replaces it: d doubles of weights per state, and for the
-    first 16 states 4 d^2 complex entries of states, p, q and w.  At
-    d = 24 that is 0.63 MB at count = 200 and 0.19 GB at 10^6 states.
-    No d^4-sized array is kept.
+    _check_schmidt_rows, and go to _haar_sample_of, which also runs the
+    dense check's three node evaluations.  None of it depends on t, so a
+    t grid at one (seed, d, count) builds it once, and each cell reads its
+    residuals from the Gram matrices.  The one cached entry stays alive
+    after the call returns, until a call with another key replaces it: d
+    doubles of weights per state, and 9 doubles of Gram matrix for each of
+    the first 16 states.  At d = 24 that is 40 kB at count = 200 and
+    0.19 GB at 10^6 states.  No state and no d^2-sized array is kept.
     """
     psi = haar_states(count, d * d, philox_stream(seed, _TAG_HAAR))
     weights = _schmidt_weights(psi, d)
@@ -508,12 +603,12 @@ def _haar_sample(seed: int, d: int, count: int) -> _HaarSample:
 def _random_state_entropies(ch: Channel, cfg: OptimizerConfig) -> np.ndarray:
     """Two-copy output entropy of each of max(cfg.n_random, 1) Haar-random states; (count,).
 
-    The states, their Schmidt weights and the factors of the dense check
-    come from _haar_sample, built once per (seed, d, count) and shared
-    by every t.  The weights go through one
-    _split_rows call, which gives each row the bits of a one-row call.
-    Then, on every call, the first _DENSE_CHECK_STATES states are checked
-    against the dense route by _check_covariance.
+    The Schmidt weights of the states and the Gram matrices of the dense
+    check come from _haar_sample, built once per (seed, d, count) and
+    shared by every t.  The weights go through one _split_rows call,
+    which gives each row the bits of a one-row call.  Then, on every
+    call, _check_covariance holds the residuals of the first
+    _DENSE_CHECK_STATES states at this t to their tolerance.
     """
     sample = _haar_sample(cfg.seed, ch.d, max(cfg.n_random, 1))
     s1, s2 = _split_rows(ch, sample.weights)

@@ -76,15 +76,17 @@ one s table.  "extreme" and "final_poly" draw nothing and open no
 stream.
 
 Threads: run_scan cuts its (d, t) jobs into batches once, in order, and
-the batches do not depend on threads.  threads is an upper bound: worker
-threads start only when the kind's widest batch, rows x d, reaches the
-kind's fan-out width in _KINDS; otherwise every batch runs in order on the
-calling thread.  Below that width, a batch is a run of numpy calls too
-short to release the interpreter lock for long, and a second thread
-mostly waits for it.  When it fans out, min(threads, batches) workers
-take one batch per task, and the results are read in batch order.  A
-batch that raises runs again one cell at a time, so every thread count
-raises the exception of the earliest failing cell in (d, t) order.
+the batches do not depend on threads.  A batch is wide when its rows x d
+reach the kind's fan-out width in _KINDS.  Below that width, a batch is a
+run of numpy calls too short to release the interpreter lock for long,
+and a second thread mostly waits for it.  threads is an upper bound:
+worker threads start only when two batches or more are wide, since one
+wide batch has nothing to share its time with; otherwise every batch runs
+in order on the calling thread.  When it fans out, min(threads, batches)
+workers take one batch per task, and the results are read in batch
+order.  A batch that raises runs again one cell at a time, so every
+thread count raises the exception of the earliest failing cell in (d, t)
+order.
 """
 
 from __future__ import annotations
@@ -622,8 +624,8 @@ def run_scan(
             jobs.append((d, t, t_idx))
 
     batches = _batches(jobs, max(1, _BATCH_ROWS // samples))
-    widest = max((len(batch) * samples * batch[0][0] for batch in batches), default=0)
-    workers = min(threads, len(batches)) if widest >= _KINDS[kind][2] else 1
+    wide = sum(len(batch) * samples * batch[0][0] >= _KINDS[kind][2] for batch in batches)
+    workers = min(threads, len(batches)) if wide >= 2 else 1
     run = functools.partial(_run_batch, kind, samples, seed)
     if workers <= 1:
         return [report for reports in map(run, batches) for report in reports]

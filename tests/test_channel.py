@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,28 @@ def test_density_matrix_validation():
         td.DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
     rho = td.DensityMatrix(np.eye(4) / 4.0)
     assert rho.dim == 4
+
+
+def test_density_matrix_keeps_the_eigenvalues_of_its_psd_check():
+    # The same eigvalsh call on the same matrix, so the same bits; read-only,
+    # and neither == nor repr looks at them.  mat is a read-only copy, so
+    # neither a write to the caller's matrix nor one to mat can leave the
+    # eigenvalues stale.
+    rng = np.random.default_rng(11)
+    for dim in (2, 3, 9):
+        given = random_density(dim, rng)
+        rho = td.DensityMatrix(given)
+        assert rho.eigenvalues.tobytes() == np.linalg.eigvalsh(rho.mat).tobytes()
+        assert not rho.eigenvalues.flags.writeable
+        with pytest.raises(ValueError):
+            rho.eigenvalues[0] = 0.5
+        with pytest.raises(ValueError):
+            rho.mat[0, 0] = 0.5
+        given[:] = np.eye(dim) / dim
+        assert rho.eigenvalues.tobytes() == np.linalg.eigvalsh(rho.mat).tobytes()
+        assert "eigenvalues" not in repr(rho)
+    kept = {field.name: field for field in dataclasses.fields(td.DensityMatrix)}["eigenvalues"]
+    assert not (kept.init or kept.repr or kept.compare)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])

@@ -379,33 +379,40 @@ def test_schmidt_weights_of_product_and_near_product_states():
         assert 0.0 <= weights[4, -1] <= 1e-14
 
 
-def test_every_additivity_gap_runs_the_dense_check(monkeypatch):
-    # One dense call per cell, on the first min(n_random, _DENSE_CHECK_STATES)
-    # states of the cell's stream, whatever their count.
-    plain, calls = entropy.apply_two_copies, []
-
-    def counted(ch, mat):
-        calls.append(mat.shape)
-        return plain(ch, mat)
-
-    monkeypatch.setattr(entropy, "apply_two_copies", counted)
+def test_every_additivity_gap_runs_the_dense_check(monkeypatch, cold_haar_cache):
+    # A sample's build makes three dense calls, one at each node, on the
+    # first min(n_random, _DENSE_CHECK_STATES) states of the stream, whatever
+    # their count.  A warm cell makes none, but every cell holds the
+    # residuals at its own t to the tolerance.
+    dense = count_calls(monkeypatch, "apply_two_copies")
+    checks = count_calls(monkeypatch, "_check_covariance")
     for n_random in (0, 5, _DENSE_CHECK_STATES, 3 * _DENSE_CHECK_STATES + 1):
-        calls.clear()
-        td.additivity_gap(td.new_channel(3, -0.4), td.OptimizerConfig(restarts=1, n_random=n_random))
-        assert calls == [(min(max(n_random, 1), _DENSE_CHECK_STATES), 9, 9)], n_random
+        dense.clear()
+        checks.clear()
+        cfg = td.OptimizerConfig(restarts=1, n_random=n_random)
+        td.additivity_gap(td.new_channel(3, -0.4), cfg)
+        k = min(max(n_random, 1), _DENSE_CHECK_STATES)
+        assert [mat.shape for _, mat in dense] == [(k, 9, 9)] * 3, n_random
+        assert [ch.t for ch, _ in dense] == [-0.5, 0.0, 0.25]
+        dense.clear()
+        td.additivity_gap(td.new_channel(3, 0.1), cfg)
+        assert dense == []
+        assert [ch.t for ch, _ in checks] == [-0.4, 0.1]
 
 
-def test_the_dense_check_holds_the_closed_form_to_its_tolerance(monkeypatch):
+def test_the_dense_check_holds_the_closed_form_to_its_tolerance(monkeypatch, cold_haar_cache):
     # Scaling the dense output by 1 + e leaves a residual e sigma12 in the
     # Schmidt bases, of Frobenius norm between e / 4 and e at d = 4: past
     # _residual_tol(4), about 1.7e-12, at e = 1e-8, well inside it at
-    # e = 1e-13.
+    # e = 1e-13.  The dense route runs when a sample is built, so the
+    # fault is in place before a cold build.
     plain = entropy.apply_two_copies
     ch = td.new_channel(4, -0.2)
     cfg = td.OptimizerConfig(restarts=1, n_random=3)
     want = td.additivity_gap(ch, cfg)
     for e, fails in ((1e-8, True), (1e-13, False)):
         monkeypatch.setattr(entropy, "apply_two_copies", lambda ch, mat: (1.0 + e) * plain(ch, mat))
+        entropy._haar_sample.cache_clear()
         if fails:
             with pytest.raises(CovarianceMismatch, match="differ by") as raised:
                 td.additivity_gap(ch, cfg)
@@ -435,15 +442,22 @@ def test_the_dense_check_catches_a_shifted_cached_weight(monkeypatch, cold_haar_
 
 
 @pytest.mark.parametrize("factor, entry", [("p", (2, 1, 1)), ("q", (2, 3, 0)), ("w", (2, 5))])
-def test_the_dense_check_catches_a_shifted_cached_factor(factor, entry):
-    # The known positives on the reference side: one entry of one cached
-    # factor of K sigma12 K^H moves by 1e-9, the dense route untouched.
-    # At t = 0 the factors carry weight c2 = t^2 = 0, so only t != 0 is
-    # held to it; the unshifted sample passes everywhere.
+def test_the_dense_check_catches_a_shifted_cached_factor(monkeypatch, factor, entry):
+    # The known positives on the reference side: one entry of one factor
+    # of K sigma12 K^H moves by 1e-9 as _haar_sample_of builds the sample,
+    # the dense route untouched.  At t = 0 the factors carry weight
+    # c2 = t^2 = 0, so only t != 0 is held to it; the unshifted sample
+    # passes everywhere.  At d = 4 the 5 states are one chunk of the build.
     sample = entropy._haar_sample.__wrapped__(3, 4, 5)
-    moved = getattr(sample, factor).copy()
-    moved[entry] += 1e-9
-    shifted = sample._replace(**{factor: moved})
+    plain = entropy._reference_factors
+
+    def moved(states, lam):
+        factors = dict(zip("pqw", plain(states, lam)))
+        factors[factor][entry] += 1e-9
+        return factors["p"], factors["q"], factors["w"]
+
+    monkeypatch.setattr(entropy, "_reference_factors", moved)
+    shifted = entropy._haar_sample.__wrapped__(3, 4, 5)
     lo, hi = td.t_range(4)
     for t in (lo, -0.2, 0.5 * hi, hi):
         ch = td.new_channel(4, t)
@@ -506,16 +520,77 @@ def test_covariance_residuals_match_the_kronecker_oracle(d):
         assert got.max() <= entropy._residual_tol(d), (d, t)
 
 
+def checked_states(d, rng):
+    """16 unit states on d x d: 10 Haar, 3 Gaussian and 3 locally rotated Schmidt states with tied weights."""
+    haar = haar_states(10, d * d, philox_stream(d, _TAG_HAAR))
+    gaussian = rng.standard_normal((3, d * d)) + 1j * rng.standard_normal((3, d * d))
+    tie = rng.dirichlet(np.ones(d))
+    tie[1] = tie[0]
+    rest = np.full(d, 0.4 / (d - 1))
+    rest[0] = 0.6
+    tied = [
+        np.kron(local_unitary(d, rng), local_unitary(d, rng)) @ schmidt_state(lam)
+        for lam in (np.full(d, 1.0 / d), tie / tie.sum(), rest)
+    ]
+    psi = np.vstack([haar, gaussian, tied])
+    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 8, 16])
+def test_gram_residuals_match_the_direct_dense_residuals(d):
+    # E(t) is quadratic in t, so its Frobenius norm at any t follows from
+    # its Gram matrix at the three nodes.  The direct route subtracts the
+    # reference from the dense output at t itself.  Both agree at the
+    # endpoints, at 0 and at seven t off the nodes, two of them 1e-7 from 0.
+    # Off the nodes each route rounds in its own way, and both residuals
+    # are rounding noise: at d = 2, where they reach 1.3e-15, they differ
+    # by up to 1.8e-16, and by at most 6.1e-17 from d = 3 on.
+    bound = 4e-16 if d == 2 else 1e-16
+    psi = checked_states(d, np.random.default_rng(271 + d))
+    weights = entropy._schmidt_weights(psi, d)
+    sample = entropy._haar_sample_of(psi, weights)
+    factors = entropy._reference_factors(psi, weights)
+    lo, hi = td.t_range(d)
+    for t in (lo, 0.0, hi, 0.9 * lo, 0.5 * lo, 0.1 * lo, -1e-7, 1e-7, 0.5 * hi, 0.9 * hi):
+        ch = td.new_channel(d, t)
+        flat = entropy._dense_residuals(ch, psi, *factors).reshape(len(psi), -1)
+        direct = np.linalg.norm(flat, axis=1)
+        got = entropy._covariance_residuals(ch, sample)
+        assert np.max(np.abs(got - direct)) <= bound, (d, t, got.tolist(), direct.tolist())
+
+
+def test_a_mismatch_names_the_worst_state_and_its_least_schmidt_weight():
+    # State 2 has a Schmidt weight of 1e-20, which eigvalsh(M M^H) resolves
+    # only to about 1e-17: its residual at t = -1/2 is far past the
+    # tolerance.  The message keeps the residual, d and t, and names the
+    # state and its least weight.
+    d = 3
+    rng = np.random.default_rng(7)
+    psi = haar_states(4, d * d, philox_stream(5, _TAG_HAAR))
+    lam = np.full(d, (1.0 - 1e-20) / (d - 1))
+    lam[-1] = 1e-20
+    psi[2] = np.kron(local_unitary(d, rng), local_unitary(d, rng)) @ schmidt_state(lam)
+    sample = entropy._haar_sample_of(psi, entropy._schmidt_weights(psi, d))
+    assert sample.weights[2].min() < 1e-9
+    with pytest.raises(CovarianceMismatch) as raised:
+        entropy._check_covariance(td.new_channel(d, -0.5), sample)
+    message = str(raised.value)
+    assert "(Frobenius) at d=3, t=-0.5; worst checked state 2," in message
+    assert message.endswith(f"least Schmidt weight {sample.weights[2].min():.3e}")
+    assert message.startswith("dense and closed-form two-copy outputs differ by ")
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 8, 16])
 def test_sigma12_at_the_checked_weights_has_the_split_rows_entropy(d):
     # The dense check compares the dense output with sigma12 at the cached
     # weights, not spectra; this is the other link, sigma12's spectrum
-    # against the closed form, on the same states.
+    # against the closed form, on the same states.  DensityMatrix keeps the
+    # eigenvalues of its PSD check, so each matrix is diagonalized once.
     weights = entropy._haar_sample.__wrapped__(0, d, _DENSE_CHECK_STATES).weights
     for t in np.linspace(*td.t_range(d), 9).tolist():
         ch = td.new_channel(d, t)
         s1, s2 = entropy._split_rows(ch, weights)
-        dense = [td.entropy_of(np.linalg.eigvalsh(td.sigma12(ch, td.SchmidtVector(w)).mat)) for w in weights]
+        dense = [td.entropy_of(td.sigma12(ch, td.SchmidtVector(w)).eigenvalues) for w in weights]
         assert np.max(np.abs(np.array(dense) - (s1 + s2))) <= 1e-12, (d, t)
 
 
@@ -582,11 +657,20 @@ def test_haar_samples_are_keyed_by_seed_d_and_count_and_read_only(monkeypatch, c
 
     for count in (1, _DENSE_CHECK_STATES + 4):
         sample = entropy._haar_sample(11, 3, count)
-        dense, p, q, w, weights = sample
-        assert dense.shape == (min(count, _DENSE_CHECK_STATES), 9) and weights.shape == (count, 3)
-        assert bits(dense.tolist()) == bits(haar_states(count, 9, philox_stream(11, _TAG_HAAR))[: len(dense)].tolist())
-        # The factors of K sigma12 K^H, read off each state as the d x d
-        # matrix M: P = conj(M M^H), Q = M^H M and w = conj(psi).
+        weights, gram = sample
+        k = min(count, _DENSE_CHECK_STATES)
+        assert weights.shape == (count, 3) and gram.shape == (k, 3, 3)
+        psi = haar_states(count, 9, philox_stream(11, _TAG_HAAR))
+        assert bits(weights.tolist()) == bits(entropy._schmidt_weights(psi, 3).tolist())
+        assert np.array_equal(gram, gram.swapaxes(1, 2))
+        # The factors of K sigma12 K^H that the build uses, read off each
+        # state as the d x d matrix M: P = conj(M M^H), Q = M^H M and
+        # w = conj(psi).  The Gram diagonal holds their squared residuals at the nodes.
+        dense = psi[:k]
+        p, q, w = entropy._reference_factors(dense, weights[:k])
+        for i, t in enumerate(entropy._gram_nodes(3)):
+            flat = entropy._dense_residuals(td.new_channel(3, t), dense, p, q, w).reshape(k, -1)
+            assert np.allclose(gram[:, i, i], np.linalg.norm(flat, axis=1) ** 2, rtol=1e-12, atol=0.0)
         m = dense.reshape(-1, 3, 3)
         assert p.shape == q.shape == (len(dense), 3, 3) and w.shape == dense.shape
         assert np.max(np.abs(p - (m @ m.conj().swapaxes(1, 2)).conj())) <= 1e-14
@@ -601,15 +685,35 @@ def test_haar_samples_are_keyed_by_seed_d_and_count_and_read_only(monkeypatch, c
 
 
 def test_a_warm_haar_sample_still_runs_the_dense_check(monkeypatch, cold_haar_cache):
-    # Only the t-independent half of the Haar leg is shared: the dense
-    # route runs on every cell, so a fault there shows at any t.
+    # The dense route runs when the sample is built, and never raises
+    # there; every cell then holds the residuals at its own t to the
+    # tolerance.  So a fault present at the build shows at the first cell
+    # and at every later t of the warm grid.
     plain = entropy.apply_two_copies
     cfg = td.OptimizerConfig(restarts=1, n_random=5, seed=3)
+    monkeypatch.setattr(entropy, "apply_two_copies", lambda ch, mat: (1.0 + 1e-6) * plain(ch, mat))
+    lo, hi = td.t_range(3)
+    grid = [-0.4, lo, 0.5 * lo, -1e-7, 0.1, hi]
+    for t in grid:
+        with pytest.raises(CovarianceMismatch, match="differ by"):
+            td.additivity_gap(td.new_channel(3, t), cfg)
+    info = entropy._haar_sample.cache_info()
+    assert (info.misses, info.hits) == (1, len(grid) - 1)
+
+
+def test_a_dense_fault_after_the_build_shows_at_the_next_build(monkeypatch, cold_haar_cache):
+    # What the one build per key gives up: apply_two_copies runs only when
+    # a sample is built, so a fault introduced into it afterwards passes
+    # every warm cell and raises once the sample is built again.
+    plain = entropy.apply_two_copies
+    cfg = td.OptimizerConfig(restarts=1, n_random=5, seed=3)
+    want = td.additivity_gap(td.new_channel(3, 0.1), cfg)
     td.additivity_gap(td.new_channel(3, -0.4), cfg)
     monkeypatch.setattr(entropy, "apply_two_copies", lambda ch, mat: (1.0 + 1e-6) * plain(ch, mat))
+    assert td.additivity_gap(td.new_channel(3, 0.1), cfg) == want
+    entropy._haar_sample.cache_clear()
     with pytest.raises(CovarianceMismatch, match="differ by"):
         td.additivity_gap(td.new_channel(3, 0.1), cfg)
-    assert entropy._haar_sample.cache_info().hits == 1
 
 
 def test_optimizer_config_rejects_negative_counts():
@@ -998,19 +1102,19 @@ def retained_bytes(arrays):
     return sum(owners.values())
 
 
-@pytest.mark.parametrize("d, probe_bytes, haar_bytes", [(3, 3_480, 14_016), (24, 14_784, 628_224)])
-def test_cache_entries_keep_only_rows_weights_and_dense_check_factors(
+@pytest.mark.parametrize("d, probe_bytes, haar_bytes", [(3, 3_480, 5_952), (24, 14_784, 39_552)])
+def test_cache_entries_keep_only_rows_weights_and_dense_check_grams(
     cold_probe_cache, cold_haar_cache, d, probe_bytes, haar_bytes
 ):
     # At the default restarts = 50 and n_random = 200: d doubles per probe
-    # row, d doubles of weights per state, and 4 d^2 complex entries
-    # (states, p, q and w) for each of the first _DENSE_CHECK_STATES states.
+    # row, d doubles of weights per state, and a 3 x 3 Gram matrix of
+    # doubles for each of the first _DENSE_CHECK_STATES states.
     restarts, count = 50, 200
     rows = entropy._probe_rows(0, d, restarts)
     assert retained_bytes([rows]) == (d + 1 + restarts + len(entropy._simplex_lattice(d))) * d * 8 == probe_bytes
     k = min(count, _DENSE_CHECK_STATES)
     sample = entropy._haar_sample(0, d, count)
-    assert retained_bytes(sample) == count * d * 8 + k * d * d * 4 * 16 == haar_bytes
+    assert retained_bytes(sample) == count * d * 8 + k * 9 * 8 == haar_bytes
 
 
 def test_pair_index_is_built_once_per_d_and_read_only():

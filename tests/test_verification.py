@@ -1,4 +1,5 @@
 import concurrent.futures
+import threading
 import time
 
 import numpy as np
@@ -562,8 +563,9 @@ def test_threads_is_an_upper_bound_on_the_workers(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["main", "k0", "second_term", "schur", "sympol"])
 def test_the_pool_starts_once_the_widest_batch_reaches_the_fan_out_width(monkeypatch, kind):
-    # At samples >= _BATCH_ROWS / 2 every cell runs alone, so the widest
-    # batch is samples x d at the largest d.
+    # At samples >= _BATCH_ROWS / 2 every cell runs alone, so the two cells
+    # of the largest d are the widest batches, samples x d wide; once they
+    # reach the width, they are two wide batches, and the pool starts.
     width = verification._KINDS[kind][2]
     d = min(10, width // (verification._BATCH_ROWS // 2 + 1))
     grid = [-0.5 / (d - 1), -0.1 / (d - 1)]
@@ -572,6 +574,64 @@ def test_the_pool_starts_once_the_widest_batch_reaches_the_fan_out_width(monkeyp
         assert samples > verification._BATCH_ROWS // 2
         run_scan(kind, [3, d], t_grid=grid, samples=samples, threads=2)
     assert started == [2]
+
+
+def _threads_by_d(monkeypatch, kind, fan_out):
+    """Set the kind's fan-out width; record the d, the cell count and the running thread of every batch.
+
+    Also returns the most batches that ran at once.
+    """
+    least_d, margins, _ = verification._KINDS[kind]
+    ran, busy, peak = [], [], [0]
+    lock = threading.Lock()
+
+    def recorded(streams, d, ts, samples):
+        with lock:
+            ran.append((d, len(ts), threading.get_ident()))
+            busy.append(d)
+            peak[0] = max(peak[0], len(busy))
+        time.sleep(0.01)
+        try:
+            return margins(streams, d, ts, samples)
+        finally:
+            with lock:
+                busy.pop()
+
+    monkeypatch.setitem(verification._KINDS, kind, (least_d, recorded, fan_out))
+    return ran, peak
+
+
+def test_two_wide_batches_start_the_pool_for_every_batch(monkeypatch):
+    # At 400 samples each d's 9 cells make batches of 5 and 4 cells, 2000
+    # and 1600 rows.  At a width of 8000 the first batch of d = 4 (8000)
+    # and both of d = 5 (10000 and 8000) are wide, so the pool starts with
+    # min(threads, 6) workers and takes every batch; the calling thread
+    # runs none, and no more than threads batches run at once.
+    want = run_scan("main", [3, 4, 5], samples=400, seed=9, threads=1)
+    ran, peak = _threads_by_d(monkeypatch, "main", 8000)
+    started = _pools(monkeypatch)
+    for threads in (2, 3, 40):
+        ran.clear()
+        peak[0] = 0
+        assert run_scan("main", [3, 4, 5], samples=400, seed=9, threads=threads) == want
+        assert sorted((d, cells) for d, cells, _ in ran) == [(3, 4), (3, 5), (4, 4), (4, 5), (5, 4), (5, 5)]
+        assert threading.get_ident() not in {ident for _, _, ident in ran}
+        assert 1 <= peak[0] <= threads
+    assert started == [2, 3, 6]
+
+
+def test_one_wide_batch_starts_no_pool(monkeypatch):
+    # At a width of 10000 only the first batch of d = 5 is wide: with no
+    # second wide batch to share the work, every batch runs in order on the
+    # calling thread.
+    want = run_scan("main", [3, 4, 5], samples=400, seed=9, threads=1)
+    ran, peak = _threads_by_d(monkeypatch, "main", 10000)
+    started = _pools(monkeypatch)
+    assert run_scan("main", [3, 4, 5], samples=400, seed=9, threads=2) == want
+    assert started == []
+    assert [(d, cells) for d, cells, _ in ran] == [(3, 5), (3, 4), (4, 5), (4, 4), (5, 5), (5, 4)]
+    assert {ident for _, _, ident in ran} == {threading.get_ident()}
+    assert peak[0] == 1
 
 
 def _batch_ts(monkeypatch, kind):
