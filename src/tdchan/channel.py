@@ -132,7 +132,7 @@ def new_channel(d: int, t: float) -> Channel:
     return Channel(int(d), t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """State validated at construction: finite, Hermitian, unit trace, PSD.
 
@@ -141,7 +141,9 @@ class DensityMatrix:
     a later write to that matrix changes nothing here.  eigenvalues keeps
     the ascending eigvalsh(mat) of the PSD check, read-only, so a caller
     that needs the spectrum diagonalizes nothing again and cannot get a
-    stale one; __eq__ and repr ignore it.
+    stale one; repr ignores it.  Two instances are equal when their mats
+    are, entry for entry (np.array_equal); like its array, an instance is
+    unhashable.
     """
 
     mat: np.ndarray
@@ -165,6 +167,11 @@ class DensityMatrix:
             raise NotPSD("matrix has an eigenvalue below -1e-10")
         eigenvalues.flags.writeable = False
         object.__setattr__(self, "eigenvalues", eigenvalues)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DensityMatrix):
+            return NotImplemented
+        return np.array_equal(self.mat, other.mat)
 
     @property
     def dim(self) -> int:

@@ -52,29 +52,23 @@ and their entropies from one _split_rows call, as the probe's do.
 Only the t-dependent work runs per cell.  Three read-only caches hold
 the rest, each built on first use: _probe_rows keeps the probe's rows
 for the last (seed, d, restarts), _haar_sample, for the last
-(seed, d, n_random), the weights of every state and the dense check of
-the first _DENSE_CHECK_STATES states, and _pair_index the pair table of
-S1 for each d.  Their docstrings give what each entry holds.  The dense
-route checks the covariance reduction on the checked states:
-apply_two_copies gives their outputs, and from each the reference
-K sigma12(lam) K^H at the cached weights is subtracted in place in the
-computational basis, O(d^4) per state.  K is unitary, so the Frobenius
-residual E(t) is the one in the Schmidt bases.  Both sides are quadratic
-polynomials in t with t-independent coefficients, so E(t) is fixed by
-its values at three t: a sample's build evaluates it at -1/(d-1), 0 and
-1/(d+1) and keeps each state's 3 x 3 Gram matrix of those values, and
-each cell reads its residuals from the Gram matrices with the Lagrange
-weights of its t, in O(k).  In exact arithmetic that is the residual of
-the direct route at every t, on one assumption: that apply_two_copies
-is quadratic in t, as its docstring states (_covariance_residuals gives
-the argument).  What is given up: apply_two_copies runs only at the
-three nodes, once per build and not once per cell.  So at run time a
-fault in it that depends on t and vanishes at the nodes (a branch on
-the sign of t, say) is never seen, and a fault introduced into it after
-a key is built shows only at the next build.  The tests check the
-assumption at t off the nodes, against the direct route
-(test_gram_residuals_match_the_direct_dense_residuals) and against an
-independent Kronecker oracle
+(seed, d, n_random), the weights of every state and the covariance
+check's Gram matrices of the first _DENSE_CHECK_STATES states, and
+_pair_index the pair table of S1 for each d.  Their docstrings give what
+each entry holds.  The covariance check holds the reduction to the
+Schmidt weights on the checked states.  Each state's two-copy output
+minus the reference K sigma12(lam) K^H at its cached weights is a
+residual E(t) = t^2 R2 + t(1-t) R1 + (1-t)^2 R0 whose coefficients do
+not depend on t.  A sample's build reads them off the state's d x d
+matrix and the factors of the reference, in O(d^3) per state, and keeps
+their 3 x 3 Gram matrix; each cell reads ||E(t)||_F from it in O(k)
+(_covariance_residuals gives the coefficients).  What is given up:
+apply_two_copies does not run at run time.  The coefficients restate its
+formula, so a fault in apply_two_copies itself is never seen here, and
+a fault in the check's inputs introduced after a key is built shows only
+at the next build.  The tests tie the coefficients to apply_two_copies
+at eleven t (test_gram_residuals_match_the_direct_dense_residuals)
+and to an independent Kronecker oracle
 (test_covariance_residuals_match_the_kronecker_oracle).  A residual
 above _residual_tol(d), which by the Fannes-Audenaert bound keeps the
 dense and closed-form entropies within _COVARIANCE_TOL, raises
@@ -95,7 +89,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import Channel, DensityMatrix, _whole, apply_two_copies, check_finite, new_channel, t_range
+from .channel import Channel, DensityMatrix, _whole, check_finite
 from .errors import ConfigError, CovarianceMismatch, NotPSD
 from .sampling import _check_seed, _lambda_rows, haar_states, philox_stream
 from .spectrum import SchmidtVector, _as_schmidt, _check_schmidt_rows, _secular_block_roots
@@ -105,14 +99,11 @@ EIGENVALUE_FLOOR = -1e-10
 # Row budget of the full simplex lattice, which sets its resolution m;
 # minimize_simplex_entropy probes one row per permutation orbit of it.
 _LATTICE_ROWS = 500
-# Haar-random states per sample that the dense two-copy route checks,
-# and the largest |S_dense - S_closed| its residual tolerance allows.
+# Haar-random states per sample whose two-copy output is checked against
+# K sigma12 K^H, and the largest |S_dense - S_closed| its residual
+# tolerance allows.
 _DENSE_CHECK_STATES = 16
 _COVARIANCE_TOL = 1e-10
-# The most complex entries, d^4 per state, that one residual array of a
-# sample's build holds, one state at least: 8 MB, all 16 checked states up
-# to d = 13.  The build holds four such arrays at once.
-_DENSE_CHUNK_ENTRIES = 2**19
 
 # The Philox cell keys of the three sample families.  A scan cell's key
 # has a low byte of 0, so these never open a scan cell's stream.
@@ -133,11 +124,11 @@ class OptimizerConfig:
     vectors of min_output_entropy.
     n_random counts the Haar-random states of additivity_gap, whose
     entropies come from their Schmidt weights, and of which the first
-    _DENSE_CHECK_STATES are also checked against the dense two-copy
-    route at every t.  Nothing that does not depend on t is rebuilt per
-    t: the probe rows are built once per (seed, d, restarts) and the
-    states, their weights and the Gram matrices of the dense check once
-    per (seed, d, n_random); the last entry of each stays alive after the
+    _DENSE_CHECK_STATES are also checked against the two-copy output at
+    every t.  Nothing that does not depend on t is rebuilt per t: the
+    probe rows are built once per (seed, d, restarts) and the states,
+    their weights and the Gram matrices of the covariance check once per
+    (seed, d, n_random); the last entry of each stays alive after the
     call returns (see _probe_rows and _haar_sample for its size).  All
     three must be integers, the seed in [0, 2^64), and neither count may
     be negative;
@@ -411,12 +402,6 @@ def _residual_tol(d: int) -> float:
     return 2.0 * lo / math.sqrt(big)
 
 
-def _gram_nodes(d: int) -> tuple[float, float, float]:
-    """The three t at which a Haar sample's build evaluates the dense check: -1/(d-1), 0 and 1/(d+1)."""
-    lo, hi = t_range(d)
-    return lo, 0.0, hi
-
-
 def _reference_factors(states: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """P, Q and w of the reference outputs K sigma12(lam) K^H of states, (n, d^2), at lam, (n, d).
 
@@ -441,83 +426,79 @@ def _reference_factors(states: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray,
     return p, q, w
 
 
-def _dense_residuals(ch: Channel, states: np.ndarray, p: np.ndarray, q: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """E(t) = out - K sigma12(lam) K^H for each state, with _reference_factors p, q and w; (n, d^2, d^2).
+def _coefficient_grams(states: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """G_ij = Re <R_i, R_j>_F of the coefficients (R2, R1, R0) of each state's residual; (n, 3, 3).
 
-    out is the dense two-copy output of |psi><psi|, from apply_two_copies.
-    K is unitary, so ||E(t)||_F is the Frobenius norm of
-    K^H out K - sigma12(lam), the residual in the Schmidt bases.  The
-    reference c1 I + (c2/2)(P (x) I + I (x) Q) + t^2 w w^H is subtracted
-    from out in place: c1 through its diagonal, the Kronecker terms
-    through writeable einsum diagonal views, as apply_two_copies adds its
-    own, and t^2 w w^H by way of the spent |psi><psi| buffer.  That is
-    O(d^4) per state, and allocates nothing of the output's size besides
-    |psi><psi| and the output itself.
+    The coefficients are those of _covariance_residuals, from the state
+    psi, (n, d^2), as its d x d matrix M and from _reference_factors P, Q
+    and w at lam, (n, d).  With x = conj(psi), e = x - w, s = x + w,
+    A = conj(M) M^T - P, B = M^H M - Q and r = |psi|^2 - 1, and using
+    that R1 is Hermitian and that (A (x) I + I (x) B) v = vec(A V + V B^T)
+    for v = vec(V) row by row:
+        |R2|^2 = |e|^2 (|x|^2 + |w|^2) + 2 Re[(e^H w)(e^H x)],
+        |R1|^2 = (|A|^2 + |B|^2) / d + 2 tr A tr B / d^2,
+        |R0|^2 = r^2 / d^2,
+        <R2, R1> = Re <E, A S + S B^T> / d,
+        <R2, R0> = r Re(e^H s) / d^2,
+        <R1, R0> = r (tr A + tr B) / d^2,
+    with E and S the d x d matrices of e and s.  Each entry is a d x d
+    product or an inner product, O(d^3) per state.
     """
-    d, n = ch.d, len(states)
-    pure = states[:, :, None] * states.conj()[:, None, :]
-    out = apply_two_copies(ch, pure)
-    diagonal = np.einsum("nii->ni", out)  # writeable views
-    diagonal -= ch.c1
-    half = 0.5 * ch.c2
-    out4 = out.reshape(n, d, d, d, d)
-    left = np.einsum("nijkj->nijk", out4)  # (P (x) I) lives on j == l
-    left -= half * p[:, :, None, :]
-    right = np.einsum("nijil->nijl", out4)  # (I (x) Q) lives on i == k
-    right -= half * q[:, None, :, :]
-    out -= np.multiply(ch.t2 * w[:, :, None], w.conj()[:, None, :], out=pure)
-    return out
+    n, d = lam.shape
+    p, q, w = _reference_factors(states, lam)
+    m = states.reshape(n, d, d)
+    x = states.conj()
+    e, s = x - w, x + w
+    a = m.conj() @ m.swapaxes(1, 2) - p
+    b = m.conj().swapaxes(1, 2) @ m - q
 
+    def inner(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return np.einsum("ni,ni->n", u.reshape(n, -1).conj(), v.reshape(n, -1))
 
-def _residual_grams(states: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """G_ij = Re <E(t_i), E(t_j)>_F of each state at the nodes t_i of _gram_nodes(d); (n, 3, 3).
-
-    E(t) is _dense_residuals at a Channel of each node in turn, three
-    apply_two_copies calls on all n states.  The first two nodes'
-    residuals stay alive until the last node is done, so during the last
-    call four arrays of n d^4 complex entries are alive: those two,
-    |psi><psi| and its output.
-    """
-    d = lam.shape[1]
-    factors = _reference_factors(states, lam)
-    grams = np.empty((len(states), 3, 3))
-    flats: list[np.ndarray] = []
-    for i, t in enumerate(_gram_nodes(d)):
-        flats.append(_dense_residuals(new_channel(d, t), states, *factors).reshape(len(states), -1).view(float))
-        for j, other in enumerate(flats):
-            grams[:, i, j] = grams[:, j, i] = np.einsum("ni,ni->n", other, flats[-1])
-    return grams
+    xx = inner(x, x).real
+    r = xx - 1.0
+    tr_a, tr_b = np.trace(a, axis1=1, axis2=2).real, np.trace(b, axis1=1, axis2=2).real
+    s_mat = s.reshape(n, d, d)
+    gram = np.empty((n, 3, 3))
+    gram[:, 0, 0] = inner(e, e).real * (xx + inner(w, w).real) + 2.0 * (inner(e, w) * inner(e, x)).real
+    gram[:, 1, 1] = (inner(a, a).real + inner(b, b).real) / d + 2.0 * tr_a * tr_b / d**2
+    gram[:, 2, 2] = r**2 / d**2
+    gram[:, 0, 1] = gram[:, 1, 0] = inner(e, a @ s_mat + s_mat @ b.swapaxes(1, 2)).real / d
+    gram[:, 0, 2] = gram[:, 2, 0] = r * inner(e, s).real / d**2
+    gram[:, 1, 2] = gram[:, 2, 1] = r * (tr_a + tr_b) / d**2
+    return gram
 
 
 def _covariance_residuals(ch: Channel, sample: _HaarSample) -> np.ndarray:
     """||E(t)||_F = ||out - K sigma12(lam) K^H||_F for each checked state of sample, at ch.t; (k,).
 
-    Both out = apply_two_copies(|psi><psi|), which is
-    t^2 X^T + t(1-t)[...] + (1-t)^2 tr X I/d^2, and the reference
+    out = t^2 X^T + t(1-t) [(tr_2 X)^T (x) I/d + I/d (x) (tr_1 X)^T]
+    + (1-t)^2 tr X I/d^2 is the two-copy output of X = |psi><psi|, the
+    formula of apply_two_copies, and the reference is
     c1 I + (c2/2)(P (x) I + I (x) Q) + t^2 w w^H, with c1 = (1-t)^2/d^2
-    and c2/2 = t(1-t)/d, are quadratic polynomials in t whose coefficients
-    do not depend on t.  So is E(t), and in exact arithmetic
-    E(t) = sum_i l_i(t) E(t_i) over the three nodes t_i of _gram_nodes(d),
-    with the Lagrange weights l_i(t) = prod_{j != i} (t - t_j) / (t_i - t_j),
-    which are exactly (1, 0, 0), (0, 1, 0) or (0, 0, 1) at a node.  Then
-    ||E(t)||_F^2 = l(t)^T G l(t) for the Gram matrix
-    G_ij = Re <E(t_i), E(t_j)>_F kept in sample.gram, which gives the
-    Frobenius residual of the direct route at every t, to rounding: in
-    the tests the two agree within 6.1e-17 from d = 3 on and within
-    1.8e-16 at d = 2, where both are rounding noise of up to 1.3e-15.
-    At a t off the nodes that holds only if apply_two_copies really is
-    quadratic in t, which this function cannot see: a fault in it that
-    vanishes at the nodes passes here.  The tests check it there against
-    the direct route and against a Kronecker oracle (see the module
-    docstring).  This costs O(k) per cell; a rounding below 0 reads as 0.
+    and c2/2 = t(1-t)/d (see _reference_factors).  With M the state as a
+    d x d matrix, X^T = x x^H for x = conj(psi), (tr_2 X)^T = conj(M) M^T
+    and (tr_1 X)^T = M^H M, so E(t) = t^2 R2 + t(1-t) R1 + (1-t)^2 R0 with
+    the t-independent coefficients
+        R2 = x x^H - w w^H = e x^H + w e^H,  e = x - w,
+        R1 = (A (x) I + I (x) B) / d,  A = conj(M) M^T - P,  B = M^H M - Q,
+        R0 = (|psi|^2 - 1) I / d^2.
+    e is formed as a difference of vectors, so no term of R2 cancels.  K
+    is unitary, so ||E(t)||_F is also the residual in the Schmidt bases.
+    sample.gram keeps each state's Gram matrix G of (R2, R1, R0), from
+    _coefficient_grams, and ||E(t)||_F^2 = b^T G b with
+    b = (t^2, t(1-t), (1-t)^2): O(k) per cell.  A rounding below 0 reads
+    as 0.  apply_two_copies itself does not run: the coefficients restate
+    its formula, and the tests tie the two together (see the module
+    docstring).
     """
-    nodes = _gram_nodes(ch.d)
-    ell = np.array([math.prod((ch.t - b) / (a - b) for b in nodes if b != a) for a in nodes])
-    return np.sqrt(np.maximum(sample.gram @ ell @ ell, 0.0))
+    t = ch.t
+    b = np.array([t * t, t * (1.0 - t), (1.0 - t) ** 2])
+    return np.sqrt(np.maximum(sample.gram @ b @ b, 0.0))
 
 
 def _check_covariance(ch: Channel, sample: _HaarSample) -> None:
-    """Raise CovarianceMismatch unless the dense route agrees with the closed form at sample.weights.
+    """Raise CovarianceMismatch unless each checked state's two-copy output is K sigma12 K^H at sample.weights.
 
     Each checked state's residual at ch.t, from _covariance_residuals,
     must stay at or below _residual_tol(d).  The message names the cell's
@@ -539,10 +520,9 @@ class _HaarSample(NamedTuple):
     """The t-independent half of a cell's Haar leg; both arrays read-only.
 
     weights holds the Schmidt weights of all count states, (count, d), and
-    gram the 3 x 3 Gram matrix of the dense check's residuals at the
-    nodes of _gram_nodes(d) for each of the first
-    k = min(count, _DENSE_CHECK_STATES) states, (k, 3, 3) real (see
-    _covariance_residuals).
+    gram the 3 x 3 Gram matrix of the residual's t-coefficients for each
+    of the first k = min(count, _DENSE_CHECK_STATES) states, (k, 3, 3)
+    real (see _covariance_residuals).
     """
 
     weights: np.ndarray
@@ -553,26 +533,15 @@ def _haar_sample_of(psi: np.ndarray, weights: np.ndarray) -> _HaarSample:
     """The _HaarSample of the states psi, (count, d^2), at their Schmidt weights, (count, d).
 
     The first k = min(count, _DENSE_CHECK_STATES) states are checked:
-    _reference_factors gives P, Q and w at their rows of weights, and
-    _residual_grams runs the dense check at the three nodes of
-    _gram_nodes(d) and keeps each state's Gram matrix.  The states go in
-    chunks of at most _DENSE_CHUNK_ENTRIES entries, d^4 per state, and at
-    least one state, and the build holds four arrays of a chunk's size at
-    once: one chunk of all 16 states up to d = 13, 8 states a chunk at
-    d = 16 and one at d = 24.  A chunk makes three apply_two_copies calls,
-    one per node, and never raises; the check is _check_covariance's, per
-    cell.  The states and the factors are dropped after the build.  So
-    apply_two_copies runs three times per chunk of a key, not once per
-    cell, and a fault introduced into it after a key is built shows only
-    at the next build.  The weights passed in are kept, and made read-only
-    with the Gram matrices.
+    _coefficient_grams keeps each one's Gram matrix, in O(d^3) per state
+    and with no array of d^4 entries.  The build never raises; the check
+    is _check_covariance's, per cell.  The states are dropped after the
+    build, so a fault introduced into the check's inputs after a key is
+    built shows only at the next build.  The weights passed in are kept,
+    and made read-only with the Gram matrices.
     """
-    d = weights.shape[1]
-    size = max(1, _DENSE_CHUNK_ENTRIES // d**4)
     k = min(len(psi), _DENSE_CHECK_STATES)
-    chunks = [slice(lo, min(lo + size, k)) for lo in range(0, k, size)]
-    gram = np.concatenate([_residual_grams(psi[chunk], weights[chunk]) for chunk in chunks])
-    sample = _HaarSample(weights, gram)
+    sample = _HaarSample(weights, _coefficient_grams(psi[:k], weights[:k]))
     for array in sample:
         array.flags.writeable = False
     return sample
@@ -585,9 +554,9 @@ def _haar_sample(seed: int, d: int, count: int) -> _HaarSample:
     The states are the rows of haar_states on the _TAG_HAAR stream of
     seed, so state r is the same for every count past r.  The weights of
     every state come from _schmidt_weights, checked by
-    _check_schmidt_rows, and go to _haar_sample_of, which also runs the
-    dense check's three node evaluations.  None of it depends on t, so a
-    t grid at one (seed, d, count) builds it once, and each cell reads its
+    _check_schmidt_rows, and go to _haar_sample_of, which also builds the
+    covariance check's Gram matrices.  None of it depends on t, so a t
+    grid at one (seed, d, count) builds it once, and each cell reads its
     residuals from the Gram matrices.  The one cached entry stays alive
     after the call returns, until a call with another key replaces it: d
     doubles of weights per state, and 9 doubles of Gram matrix for each of
@@ -603,10 +572,10 @@ def _haar_sample(seed: int, d: int, count: int) -> _HaarSample:
 def _random_state_entropies(ch: Channel, cfg: OptimizerConfig) -> np.ndarray:
     """Two-copy output entropy of each of max(cfg.n_random, 1) Haar-random states; (count,).
 
-    The Schmidt weights of the states and the Gram matrices of the dense
-    check come from _haar_sample, built once per (seed, d, count) and
-    shared by every t.  The weights go through one _split_rows call,
-    which gives each row the bits of a one-row call.  Then, on every
+    The Schmidt weights of the states and the Gram matrices of the
+    covariance check come from _haar_sample, built once per
+    (seed, d, count) and shared by every t.  The weights go through one
+    _split_rows call, which gives each row the bits of a one-row call.  Then, on every
     call, _check_covariance holds the residuals of the first
     _DENSE_CHECK_STATES states at this t to their tolerance.
     """

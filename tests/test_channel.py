@@ -104,6 +104,19 @@ def test_density_matrix_keeps_the_eigenvalues_of_its_psd_check():
     assert not (kept.init or kept.repr or kept.compare)
 
 
+def test_density_matrices_compare_by_their_matrices():
+    # == and in compare the matrices entry for entry, and never raise.
+    half = td.DensityMatrix(np.eye(2) / 2)
+    assert half == td.DensityMatrix(np.eye(2) / 2)
+    assert half != td.DensityMatrix(np.diag([0.75, 0.25]))
+    assert half != td.DensityMatrix(np.eye(3) / 3)
+    assert half != "half"
+    assert td.DensityMatrix(np.eye(2) / 2) in [td.DensityMatrix(np.eye(3) / 3), half]
+    assert td.DensityMatrix(np.diag([0.75, 0.25])) not in [half]
+    with pytest.raises(TypeError):
+        hash(half)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
 def test_density_matrix_rejects_non_finite(bad):
     m = np.eye(2, dtype=complex) / 2.0

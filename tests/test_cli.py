@@ -429,10 +429,13 @@ def test_internal_failure_exit_4(capsys, monkeypatch, exc):
 
 
 def test_covariance_mismatch_exit_4(capsys, monkeypatch):
-    # A dense two-copy route off the Schmidt closed form is a library fault.
-    plain = entropy.apply_two_copies
-    monkeypatch.setattr(entropy, "apply_two_copies", lambda ch, mat: (1.0 + 1e-6) * plain(ch, mat))
+    # A two-copy output off the Schmidt closed form is a library fault: each
+    # checked state reaches the covariance check scaled by sqrt(1 + 1e-6).
+    plain = entropy._coefficient_grams
+    monkeypatch.setattr(entropy, "_coefficient_grams", lambda states, lam: plain(np.sqrt(1.0 + 1e-6) * states, lam))
+    entropy._haar_sample.cache_clear()
     code, out, err = run_cli(capsys, "additivity", "--d", "3", "--restarts", "2", "--n-random", "4")
+    entropy._haar_sample.cache_clear()  # the sample built under the fault
     assert code == 4
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: internal failure: CovarianceMismatch")

@@ -380,45 +380,55 @@ def test_schmidt_weights_of_product_and_near_product_states():
 
 
 def test_every_additivity_gap_runs_the_dense_check(monkeypatch, cold_haar_cache):
-    # A sample's build makes three dense calls, one at each node, on the
-    # first min(n_random, _DENSE_CHECK_STATES) states of the stream, whatever
-    # their count.  A warm cell makes none, but every cell holds the
-    # residuals at its own t to the tolerance.
-    dense = count_calls(monkeypatch, "apply_two_copies")
+    # A sample's build reads the residual's coefficients once, off the first
+    # min(n_random, _DENSE_CHECK_STATES) states of the stream and their
+    # weights, whatever their count.  A warm cell reads none, but every cell
+    # holds the residuals at its own t to the tolerance.
+    grams = count_calls(monkeypatch, "_coefficient_grams")
     checks = count_calls(monkeypatch, "_check_covariance")
     for n_random in (0, 5, _DENSE_CHECK_STATES, 3 * _DENSE_CHECK_STATES + 1):
-        dense.clear()
+        grams.clear()
         checks.clear()
         cfg = td.OptimizerConfig(restarts=1, n_random=n_random)
         td.additivity_gap(td.new_channel(3, -0.4), cfg)
         k = min(max(n_random, 1), _DENSE_CHECK_STATES)
-        assert [mat.shape for _, mat in dense] == [(k, 9, 9)] * 3, n_random
-        assert [ch.t for ch, _ in dense] == [-0.5, 0.0, 0.25]
-        dense.clear()
+        assert [(states.shape, lam.shape) for states, lam in grams] == [((k, 9), (k, 3))], n_random
+        grams.clear()
         td.additivity_gap(td.new_channel(3, 0.1), cfg)
-        assert dense == []
+        assert grams == []
         assert [ch.t for ch, _ in checks] == [-0.4, 0.1]
 
 
+def scaled_states(monkeypatch, e):
+    """Feed the covariance check each state scaled by sqrt(1 + e), which scales its two-copy output by 1 + e.
+
+    The scale reaches x = conj(psi), the partial traces and the norm of
+    every checked state, but not P, Q and w: they rest on the weights and
+    on the singular vectors, which a scale leaves as they are.
+    """
+    plain = entropy._coefficient_grams
+    monkeypatch.setattr(entropy, "_coefficient_grams", lambda states, lam: plain(np.sqrt(1.0 + e) * states, lam))
+
+
 def test_the_dense_check_holds_the_closed_form_to_its_tolerance(monkeypatch, cold_haar_cache):
-    # Scaling the dense output by 1 + e leaves a residual e sigma12 in the
-    # Schmidt bases, of Frobenius norm between e / 4 and e at d = 4: past
-    # _residual_tol(4), about 1.7e-12, at e = 1e-8, well inside it at
-    # e = 1e-13.  The dense route runs when a sample is built, so the
+    # Scaling each two-copy output by 1 + e leaves a residual e sigma12 in
+    # the Schmidt bases, of Frobenius norm between e / 4 and e at d = 4:
+    # past _residual_tol(4), about 1.7e-12, at e = 1e-8, well inside it at
+    # e = 1e-13.  The coefficients are read when a sample is built, so the
     # fault is in place before a cold build.
-    plain = entropy.apply_two_copies
     ch = td.new_channel(4, -0.2)
     cfg = td.OptimizerConfig(restarts=1, n_random=3)
     want = td.additivity_gap(ch, cfg)
     for e, fails in ((1e-8, True), (1e-13, False)):
-        monkeypatch.setattr(entropy, "apply_two_copies", lambda ch, mat: (1.0 + e) * plain(ch, mat))
-        entropy._haar_sample.cache_clear()
-        if fails:
-            with pytest.raises(CovarianceMismatch, match="differ by") as raised:
-                td.additivity_gap(ch, cfg)
-            assert not isinstance(raised.value, td.TdchanError)
-        else:
-            assert td.additivity_gap(ch, cfg) == want
+        with monkeypatch.context() as m:
+            scaled_states(m, e)
+            entropy._haar_sample.cache_clear()
+            if fails:
+                with pytest.raises(CovarianceMismatch, match="differ by") as raised:
+                    td.additivity_gap(ch, cfg)
+                assert not isinstance(raised.value, td.TdchanError)
+            else:
+                assert td.additivity_gap(ch, cfg) == want
 
 
 def test_the_dense_check_catches_a_shifted_cached_weight(monkeypatch, cold_haar_cache):
@@ -447,7 +457,7 @@ def test_the_dense_check_catches_a_shifted_cached_factor(monkeypatch, factor, en
     # of K sigma12 K^H moves by 1e-9 as _haar_sample_of builds the sample,
     # the dense route untouched.  At t = 0 the factors carry weight
     # c2 = t^2 = 0, so only t != 0 is held to it; the unshifted sample
-    # passes everywhere.  At d = 4 the 5 states are one chunk of the build.
+    # passes everywhere.
     sample = entropy._haar_sample.__wrapped__(3, 4, 5)
     plain = entropy._reference_factors
 
@@ -537,26 +547,40 @@ def checked_states(d, rng):
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 8, 16])
-def test_gram_residuals_match_the_direct_dense_residuals(d):
-    # E(t) is quadratic in t, so its Frobenius norm at any t follows from
-    # its Gram matrix at the three nodes.  The direct route subtracts the
-    # reference from the dense output at t itself.  Both agree at the
-    # endpoints, at 0 and at seven t off the nodes, two of them 1e-7 from 0.
-    # Off the nodes each route rounds in its own way, and both residuals
-    # are rounding noise: at d = 2, where they reach 1.3e-15, they differ
-    # by up to 1.8e-16, and by at most 6.1e-17 from d = 3 on.
-    bound = 4e-16 if d == 2 else 1e-16
+def test_gram_residuals_match_the_direct_dense_residuals(monkeypatch, d):
+    # The Gram matrix of the residual's three t-coefficients gives its
+    # Frobenius norm at any t.  The direct route forms the residual itself:
+    # the dense output of apply_two_copies at t minus
+    # c1 I + (c2/2)(P (x) I + I (x) Q) + t^2 w w^H, built with np.kron.  Both
+    # agree at eleven t: both ends, 0, and eight t inside, two of them 1e-7
+    # from 0.  On the checked states each route rounds in its own way, and
+    # both residuals are rounding noise of up to 1.3e-15 (at d = 2); they
+    # differ by at most 3.3e-16.  Noise that small would hide a wrong Gram
+    # entry, so the states also go in scaled by 1 + 1e-3 and against the
+    # factors and weights of the state before them: then every coefficient
+    # is far from 0 and e^H x is complex, and the routes agree to 1e-12 of
+    # the residual.
     psi = checked_states(d, np.random.default_rng(271 + d))
     weights = entropy._schmidt_weights(psi, d)
-    sample = entropy._haar_sample_of(psi, weights)
-    factors = entropy._reference_factors(psi, weights)
+    plain = entropy._reference_factors
+
+    def before(states, lam):
+        return plain(np.roll(states, 1, axis=0), np.roll(lam, 1, axis=0))
+
+    eye = np.eye(d)
     lo, hi = td.t_range(d)
-    for t in (lo, 0.0, hi, 0.9 * lo, 0.5 * lo, 0.1 * lo, -1e-7, 1e-7, 0.5 * hi, 0.9 * hi):
-        ch = td.new_channel(d, t)
-        flat = entropy._dense_residuals(ch, psi, *factors).reshape(len(psi), -1)
-        direct = np.linalg.norm(flat, axis=1)
-        got = entropy._covariance_residuals(ch, sample)
-        assert np.max(np.abs(got - direct)) <= bound, (d, t, got.tolist(), direct.tolist())
+    for factors, states in ((plain, psi), (before, (1.0 + 1e-3) * psi)):
+        monkeypatch.setattr(entropy, "_reference_factors", factors)
+        sample = entropy._haar_sample_of(states, weights)
+        p, q, w = factors(states, weights)
+        kron = np.array([np.kron(a, eye) for a in p]) + np.array([np.kron(eye, b) for b in q])
+        for t in (lo, 0.9 * lo, 0.5 * lo, 0.1 * lo, -1e-7, 0.0, 1e-7, 0.3 * hi, 0.5 * hi, 0.9 * hi, hi):
+            ch = td.new_channel(d, t)
+            out = td.apply_two_copies(ch, states[:, :, None] * states.conj()[:, None, :])
+            reference = ch.c1 * np.eye(d * d) + 0.5 * ch.c2 * kron + ch.t2 * w[:, :, None] * w.conj()[:, None, :]
+            direct = np.linalg.norm((out - reference).reshape(len(states), -1), axis=1)
+            got = entropy._covariance_residuals(ch, sample)
+            assert np.all(np.abs(got - direct) <= 5e-16 + 1e-12 * direct), (d, t, got.tolist(), direct.tolist())
 
 
 def test_a_mismatch_names_the_worst_state_and_its_least_schmidt_weight():
@@ -663,14 +687,12 @@ def test_haar_samples_are_keyed_by_seed_d_and_count_and_read_only(monkeypatch, c
         psi = haar_states(count, 9, philox_stream(11, _TAG_HAAR))
         assert bits(weights.tolist()) == bits(entropy._schmidt_weights(psi, 3).tolist())
         assert np.array_equal(gram, gram.swapaxes(1, 2))
-        # The factors of K sigma12 K^H that the build uses, read off each
-        # state as the d x d matrix M: P = conj(M M^H), Q = M^H M and
-        # w = conj(psi).  The Gram diagonal holds their squared residuals at the nodes.
+        # The Gram matrices are those of the first k states at their weights,
+        # from the factors of K sigma12 K^H read off each state as the d x d
+        # matrix M: P = conj(M M^H), Q = M^H M and w = conj(psi).
         dense = psi[:k]
+        assert np.array_equal(gram, entropy._coefficient_grams(dense, weights[:k]))
         p, q, w = entropy._reference_factors(dense, weights[:k])
-        for i, t in enumerate(entropy._gram_nodes(3)):
-            flat = entropy._dense_residuals(td.new_channel(3, t), dense, p, q, w).reshape(k, -1)
-            assert np.allclose(gram[:, i, i], np.linalg.norm(flat, axis=1) ** 2, rtol=1e-12, atol=0.0)
         m = dense.reshape(-1, 3, 3)
         assert p.shape == q.shape == (len(dense), 3, 3) and w.shape == dense.shape
         assert np.max(np.abs(p - (m @ m.conj().swapaxes(1, 2)).conj())) <= 1e-14
@@ -685,13 +707,12 @@ def test_haar_samples_are_keyed_by_seed_d_and_count_and_read_only(monkeypatch, c
 
 
 def test_a_warm_haar_sample_still_runs_the_dense_check(monkeypatch, cold_haar_cache):
-    # The dense route runs when the sample is built, and never raises
-    # there; every cell then holds the residuals at its own t to the
+    # The coefficients are read when the sample is built, and the build
+    # never raises; every cell then holds the residuals at its own t to the
     # tolerance.  So a fault present at the build shows at the first cell
     # and at every later t of the warm grid.
-    plain = entropy.apply_two_copies
     cfg = td.OptimizerConfig(restarts=1, n_random=5, seed=3)
-    monkeypatch.setattr(entropy, "apply_two_copies", lambda ch, mat: (1.0 + 1e-6) * plain(ch, mat))
+    scaled_states(monkeypatch, 1e-6)
     lo, hi = td.t_range(3)
     grid = [-0.4, lo, 0.5 * lo, -1e-7, 0.1, hi]
     for t in grid:
@@ -702,14 +723,18 @@ def test_a_warm_haar_sample_still_runs_the_dense_check(monkeypatch, cold_haar_ca
 
 
 def test_a_dense_fault_after_the_build_shows_at_the_next_build(monkeypatch, cold_haar_cache):
-    # What the one build per key gives up: apply_two_copies runs only when
-    # a sample is built, so a fault introduced into it afterwards passes
+    # What the one build per key gives up: P, Q and w are formed only when
+    # a sample is built, so a fault introduced into them afterwards passes
     # every warm cell and raises once the sample is built again.
-    plain = entropy.apply_two_copies
+    plain = entropy._reference_factors
     cfg = td.OptimizerConfig(restarts=1, n_random=5, seed=3)
     want = td.additivity_gap(td.new_channel(3, 0.1), cfg)
     td.additivity_gap(td.new_channel(3, -0.4), cfg)
-    monkeypatch.setattr(entropy, "apply_two_copies", lambda ch, mat: (1.0 + 1e-6) * plain(ch, mat))
+
+    def scaled(states, lam):
+        return [(1.0 + 1e-6) * factor for factor in plain(states, lam)]
+
+    monkeypatch.setattr(entropy, "_reference_factors", scaled)
     assert td.additivity_gap(td.new_channel(3, 0.1), cfg) == want
     entropy._haar_sample.cache_clear()
     with pytest.raises(CovarianceMismatch, match="differ by"):
