@@ -112,7 +112,7 @@ class ChannelRows:
 
 def by_row(value, ndim: int):
     """A Channel's scalar as it is, or a ChannelRows array shaped (N, 1, ...) for rows-first arrays of ndim axes."""
-    return value if np.ndim(value) == 0 else np.reshape(value, (-1,) + (1,) * (ndim - 1))
+    return np.reshape(value, (-1,) + (1,) * (ndim - 1)) if isinstance(value, np.ndarray) else value
 
 
 def new_channel(d: int, t: float) -> Channel:

@@ -66,8 +66,7 @@ def _parse_int_range(text: str) -> list[int]:
 def _parse_t_grid(text: str) -> tuple[float, float, int]:
     """'a:b:steps' -> (a, b, steps); a bare float t -> (t, t, 1).
 
-    Nothing is built here: _t_values builds the grid once the command has
-    checked its size.
+    Nothing is built here: _t_values checks the size and builds the grid.
     """
     parts = text.split(":")
     try:
@@ -85,8 +84,12 @@ def _parse_t_grid(text: str) -> tuple[float, float, int]:
 
 
 def _t_values(grid: tuple[float, float, int]) -> np.ndarray:
-    """The values of a _parse_t_grid result: [t] for one value, else linspace(a, b, steps)."""
+    """The values of a _parse_t_grid result: [t] for one value, else linspace(a, b, steps).
+
+    _check_t_points rejects an oversized step count before anything is built.
+    """
     a, b, steps = grid
+    _check_t_points(steps)
     return np.array([a]) if steps == 1 else np.linspace(a, b, steps)
 
 
@@ -330,11 +333,12 @@ def _cmd_additivity(args) -> int:
     tol = _resolve_tol(args.tol, 1e-6)
     lo, hi = t_range(args.d)
     grid = _t_values(args.t) if args.t is not None else np.linspace(lo, hi, 9)
+    # Every t is checked before the first cell runs.
+    channels = [new_channel(args.d, t) for t in grid]
     cfg = OptimizerConfig(restarts=args.restarts, n_random=args.n_random, seed=args.seed)
     rows = []
     worst = np.inf
-    for t in grid:
-        ch = new_channel(args.d, t)
+    for t, ch in zip(grid, channels):
         gap, min_simplex, min_random = additivity_gap(ch, cfg)
         worst = min(worst, gap)
         rows.append(
@@ -354,7 +358,6 @@ def _cmd_verify(args) -> int:
     threads = _resolve_threads(args.threads)
     t_grid = None
     if args.t_grid is not None:
-        _check_t_points(args.t_grid[2])
         t_grid = _t_values(args.t_grid)
     kinds = SCAN_KINDS if args.kind == "all" else [args.kind.replace("-", "_")]
     reports = []

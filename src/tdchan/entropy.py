@@ -36,18 +36,34 @@ by a few ulp (by at most 1.8e-15, at |t| <= 1e-9, on 702 cells
 compared).  The tests find the entropy concave on the simplex (chord
 slacks over the whole t range, the worst one at 50 digits), so its
 minimum sits at a vertex, where it equals 2h; the other rows are
-evidence that no interior point beats it.  The whole batch goes through _split_rows: S1
-takes the pair values of every row as one array, and S2 the roots of
-every row from one spectrum._secular_block_roots call, the kernel behind
-secular_roots and secular_roots_batch.  A row gets the same bits there
-as alone, so the vertex values are those of simplex_output_entropy.
+evidence that no interior point beats it.
 
 The Haar-random states of a cell are the rows of one standard-normal
 block from one stream.  The channel is unitarily covariant, so the
 two-copy output of a pure input has the spectrum of the Schmidt-diagonal
 input with the same Schmidt weights.  The weights of every state come
-from one batched eigvalsh of M M^H, with M the state as a d x d matrix,
-and their entropies from one _split_rows call, as the probe's do.
+from one batched eigvalsh of M M^H, with M the state as a d x d matrix.
+
+Both legs need only the least entropy of a batch of rows, and both get
+it from one evaluator, _row_entropies.  S1 takes the pair values of every
+row as one array.  S2 needs the roots of each row's secular block, but
+a closed form of the block's trace M and squared Frobenius norm F
+brackets it without them: Shannon entropy is at least Renyi-2 entropy,
+which gives the floor M ln(M / F), and at a fixed index of coincidence
+it is largest at one large and d - 1 equal roots (Harremoes and
+Topsoe), which gives the ceiling.  The row with the least S1 + floor
+gives the batch's ceiling, S1 + ceiling of that row.  Only the rows
+whose S1 + floor does not exceed it by more than _PRUNE_MARGIN = 1e-9,
+and the probe's vertices, get their roots, from one
+spectrum._secular_block_roots call, the kernel behind secular_roots and
+secular_roots_batch; every other row gets +inf.  A row gets the same
+bits there as alone, so the vertex values are those of
+simplex_output_entropy, and the least value and its row are those of an
+evaluation of every row.  The margin covers the rounding of S against
+its bounds (_row_entropies gives the count).  What this gives up: a
+pruned row's spectrum is never computed, so a NotPSD or a kernel fault
+confined to that row goes unseen.  On the perfbench additivity
+workload, 666 of 3,726 rows per pass are diagonalized at seed 1.
 
 Only the t-dependent work runs per cell.  Three read-only caches hold
 the rest, each built on first use: _probe_rows keeps the probe's rows
@@ -104,6 +120,9 @@ _LATTICE_ROWS = 500
 # tolerance allows.
 _DENSE_CHECK_STATES = 16
 _COVARIANCE_TOL = 1e-10
+# How far an entropy floor may exceed the ceiling that _row_entropies
+# prunes against before the row is pruned; it covers their rounding.
+_PRUNE_MARGIN = 1e-9
 
 # The Philox cell keys of the three sample families.  A scan cell's key
 # has a low byte of 0, so these never open a scan cell's stream.
@@ -209,21 +228,137 @@ def _pair_index(d: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
+def _pair_entropies(ch: Channel, rows: np.ndarray) -> np.ndarray:
+    """S1 of each row of rows, validated Schmidt vectors: the entropy of its d(d-1) pair values; (N,).
+
+    gamma_ab is symmetric in (a, b), so S1 sums the unordered pairs
+    (1, 0), (2, 0), (2, 1), ... and doubles.
+    """
+    a, b = _pair_index(rows.shape[1])
+    return 2.0 * _entropy_rows(ch.c1 + 0.5 * ch.c2 * (rows[:, a] + rows[:, b]))
+
+
 def _split_rows(ch: Channel, lams) -> tuple[np.ndarray, np.ndarray]:
     """(S1, S2) arrays of the two-copy output, one entry per row of lams, validated Schmidt vectors.
 
-    Built from the two families directly, with no Spectrum record.
-    gamma_ab is symmetric in (a, b), so S1 sums the unordered pairs
-    (1, 0), (2, 0), (2, 1), ... and doubles.  S2 sums the secular roots
-    in descending order.  The roots of all rows come from one
-    _secular_block_roots call, and each row gets the same bits as a
-    one-row call.
+    Built from the two families directly, with no Spectrum record.  S2
+    sums the secular roots in descending order.  The roots of all rows
+    come from one _secular_block_roots call, and each row gets the same
+    bits as a one-row call.
     """
     rows = np.asarray(lams, dtype=float)
-    a, b = _pair_index(rows.shape[1])
-    s1 = 2.0 * _entropy_rows(ch.c1 + 0.5 * ch.c2 * (rows[:, a] + rows[:, b]))
-    s2 = _entropy_rows(_secular_block_roots(ch, rows))
-    return s1, s2
+    return _pair_entropies(ch, rows), _entropy_rows(_secular_block_roots(ch, rows))
+
+
+def _renyi_floor(trace, frobenius):
+    """M ln(M / F), a floor of -sum g ln g over g >= 0 with sum g = M = trace and sum g^2 = F = frobenius.
+
+    p = g / M is a distribution with index of coincidence sum p^2 =
+    F / M^2, and -sum g ln g = M H(p) - M ln M.  Shannon entropy is at
+    least Renyi-2 entropy, H(p) >= -ln(F / M^2), which gives the floor.
+    It is the entropy itself where g is flat on its support.
+    Elementwise; M and F are positive.
+    """
+    return trace * np.log(trace / frobenius)
+
+
+def _coincidence_ceiling(trace: float, frobenius: float, d: int) -> float:
+    """The largest -sum g ln g over g >= 0 in R^d with sum g = M = trace and sum g^2 = F = frobenius.
+
+    At a fixed index of coincidence F / M^2 the entropy is largest at
+    g = (a, b, ..., b) with a >= b (Harremoes and Topsoe, IEEE Trans.
+    Inf. Theory 47, 2944 (2001)), so the ceiling is -a ln a - (d-1) b ln b
+    with a + (d-1) b = M and a^2 + (d-1) b^2 = F: b = (M - r) / d and
+    a = b + r with r^2 = (d F - M^2) / (d-1).  Rounding that takes r^2
+    below 0 is clipped to 0, and M - r is raised to at least 1e-300, whose
+    b ln b is below 1e-297.  One point in Python floats; M and F are
+    positive.
+    """
+    spread = math.sqrt(max((d * frobenius - trace * trace) / (d - 1), 0.0))
+    small = max(trace - spread, 1e-300) / d
+    big = small + spread
+    return -big * math.log(big) - (d - 1) * small * math.log(small)
+
+
+def _secular_block_moments(ch: Channel, rows: np.ndarray) -> tuple[float, np.ndarray]:
+    """(M, F): the trace of every row's secular block and the squared Frobenius norm of each; F is (N,).
+
+    The block diag(c1 + c2 lam) + t^2 sqrt(lam) sqrt(lam)^T of a row
+    that sums to 1 has, with k = c2 + t^2,
+        M = sum_a (c1 + k lam_a) = d c1 + k,
+        F = sum_a (c1 + k lam_a)^2 + t^4 (1 - sum lam^2)
+          = d c1^2 + 2 c1 k + t^4 + (k^2 - t^4) sum lam^2,
+    so one row-wise sum of squares gives every F and no eigensolve runs.
+    The block is a principal block of a density matrix, so its roots are
+    nonnegative, and _renyi_floor and _coincidence_ceiling of (M, F)
+    bracket its S2.  At a vertex the roots are ((1 + (d-1) t) / d)^2 and
+    d - 1 times c1: for t >= 0 the first is the largest, so the ceiling is
+    S2 itself, and at t = -1/(d-1) it is 0, so the roots are flat on their
+    support and the floor is S2 itself.  Both terms of F are nonnegative
+    on the whole t range except 2 c1 k, which is at most a few times F,
+    so rounding moves the bounds by a few ulp of M ln M.  _row_entropies
+    counts the cost of taking each row's sum as 1.
+    """
+    d, c1, t4 = rows.shape[1], ch.c1, ch.t2 * ch.t2
+    k = ch.c2 + ch.t2
+    squares = np.einsum("ij,ij->i", rows, rows)
+    return d * c1 + k, d * c1 * c1 + 2.0 * c1 * k + t4 + (k * k - t4) * squares
+
+
+def _row_entropies(ch: Channel, rows: np.ndarray, keep: int = 0) -> np.ndarray:
+    """S1 + S2 of each row of rows that can still hold the least of them, +inf for the others; (N,).
+
+    rows are validated Schmidt vectors.  S1 comes from _pair_entropies
+    for every row, and the moments of each row's secular block bracket
+    its S2, so S1 + floor <= S <= S1 + ceiling.  Any row's S1 + ceiling
+    bounds the least S from above; the evaluator takes that of the row
+    with the least S1 + floor, one _coincidence_ceiling call in place of
+    one per row.  It is the least ceiling of the batch on every batch of
+    the perfbench additivity workload and of the CI runs at d = 8 and 16,
+    which keep the same rows with either.  A row whose S1 + floor exceeds
+    it by more than _PRUNE_MARGIN lies above the row with that ceiling,
+    so it can neither attain nor tie the minimum; its S2 is not computed
+    and it gets +inf.  The first keep rows are evaluated whatever their
+    bounds.  The evaluated rows go through one _secular_block_roots call
+    and _entropy_rows, and get the bits of _split_rows, alone or in any
+    batch, so the least value, its first index and every evaluated row's
+    value are those of an evaluation of every row.  At t = 0 every block
+    is c1 I and no row is pruned.
+
+    The margin covers the rounding between a computed S and its bounds,
+    half of it on each side.  S1 is the same array in S and in both
+    bounds, and the bounds are closed forms, off by a few ulp, so only S2
+    needs a count, with eta(x) = -x ln x, which is concave and has
+    |eta(x) - eta(y)| <= eta(|x - y|) for |x - y| <= 1/e.
+      - The bounds take each row's sum as 1, and rows sum to 1 within
+        SCHMIDT_SUM_TOL = 1e-12.  A row of sum s has the roots
+        c1 + s (g - c1), with g those of the row divided by s.  The
+        g - c1 are the roots of diag(c2 lam) + t^2 sqrt(lam) sqrt(lam)^T,
+        so the shifts |s - 1| |g - c1| add up to at most
+        (|c2| + t^2) 1e-12 <= 3e-12, and S2 moves by at most
+        3e-12 ln(d / 3e-12), below 1e-10 up to d = 200.
+      - eigvalsh is backward stable and the block has norm at most
+        M <= 1, so each root is within a small multiple of eps of the
+        exact one, taken here as d eps.  With the 0 ln 0 clamp of roots
+        at or below ENTROPY_CLAMP, S2 is off by at most
+        d eta(d eps) + d eta(ENTROPY_CLAMP): 5e-12 at d = 24, 3e-11 at
+        d = 64 and 2.8e-10 at d = 200.
+    The two stay within _PRUNE_MARGIN / 2 = 5e-10 up to d = 200 by this
+    count.
+
+    What pruning gives up: a pruned row's spectrum is never computed, so
+    a NotPSD or a kernel fault confined to such a row goes unseen.
+    """
+    s1 = _pair_entropies(ch, rows)
+    trace, frobenius = _secular_block_moments(ch, rows)
+    low = s1 + _renyi_floor(trace, frobenius)
+    best = int(low.argmin())
+    high = s1[best] + _coincidence_ceiling(trace, float(frobenius[best]), rows.shape[1])
+    live = low <= high + _PRUNE_MARGIN
+    live[:keep] = True
+    values = np.full(len(rows), math.inf)
+    values[live] = s1[live] + _entropy_rows(_secular_block_roots(ch, rows[live]))
+    return values
 
 
 def entropy_split(ch: Channel, lam: "SchmidtVector | list[float]") -> EntropyReport:
@@ -336,11 +471,15 @@ def minimize_simplex_entropy(
     and _simplex_lattice(d), one nonincreasing row per permutation orbit
     of the lattice, since the entropy does not change under a permutation
     of the Schmidt weights.  _probe_rows builds and checks them once per
-    (seed, d, restarts), and one _split_rows call evaluates them, which
-    gives each row the bits that simplex_output_entropy gives it alone.
-    When the best row does not beat the best vertex by more than 1e-12,
-    that vertex is reported as argmin, with the lower of the two values;
-    the argmin is a copy of its row, never a view of the shared rows.
+    (seed, d, restarts), and one _row_entropies call evaluates them: it
+    diagonalizes the vertices and every row whose entropy floor does not
+    exceed the batch's entropy ceiling by more than _PRUNE_MARGIN, with
+    the bits simplex_output_entropy gives each alone, and gives every
+    other row +inf.  Such a row cannot attain or tie the minimum, so the value and
+    argmin are those of a probe that diagonalizes every row.  When the
+    best row does not beat the best vertex by more than 1e-12, that
+    vertex is reported as argmin, with the lower of the two values; the
+    argmin is a copy of its row, never a view of the shared rows.
 
     restarts counts the random rows: at restarts = 20 the batch has 115
     rows at d = 3 and 59 at d = 4.  Wherever the entropy is concave on
@@ -351,8 +490,7 @@ def minimize_simplex_entropy(
     by a few ulp.
     """
     rows = _probe_rows(cfg.seed, ch.d, cfg.restarts)
-    s1, s2 = _split_rows(ch, rows)
-    values = s1 + s2
+    values = _row_entropies(ch, rows, keep=ch.d)
 
     best = int(np.argmin(values))
     vertex = int(np.argmin(values[: ch.d]))
@@ -575,14 +713,18 @@ def _random_state_entropies(ch: Channel, cfg: OptimizerConfig) -> np.ndarray:
     The Schmidt weights of the states and the Gram matrices of the
     covariance check come from _haar_sample, built once per
     (seed, d, count) and shared by every t.  The weights go through one
-    _split_rows call, which gives each row the bits of a one-row call.  Then, on every
-    call, _check_covariance holds the residuals of the first
+    _row_entropies call: a state whose entropy floor exceeds the batch's
+    entropy ceiling by more than _PRUNE_MARGIN gets +inf, since it cannot
+    hold the minimum, and every other state the bits of a one-row
+    _split_rows call.  So the least entropy is that of an evaluation of every state;
+    the other entries are exact where finite.  Then, on every call,
+    _check_covariance holds the residuals of the first
     _DENSE_CHECK_STATES states at this t to their tolerance.
     """
     sample = _haar_sample(cfg.seed, ch.d, max(cfg.n_random, 1))
-    s1, s2 = _split_rows(ch, sample.weights)
+    values = _row_entropies(ch, sample.weights)
     _check_covariance(ch, sample)
-    return s1 + s2
+    return values
 
 
 def additivity_gap(

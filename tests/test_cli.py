@@ -547,6 +547,37 @@ def test_an_oversized_t_grid_exits_3_before_it_is_built(capsys, monkeypatch, com
     assert [row["t_values"][0] for row in json.loads(out)] == plain(-0.4, -0.1, 5).tolist()
 
 
+def test_an_oversized_additivity_grid_exits_3_before_it_is_built(capsys, monkeypatch):
+    # STEPS is checked before np.linspace is asked for the grid, so an
+    # A:B:STEPS of 10^11 points exits 3 and raises no MemoryError.
+    plain, nums = np.linspace, []
+
+    def recording(start, stop, num=50, **kwargs):
+        nums.append(num)
+        return plain(start, stop, num, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", recording)
+    code, out, err = run_cli(capsys, "additivity", "--d", "3", "--t", "0:0.1:100000000000")
+    assert code == 3
+    assert out == ""
+    assert err == "error: t_grid may hold at most 65536 points, got 100000000000\n"
+    assert nums == []
+
+
+def test_an_additivity_t_outside_the_range_exits_3_before_any_cell(capsys, monkeypatch):
+    # t = 0.3 is past 1/(d+1) = 0.25 at d = 3: the grid is rejected before
+    # its first four t, which are in range, run a cell.
+    from tdchan import cli
+
+    cells = []
+    monkeypatch.setattr(cli, "additivity_gap", lambda ch, cfg: cells.append(ch.t))
+    code, out, err = run_cli(capsys, "additivity", "--d", "3", "--t=-0.5:0.3:5", "--restarts", "1", "--n-random", "1")
+    assert code == 3
+    assert out == ""
+    assert err == "error: t=0.3 outside [-0.5, 0.25] for d=3\n"
+    assert cells == []
+
+
 @pytest.mark.parametrize("grid", ["5", "nan", "0", "--t-grid=-0.5:0:3", "--t-grid=-0.6"])
 @pytest.mark.parametrize("kind", ["main", "k0", "second-term", "extreme", "final-poly", "sympol", "schur", "all"])
 def test_t_outside_the_domain_exits_3_for_every_kind(capsys, kind, grid):

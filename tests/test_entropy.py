@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import tdchan as td
@@ -29,6 +29,8 @@ from oracles import (
     entropy_brute,
     entropy_loop,
     kraus_two_copy_output,
+    mp_entropy,
+    mp_secular_block_roots,
     mp_two_copy_entropy,
     schmidt_state,
     simplex_lattice_full,
@@ -322,18 +324,38 @@ def test_random_state_entropy_matches_the_kraus_route():
         cfg = td.OptimizerConfig(restarts=0, n_random=n_random, seed=19)
         g = philox_stream(19, _TAG_HAAR).standard_normal((max(n_random, 1), 2, d * d))
         states = [v / np.linalg.norm(v) for v in g[:, 0] + 1j * g[:, 1]]
-        want = [entropy_brute(np.linalg.eigvalsh(kraus_two_copy_output(ch, v))) for v in states]
-        assert np.max(np.abs(_random_state_entropies(ch, cfg) - want)) <= 1e-12
+        want = np.array([entropy_brute(np.linalg.eigvalsh(kraus_two_copy_output(ch, v))) for v in states])
+        got = _random_state_entropies(ch, cfg)
+        # Every evaluated state matches the Kraus route; a pruned state (+inf)
+        # lies above the least entropy by more than half the pruning margin.
+        evaluated = np.isfinite(got)
+        assert np.max(np.abs(got[evaluated] - want[evaluated])) <= 1e-12
+        assert (want[~evaluated] > want.min() + entropy._PRUNE_MARGIN / 2).all()
         assert td.additivity_gap(ch, cfg)[2] == pytest.approx(min(want), abs=1e-12)
 
 
+def all_rows_values(ch, rows):
+    """S1 + S2 of every row from one _split_rows call: the evaluation that pruning must match."""
+    s1, s2 = entropy._split_rows(ch, rows)
+    return s1 + s2
+
+
 def test_n_random_k_takes_the_first_k_states_of_any_larger_n_random():
+    # The first k states, and so their weights, are those of any larger
+    # n_random.  Which states are pruned depends on the batch, so the
+    # entropies are compared where they are evaluated, against an
+    # evaluation of every state of the larger sample.
     ch = td.new_channel(3, -0.2)
-    every = _random_state_entropies(ch, td.OptimizerConfig(n_random=2 * _DENSE_CHECK_STATES + 3, seed=7))
-    for k in (0, 1, 5, _DENSE_CHECK_STATES, _DENSE_CHECK_STATES + 1, len(every)):
+    count = 2 * _DENSE_CHECK_STATES + 3
+    weights = entropy._haar_sample(7, 3, count).weights
+    every = all_rows_values(ch, weights)
+    for k in (0, 1, 5, _DENSE_CHECK_STATES, _DENSE_CHECK_STATES + 1, count):
         cfg = td.OptimizerConfig(restarts=0, n_random=k, seed=7)
         first = every[: max(k, 1)]
-        assert bits(_random_state_entropies(ch, cfg).tolist()) == bits(first.tolist()), k
+        assert bits(entropy._haar_sample(7, 3, max(k, 1)).weights.tolist()) == bits(weights[: max(k, 1)].tolist()), k
+        got = _random_state_entropies(ch, cfg)
+        evaluated = np.isfinite(got)
+        assert bits(got[evaluated].tolist()) == bits(first[evaluated].tolist()), k
         assert bits(td.additivity_gap(ch, cfg)[2]) == bits(float(first.min())), k
 
 
@@ -847,20 +869,21 @@ def test_split_rows_gives_each_row_its_one_row_bits(d, end, count, data):
 
 
 def probe_calls(monkeypatch, ch, cfg, values=None):
-    """(result, rows of each _split_rows call) of one minimize_simplex_entropy.
+    """(result, rows of each _pair_entropies call) of one minimize_simplex_entropy.
 
-    values, if given, maps the rows and their (S1, S2) arrays to the
-    arrays the search is handed instead.
+    Every row of the probe reaches _pair_entropies, pruned or not.
+    values, if given, maps the rows and their S1 array to the array the
+    probe is handed instead, which its bounds then see as its values do.
     """
-    plain, calls = entropy._split_rows, []
+    plain, calls = entropy._pair_entropies, []
 
-    def record(ch, lams):
-        calls.append(np.asarray(lams).tolist())
-        splits = plain(ch, lams)
-        return splits if values is None else values(lams, splits)
+    def record(ch, rows):
+        calls.append(np.asarray(rows).tolist())
+        s1 = plain(ch, rows)
+        return s1 if values is None else values(rows, s1)
 
     with monkeypatch.context() as m:
-        m.setattr(entropy, "_split_rows", record)
+        m.setattr(entropy, "_pair_entropies", record)
         result = td.minimize_simplex_entropy(ch, cfg)
     return result, calls
 
@@ -997,7 +1020,10 @@ def test_probe_takes_the_first_k_random_rows_of_any_larger_restarts(monkeypatch)
 def test_interior_row_that_beats_every_vertex_is_the_argmin(monkeypatch, row):
     # One interior row is handed a value below the best vertex.  By more
     # than 1e-12 it is the argmin; by less, the best vertex is reported,
-    # with the row's lower value.
+    # with the row's lower value.  The value is handed in through the row's
+    # S1, which its bounds see too, so the row is not pruned.  The vertices
+    # are evaluated even where the row lies 1e-3 below them, far enough for
+    # their floors to clear its ceiling.
     d = 3
     ch = td.new_channel(d, -0.3)
     cfg = td.OptimizerConfig(restarts=4, seed=9)
@@ -1008,16 +1034,25 @@ def test_interior_row_that_beats_every_vertex_is_the_argmin(monkeypatch, row):
         "lattice": d + 1 + cfg.restarts + int(np.flatnonzero((lattice > 0).all(axis=1))[0]),
     }[row]
     best_vertex = min(td.simplex_output_entropy(ch, np.eye(d)[a].tolist()) for a in range(d))
-    for below, vertex_wins in ((1e-9, False), (1e-13, True)):
-        lowered = best_vertex - below
+    s2 = td.entropy_split(ch, entropy._probe_rows(cfg.seed, d, cfg.restarts)[index].tolist()).s2
+    plain, kernel_rows = entropy._secular_block_roots, []
 
-        def values(lams, splits):
-            s1, s2 = splits
-            s1[index], s2[index] = lowered, 0.0
-            return s1, s2
+    def recording(ch, rows):
+        kernel_rows.append(rows.tolist())
+        return plain(ch, rows)
+
+    monkeypatch.setattr(entropy, "_secular_block_roots", recording)
+    for below, vertex_wins in ((1e-3, False), (1e-9, False), (1e-13, True)):
+        lowered = (best_vertex - below - s2) + s2
+        assert abs(lowered - (best_vertex - below)) <= 1e-15
+
+        def values(rows, s1):
+            s1[index] = best_vertex - below - s2
+            return s1
 
         (val, arg), [rows] = probe_calls(monkeypatch, ch, cfg, values)
         assert min(rows[index]) > 0.0
+        assert kernel_rows[-1][:d] == np.eye(d).tolist() and rows[index] in kernel_rows[-1]
         assert bits(val) == bits(lowered)
         if vertex_wins:
             assert arg.values.tolist() == np.eye(d)[0].tolist()
@@ -1026,6 +1061,9 @@ def test_interior_row_that_beats_every_vertex_is_the_argmin(monkeypatch, row):
 
 
 def test_probe_propagates_not_psd(monkeypatch):
+    # The fault sits on the last row the kernel is handed, an evaluated
+    # one: a pruned row's roots are never computed, so a fault there would
+    # go unseen.
     plain = entropy._secular_block_roots
 
     def negative_root(ch, rows):
@@ -1188,35 +1226,49 @@ def test_probe_gives_the_value_and_argmin_of_a_call_per_row(monkeypatch):
 
 
 def test_probe_gives_each_row_the_bits_of_a_one_row_split(monkeypatch):
-    # Every row of the batch, vertices and barycenter and draws and
-    # lattice, gets the (S1, S2) bits of a one-row _split_rows call.
+    # Every evaluated row of the batch, vertices and barycenter and draws
+    # and lattice, gets the S1 + S2 bits of a one-row _split_rows call.
+    # Every vertex is evaluated; a pruned row (+inf) lies above the least
+    # value by more than half the pruning margin.
     cfg = td.OptimizerConfig(restarts=3, seed=41)
-    plain, splits = entropy._split_rows, []
+    plain, evaluations = entropy._row_entropies, []
 
-    def record(ch, lams):
-        splits.append((ch, lams, plain(ch, lams)))
-        return splits[-1][2]
+    def record(ch, rows, keep=0):
+        evaluations.append((ch, rows, plain(ch, rows, keep)))
+        return evaluations[-1][2]
 
-    monkeypatch.setattr(entropy, "_split_rows", record)
+    monkeypatch.setattr(entropy, "_row_entropies", record)
     for ch in search_cases():
         td.minimize_simplex_entropy(ch, cfg)
-    assert len(splits) == len(list(search_cases()))
-    for ch, lams, batch in splits:
-        assert split_bits(batch) == [split_bits(plain(ch, [lam]))[0] for lam in lams], (ch.d, ch.t)
+    assert len(evaluations) == len(list(search_cases()))
+    for ch, rows, batch in evaluations:
+        alone = np.array([all_rows_values(ch, [row])[0] for row in rows])
+        evaluated = np.isfinite(batch)
+        assert evaluated[: ch.d].all(), (ch.d, ch.t)
+        assert bits(batch[evaluated].tolist()) == bits(alone[evaluated].tolist()), (ch.d, ch.t)
+        assert (alone[~evaluated] > alone.min() + entropy._PRUNE_MARGIN / 2).all(), (ch.d, ch.t)
 
 
 def test_probe_makes_one_secular_kernel_call(monkeypatch):
-    # One secular-roots kernel call per probe, over every row at once.
-    ch = td.new_channel(4, td.t_range(4)[0])
+    # One secular-roots kernel call per probe, over the vertices and the
+    # rows that can still hold the minimum at once; at t = 0 that is every
+    # row, and at the lower end of the t range fewer.
     plain, calls = entropy._secular_block_roots, []
 
     def counted(ch, rows):
-        calls.append(len(rows))
+        calls.append(rows.tolist())
         return plain(ch, rows)
 
     monkeypatch.setattr(entropy, "_secular_block_roots", counted)
-    td.minimize_simplex_entropy(ch, td.OptimizerConfig(restarts=20))
-    assert calls == [ch.d + 1 + 20 + len(entropy._simplex_lattice(ch.d))]
+    cfg = td.OptimizerConfig(restarts=20)
+    every = entropy._probe_rows(cfg.seed, 4, cfg.restarts).tolist()
+    for t, pruned in ((td.t_range(4)[0], True), (0.0, False)):
+        calls.clear()
+        td.minimize_simplex_entropy(td.new_channel(4, t), cfg)
+        [rows] = calls
+        assert rows[:4] == np.eye(4).tolist()
+        assert all(row in every for row in rows)
+        assert (len(rows) < len(every)) == pruned, t
 
 
 def test_probe_after_a_failed_evaluation_gives_the_clean_result(monkeypatch):
@@ -1224,7 +1276,7 @@ def test_probe_after_a_failed_evaluation_gives_the_clean_result(monkeypatch):
     # every row again and returns the result of a clean run.
     ch = td.new_channel(3, -0.25)
     cfg = td.OptimizerConfig(restarts=3, seed=37)
-    plain = entropy._split_rows
+    plain = entropy._pair_entropies
     rows, fail = [], []
 
     def fails_when_asked(ch, lams):
@@ -1234,7 +1286,7 @@ def test_probe_after_a_failed_evaluation_gives_the_clean_result(monkeypatch):
             raise NotPSD("this evaluation fails")
         return plain(ch, lams)
 
-    monkeypatch.setattr(entropy, "_split_rows", fails_when_asked)
+    monkeypatch.setattr(entropy, "_pair_entropies", fails_when_asked)
     want = td.minimize_simplex_entropy(ch, cfg)
     clean = rows[:]
     rows.clear()
@@ -1264,6 +1316,172 @@ def test_probe_keeps_no_state_between_calls(monkeypatch):
         assert bits(got[0]) == bits(want[0])
         assert bits(got[1].values.tolist()) == bits(want[1].values.tolist())
         assert got_rows == want_rows
+
+
+# ------------------------------------------ entropy bounds and pruning
+
+
+def bound_rows(d, rng):
+    """Schmidt rows of every kind the evaluator sees, vertices and Haar weights included.
+
+    Up to d = 8: two vertices, the barycenter, every lattice row that is
+    not a vertex (zero weights from d = 3 on, repeated weights from d = 2),
+    Dirichlet rows with weights down to 1e-30, and two Haar states' weights.
+    Past d = 8: a vertex and two Haar states' weights.
+    """
+    rows = [np.eye(d)[0], np.eye(d)[d - 1]]
+    if d <= 8:
+        rows.append(np.full(d, 1.0 / d))
+        rows += [row for row in entropy._simplex_lattice(d) if row.max() < 1.0]
+        for tiny in (1e-12, 1e-20, 1e-30):
+            row = rng.dirichlet(np.ones(d))
+            row[-1] = tiny
+            rows.append(row / row.sum())
+    else:
+        rows = rows[:1]
+    rows += list(entropy._schmidt_weights(haar_states(2, d * d, rng), d))
+    rows = np.array(rows)
+    _check_schmidt_rows(rows)
+    return rows
+
+
+def secular_bounds(ch, rows):
+    """(floor, ceiling) of each row's S2, from the moments of its secular block; two (N,) arrays."""
+    trace, frobenius = entropy._secular_block_moments(ch, rows)
+    ceiling = [entropy._coincidence_ceiling(trace, f, rows.shape[1]) for f in frobenius.tolist()]
+    return entropy._renyi_floor(trace, frobenius), np.array(ceiling)
+
+
+def bound_ts(d):
+    """Both ends of the t range, +-1e-9, 0 and the inside of a 5-point grid."""
+    lo, hi = td.t_range(d)
+    return [lo, hi, -1e-9, 1e-9, 0.0] + np.linspace(lo, hi, 5)[1:-1].tolist()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 16, 24])
+def test_secular_entropy_bounds_bracket_the_entropy(d):
+    # The computed S2 lies within half the pruning margin of its bounds,
+    # and the 50-digit S2 of the same row within 1e-12: the bounds are true
+    # bounds, not only bounds up to the margin.  S1 is the same array in
+    # S and in both bounds, so S2 carries the whole comparison.
+    rng = np.random.default_rng(1000 + d)
+    rows = bound_rows(d, rng)
+    half = entropy._PRUNE_MARGIN / 2
+    for t in bound_ts(d):
+        ch = td.new_channel(d, t)
+        floor, ceiling = secular_bounds(ch, rows)
+        _, s2 = entropy._split_rows(ch, rows)
+        assert (floor <= ceiling + 1e-15).all(), (d, t)
+        assert (floor - half <= s2).all() and (s2 <= ceiling + half).all(), (d, t)
+        for row, low, high in zip(rows, floor, ceiling):
+            with mpmath.workdps(50):
+                exact = float(mp_entropy(mp_secular_block_roots(t, row)))
+            assert low - 1e-12 <= exact <= high + 1e-12, (d, t, row.tolist(), low, exact, high)
+
+
+def test_the_bounds_are_the_entropy_where_the_roots_take_their_form():
+    # A vertex's secular roots are ((1 + (d-1) t) / d)^2 and d - 1 times
+    # c1.  For t >= 0 the first is the largest, the ceiling's own form; at
+    # t = -1/(d-1) it is 0, so the roots are flat on their support, the
+    # floor's; at t = 0 every block is c1 I and the two bounds meet.
+    for d in (2, 3, 5, 8, 16):
+        lo, hi = td.t_range(d)
+        for t, sharp in ((lo, 0), (0.0, 0), (0.0, 1), (0.5 * hi, 1), (hi, 1)):
+            ch = td.new_channel(d, t)
+            bounds = secular_bounds(ch, np.eye(d))
+            _, s2 = entropy._split_rows(ch, np.eye(d))
+            assert np.max(np.abs(bounds[sharp] - s2)) <= 1e-14, (d, t, sharp)
+        floor, ceiling = secular_bounds(td.new_channel(d, 0.0), np.full((1, d), 1.0 / d))
+        assert abs(floor[0] - ceiling[0]) <= 1e-15, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weights=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=12),
+    mass=st.floats(1e-3, 1.0),
+    shape=st.sampled_from(["any", "one large", "flat on a support"]),
+)
+@example(weights=[0.0, 5e-324], mass=0.5, shape="any")
+def test_coincidence_bounds_bracket_the_entropy_of_any_distribution(weights, mass, shape):
+    # No channel: any g >= 0 with sum M and sum of squares F has
+    # M ln(M / F) <= -sum g ln g <= the index-of-coincidence ceiling.  At
+    # (a, b, ..., b), a >= b, the ceiling is the entropy itself, and on
+    # equal weights over a support the floor is.
+    d = len(weights)
+    if shape == "one large":
+        weights = [max(weights)] + [min(weights)] * (d - 1)
+    elif shape == "flat on a support":
+        weights = [1.0 if w >= 0.5 else 0.0 for w in weights]
+    total = math.fsum(weights)
+    assume(total > 0.0)
+    # Normalise before scaling: mass * w underflows to 0 for a subnormal
+    # w, while w / total is in [0, 1] and its largest entry is >= 1/d.
+    g = np.array([mass * (w / total) for w in weights])
+    trace, frobenius = float(g.sum()), float(g @ g)
+    floor = float(entropy._renyi_floor(trace, frobenius))
+    ceiling = entropy._coincidence_ceiling(trace, frobenius, d)
+    with mpmath.workdps(50):
+        exact = float(mp_entropy([mpmath.mpf(x) for x in g]))
+    assert floor - 1e-12 <= exact <= ceiling + 1e-12, (g.tolist(), floor, exact, ceiling)
+    if shape == "one large":
+        assert ceiling == pytest.approx(exact, abs=1e-12)
+    if shape == "flat on a support":
+        assert floor == pytest.approx(exact, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "d, seed, restarts, n_random",
+    [(3, 1, 20, 120), (3, 17, 20, 120), (4, 1, 20, 120), (4, 17, 20, 120), (8, 0, 2000, 5000), (16, 0, 500, 2000)],
+)
+def test_the_batch_ceiling_keeps_the_rows_of_the_least_ceiling(d, seed, restarts, n_random):
+    # The evaluator prunes against S1 + ceiling of the row with the least
+    # S1 + floor, which is never below the least S1 + ceiling of the batch,
+    # so it keeps at least the rows that the least ceiling keeps.  On the
+    # batches of the perfbench additivity workload and of the CI runs at
+    # d = 8 and 16 it keeps exactly those.
+    lo, hi = td.t_range(d)
+    for t in np.linspace(lo, hi, 9):
+        ch = td.new_channel(d, t)
+        batches = (entropy._probe_rows(seed, d, restarts), d), (entropy._haar_sample(seed, d, n_random).weights, 0)
+        for rows, keep in batches:
+            s1 = entropy._pair_entropies(ch, rows)
+            floor, ceiling = secular_bounds(ch, rows)
+            want = s1 + floor <= (s1 + ceiling).min() + entropy._PRUNE_MARGIN
+            want[:keep] = True
+            assert np.isfinite(entropy._row_entropies(ch, rows, keep)).tolist() == want.tolist(), (t, keep)
+
+
+def all_rows_probe(ch, cfg):
+    """(value, argmin row) of the probe with every row evaluated by one _split_rows call, then the argmin rule."""
+    rows = entropy._probe_rows(cfg.seed, ch.d, cfg.restarts)
+    values = all_rows_values(ch, rows)
+    best = int(np.argmin(values))
+    vertex = int(np.argmin(values[: ch.d]))
+    argmin = vertex if values[vertex] <= values[best] + 1e-12 else best
+    return float(values[best]), rows[argmin].tolist()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 12, 16])
+def test_pruning_keeps_the_bits_of_an_evaluation_of_every_row(d):
+    # The pruned probe and additivity_gap against an evaluation of every
+    # probe row and every Haar state, as float hex, over a 9-point grid
+    # with both ends of the t range and t = 0.  restarts and n_random each
+    # take 0, 3, 20 and 500.
+    lo, hi = td.t_range(d)
+    grid = sorted({*np.linspace(lo, hi, 8).tolist(), 0.0})
+    assert grid[0] == lo and grid[-1] == hi and 0.0 in grid
+    for seed in (0, 17):
+        for restarts, n_random in ((0, 500), (3, 20), (20, 3), (500, 0)):
+            cfg = td.OptimizerConfig(restarts=restarts, n_random=n_random, seed=seed)
+            for t in grid:
+                ch = td.new_channel(d, t)
+                val, arg = td.minimize_simplex_entropy(ch, cfg)
+                want_val, want_arg = all_rows_probe(ch, cfg)
+                assert bits([val, arg.values.tolist()]) == bits([want_val, want_arg]), (seed, cfg, t)
+                weights = entropy._haar_sample(seed, d, max(n_random, 1)).weights
+                min_random = float(all_rows_values(ch, weights).min())
+                gap = min(want_val, min_random) - 2.0 * td.min_entropy_closed_form(ch)
+                assert bits(list(td.additivity_gap(ch, cfg))) == bits([gap, want_val, min_random]), (seed, cfg, t)
 
 
 # ------------------------------------------ concavity on the Schmidt simplex
