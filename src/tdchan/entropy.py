@@ -67,30 +67,33 @@ workload, 666 of 3,726 rows per pass are diagonalized at seed 1.
 
 Only the t-dependent work runs per cell.  Three read-only caches hold
 the rest, each built on first use: _probe_rows keeps the probe's rows
-for the last (seed, d, restarts), _haar_sample, for the last
-(seed, d, n_random), the weights of every state and the covariance
-check's Gram matrices of the first _DENSE_CHECK_STATES states, and
-_pair_index the pair table of S1 for each d.  Their docstrings give what
-each entry holds.  The covariance check holds the reduction to the
-Schmidt weights on the checked states.  Each state's two-copy output
-minus the reference K sigma12(lam) K^H at its cached weights is a
-residual E(t) = t^2 R2 + t(1-t) R1 + (1-t)^2 R0 whose coefficients do
-not depend on t.  A sample's build reads them off the state's d x d
-matrix and the factors of the reference, in O(d^3) per state, and keeps
-their 3 x 3 Gram matrix; each cell reads ||E(t)||_F from it in O(k)
-(_covariance_residuals gives the coefficients).  What is given up:
-apply_two_copies does not run at run time.  The coefficients restate its
-formula, so a fault in apply_two_copies itself is never seen here, and
-a fault in the check's inputs introduced after a key is built shows only
-at the next build.  The tests tie the coefficients to apply_two_copies
-at eleven t (test_gram_residuals_match_the_direct_dense_residuals)
-and to an independent Kronecker oracle
-(test_covariance_residuals_match_the_kronecker_oracle).  A residual
-above _residual_tol(d), which by the Fannes-Audenaert bound keeps the
-dense and closed-form entropies within _COVARIANCE_TOL, raises
+for the last (seed, d, restarts), _haar_sample the Schmidt weights of
+every state for the last (seed, d, n_random), and _pair_index the pair
+table of S1 for each d.  Their docstrings give what each entry holds.
+
+The covariance check holds the reduction to the Schmidt weights on the
+first _DENSE_CHECK_STATES states of a sample, once, as _haar_sample
+builds it.  Each state's two-copy output minus the reference
+K sigma12(lam) K^H at its weights is a residual
+E(t) = t^2 R2 + t(1-t) R1 + (1-t)^2 R0 whose coefficients do not depend
+on t (_coefficient_norms gives them and their Frobenius norms, in
+O(d^3) per state).  The sum of those norms, each times its term's
+largest weight on the t range, bounds ||E(t)||_F at every t, t = 0
+included, and must stay at or below _residual_tol(d), which by the
+Fannes-Audenaert bound keeps the dense and closed-form entropies within
+_COVARIANCE_TOL (_check_covariance).  A failure raises
 CovarianceMismatch, which is no TdchanError, since then the library and
-not its input is at fault.  No d^2 x d^2 eigvalsh runs; the tests check
-the spectrum of sigma12 against _split_rows instead.
+not its input is at fault; no sample that fails is cached.  What is
+given up: apply_two_copies does not run at run time.  The coefficients
+restate its formula, so a fault in apply_two_copies itself is never
+seen here, and a fault in the check's inputs introduced after a key is
+built shows only at the next build.  The tests tie the coefficients to
+apply_two_copies on a 41-point t grid
+(test_gram_residuals_match_the_direct_dense_residuals) and to an
+independent Kronecker oracle
+(test_covariance_residuals_match_the_kronecker_oracle).  No d^2 x d^2
+eigvalsh runs; the tests check the spectrum of sigma12 against
+_split_rows instead.
 
 Every entropy in the module, of a vector or of each row of an array,
 comes from one reduction, _entropy_rows.
@@ -101,7 +104,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -143,11 +145,11 @@ class OptimizerConfig:
     vectors of min_output_entropy.
     n_random counts the Haar-random states of additivity_gap, whose
     entropies come from their Schmidt weights, and of which the first
-    _DENSE_CHECK_STATES are also checked against the two-copy output at
-    every t.  Nothing that does not depend on t is rebuilt per t: the
-    probe rows are built once per (seed, d, restarts) and the states,
-    their weights and the Gram matrices of the covariance check once per
-    (seed, d, n_random); the last entry of each stays alive after the
+    _DENSE_CHECK_STATES are also checked against the two-copy output,
+    once per sample, over the whole t range.  Nothing that does not
+    depend on t is rebuilt per t: the probe rows are built once per
+    (seed, d, restarts) and the states' weights, with their check, once
+    per (seed, d, n_random); the last entry of each stays alive after the
     call returns (see _probe_rows and _haar_sample for its size).  All
     three must be integers, the seed in [0, 2^64), and neither count may
     be negative;
@@ -516,7 +518,7 @@ def _schmidt_weights(psi: np.ndarray, d: int) -> np.ndarray:
 
 @functools.cache
 def _residual_tol(d: int) -> float:
-    """The largest Frobenius residual ||E||_F that _check_covariance passes at d.
+    """The largest bound on the Frobenius residual ||E||_F that _check_covariance passes at d.
 
     Equal matrices have equal spectra, and a small residual keeps the
     entropies close.  With D = d^2 and T = ||E||_1 / 2 <= sqrt(D) ||E||_F / 2
@@ -524,7 +526,7 @@ def _residual_tol(d: int) -> float:
     (1973) in Audenaert's sharp form (J. Phys. A 40, 8127 (2007)) gives
     |S_dense - S_closed| <= T ln(D - 1) - T ln T - (1 - T) ln(1 - T).
     The bound increases in T on [0, 1/2], so bisection finds the largest T
-    that keeps it at or below _COVARIANCE_TOL, and a residual at or below
+    that keeps it at or below _COVARIANCE_TOL, and a bound at or below
     2 T / sqrt(D) passes: 3.5e-12 at d = 2, 1.7e-12 at d = 4 and
     2.5e-13 at d = 24.
     """
@@ -564,29 +566,36 @@ def _reference_factors(states: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray,
     return p, q, w
 
 
-def _coefficient_grams(states: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """G_ij = Re <R_i, R_j>_F of the coefficients (R2, R1, R0) of each state's residual; (n, 3, 3).
+def _coefficient_norms(states: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """||R2||_F, ||R1||_F and ||R0||_F of each state's covariance residual; (n, 3).
 
-    The coefficients are those of _covariance_residuals, from the state
-    psi, (n, d^2), as its d x d matrix M and from _reference_factors P, Q
-    and w at lam, (n, d).  With x = conj(psi), e = x - w, s = x + w,
-    A = conj(M) M^T - P, B = M^H M - Q and r = |psi|^2 - 1, and using
-    that R1 is Hermitian and that (A (x) I + I (x) B) v = vec(A V + V B^T)
-    for v = vec(V) row by row:
+    The two-copy output of X = |psi><psi|, the formula of
+    apply_two_copies, is t^2 X^T + t(1-t) [(tr_2 X)^T (x) I/d +
+    I/d (x) (tr_1 X)^T] + (1-t)^2 tr X I/d^2, and the reference is
+    K sigma12(lam) K^H = c1 I + (c2/2)(P (x) I + I (x) Q) + t^2 w w^H,
+    with c1 = (1-t)^2/d^2, c2/2 = t(1-t)/d and P, Q and w the
+    _reference_factors of states, (n, d^2), at lam, (n, d).  With M the
+    state as a d x d matrix, X^T = x x^H for x = conj(psi),
+    (tr_2 X)^T = conj(M) M^T and (tr_1 X)^T = M^H M, so the residual is
+    E(t) = t^2 R2 + t(1-t) R1 + (1-t)^2 R0 with the t-independent
+        R2 = x x^H - w w^H = e x^H + w e^H,  e = x - w,
+        R1 = (A (x) I + I (x) B) / d,  A = conj(M) M^T - P,  B = M^H M - Q,
+        R0 = r I / d^2,  r = |psi|^2 - 1.
+    e is formed as a difference of vectors, so no term of R2 cancels.  K
+    is unitary, so the norms are also those in the Schmidt bases.  A and
+    B are Hermitian, so |A (x) I + I (x) B|^2 = d |A|^2 + d |B|^2 +
+    2 tr A tr B, and
         |R2|^2 = |e|^2 (|x|^2 + |w|^2) + 2 Re[(e^H w)(e^H x)],
         |R1|^2 = (|A|^2 + |B|^2) / d + 2 tr A tr B / d^2,
         |R0|^2 = r^2 / d^2,
-        <R2, R1> = Re <E, A S + S B^T> / d,
-        <R2, R0> = r Re(e^H s) / d^2,
-        <R1, R0> = r (tr A + tr B) / d^2,
-    with E and S the d x d matrices of e and s.  Each entry is a d x d
-    product or an inner product, O(d^3) per state.
+    each a d x d product or an inner product, O(d^3) per state, with no
+    array of d^4 entries.  A rounding below 0 reads as 0.
     """
     n, d = lam.shape
     p, q, w = _reference_factors(states, lam)
     m = states.reshape(n, d, d)
     x = states.conj()
-    e, s = x - w, x + w
+    e = x - w
     a = m.conj() @ m.swapaxes(1, 2) - p
     b = m.conj().swapaxes(1, 2) @ m - q
 
@@ -594,137 +603,81 @@ def _coefficient_grams(states: np.ndarray, lam: np.ndarray) -> np.ndarray:
         return np.einsum("ni,ni->n", u.reshape(n, -1).conj(), v.reshape(n, -1))
 
     xx = inner(x, x).real
-    r = xx - 1.0
     tr_a, tr_b = np.trace(a, axis1=1, axis2=2).real, np.trace(b, axis1=1, axis2=2).real
-    s_mat = s.reshape(n, d, d)
-    gram = np.empty((n, 3, 3))
-    gram[:, 0, 0] = inner(e, e).real * (xx + inner(w, w).real) + 2.0 * (inner(e, w) * inner(e, x)).real
-    gram[:, 1, 1] = (inner(a, a).real + inner(b, b).real) / d + 2.0 * tr_a * tr_b / d**2
-    gram[:, 2, 2] = r**2 / d**2
-    gram[:, 0, 1] = gram[:, 1, 0] = inner(e, a @ s_mat + s_mat @ b.swapaxes(1, 2)).real / d
-    gram[:, 0, 2] = gram[:, 2, 0] = r * inner(e, s).real / d**2
-    gram[:, 1, 2] = gram[:, 2, 1] = r * (tr_a + tr_b) / d**2
-    return gram
+    squares = np.empty((n, 3))
+    squares[:, 0] = inner(e, e).real * (xx + inner(w, w).real) + 2.0 * (inner(e, w) * inner(e, x)).real
+    squares[:, 1] = (inner(a, a).real + inner(b, b).real) / d + 2.0 * tr_a * tr_b / d**2
+    squares[:, 2] = (xx - 1.0) ** 2 / d**2
+    return np.sqrt(np.maximum(squares, 0.0))
 
 
-def _covariance_residuals(ch: Channel, sample: _HaarSample) -> np.ndarray:
-    """||E(t)||_F = ||out - K sigma12(lam) K^H||_F for each checked state of sample, at ch.t; (k,).
+def _check_covariance(states: np.ndarray, lam: np.ndarray) -> None:
+    """Raise CovarianceMismatch unless each state's two-copy output is K sigma12 K^H at its weights, at every t.
 
-    out = t^2 X^T + t(1-t) [(tr_2 X)^T (x) I/d + I/d (x) (tr_1 X)^T]
-    + (1-t)^2 tr X I/d^2 is the two-copy output of X = |psi><psi|, the
-    formula of apply_two_copies, and the reference is
-    c1 I + (c2/2)(P (x) I + I (x) Q) + t^2 w w^H, with c1 = (1-t)^2/d^2
-    and c2/2 = t(1-t)/d (see _reference_factors).  With M the state as a
-    d x d matrix, X^T = x x^H for x = conj(psi), (tr_2 X)^T = conj(M) M^T
-    and (tr_1 X)^T = M^H M, so E(t) = t^2 R2 + t(1-t) R1 + (1-t)^2 R0 with
-    the t-independent coefficients
-        R2 = x x^H - w w^H = e x^H + w e^H,  e = x - w,
-        R1 = (A (x) I + I (x) B) / d,  A = conj(M) M^T - P,  B = M^H M - Q,
-        R0 = (|psi|^2 - 1) I / d^2.
-    e is formed as a difference of vectors, so no term of R2 cancels.  K
-    is unitary, so ||E(t)||_F is also the residual in the Schmidt bases.
-    sample.gram keeps each state's Gram matrix G of (R2, R1, R0), from
-    _coefficient_grams, and ||E(t)||_F^2 = b^T G b with
-    b = (t^2, t(1-t), (1-t)^2): O(k) per cell.  A rounding below 0 reads
-    as 0.  apply_two_copies itself does not run: the coefficients restate
-    its formula, and the tests tie the two together (see the module
-    docstring).
+    states, (k, d^2), are checked at their Schmidt weights lam, (k, d).
+    On the t range [-1/(d-1), 1/(d+1)] the weights of the residual's
+    terms (see _coefficient_norms) are at most |t^2| <= 1/(d-1)^2,
+    |t(1-t)| <= d/(d-1)^2 and (1-t)^2 <= (d/(d-1))^2, all at t = -1/(d-1),
+    so B = sum_i beta_i ||R_i||_F bounds ||E(t)||_F at every t of the
+    range, and each state's B must stay at or below _residual_tol(d).  The
+    message names d, the bound, the term that contributes most to it,
+    and the index and least Schmidt weight of the worst state: a weight
+    below about 1e-9, which eigvalsh(M M^H) resolves only to about 1e-17,
+    can fail the check although the entropies agree.
     """
-    t = ch.t
-    b = np.array([t * t, t * (1.0 - t), (1.0 - t) ** 2])
-    return np.sqrt(np.maximum(sample.gram @ b @ b, 0.0))
-
-
-def _check_covariance(ch: Channel, sample: _HaarSample) -> None:
-    """Raise CovarianceMismatch unless each checked state's two-copy output is K sigma12 K^H at sample.weights.
-
-    Each checked state's residual at ch.t, from _covariance_residuals,
-    must stay at or below _residual_tol(d).  The message names the cell's
-    d and t, and the index and least Schmidt weight of the worst state: a
-    weight below about 1e-9, which eigvalsh(M M^H) resolves only to about
-    1e-17, can fail the check although the entropies agree.
-    """
-    residuals, tol = _covariance_residuals(ch, sample), _residual_tol(ch.d)
-    worst = int(np.argmax(residuals))
-    if not residuals[worst] <= tol:
+    d = lam.shape[1]
+    terms = _coefficient_norms(states, lam) * (np.array([1.0, d, d * d]) / (d - 1) ** 2)
+    bounds, tol = terms.sum(axis=1), _residual_tol(d)
+    worst = int(np.argmax(bounds))
+    if not bounds[worst] <= tol:
+        top = int(np.argmax(terms[worst]))
+        name = ("t^2", "t(1-t)", "(1-t)^2")[top]
         raise CovarianceMismatch(
-            f"dense and closed-form two-copy outputs differ by {residuals[worst]:.3e} > {tol:.3e}"
-            f" (Frobenius) at d={ch.d}, t={ch.t!r}; worst checked state {worst},"
-            f" least Schmidt weight {sample.weights[worst].min():.3e}"
+            f"dense and closed-form two-copy outputs differ by up to {bounds[worst]:.3e} > {tol:.3e}"
+            f" (Frobenius bound) at d={d} over its t range, most from the {name} term"
+            f" ({terms[worst, top]:.3e}); worst checked state {worst},"
+            f" least Schmidt weight {lam[worst].min():.3e}"
         )
 
 
-class _HaarSample(NamedTuple):
-    """The t-independent half of a cell's Haar leg; both arrays read-only.
-
-    weights holds the Schmidt weights of all count states, (count, d), and
-    gram the 3 x 3 Gram matrix of the residual's t-coefficients for each
-    of the first k = min(count, _DENSE_CHECK_STATES) states, (k, 3, 3)
-    real (see _covariance_residuals).
-    """
-
-    weights: np.ndarray
-    gram: np.ndarray
-
-
-def _haar_sample_of(psi: np.ndarray, weights: np.ndarray) -> _HaarSample:
-    """The _HaarSample of the states psi, (count, d^2), at their Schmidt weights, (count, d).
-
-    The first k = min(count, _DENSE_CHECK_STATES) states are checked:
-    _coefficient_grams keeps each one's Gram matrix, in O(d^3) per state
-    and with no array of d^4 entries.  The build never raises; the check
-    is _check_covariance's, per cell.  The states are dropped after the
-    build, so a fault introduced into the check's inputs after a key is
-    built shows only at the next build.  The weights passed in are kept,
-    and made read-only with the Gram matrices.
-    """
-    k = min(len(psi), _DENSE_CHECK_STATES)
-    sample = _HaarSample(weights, _coefficient_grams(psi[:k], weights[:k]))
-    for array in sample:
-        array.flags.writeable = False
-    return sample
-
-
 @functools.lru_cache(maxsize=1)
-def _haar_sample(seed: int, d: int, count: int) -> _HaarSample:
-    """The _HaarSample of count Haar-random states on d x d.
+def _haar_sample(seed: int, d: int, count: int) -> np.ndarray:
+    """The Schmidt weights of count Haar-random states on d x d; (count, d), read-only.
 
     The states are the rows of haar_states on the _TAG_HAAR stream of
     seed, so state r is the same for every count past r.  The weights of
     every state come from _schmidt_weights, checked by
-    _check_schmidt_rows, and go to _haar_sample_of, which also builds the
-    covariance check's Gram matrices.  None of it depends on t, so a t
-    grid at one (seed, d, count) builds it once, and each cell reads its
-    residuals from the Gram matrices.  The one cached entry stays alive
-    after the call returns, until a call with another key replaces it: d
-    doubles of weights per state, and 9 doubles of Gram matrix for each of
-    the first 16 states.  At d = 24 that is 40 kB at count = 200 and
+    _check_schmidt_rows, and the first min(count, _DENSE_CHECK_STATES)
+    states go through _check_covariance, which holds them over the whole
+    t range, so no cell checks them again.  lru_cache keeps no exception:
+    a sample that fails a check is never cached, and every call with its
+    key builds it again and raises again.  None of it depends on t, so a
+    t grid at one (seed, d, count) builds it once.  The one cached entry
+    stays alive after the call returns, until a call with another key
+    replaces it: d doubles per state, 38 kB at d = 24 and count = 200 and
     0.19 GB at 10^6 states.  No state and no d^2-sized array is kept.
     """
     psi = haar_states(count, d * d, philox_stream(seed, _TAG_HAAR))
     weights = _schmidt_weights(psi, d)
     _check_schmidt_rows(weights)
-    return _haar_sample_of(psi, weights)
+    k = min(count, _DENSE_CHECK_STATES)
+    _check_covariance(psi[:k], weights[:k])
+    weights.flags.writeable = False
+    return weights
 
 
 def _random_state_entropies(ch: Channel, cfg: OptimizerConfig) -> np.ndarray:
     """Two-copy output entropy of each of max(cfg.n_random, 1) Haar-random states; (count,).
 
-    The Schmidt weights of the states and the Gram matrices of the
-    covariance check come from _haar_sample, built once per
-    (seed, d, count) and shared by every t.  The weights go through one
+    The states' Schmidt weights come from _haar_sample, checked and built
+    once per (seed, d, count) and shared by every t, and go through one
     _row_entropies call: a state whose entropy floor exceeds the batch's
     entropy ceiling by more than _PRUNE_MARGIN gets +inf, since it cannot
     hold the minimum, and every other state the bits of a one-row
-    _split_rows call.  So the least entropy is that of an evaluation of every state;
-    the other entries are exact where finite.  Then, on every call,
-    _check_covariance holds the residuals of the first
-    _DENSE_CHECK_STATES states at this t to their tolerance.
+    _split_rows call.  So the least entropy is that of an evaluation of
+    every state; the other entries are exact where finite.
     """
-    sample = _haar_sample(cfg.seed, ch.d, max(cfg.n_random, 1))
-    values = _row_entropies(ch, sample.weights)
-    _check_covariance(ch, sample)
-    return values
+    return _row_entropies(ch, _haar_sample(cfg.seed, ch.d, max(cfg.n_random, 1)))
 
 
 def additivity_gap(

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import Channel, ChannelRows
+from .channel import Channel, ChannelRows, check_finite
 from .errors import BadK, BadLength, LengthMismatch, OutOfRange, SumMismatch, ZeroT
 from .spectrum import SchmidtVector, secular_roots
 
@@ -80,13 +80,16 @@ def scaled_secular_roots(ch: Channel, lam: "SchmidtVector | np.ndarray") -> np.n
 def majorizes(x, y, slack: float = DOMINANCE_SLACK) -> bool:
     """True iff x majorizes y: sorted-descending prefix sums dominate.
 
-    Requires equal lengths and equal totals (within 1e-10); the prefix
-    comparison allows a 1e-12 slack for floating point noise.
+    Requires equal lengths, finite entries and equal totals (within
+    1e-10); the prefix comparison allows a 1e-12 slack for floating point
+    noise.  A NaN or infinite entry raises OutOfRange.
     """
     xv = np.asarray(x, dtype=float).reshape(-1)
     yv = np.asarray(y, dtype=float).reshape(-1)
     if xv.size != yv.size:
         raise LengthMismatch(f"lengths {xv.size} and {yv.size} differ")
+    check_finite(xv, "x entries")
+    check_finite(yv, "y entries")
     if abs(float(np.sum(xv) - np.sum(yv))) > MAJORIZE_SUM_TOL:
         raise SumMismatch(f"totals {np.sum(xv)} and {np.sum(yv)} differ")
     cx = np.cumsum(np.sort(xv)[::-1])

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -102,6 +103,34 @@ def covariance_residuals_kron(ch: Channel, states, weights, outputs) -> np.ndarr
         k = np.kron(u.conj(), vh.conj().T)
         residuals.append(np.linalg.norm(k.conj().T @ out @ k - sigma12_loops(ch, lam)))
     return np.array(residuals)
+
+
+def covariance_coefficients_kron(d: int, psi, lam) -> np.ndarray:
+    """(R2, R1, R0) of K^H out(t) K - sigma12(t, lam) = t^2 R2 + t(1-t) R1 + (1-t)^2 R0; (3, d^2, d^2).
+
+    K = conj(U) (x) V by np.kron, from the SVD of the state psi alone as
+    a d x d matrix, as in covariance_residuals_kron.  The dense output of
+    X = |psi><psi| under two copies of rho -> t rho^T + (1-t) tr rho I/d
+    has the terms X^T, [(tr_2 X)^T (x) I + I (x) (tr_1 X)^T] / d and
+    tr X I / d^2, the partial traces summed over the index pairs of X as
+    a d x d x d x d tensor.  sigma12_loops fills each term of sigma12 in
+    turn, given a channel whose (c1, c2, t) keeps only that term.
+    """
+    psi = np.asarray(psi)
+    u, _, vh = np.linalg.svd(psi.reshape(d, d))
+    k = np.kron(u.conj(), vh.conj().T)
+    x = np.outer(psi, psi.conj())
+    x4 = x.reshape(d, d, d, d)
+    tr_2 = np.einsum("ijkj->ik", x4)
+    tr_1 = np.einsum("jijk->ik", x4)
+    eye = np.eye(d)
+    dense = (x.T, (np.kron(tr_2.T, eye) + np.kron(eye, tr_1.T)) / d, np.trace(x) * np.eye(d * d) / d**2)
+    terms = (
+        SimpleNamespace(d=d, c1=0.0, c2=0.0, t=1.0),
+        SimpleNamespace(d=d, c1=0.0, c2=2.0 / d, t=0.0),
+        SimpleNamespace(d=d, c1=1.0 / d**2, c2=0.0, t=0.0),
+    )
+    return np.array([k.conj().T @ out @ k - sigma12_loops(term, lam) for out, term in zip(dense, terms)])
 
 
 def dense_two_copy_spectrum(ch: Channel, lam: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -24,6 +25,7 @@ from tdchan.spectrum import _check_schmidt_rows
 from tdchan.verification import SCAN_KINDS, _cell_key
 
 from oracles import (
+    covariance_coefficients_kron,
     covariance_residuals_kron,
     dense_two_copy_spectrum,
     entropy_brute,
@@ -347,12 +349,12 @@ def test_n_random_k_takes_the_first_k_states_of_any_larger_n_random():
     # evaluation of every state of the larger sample.
     ch = td.new_channel(3, -0.2)
     count = 2 * _DENSE_CHECK_STATES + 3
-    weights = entropy._haar_sample(7, 3, count).weights
+    weights = entropy._haar_sample(7, 3, count)
     every = all_rows_values(ch, weights)
     for k in (0, 1, 5, _DENSE_CHECK_STATES, _DENSE_CHECK_STATES + 1, count):
         cfg = td.OptimizerConfig(restarts=0, n_random=k, seed=7)
         first = every[: max(k, 1)]
-        assert bits(entropy._haar_sample(7, 3, max(k, 1)).weights.tolist()) == bits(weights[: max(k, 1)].tolist()), k
+        assert bits(entropy._haar_sample(7, 3, max(k, 1)).tolist()) == bits(weights[: max(k, 1)].tolist()), k
         got = _random_state_entropies(ch, cfg)
         evaluated = np.isfinite(got)
         assert bits(got[evaluated].tolist()) == bits(first[evaluated].tolist()), k
@@ -402,23 +404,24 @@ def test_schmidt_weights_of_product_and_near_product_states():
 
 
 def test_every_additivity_gap_runs_the_dense_check(monkeypatch, cold_haar_cache):
-    # A sample's build reads the residual's coefficients once, off the first
-    # min(n_random, _DENSE_CHECK_STATES) states of the stream and their
-    # weights, whatever their count.  A warm cell reads none, but every cell
-    # holds the residuals at its own t to the tolerance.
-    grams = count_calls(monkeypatch, "_coefficient_grams")
+    # A sample's build checks the first min(n_random, _DENSE_CHECK_STATES)
+    # states of the stream at their weights, whatever their count, over the
+    # whole t range.  A warm cell checks nothing again: the one cached
+    # sample passed that check, which holds at its t too.
     checks = count_calls(monkeypatch, "_check_covariance")
     for n_random in (0, 5, _DENSE_CHECK_STATES, 3 * _DENSE_CHECK_STATES + 1):
-        grams.clear()
         checks.clear()
         cfg = td.OptimizerConfig(restarts=1, n_random=n_random)
         td.additivity_gap(td.new_channel(3, -0.4), cfg)
-        k = min(max(n_random, 1), _DENSE_CHECK_STATES)
-        assert [(states.shape, lam.shape) for states, lam in grams] == [((k, 9), (k, 3))], n_random
-        grams.clear()
-        td.additivity_gap(td.new_channel(3, 0.1), cfg)
-        assert grams == []
-        assert [ch.t for ch, _ in checks] == [-0.4, 0.1]
+        count = max(n_random, 1)
+        k = min(count, _DENSE_CHECK_STATES)
+        assert [(states.shape, lam.shape) for states, lam in checks] == [((k, 9), (k, 3))], n_random
+        states, lam = checks[0]
+        assert np.array_equal(states, haar_states(count, 9, philox_stream(0, _TAG_HAAR))[:k])
+        assert np.array_equal(lam, entropy._haar_sample(0, 3, count)[:k])
+        for t in (0.1, 0.0, td.t_range(3)[0]):
+            td.additivity_gap(td.new_channel(3, t), cfg)
+        assert len(checks) == 1, n_random
 
 
 def scaled_states(monkeypatch, e):
@@ -428,16 +431,23 @@ def scaled_states(monkeypatch, e):
     every checked state, but not P, Q and w: they rest on the weights and
     on the singular vectors, which a scale leaves as they are.
     """
-    plain = entropy._coefficient_grams
-    monkeypatch.setattr(entropy, "_coefficient_grams", lambda states, lam: plain(np.sqrt(1.0 + e) * states, lam))
+    plain = entropy._coefficient_norms
+    monkeypatch.setattr(entropy, "_coefficient_norms", lambda states, lam: plain(np.sqrt(1.0 + e) * states, lam))
+
+
+def residual_weights(d):
+    """The largest |t^2|, |t(1-t)| and (1-t)^2 on the t range of d: their values at its lower end."""
+    lo = td.t_range(d)[0]
+    return np.abs([lo * lo, lo * (1.0 - lo), (1.0 - lo) ** 2])
 
 
 def test_the_dense_check_holds_the_closed_form_to_its_tolerance(monkeypatch, cold_haar_cache):
     # Scaling each two-copy output by 1 + e leaves a residual e sigma12 in
-    # the Schmidt bases, of Frobenius norm between e / 4 and e at d = 4:
-    # past _residual_tol(4), about 1.7e-12, at e = 1e-8, well inside it at
-    # e = 1e-13.  The coefficients are read when a sample is built, so the
-    # fault is in place before a cold build.
+    # the Schmidt bases, and the bound over the t range, the sum of the
+    # coefficient norms each times its term's largest weight, is then below
+    # 2 e at d = 4: past _residual_tol(4), about 1.7e-12, at e = 1e-8, well
+    # inside it at e = 1e-13.  The check runs when a sample is built, so
+    # the fault is in place before a cold build.
     ch = td.new_channel(4, -0.2)
     cfg = td.OptimizerConfig(restarts=1, n_random=3)
     want = td.additivity_gap(ch, cfg)
@@ -456,19 +466,19 @@ def test_the_dense_check_holds_the_closed_form_to_its_tolerance(monkeypatch, col
 def test_the_dense_check_catches_a_shifted_cached_weight(monkeypatch, cold_haar_cache):
     # The known positive on the closed-form side: the dense route is
     # untouched, and one weight of one checked state moves by 1e-9 on its
-    # way into _haar_sample_of, the one constructor of P, Q and w.
+    # way into _check_covariance, which forms P, Q and w from it.
     cfg = td.OptimizerConfig(restarts=1, n_random=5, seed=3)
     ch = td.new_channel(4, -0.2)
     td.additivity_gap(ch, cfg)
-    plain = entropy._haar_sample_of
+    plain = entropy._check_covariance
 
-    def shifted(psi, weights):
+    def shifted(states, weights):
         weights = weights.copy()
         weights[2, 1] += 1e-9
-        return plain(psi, weights)
+        return plain(states, weights)
 
     with monkeypatch.context() as m, pytest.raises(CovarianceMismatch, match="differ by"):
-        m.setattr(entropy, "_haar_sample_of", shifted)
+        m.setattr(entropy, "_check_covariance", shifted)
         entropy._haar_sample.cache_clear()
         td.additivity_gap(ch, cfg)
 
@@ -476,11 +486,13 @@ def test_the_dense_check_catches_a_shifted_cached_weight(monkeypatch, cold_haar_
 @pytest.mark.parametrize("factor, entry", [("p", (2, 1, 1)), ("q", (2, 3, 0)), ("w", (2, 5))])
 def test_the_dense_check_catches_a_shifted_cached_factor(monkeypatch, factor, entry):
     # The known positives on the reference side: one entry of one factor
-    # of K sigma12 K^H moves by 1e-9 as _haar_sample_of builds the sample,
-    # the dense route untouched.  At t = 0 the factors carry weight
-    # c2 = t^2 = 0, so only t != 0 is held to it; the unshifted sample
-    # passes everywhere.
-    sample = entropy._haar_sample.__wrapped__(3, 4, 5)
+    # of K sigma12 K^H moves by 1e-9 as the check forms it, the dense route
+    # untouched.  A shift in P or Q reaches only R1, one in w only R2, and
+    # the message names the term.  The unshifted states pass.
+    term = "t^2" if factor == "w" else "t(1-t)"
+    psi = haar_states(5, 16, philox_stream(3, _TAG_HAAR))
+    weights = entropy._schmidt_weights(psi, 4)
+    entropy._check_covariance(psi, weights)
     plain = entropy._reference_factors
 
     def moved(states, lam):
@@ -489,21 +501,28 @@ def test_the_dense_check_catches_a_shifted_cached_factor(monkeypatch, factor, en
         return factors["p"], factors["q"], factors["w"]
 
     monkeypatch.setattr(entropy, "_reference_factors", moved)
-    shifted = entropy._haar_sample.__wrapped__(3, 4, 5)
-    lo, hi = td.t_range(4)
-    for t in (lo, -0.2, 0.5 * hi, hi):
-        ch = td.new_channel(4, t)
-        entropy._check_covariance(ch, sample)
-        with pytest.raises(CovarianceMismatch, match="differ by"):
-            entropy._check_covariance(ch, shifted)
+    with pytest.raises(CovarianceMismatch, match=f"most from the {re.escape(term)} term"):
+        entropy._check_covariance(psi, weights)
+
+
+def test_the_dense_check_catches_a_fault_in_p_q_and_w_at_a_cell_at_t_0(monkeypatch, cold_haar_cache):
+    # At t = 0 the residual is (1-t)^2 R0 = (|psi|^2 - 1) I / d^2 alone, and
+    # P, Q and w carry none of it.  With all three scaled by 1 + 1e-6 a
+    # check of the residual at the cell's own t passes; the check of the
+    # bound over the whole t range raises, at a cell at t = 0 alone.
+    plain = entropy._reference_factors
+    monkeypatch.setattr(entropy, "_reference_factors", lambda states, lam: [(1.0 + 1e-6) * f for f in plain(states, lam)])
+    with pytest.raises(CovarianceMismatch, match="differ by"):
+        td.additivity_gap(td.new_channel(3, 0.0), td.OptimizerConfig(restarts=1, n_random=5, seed=3))
 
 
 def test_the_dense_check_passes_where_the_schmidt_bases_are_not_unique():
     # Tied Schmidt weights leave the SVD free to rotate the bases within
     # their span; whatever bases it returns must pass, as must Gaussian
-    # states.  Weights near 0 are left out: eigvalsh(M M^H) finds a zero
-    # weight only to about 1e-17, and the entry comparison sees its square
-    # root through t^2 sqrt(lam_a lam_b) (up to 4e-9 on product states).
+    # states, over the whole t range.  Weights near 0 are left out:
+    # eigvalsh(M M^H) finds a zero weight only to about 1e-17, and the
+    # entry comparison sees its square root through t^2 sqrt(lam_a lam_b)
+    # (up to 4e-9 on product states).
     rng = np.random.default_rng(257)
     for d in (2, 3, 4, 5, 6):
         tie = rng.dirichlet(np.ones(d))
@@ -512,21 +531,11 @@ def test_the_dense_check_passes_where_the_schmidt_bases_are_not_unique():
         for lam in (np.full(d, 1.0 / d), tie / tie.sum()):
             states.append(np.kron(local_unitary(d, rng), local_unitary(d, rng)) @ schmidt_state(lam))
         psi = np.array([v / np.linalg.norm(v) for v in states])
-        sample = entropy._haar_sample_of(psi, entropy._schmidt_weights(psi, d))
-        lo, hi = td.t_range(d)
-        for t in (lo, 0.5 * lo, 0.0, 0.5 * hi, hi):
-            entropy._check_covariance(td.new_channel(d, t), sample)
+        entropy._check_covariance(psi, entropy._schmidt_weights(psi, d))
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 8, 16])
-def test_covariance_residuals_match_the_kronecker_oracle(d):
-    # The library subtracts K sigma12 K^H from the dense output in the
-    # computational basis; the oracle rotates the same output into the
-    # Schmidt bases with an explicit Kronecker K and subtracts sigma12.
-    # K is unitary, so the two residuals agree to rounding, on Haar and
-    # Gaussian states and on locally rotated Schmidt states with tied
-    # weights, which leave the SVD free to rotate within a tie.
-    rng = np.random.default_rng(269 + d)
+def checked_states(d, rng):
+    """16 unit states on d x d: 10 Haar, 3 Gaussian and 3 locally rotated Schmidt states with tied weights."""
     haar = haar_states(10, d * d, philox_stream(d, _TAG_HAAR))
     gaussian = rng.standard_normal((3, d * d)) + 1j * rng.standard_normal((3, d * d))
     tie = rng.dirichlet(np.ones(d))
@@ -538,50 +547,76 @@ def test_covariance_residuals_match_the_kronecker_oracle(d):
         for lam in (np.full(d, 1.0 / d), tie / tie.sum(), rest)
     ]
     psi = np.vstack([haar, gaussian, tied])
-    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
+
+
+def t_coefficients(t):
+    """The weights (t^2, t(1-t), (1-t)^2) of the residual's three terms at t."""
+    return np.array([t * t, t * (1.0 - t), (1.0 - t) ** 2])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 8, 16])
+def test_covariance_residuals_match_the_kronecker_oracle(d):
+    # The library reads the norms of the residual's three t-coefficients
+    # off the state in the computational basis; the oracle rotates the
+    # dense output's terms into the Schmidt bases with an explicit
+    # Kronecker K and subtracts sigma12's, on Haar and Gaussian states and
+    # on locally rotated Schmidt states with tied weights, which leave the
+    # SVD free to rotate within a tie.  On those states both routes find
+    # every coefficient to be rounding noise, below 1e-14 and far below
+    # the tolerance.  Noise that small would hide a wrong norm, so the
+    # states also go in scaled by 1 + 1e-3 and at the weights of the state
+    # before them.  K is unitary, so there the norms agree to 1e-12, the
+    # oracle's coefficients recombine at five t to the Kronecker residual
+    # of the dense output of apply_two_copies, and the bound over the t
+    # range covers that residual.
+    psi = checked_states(d, np.random.default_rng(269 + d))
     assert len(psi) == _DENSE_CHECK_STATES
     weights = entropy._schmidt_weights(psi, d)
-    sample = entropy._haar_sample_of(psi, weights)
+    norms = entropy._coefficient_norms(psi, weights)
+    want = np.array([np.linalg.norm(covariance_coefficients_kron(d, *pair), axis=(1, 2)) for pair in zip(psi, weights)])
+    assert max(norms.max(), want.max()) <= 1e-14, (d, norms.max(), want.max())
+    assert (norms @ residual_weights(d)).max() <= entropy._residual_tol(d)
+
+    states, lam = (1.0 + 1e-3) * psi, np.roll(weights, 1, axis=0)
+    norms = entropy._coefficient_norms(states, lam)
+    bounds = norms @ residual_weights(d)
     lo, hi = td.t_range(d)
-    for t in (lo, 0.5 * lo, 0.0, 0.5 * hi, hi):
-        ch = td.new_channel(d, t)
-        got = entropy._covariance_residuals(ch, sample)
-        outputs = td.apply_two_copies(ch, psi[:, :, None] * psi.conj()[:, None, :])
-        want = covariance_residuals_kron(ch, psi, weights, outputs)
-        assert np.max(np.abs(got - want)) <= 1e-15, (d, t, got.tolist(), want.tolist())
-        assert got.max() <= entropy._residual_tol(d), (d, t)
-
-
-def checked_states(d, rng):
-    """16 unit states on d x d: 10 Haar, 3 Gaussian and 3 locally rotated Schmidt states with tied weights."""
-    haar = haar_states(10, d * d, philox_stream(d, _TAG_HAAR))
-    gaussian = rng.standard_normal((3, d * d)) + 1j * rng.standard_normal((3, d * d))
-    tie = rng.dirichlet(np.ones(d))
-    tie[1] = tie[0]
-    rest = np.full(d, 0.4 / (d - 1))
-    rest[0] = 0.6
-    tied = [
-        np.kron(local_unitary(d, rng), local_unitary(d, rng)) @ schmidt_state(lam)
-        for lam in (np.full(d, 1.0 / d), tie / tie.sum(), rest)
-    ]
-    psi = np.vstack([haar, gaussian, tied])
-    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
+    channels = [td.new_channel(d, t) for t in (lo, 0.5 * lo, 0.0, 0.5 * hi, hi)]
+    kron = np.array(
+        [
+            covariance_residuals_kron(ch, states, lam, td.apply_two_copies(ch, states[:, :, None] * states.conj()[:, None, :]))
+            for ch in channels
+        ]
+    )
+    assert (kron <= bounds).all(), (d, kron.tolist(), bounds.tolist())
+    for i, (state, row) in enumerate(zip(states, lam)):
+        coefficients = covariance_coefficients_kron(d, state, row)
+        want = np.linalg.norm(coefficients, axis=(1, 2))
+        assert np.all(np.abs(norms[i] - want) <= 1e-12 * want), (d, i, norms[i].tolist(), want.tolist())
+        for ch, residuals in zip(channels, kron):
+            recombined = np.linalg.norm(np.tensordot(t_coefficients(ch.t), coefficients, axes=1))
+            assert abs(recombined - residuals[i]) <= 1e-12 * residuals[i], (d, i, ch.t)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 8, 16])
 def test_gram_residuals_match_the_direct_dense_residuals(monkeypatch, d):
-    # The Gram matrix of the residual's three t-coefficients gives its
-    # Frobenius norm at any t.  The direct route forms the residual itself:
-    # the dense output of apply_two_copies at t minus
-    # c1 I + (c2/2)(P (x) I + I (x) Q) + t^2 w w^H, built with np.kron.  Both
-    # agree at eleven t: both ends, 0, and eight t inside, two of them 1e-7
-    # from 0.  On the checked states each route rounds in its own way, and
-    # both residuals are rounding noise of up to 1.3e-15 (at d = 2); they
-    # differ by at most 3.3e-16.  Noise that small would hide a wrong Gram
-    # entry, so the states also go in scaled by 1 + 1e-3 and against the
-    # factors and weights of the state before them: then every coefficient
-    # is far from 0 and e^H x is complex, and the routes agree to 1e-12 of
-    # the residual.
+    # The direct route forms the residual's three t-coefficients as
+    # d^2 x d^2 matrices with np.kron: x x^H - w w^H, the partial traces of
+    # the state less P (x) I + I (x) Q over d, and (|psi|^2 - 1) I / d^2.
+    # Their Frobenius norms are the library's, which never forms them.  On
+    # a 41-point grid over the whole t range, plus 0 and +-1e-7, the bound
+    # over the t range, each norm times its term's largest weight, is at
+    # least the norm of the dense output of apply_two_copies at t minus
+    # c1 I + (c2/2)(P (x) I + I (x) Q) + t^2 w w^H; at every fourth grid
+    # point, both ends included, and at 0 and +-1e-7, the coefficients
+    # recombine to that residual.  On the checked states every coefficient and residual
+    # is rounding noise of up to 1.3e-15 (at d = 2): there the routes
+    # agree, and the residual stays below the bound, to within 2e-15 and
+    # 5e-16.  Noise that small would hide a wrong norm, so the states also
+    # go in scaled by 1 + 1e-3 and against the factors and weights of the
+    # state before them: then every coefficient is far from 0 and e^H x is
+    # complex, and the routes agree to 1e-12 of the residual.
     psi = checked_states(d, np.random.default_rng(271 + d))
     weights = entropy._schmidt_weights(psi, d)
     plain = entropy._reference_factors
@@ -589,41 +624,71 @@ def test_gram_residuals_match_the_direct_dense_residuals(monkeypatch, d):
     def before(states, lam):
         return plain(np.roll(states, 1, axis=0), np.roll(lam, 1, axis=0))
 
-    eye = np.eye(d)
+    def frobenius(stack):
+        return np.linalg.norm(stack.reshape(len(stack), -1), axis=1)
+
+    eye, diagonal = np.eye(d), np.arange(d * d)
     lo, hi = td.t_range(d)
+    grid = np.linspace(lo, hi, 41).tolist()
+    recombined_at = {*grid[::4], -1e-7, 0.0, 1e-7}
+    grid = sorted({*grid, -1e-7, 0.0, 1e-7})
+    assert grid[0] == lo and grid[-1] == hi and {lo, hi} <= recombined_at
     for factors, states in ((plain, psi), (before, (1.0 + 1e-3) * psi)):
         monkeypatch.setattr(entropy, "_reference_factors", factors)
-        sample = entropy._haar_sample_of(states, weights)
+        norms = entropy._coefficient_norms(states, weights)
+        bounds = norms @ residual_weights(d)
         p, q, w = factors(states, weights)
+        x = states.conj()
+        m = states.reshape(-1, d, d)
         kron = np.array([np.kron(a, eye) for a in p]) + np.array([np.kron(eye, b) for b in q])
-        for t in (lo, 0.9 * lo, 0.5 * lo, 0.1 * lo, -1e-7, 0.0, 1e-7, 0.3 * hi, 0.5 * hi, 0.9 * hi, hi):
+        outer_w = w[:, :, None] * w.conj()[:, None, :]
+        partial = np.array([np.kron(a.conj() @ a.T, eye) + np.kron(eye, a.conj().T @ a) for a in m])
+        coefficients = [
+            x[:, :, None] * x.conj()[:, None, :] - outer_w,
+            (partial - kron) / d,
+            ((np.linalg.norm(states, axis=1) ** 2 - 1.0) / d**2)[:, None, None] * np.eye(d * d),
+        ]
+        want = np.stack([frobenius(c) for c in coefficients], axis=1)
+        assert np.all(np.abs(norms - want) <= 5e-16 + 1e-12 * want), (d, norms.tolist(), want.tolist())
+        dense = states[:, :, None] * states.conj()[:, None, :]
+        for t in grid:
             ch = td.new_channel(d, t)
-            out = td.apply_two_copies(ch, states[:, :, None] * states.conj()[:, None, :])
-            reference = ch.c1 * np.eye(d * d) + 0.5 * ch.c2 * kron + ch.t2 * w[:, :, None] * w.conj()[:, None, :]
-            direct = np.linalg.norm((out - reference).reshape(len(states), -1), axis=1)
-            got = entropy._covariance_residuals(ch, sample)
-            assert np.all(np.abs(got - direct) <= 5e-16 + 1e-12 * direct), (d, t, got.tolist(), direct.tolist())
+            residual = td.apply_two_copies(ch, dense)
+            residual -= 0.5 * ch.c2 * kron
+            residual -= ch.t2 * outer_w
+            residual[:, diagonal, diagonal] -= ch.c1
+            direct = frobenius(residual)
+            assert np.all(direct <= bounds + 5e-16), (d, t, direct.tolist(), bounds.tolist())
+            if t in recombined_at:
+                for weight, coefficient in zip(t_coefficients(t), coefficients):
+                    residual -= weight * coefficient
+                gap = frobenius(residual)
+                assert np.all(gap <= 2e-15 + 1e-12 * direct), (d, t, gap.tolist(), direct.tolist())
 
 
 def test_a_mismatch_names_the_worst_state_and_its_least_schmidt_weight():
     # State 2 has a Schmidt weight of 1e-20, which eigvalsh(M M^H) resolves
-    # only to about 1e-17: its residual at t = -1/2 is far past the
-    # tolerance.  The message keeps the residual, d and t, and names the
-    # state and its least weight.
+    # only to about 1e-17: the bound on its residual is far past the
+    # tolerance.  The message gives the bound, the term that contributes
+    # most to it, d, and names the state and its least weight; it names no
+    # t, since the bound holds over the whole t range.
     d = 3
     rng = np.random.default_rng(7)
     psi = haar_states(4, d * d, philox_stream(5, _TAG_HAAR))
     lam = np.full(d, (1.0 - 1e-20) / (d - 1))
     lam[-1] = 1e-20
     psi[2] = np.kron(local_unitary(d, rng), local_unitary(d, rng)) @ schmidt_state(lam)
-    sample = entropy._haar_sample_of(psi, entropy._schmidt_weights(psi, d))
-    assert sample.weights[2].min() < 1e-9
+    weights = entropy._schmidt_weights(psi, d)
+    assert weights[2].min() < 1e-9
     with pytest.raises(CovarianceMismatch) as raised:
-        entropy._check_covariance(td.new_channel(d, -0.5), sample)
-    message = str(raised.value)
-    assert "(Frobenius) at d=3, t=-0.5; worst checked state 2," in message
-    assert message.endswith(f"least Schmidt weight {sample.weights[2].min():.3e}")
-    assert message.startswith("dense and closed-form two-copy outputs differ by ")
+        entropy._check_covariance(psi, weights)
+    terms = entropy._coefficient_norms(psi, weights)[2] * residual_weights(d)
+    top = ("t^2", "t(1-t)", "(1-t)^2")[int(terms.argmax())]
+    assert str(raised.value) == (
+        f"dense and closed-form two-copy outputs differ by up to {terms.sum():.3e} > {entropy._residual_tol(d):.3e}"
+        f" (Frobenius bound) at d=3 over its t range, most from the {top} term ({terms.max():.3e});"
+        f" worst checked state 2, least Schmidt weight {weights[2].min():.3e}"
+    )
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 8, 16])
@@ -632,7 +697,7 @@ def test_sigma12_at_the_checked_weights_has_the_split_rows_entropy(d):
     # weights, not spectra; this is the other link, sigma12's spectrum
     # against the closed form, on the same states.  DensityMatrix keeps the
     # eigenvalues of its PSD check, so each matrix is diagonalized once.
-    weights = entropy._haar_sample.__wrapped__(0, d, _DENSE_CHECK_STATES).weights
+    weights = entropy._haar_sample.__wrapped__(0, d, _DENSE_CHECK_STATES)
     for t in np.linspace(*td.t_range(d), 9).tolist():
         ch = td.new_channel(d, t)
         s1, s2 = entropy._split_rows(ch, weights)
@@ -701,53 +766,75 @@ def test_haar_samples_are_keyed_by_seed_d_and_count_and_read_only(monkeypatch, c
     info = entropy._haar_sample.cache_info()
     assert info.maxsize == info.currsize == 1
 
+    checks = count_calls(monkeypatch, "_check_covariance")
     for count in (1, _DENSE_CHECK_STATES + 4):
-        sample = entropy._haar_sample(11, 3, count)
-        weights, gram = sample
+        entropy._haar_sample.cache_clear()
+        weights = entropy._haar_sample(11, 3, count)
         k = min(count, _DENSE_CHECK_STATES)
-        assert weights.shape == (count, 3) and gram.shape == (k, 3, 3)
+        assert weights.shape == (count, 3)
         psi = haar_states(count, 9, philox_stream(11, _TAG_HAAR))
         assert bits(weights.tolist()) == bits(entropy._schmidt_weights(psi, 3).tolist())
-        assert np.array_equal(gram, gram.swapaxes(1, 2))
-        # The Gram matrices are those of the first k states at their weights,
-        # from the factors of K sigma12 K^H read off each state as the d x d
-        # matrix M: P = conj(M M^H), Q = M^H M and w = conj(psi).
-        dense = psi[:k]
-        assert np.array_equal(gram, entropy._coefficient_grams(dense, weights[:k]))
-        p, q, w = entropy._reference_factors(dense, weights[:k])
+        # The build checks the first k states at their weights, with the
+        # factors of K sigma12 K^H read off each state as the d x d matrix
+        # M: P = conj(M M^H), Q = M^H M and w = conj(psi).
+        dense, lam = checks[-1]
+        assert np.array_equal(dense, psi[:k]) and np.array_equal(lam, weights[:k])
+        p, q, w = entropy._reference_factors(dense, lam)
         m = dense.reshape(-1, 3, 3)
         assert p.shape == q.shape == (len(dense), 3, 3) and w.shape == dense.shape
         assert np.max(np.abs(p - (m @ m.conj().swapaxes(1, 2)).conj())) <= 1e-14
         assert np.max(np.abs(q - m.conj().swapaxes(1, 2) @ m)) <= 1e-14
         assert np.max(np.abs(w - dense.conj())) <= 1e-14
-        for array in sample:
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0, 0] = 0.5
-            with pytest.raises(ValueError):
-                array *= 2.0
+        assert not weights.flags.writeable
+        with pytest.raises(ValueError):
+            weights[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            weights *= 2.0
+    assert len(checks) == 2
 
 
 def test_a_warm_haar_sample_still_runs_the_dense_check(monkeypatch, cold_haar_cache):
-    # The coefficients are read when the sample is built, and the build
-    # never raises; every cell then holds the residuals at its own t to the
-    # tolerance.  So a fault present at the build shows at the first cell
-    # and at every later t of the warm grid.
+    # The check runs when a sample is built, over the whole t range, and
+    # lru_cache keeps no sample whose build raised.  So a fault present at
+    # the build shows at the first cell and at every later t of the grid,
+    # each of which builds the sample again.
     cfg = td.OptimizerConfig(restarts=1, n_random=5, seed=3)
     scaled_states(monkeypatch, 1e-6)
     lo, hi = td.t_range(3)
-    grid = [-0.4, lo, 0.5 * lo, -1e-7, 0.1, hi]
+    grid = [-0.4, lo, 0.5 * lo, -1e-7, 0.0, 0.1, hi]
     for t in grid:
         with pytest.raises(CovarianceMismatch, match="differ by"):
             td.additivity_gap(td.new_channel(3, t), cfg)
     info = entropy._haar_sample.cache_info()
-    assert (info.misses, info.hits) == (1, len(grid) - 1)
+    assert (info.misses, info.hits, info.currsize) == (len(grid), 0, 0)
+
+
+def test_a_key_whose_check_fails_raises_again_and_builds_clean_once_mended(monkeypatch, cold_haar_cache):
+    # A failed build leaves the cached entry of another key in place, raises
+    # again on a second call with its key, and builds clean, with the bits
+    # of a run that never saw the fault, once the fault is gone.
+    cfg, other = td.OptimizerConfig(restarts=1, n_random=5, seed=3), td.OptimizerConfig(restarts=1, n_random=5, seed=4)
+    ch = td.new_channel(3, -0.25)
+    want = bits(td.additivity_gap(ch, cfg))
+    entropy._haar_sample.cache_clear()
+    kept = bits(td.additivity_gap(ch, other))
+    with monkeypatch.context() as m:
+        scaled_states(m, 1e-6)
+        for _ in range(2):
+            with pytest.raises(CovarianceMismatch, match="differ by"):
+                td.additivity_gap(ch, cfg)
+        assert bits(td.additivity_gap(ch, other)) == kept
+    info = entropy._haar_sample.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (3, 1, 1)
+    assert bits(td.additivity_gap(ch, cfg)) == want
+    assert entropy._haar_sample.cache_info().misses == 4
 
 
 def test_a_dense_fault_after_the_build_shows_at_the_next_build(monkeypatch, cold_haar_cache):
     # What the one build per key gives up: P, Q and w are formed only when
-    # a sample is built, so a fault introduced into them afterwards passes
-    # every warm cell and raises once the sample is built again.
+    # a sample is built and checked, so a fault introduced into them
+    # afterwards passes every warm cell and raises once the sample is built
+    # again.
     plain = entropy._reference_factors
     cfg = td.OptimizerConfig(restarts=1, n_random=5, seed=3)
     want = td.additivity_gap(td.new_channel(3, 0.1), cfg)
@@ -1165,19 +1252,15 @@ def retained_bytes(arrays):
     return sum(owners.values())
 
 
-@pytest.mark.parametrize("d, probe_bytes, haar_bytes", [(3, 3_480, 5_952), (24, 14_784, 39_552)])
-def test_cache_entries_keep_only_rows_weights_and_dense_check_grams(
-    cold_probe_cache, cold_haar_cache, d, probe_bytes, haar_bytes
-):
+@pytest.mark.parametrize("d, probe_bytes, haar_bytes", [(3, 3_480, 4_800), (24, 14_784, 38_400)])
+def test_cache_entries_keep_only_rows_and_weights(cold_probe_cache, cold_haar_cache, d, probe_bytes, haar_bytes):
     # At the default restarts = 50 and n_random = 200: d doubles per probe
-    # row, d doubles of weights per state, and a 3 x 3 Gram matrix of
-    # doubles for each of the first _DENSE_CHECK_STATES states.
+    # row and d doubles of weights per state.  The covariance check keeps
+    # nothing.
     restarts, count = 50, 200
     rows = entropy._probe_rows(0, d, restarts)
     assert retained_bytes([rows]) == (d + 1 + restarts + len(entropy._simplex_lattice(d))) * d * 8 == probe_bytes
-    k = min(count, _DENSE_CHECK_STATES)
-    sample = entropy._haar_sample(0, d, count)
-    assert retained_bytes(sample) == count * d * 8 + k * 9 * 8 == haar_bytes
+    assert retained_bytes([entropy._haar_sample(0, d, count)]) == count * d * 8 == haar_bytes
 
 
 def test_pair_index_is_built_once_per_d_and_read_only():
@@ -1442,7 +1525,7 @@ def test_the_batch_ceiling_keeps_the_rows_of_the_least_ceiling(d, seed, restarts
     lo, hi = td.t_range(d)
     for t in np.linspace(lo, hi, 9):
         ch = td.new_channel(d, t)
-        batches = (entropy._probe_rows(seed, d, restarts), d), (entropy._haar_sample(seed, d, n_random).weights, 0)
+        batches = (entropy._probe_rows(seed, d, restarts), d), (entropy._haar_sample(seed, d, n_random), 0)
         for rows, keep in batches:
             s1 = entropy._pair_entropies(ch, rows)
             floor, ceiling = secular_bounds(ch, rows)
@@ -1478,7 +1561,7 @@ def test_pruning_keeps_the_bits_of_an_evaluation_of_every_row(d):
                 val, arg = td.minimize_simplex_entropy(ch, cfg)
                 want_val, want_arg = all_rows_probe(ch, cfg)
                 assert bits([val, arg.values.tolist()]) == bits([want_val, want_arg]), (seed, cfg, t)
-                weights = entropy._haar_sample(seed, d, max(n_random, 1)).weights
+                weights = entropy._haar_sample(seed, d, max(n_random, 1))
                 min_random = float(all_rows_values(ch, weights).min())
                 gap = min(want_val, min_random) - 2.0 * td.min_entropy_closed_form(ch)
                 assert bits(list(td.additivity_gap(ch, cfg))) == bits([gap, want_val, min_random]), (seed, cfg, t)

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -80,6 +81,24 @@ def test_majorizes_guards():
         td.majorizes([0.5, 0.5], [1.0, 0.0, 0.0])
     with pytest.raises(SumMismatch):
         td.majorizes([0.6, 0.6], [0.5, 0.5])
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        ([math.nan, 1.0], [0.5, 0.5]),
+        ([math.inf, -math.inf], [0.5, 0.5]),
+        ([0.5, 0.5], [math.nan, 1.0]),
+        ([0.5, 0.5], [math.inf, -math.inf]),
+        ([math.inf, 0.0], [math.inf, 0.0]),
+    ],
+)
+def test_majorizes_guards_non_finite_entries(x, y):
+    # A NaN or infinite entry makes every sum and prefix comparison false,
+    # so without the guard these would pass the total check and read as
+    # "does not majorize".
+    with pytest.raises(OutOfRange, match="must be finite"):
+        td.majorizes(x, y)
 
 
 def test_t_transform_frozen():
