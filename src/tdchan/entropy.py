@@ -73,27 +73,11 @@ table of S1 for each d.  Their docstrings give what each entry holds.
 
 The covariance check holds the reduction to the Schmidt weights on the
 first _DENSE_CHECK_STATES states of a sample, once, as _haar_sample
-builds it.  Each state's two-copy output minus the reference
-K sigma12(lam) K^H at its weights is a residual
-E(t) = t^2 R2 + t(1-t) R1 + (1-t)^2 R0 whose coefficients do not depend
-on t (_coefficient_norms gives them and their Frobenius norms, in
-O(d^3) per state).  The sum of those norms, each times its term's
-largest weight on the t range, bounds ||E(t)||_F at every t, t = 0
-included, and must stay at or below _residual_tol(d), which by the
-Fannes-Audenaert bound keeps the dense and closed-form entropies within
-_COVARIANCE_TOL (_check_covariance).  A failure raises
+builds it, over the whole t range; _check_covariance gives the bound it
+checks, why that bound keeps the dense and closed-form entropies within
+_COVARIANCE_TOL, and what it gives up.  A failure raises
 CovarianceMismatch, which is no TdchanError, since then the library and
-not its input is at fault; no sample that fails is cached.  What is
-given up: apply_two_copies does not run at run time.  The coefficients
-restate its formula, so a fault in apply_two_copies itself is never
-seen here, and a fault in the check's inputs introduced after a key is
-built shows only at the next build.  The tests tie the coefficients to
-apply_two_copies on a 41-point t grid
-(test_gram_residuals_match_the_direct_dense_residuals) and to an
-independent Kronecker oracle
-(test_covariance_residuals_match_the_kronecker_oracle).  No d^2 x d^2
-eigvalsh runs; the tests check the spectrum of sigma12 against
-_split_rows instead.
+not its input is at fault; no sample that fails is cached.
 
 Every entropy in the module, of a vector or of each row of an array,
 comes from one reduction, _entropy_rows.
@@ -117,9 +101,8 @@ EIGENVALUE_FLOOR = -1e-10
 # Row budget of the full simplex lattice, which sets its resolution m;
 # minimize_simplex_entropy probes one row per permutation orbit of it.
 _LATTICE_ROWS = 500
-# Haar-random states per sample whose two-copy output is checked against
-# K sigma12 K^H, and the largest |S_dense - S_closed| its residual
-# tolerance allows.
+# Haar-random states per sample that _check_covariance holds to their
+# Schmidt weights, and the largest |S_dense - S_closed| it allows.
 _DENSE_CHECK_STATES = 16
 _COVARIANCE_TOL = 1e-10
 # How far an entropy floor may exceed the ceiling that _row_entropies
@@ -145,9 +128,9 @@ class OptimizerConfig:
     vectors of min_output_entropy.
     n_random counts the Haar-random states of additivity_gap, whose
     entropies come from their Schmidt weights, and of which the first
-    _DENSE_CHECK_STATES are also checked against the two-copy output,
-    once per sample, over the whole t range.  Nothing that does not
-    depend on t is rebuilt per t: the probe rows are built once per
+    _DENSE_CHECK_STATES go through _check_covariance once per sample,
+    which covers the whole t range.  Nothing that does not depend on t
+    is rebuilt per t: the probe rows are built once per
     (seed, d, restarts) and the states' weights, with their check, once
     per (seed, d, n_random); the last entry of each stays alive after the
     call returns (see _probe_rows and _haar_sample for its size).  All
@@ -518,17 +501,14 @@ def _schmidt_weights(psi: np.ndarray, d: int) -> np.ndarray:
 
 @functools.cache
 def _residual_tol(d: int) -> float:
-    """The largest bound on the Frobenius residual ||E||_F that _check_covariance passes at d.
+    """The largest bound on the trace distance T that _check_covariance passes at d.
 
-    Equal matrices have equal spectra, and a small residual keeps the
-    entropies close.  With D = d^2 and T = ||E||_1 / 2 <= sqrt(D) ||E||_F / 2
-    (Cauchy-Schwarz on the singular values of E), the bound of Fannes
-    (1973) in Audenaert's sharp form (J. Phys. A 40, 8127 (2007)) gives
+    With D = d^2, the bound of Fannes (1973) in Audenaert's sharp form
+    (J. Phys. A 40, 8127 (2007)) gives
     |S_dense - S_closed| <= T ln(D - 1) - T ln T - (1 - T) ln(1 - T).
     The bound increases in T on [0, 1/2], so bisection finds the largest T
-    that keeps it at or below _COVARIANCE_TOL, and a bound at or below
-    2 T / sqrt(D) passes: 3.5e-12 at d = 2, 1.7e-12 at d = 4 and
-    2.5e-13 at d = 24.
+    that keeps it at or below _COVARIANCE_TOL: 3.5e-12 at d = 2, 3.3e-12
+    at d = 4, 2.9e-12 at d = 24 and 2.6e-12 at d = 255.
     """
     big = d * d
 
@@ -539,103 +519,75 @@ def _residual_tol(d: int) -> float:
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if bound(mid) <= _COVARIANCE_TOL else (lo, mid)
-    return 2.0 * lo / math.sqrt(big)
+    return lo
 
 
-def _reference_factors(states: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """P, Q and w of the reference outputs K sigma12(lam) K^H of states, (n, d^2), at lam, (n, d).
+def _reconstruction_bounds(states: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """B = ||conj(psi) - w|| + | ||psi|| - 1 | + | ||w|| - 1 | of each state of states, (n, d^2), at lam, (n, d); (n,).
 
-    A state psi = sum_a sqrt(lam_a) |u_a> (x) |conj v_a>, from the SVD
-    M = U S V^H of psi as a d x d matrix, is conj(K) sum_a sqrt(lam_a) |aa>
-    with K = conj(U) (x) V on the doubled system.  The channel is
-    covariant, Phi(W mu W^H) = conj(W) Phi(mu) W^T, so the two-copy
-    output of psi is K sigma12(lam) K^H, which is
-    c1 I + (c2/2)(P (x) I + I (x) Q) + t^2 w w^H with
-    P = conj(U) diag(lam) U^T, Q = V diag(lam) V^H and
-    w = vec(conj(U) diag(sqrt(lam)) V^T): p and q (n, d, d), w (n, d^2),
-    all complex.  One batched SVD gives every U and V, and lam are the
-    given weights, so a fault in a weight reaches P, Q and w.  No array of
-    d^4 entries is built.
-    """
-    d = lam.shape[1]
-    u, _, vh = np.linalg.svd(states.reshape(-1, d, d))
-    lam, conj_u = lam[:, None, :], u.conj()
-    p = (conj_u * lam) @ u.swapaxes(1, 2)
-    q = (vh.conj().swapaxes(1, 2) * lam) @ vh
-    w = ((conj_u * np.sqrt(lam)) @ vh.conj()).reshape(len(states), d * d)
-    return p, q, w
-
-
-def _coefficient_norms(states: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """||R2||_F, ||R1||_F and ||R0||_F of each state's covariance residual; (n, 3).
-
-    The two-copy output of X = |psi><psi|, the formula of
-    apply_two_copies, is t^2 X^T + t(1-t) [(tr_2 X)^T (x) I/d +
-    I/d (x) (tr_1 X)^T] + (1-t)^2 tr X I/d^2, and the reference is
-    K sigma12(lam) K^H = c1 I + (c2/2)(P (x) I + I (x) Q) + t^2 w w^H,
-    with c1 = (1-t)^2/d^2, c2/2 = t(1-t)/d and P, Q and w the
-    _reference_factors of states, (n, d^2), at lam, (n, d).  With M the
-    state as a d x d matrix, X^T = x x^H for x = conj(psi),
-    (tr_2 X)^T = conj(M) M^T and (tr_1 X)^T = M^H M, so the residual is
-    E(t) = t^2 R2 + t(1-t) R1 + (1-t)^2 R0 with the t-independent
-        R2 = x x^H - w w^H = e x^H + w e^H,  e = x - w,
-        R1 = (A (x) I + I (x) B) / d,  A = conj(M) M^T - P,  B = M^H M - Q,
-        R0 = r I / d^2,  r = |psi|^2 - 1.
-    e is formed as a difference of vectors, so no term of R2 cancels.  K
-    is unitary, so the norms are also those in the Schmidt bases.  A and
-    B are Hermitian, so |A (x) I + I (x) B|^2 = d |A|^2 + d |B|^2 +
-    2 tr A tr B, and
-        |R2|^2 = |e|^2 (|x|^2 + |w|^2) + 2 Re[(e^H w)(e^H x)],
-        |R1|^2 = (|A|^2 + |B|^2) / d + 2 tr A tr B / d^2,
-        |R0|^2 = r^2 / d^2,
-    each a d x d product or an inner product, O(d^3) per state, with no
-    array of d^4 entries.  A rounding below 0 reads as 0.
+    w = vec(conj(U) diag(sqrt(lam)) V^T) is the conjugate of the Schmidt
+    reconstruction of psi at the given weights, with U and V from one
+    batched SVD M = U S V^H of each state as a d x d matrix, so a fault in
+    a weight or in a singular vector reaches w.  conj(psi) - w is formed
+    as a difference of vectors, so nothing cancels: B resolves a residual
+    of a few ulp, where sqrt(1 - |<psi, phi>|^2) has a floor of about
+    1e-8 from the rounding of the inner product.  No array of d^4 entries
+    is built.
     """
     n, d = lam.shape
-    p, q, w = _reference_factors(states, lam)
-    m = states.reshape(n, d, d)
-    x = states.conj()
-    e = x - w
-    a = m.conj() @ m.swapaxes(1, 2) - p
-    b = m.conj().swapaxes(1, 2) @ m - q
-
-    def inner(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return np.einsum("ni,ni->n", u.reshape(n, -1).conj(), v.reshape(n, -1))
-
-    xx = inner(x, x).real
-    tr_a, tr_b = np.trace(a, axis1=1, axis2=2).real, np.trace(b, axis1=1, axis2=2).real
-    squares = np.empty((n, 3))
-    squares[:, 0] = inner(e, e).real * (xx + inner(w, w).real) + 2.0 * (inner(e, w) * inner(e, x)).real
-    squares[:, 1] = (inner(a, a).real + inner(b, b).real) / d + 2.0 * tr_a * tr_b / d**2
-    squares[:, 2] = (xx - 1.0) ** 2 / d**2
-    return np.sqrt(np.maximum(squares, 0.0))
+    u, _, vh = np.linalg.svd(states.reshape(n, d, d))
+    w = ((u.conj() * np.sqrt(lam[:, None, :])) @ vh.conj()).reshape(n, d * d)
+    norm = functools.partial(np.linalg.norm, axis=1)
+    return norm(states.conj() - w) + np.abs(norm(states) - 1.0) + np.abs(norm(w) - 1.0)
 
 
 def _check_covariance(states: np.ndarray, lam: np.ndarray) -> None:
-    """Raise CovarianceMismatch unless each state's two-copy output is K sigma12 K^H at its weights, at every t.
+    """Raise CovarianceMismatch unless each state's two-copy output has the closed-form entropy at its weights, at every t.
 
-    states, (k, d^2), are checked at their Schmidt weights lam, (k, d).
-    On the t range [-1/(d-1), 1/(d+1)] the weights of the residual's
-    terms (see _coefficient_norms) are at most |t^2| <= 1/(d-1)^2,
-    |t(1-t)| <= d/(d-1)^2 and (1-t)^2 <= (d/(d-1))^2, all at t = -1/(d-1),
-    so B = sum_i beta_i ||R_i||_F bounds ||E(t)||_F at every t of the
-    range, and each state's B must stay at or below _residual_tol(d).  The
-    message names d, the bound, the term that contributes most to it,
-    and the index and least Schmidt weight of the worst state: a weight
-    below about 1e-9, which eigvalsh(M M^H) resolves only to about 1e-17,
-    can fail the check although the entropies agree.
+    states, (k, d^2), are checked at their Schmidt weights lam, (k, d):
+    each state's B = _reconstruction_bounds must stay at or below
+    _residual_tol(d).  That keeps |S_dense - S_closed| <= _COVARIANCE_TOL
+    for every state at every t, with hats marking unit vectors and
+    x = conj(psi):
+      1. Let phi = vec(U diag(sqrt(lam)) V^H) be the Schmidt
+         reconstruction of psi at lam, so conj(phi) = w, and
+         K = conj(U) (x) V.  The channel is unitarily
+         covariant, Phi(W mu W^H) = conj(W) Phi(mu) W^T, so the two-copy
+         output of phi-hat is K sigma12(lam-hat) K^H, whose entropy is
+         the closed form's.
+      2. Phi (x) Phi is completely positive and trace preserving on the
+         whole t range [-1/(d-1), 1/(d+1)], and trace distance contracts
+         under such a map, so the two-copy outputs of psi-hat and phi-hat
+         are at most (1/2) ||psi-hat psi-hat^H - phi-hat phi-hat^H||_1
+         apart in trace distance.
+      3. That equals sqrt(1 - c^2) with c = |<psi-hat, phi-hat>| =
+         |<x-hat, w-hat>|, which is at most
+         ||x-hat - w-hat|| = sqrt(2 - 2 Re <x-hat, w-hat>), since
+         (1 - c)^2 >= 0 gives 1 - c^2 <= 2 - 2c; and the triangle
+         inequality bounds ||x-hat - w-hat|| by B.
+      4. With D = d^2 the Fannes-Audenaert bound (_residual_tol) then
+         gives the entropy promise.
+    No t enters B, so one check covers every cell of the key, t = 0
+    included.  The message names d, the bound, the tolerance, and the
+    index and least Schmidt weight of the worst state: a weight below
+    about 1e-9, which eigvalsh(M M^H) resolves only to about 1e-17, can
+    fail the check although the entropies agree.
+
+    What is given up: apply_two_copies does not run here, and a fault in
+    the check's inputs introduced after a key is built shows only at the
+    next build.  The check rests on covariance and contraction, which the
+    tests hold against apply_two_copies through a trace-norm Kronecker
+    oracle (test_covariance_residuals_match_the_kronecker_oracle) and on
+    a 41-point t grid
+    (test_gram_residuals_match_the_direct_dense_residuals).
     """
     d = lam.shape[1]
-    terms = _coefficient_norms(states, lam) * (np.array([1.0, d, d * d]) / (d - 1) ** 2)
-    bounds, tol = terms.sum(axis=1), _residual_tol(d)
+    bounds, tol = _reconstruction_bounds(states, lam), _residual_tol(d)
     worst = int(np.argmax(bounds))
     if not bounds[worst] <= tol:
-        top = int(np.argmax(terms[worst]))
-        name = ("t^2", "t(1-t)", "(1-t)^2")[top]
         raise CovarianceMismatch(
             f"dense and closed-form two-copy outputs differ by up to {bounds[worst]:.3e} > {tol:.3e}"
-            f" (Frobenius bound) at d={d} over its t range, most from the {name} term"
-            f" ({terms[worst, top]:.3e}); worst checked state {worst},"
+            f" (trace distance) at d={d} over its t range; worst checked state {worst},"
             f" least Schmidt weight {lam[worst].min():.3e}"
         )
 

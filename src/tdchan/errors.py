@@ -64,4 +64,7 @@ class ConfigError(TdchanError, ValueError):
 
 
 class CovarianceMismatch(RuntimeError):
-    """The dense two-copy route and the Schmidt-weight closed form disagree."""
+    """A checked state lies farther from its Schmidt reconstruction than the entropy tolerance allows.
+
+    entropy._check_covariance raises it; its docstring gives the bound.
+    """

@@ -46,9 +46,11 @@ kernels.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .channel import Channel, ChannelRows, check_finite
+from .channel import Channel, ChannelRows, _whole, check_finite
 from .errors import BadK, BadLength, LengthMismatch, OutOfRange, SumMismatch, ZeroT
 from .spectrum import SchmidtVector, secular_roots
 
@@ -82,8 +84,11 @@ def majorizes(x, y, slack: float = DOMINANCE_SLACK) -> bool:
 
     Requires equal lengths, finite entries and equal totals (within
     1e-10); the prefix comparison allows a 1e-12 slack for floating point
-    noise.  A NaN or infinite entry raises OutOfRange.
+    noise.  A NaN or infinite entry raises OutOfRange, as does a NaN or
+    infinite slack, which would switch the comparison off.
     """
+    if not math.isfinite(slack):
+        raise OutOfRange(f"slack must be finite, got {slack}")
     xv = np.asarray(x, dtype=float).reshape(-1)
     yv = np.asarray(y, dtype=float).reshape(-1)
     if xv.size != yv.size:
@@ -136,9 +141,13 @@ def _elem_sym_table(cols: np.ndarray) -> np.ndarray:
 def elem_sym(values, q: int) -> float:
     """Elementary symmetric polynomial s_q via the incremental product recurrence.
 
-    s_0 = 1; q outside [0, len(values)] gives 0.  O(n^2) time.
+    s_0 = 1; q outside [0, len(values)] gives 0.  O(n^2) time.  A NaN or
+    infinite entry raises OutOfRange, and a q that is no integer
+    ConfigError.
     """
+    q = _whole(q, "q")
     vals = np.asarray(values, dtype=float).reshape(-1)
+    check_finite(vals, "values")
     if q < 0 or q > vals.size:
         return 0.0
     return float(_elem_sym_table(vals)[q])

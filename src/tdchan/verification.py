@@ -106,7 +106,7 @@ from .errors import (
     ConfigError,
     NearZeroNu,
 )
-from .channel import Channel, ChannelRows, _whole, by_row, new_channel
+from .channel import Channel, ChannelRows, _whole, by_row, new_channel, t_range
 from .majorization import (
     _elem_sym_table,
     _finite_nu,
@@ -312,10 +312,15 @@ class ScanReport:
 
 
 def default_t_grid(d: int, points: int = 9) -> np.ndarray:
-    """points values from -1/(d-1) to -1e-6 inclusive."""
-    if points < 2:
+    """points values from -1/(d-1) to -1e-6 inclusive.
+
+    BadDimension unless d is an integer >= 2 (t_range checks it), and
+    ConfigError unless points is an integer >= 2.
+    """
+    lo, _ = t_range(d)
+    if _whole(points, "points") < 2:
         raise ConfigError("need at least 2 grid points")
-    return np.linspace(-1.0 / (d - 1), -1e-6, points)
+    return np.linspace(lo, -1e-6, points)
 
 
 def _check_t_points(size: int) -> None:

@@ -433,8 +433,8 @@ def test_covariance_mismatch_exit_4(capsys, monkeypatch):
     # checked state reaches the covariance check scaled by sqrt(1 + 1e-6).
     # The check runs as the Haar sample is built, and a sample that fails
     # it is never cached, so no cache entry outlives the fault.
-    plain = entropy._coefficient_norms
-    monkeypatch.setattr(entropy, "_coefficient_norms", lambda states, lam: plain(np.sqrt(1.0 + 1e-6) * states, lam))
+    plain = entropy._reconstruction_bounds
+    monkeypatch.setattr(entropy, "_reconstruction_bounds", lambda states, lam: plain(np.sqrt(1.0 + 1e-6) * states, lam))
     entropy._haar_sample.cache_clear()
     code, out, err = run_cli(capsys, "additivity", "--d", "3", "--restarts", "2", "--n-random", "4")
     assert entropy._haar_sample.cache_info().currsize == 0

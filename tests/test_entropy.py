@@ -1,6 +1,5 @@
 import itertools
 import math
-import re
 
 import mpmath
 import numpy as np
@@ -25,11 +24,11 @@ from tdchan.spectrum import _check_schmidt_rows
 from tdchan.verification import SCAN_KINDS, _cell_key
 
 from oracles import (
-    covariance_coefficients_kron,
-    covariance_residuals_kron,
+    covariance_trace_distances_kron,
     dense_two_copy_spectrum,
     entropy_brute,
     entropy_loop,
+    fannes_audenaert,
     kraus_two_copy_output,
     mp_entropy,
     mp_secular_block_roots,
@@ -427,27 +426,20 @@ def test_every_additivity_gap_runs_the_dense_check(monkeypatch, cold_haar_cache)
 def scaled_states(monkeypatch, e):
     """Feed the covariance check each state scaled by sqrt(1 + e), which scales its two-copy output by 1 + e.
 
-    The scale reaches x = conj(psi), the partial traces and the norm of
-    every checked state, but not P, Q and w: they rest on the weights and
-    on the singular vectors, which a scale leaves as they are.
+    The scale reaches conj(psi) and the norm of every checked state, but
+    not w: it rests on the weights and on the singular vectors, which a
+    scale leaves as they are.
     """
-    plain = entropy._coefficient_norms
-    monkeypatch.setattr(entropy, "_coefficient_norms", lambda states, lam: plain(np.sqrt(1.0 + e) * states, lam))
-
-
-def residual_weights(d):
-    """The largest |t^2|, |t(1-t)| and (1-t)^2 on the t range of d: their values at its lower end."""
-    lo = td.t_range(d)[0]
-    return np.abs([lo * lo, lo * (1.0 - lo), (1.0 - lo) ** 2])
+    plain = entropy._reconstruction_bounds
+    monkeypatch.setattr(entropy, "_reconstruction_bounds", lambda states, lam: plain(np.sqrt(1.0 + e) * states, lam))
 
 
 def test_the_dense_check_holds_the_closed_form_to_its_tolerance(monkeypatch, cold_haar_cache):
-    # Scaling each two-copy output by 1 + e leaves a residual e sigma12 in
-    # the Schmidt bases, and the bound over the t range, the sum of the
-    # coefficient norms each times its term's largest weight, is then below
-    # 2 e at d = 4: past _residual_tol(4), about 1.7e-12, at e = 1e-8, well
-    # inside it at e = 1e-13.  The check runs when a sample is built, so
-    # the fault is in place before a cold build.
+    # Scaling each state by sqrt(1 + e) moves conj(psi) about e / 2 from w
+    # and its norm about e / 2 from 1, so the bound is about e: past
+    # _residual_tol(4), about 3.3e-12, at e = 1e-8, well inside it at
+    # e = 1e-13.  The check runs when a sample is built, so the fault is
+    # in place before a cold build.
     ch = td.new_channel(4, -0.2)
     cfg = td.OptimizerConfig(restarts=1, n_random=3)
     want = td.additivity_gap(ch, cfg)
@@ -466,7 +458,7 @@ def test_the_dense_check_holds_the_closed_form_to_its_tolerance(monkeypatch, col
 def test_the_dense_check_catches_a_shifted_cached_weight(monkeypatch, cold_haar_cache):
     # The known positive on the closed-form side: the dense route is
     # untouched, and one weight of one checked state moves by 1e-9 on its
-    # way into _check_covariance, which forms P, Q and w from it.
+    # way into _check_covariance, which forms w from it.
     cfg = td.OptimizerConfig(restarts=1, n_random=5, seed=3)
     ch = td.new_channel(4, -0.2)
     td.additivity_gap(ch, cfg)
@@ -483,35 +475,54 @@ def test_the_dense_check_catches_a_shifted_cached_weight(monkeypatch, cold_haar_
         td.additivity_gap(ch, cfg)
 
 
-@pytest.mark.parametrize("factor, entry", [("p", (2, 1, 1)), ("q", (2, 3, 0)), ("w", (2, 5))])
-def test_the_dense_check_catches_a_shifted_cached_factor(monkeypatch, factor, entry):
-    # The known positives on the reference side: one entry of one factor
-    # of K sigma12 K^H moves by 1e-9 as the check forms it, the dense route
-    # untouched.  A shift in P or Q reaches only R1, one in w only R2, and
-    # the message names the term.  The unshifted states pass.
-    term = "t^2" if factor == "w" else "t(1-t)"
-    psi = haar_states(5, 16, philox_stream(3, _TAG_HAAR))
-    weights = entropy._schmidt_weights(psi, 4)
-    entropy._check_covariance(psi, weights)
-    plain = entropy._reference_factors
-
-    def moved(states, lam):
-        factors = dict(zip("pqw", plain(states, lam)))
-        factors[factor][entry] += 1e-9
-        return factors["p"], factors["q"], factors["w"]
-
-    monkeypatch.setattr(entropy, "_reference_factors", moved)
-    with pytest.raises(CovarianceMismatch, match=f"most from the {re.escape(term)} term"):
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 16, 64, 255])
+def test_a_weight_shift_of_1e_9_raises_at_every_d(d):
+    # The first 4 states of a Haar sample pass, far inside the tolerance;
+    # with one weight of one state moved by 1e-9, w moves by at least
+    # 5e-10 and its norm by 5e-10, far past it, up to the largest d a scan
+    # accepts.
+    psi = haar_states(4, d * d, philox_stream(0, _TAG_HAAR))
+    weights = entropy._schmidt_weights(psi, d)
+    assert entropy._reconstruction_bounds(psi, weights).max() <= entropy._residual_tol(d) / 100
+    weights[2, 1] += 1e-9
+    with pytest.raises(CovarianceMismatch, match="worst checked state 2,"):
         entropy._check_covariance(psi, weights)
 
 
-def test_the_dense_check_catches_a_fault_in_p_q_and_w_at_a_cell_at_t_0(monkeypatch, cold_haar_cache):
-    # At t = 0 the residual is (1-t)^2 R0 = (|psi|^2 - 1) I / d^2 alone, and
-    # P, Q and w carry none of it.  With all three scaled by 1 + 1e-6 a
-    # check of the residual at the cell's own t passes; the check of the
-    # bound over the whole t range raises, at a cell at t = 0 alone.
-    plain = entropy._reference_factors
-    monkeypatch.setattr(entropy, "_reference_factors", lambda states, lam: [(1.0 + 1e-6) * f for f in plain(states, lam)])
+@pytest.mark.parametrize("factor, entry", [("u", (2, 1, 1)), ("vh", (2, 3, 0)), ("w", (2, 5))])
+def test_the_dense_check_catches_a_shifted_cached_factor(monkeypatch, factor, entry):
+    # The known positives on the reference side, w = conj(U) diag(sqrt(lam))
+    # V^T: one entry of U or of V^H as the SVD returns it moves by 1e-9, or
+    # U moves so that one entry of w moves by 1e-9, the dense route and the
+    # weights untouched.  The unshifted states pass.
+    psi = haar_states(5, 16, philox_stream(3, _TAG_HAAR))
+    weights = entropy._schmidt_weights(psi, 4)
+    entropy._check_covariance(psi, weights)
+    plain = np.linalg.svd
+
+    def moved(a):
+        u, s, vh = plain(a)
+        if factor == "w":
+            # Row i of w moves by conj(delta) diag(sqrt(lam)) conj(V^H), so
+            # delta = 1e-9 conj(V^H[:, j]) / sqrt(lam) moves entry j alone.
+            state, (i, j) = entry[0], divmod(entry[1], 4)
+            u[state, i] += 1e-9 * vh[state, :, j].conj() / s[state]
+        else:
+            {"u": u, "vh": vh}[factor][entry] += 1e-9
+        return u, s, vh
+
+    monkeypatch.setattr(np.linalg, "svd", moved)
+    with pytest.raises(CovarianceMismatch, match=r"differ by .* \(trace distance\)"):
+        entropy._check_covariance(psi, weights)
+
+
+def test_the_dense_check_catches_a_fault_in_w_at_a_cell_at_t_0(monkeypatch, cold_haar_cache):
+    # At t = 0 every two-copy output is I / d^2, so a check at the cell's
+    # own t could not see a fault in the reference.  The bound has no t in
+    # it: with w scaled by 1 + 1e-6 (the weights by its square) a cell at
+    # t = 0 alone raises.
+    plain = entropy._reconstruction_bounds
+    monkeypatch.setattr(entropy, "_reconstruction_bounds", lambda states, lam: plain(states, (1.0 + 1e-6) ** 2 * lam))
     with pytest.raises(CovarianceMismatch, match="differ by"):
         td.additivity_gap(td.new_channel(3, 0.0), td.OptimizerConfig(restarts=1, n_random=5, seed=3))
 
@@ -520,9 +531,8 @@ def test_the_dense_check_passes_where_the_schmidt_bases_are_not_unique():
     # Tied Schmidt weights leave the SVD free to rotate the bases within
     # their span; whatever bases it returns must pass, as must Gaussian
     # states, over the whole t range.  Weights near 0 are left out:
-    # eigvalsh(M M^H) finds a zero weight only to about 1e-17, and the
-    # entry comparison sees its square root through t^2 sqrt(lam_a lam_b)
-    # (up to 4e-9 on product states).
+    # eigvalsh(M M^H) finds a zero weight only to about 1e-17, and w sees
+    # its square root (up to 4e-9 on product states).
     rng = np.random.default_rng(257)
     for d in (2, 3, 4, 5, 6):
         tie = rng.dirichlet(np.ones(d))
@@ -550,128 +560,142 @@ def checked_states(d, rng):
     return psi / np.linalg.norm(psi, axis=1, keepdims=True)
 
 
-def t_coefficients(t):
-    """The weights (t^2, t(1-t), (1-t)^2) of the residual's three terms at t."""
-    return np.array([t * t, t * (1.0 - t), (1.0 - t) ** 2])
+def perturbed_states(psi, weights):
+    """checked_states off their weights: 0-5 scaled by 1 + 1e-3 at the weights of the state before them, 6-15 with weights moved.
+
+    States 6-10 have their largest weight moved by +1e-6, and are scaled
+    by 1 - 1e-7, so that | ||psi|| - 1 | counts; 11-15 have it moved by
+    -1e-9.  Of each five, the first, third and fifth give the step back
+    from their second weight, so their sum stays 1, and the other two do
+    not.
+    """
+    states, lam = psi.copy(), weights.copy()
+    states[:6] *= 1.0 + 1e-3
+    states[6:11] *= 1.0 - 1e-7
+    lam[:6] = np.roll(weights, 1, axis=0)[:6]
+    for rows, step in ((slice(6, 11), 1e-6), (slice(11, 16), -1e-9)):
+        lam[rows, 0] += step
+        lam[rows, 1][::2] -= step
+    return states, lam
+
+
+def test_the_tolerance_is_the_largest_trace_distance_the_entropy_promise_allows():
+    # At the tolerance the Fannes-Audenaert bound on C^(d^2) is at most
+    # _COVARIANCE_TOL, up to the rounding of its float evaluation, and a
+    # step of 1e-9 relative past it is not.
+    for d in (2, 3, 4, 8, 16, 24, 64, 128, 255):
+        tol, promise = entropy._residual_tol(d), entropy._COVARIANCE_TOL
+        assert 2.5e-12 < tol < 3.6e-12, d
+        assert fannes_audenaert(tol, d * d) <= promise * (1.0 + 1e-14) < fannes_audenaert(tol * (1.0 + 1e-9), d * d), d
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 8, 16])
 def test_covariance_residuals_match_the_kronecker_oracle(d):
-    # The library reads the norms of the residual's three t-coefficients
-    # off the state in the computational basis; the oracle rotates the
-    # dense output's terms into the Schmidt bases with an explicit
-    # Kronecker K and subtracts sigma12's, on Haar and Gaussian states and
-    # on locally rotated Schmidt states with tied weights, which leave the
-    # SVD free to rotate within a tie.  On those states both routes find
-    # every coefficient to be rounding noise, below 1e-14 and far below
-    # the tolerance.  Noise that small would hide a wrong norm, so the
-    # states also go in scaled by 1 + 1e-3 and at the weights of the state
-    # before them.  K is unitary, so there the norms agree to 1e-12, the
-    # oracle's coefficients recombine at five t to the Kronecker residual
-    # of the dense output of apply_two_copies, and the bound over the t
-    # range covers that residual.
+    # The library's bound B comes from one reconstruction norm per state
+    # and has no t in it; the oracle rotates the dense output of
+    # apply_two_copies into the Schmidt bases with an explicit Kronecker K
+    # and takes the trace norm of its residual against sigma12 at the
+    # weights scaled to sum 1.  On Haar and Gaussian states, and on locally
+    # rotated Schmidt states with tied weights, which leave the SVD free to
+    # rotate within a tie, B is rounding noise far below the tolerance,
+    # the oracle stays below B within rounding at both ends of the t range,
+    # halfway to each and at 0, and the entropies agree to
+    # _COVARIANCE_TOL.  Noise that small would hide a wrong bound, so the
+    # states also go in scaled and at the weights of the state before
+    # them, or with a weight moved by 1e-6 or 1e-9 (perturbed_states):
+    # there the oracle stays below B within 1e-9 relative, and the
+    # entropies within the Fannes-Audenaert bound of the oracle's
+    # distance.
     psi = checked_states(d, np.random.default_rng(269 + d))
     assert len(psi) == _DENSE_CHECK_STATES
     weights = entropy._schmidt_weights(psi, d)
-    norms = entropy._coefficient_norms(psi, weights)
-    want = np.array([np.linalg.norm(covariance_coefficients_kron(d, *pair), axis=(1, 2)) for pair in zip(psi, weights)])
-    assert max(norms.max(), want.max()) <= 1e-14, (d, norms.max(), want.max())
-    assert (norms @ residual_weights(d)).max() <= entropy._residual_tol(d)
-
-    states, lam = (1.0 + 1e-3) * psi, np.roll(weights, 1, axis=0)
-    norms = entropy._coefficient_norms(states, lam)
-    bounds = norms @ residual_weights(d)
+    clean = entropy._reconstruction_bounds(psi, weights)
+    assert clean.max() <= entropy._residual_tol(d) / 500, (d, clean.max())
+    states, lam = perturbed_states(psi, weights)
+    bounds = entropy._reconstruction_bounds(states, lam)
+    assert bounds[6:11].min() > 1e-7 and bounds[11:].min() > 1e-10
     lo, hi = td.t_range(d)
-    channels = [td.new_channel(d, t) for t in (lo, 0.5 * lo, 0.0, 0.5 * hi, hi)]
-    kron = np.array(
-        [
-            covariance_residuals_kron(ch, states, lam, td.apply_two_copies(ch, states[:, :, None] * states.conj()[:, None, :]))
-            for ch in channels
-        ]
-    )
-    assert (kron <= bounds).all(), (d, kron.tolist(), bounds.tolist())
-    for i, (state, row) in enumerate(zip(states, lam)):
-        coefficients = covariance_coefficients_kron(d, state, row)
-        want = np.linalg.norm(coefficients, axis=(1, 2))
-        assert np.all(np.abs(norms[i] - want) <= 1e-12 * want), (d, i, norms[i].tolist(), want.tolist())
-        for ch, residuals in zip(channels, kron):
-            recombined = np.linalg.norm(np.tensordot(t_coefficients(ch.t), coefficients, axes=1))
-            assert abs(recombined - residuals[i]) <= 1e-12 * residuals[i], (d, i, ch.t)
+    for t in (lo, 0.5 * lo, 0.0, 0.5 * hi, hi):
+        ch = td.new_channel(d, t)
+        for rows, row_weights, bound, slack in ((psi, weights, clean, 5e-16), (states, lam, bounds, 1e-9 * bounds + 5e-16)):
+            unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+            outputs = td.apply_two_copies(ch, unit[:, :, None] * unit.conj()[:, None, :])
+            distances = covariance_trace_distances_kron(ch, unit, row_weights, outputs)
+            assert np.all(distances <= bound + slack), (d, t, (distances - bound).max())
+            s1, s2 = entropy._split_rows(ch, row_weights / row_weights.sum(axis=1, keepdims=True))
+            gaps = np.abs([entropy_brute(np.linalg.eigvalsh(out)) for out in outputs] - (s1 + s2))
+            if rows is psi:
+                assert gaps.max() <= entropy._COVARIANCE_TOL, (d, t, gaps.max())
+            limits = [fannes_audenaert(distance, d * d) + 1e-13 for distance in distances]
+            assert np.all(gaps <= limits), (d, t)
+
+
+def test_the_covariance_bound_is_sharp_at_d_2_and_t_minus_1():
+    # At d = 2 and t = -1 the channel maps rho to I - rho^T, which is
+    # sigma_y rho sigma_y: a unitary channel, which keeps trace distance.
+    # With a weight moved from one Schmidt coefficient to the other, w has
+    # norm 1 and psi - phi is tiny, so sqrt(1 - c^2) and ||x - w|| agree to
+    # second order, and the oracle's distance is the bound within 1e-9.
+    d, ch = 2, td.new_channel(2, -1.0)
+    psi = checked_states(d, np.random.default_rng(271))
+    weights = entropy._schmidt_weights(psi, d)
+    lam = weights + np.array([1e-6, -1e-6])
+    bounds = entropy._reconstruction_bounds(psi, lam)
+    outputs = td.apply_two_copies(ch, psi[:, :, None] * psi.conj()[:, None, :])
+    distances = covariance_trace_distances_kron(ch, psi, lam, outputs)
+    assert bounds.min() > 1e-7
+    assert np.all(np.abs(distances - bounds) <= 1e-9 * bounds), (distances / bounds - 1.0).tolist()
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 8, 16])
-def test_gram_residuals_match_the_direct_dense_residuals(monkeypatch, d):
-    # The direct route forms the residual's three t-coefficients as
-    # d^2 x d^2 matrices with np.kron: x x^H - w w^H, the partial traces of
-    # the state less P (x) I + I (x) Q over d, and (|psi|^2 - 1) I / d^2.
-    # Their Frobenius norms are the library's, which never forms them.  On
-    # a 41-point grid over the whole t range, plus 0 and +-1e-7, the bound
-    # over the t range, each norm times its term's largest weight, is at
-    # least the norm of the dense output of apply_two_copies at t minus
-    # c1 I + (c2/2)(P (x) I + I (x) Q) + t^2 w w^H; at every fourth grid
-    # point, both ends included, and at 0 and +-1e-7, the coefficients
-    # recombine to that residual.  On the checked states every coefficient and residual
-    # is rounding noise of up to 1.3e-15 (at d = 2): there the routes
-    # agree, and the residual stays below the bound, to within 2e-15 and
-    # 5e-16.  Noise that small would hide a wrong norm, so the states also
-    # go in scaled by 1 + 1e-3 and against the factors and weights of the
-    # state before them: then every coefficient is far from 0 and e^H x is
-    # complex, and the routes agree to 1e-12 of the residual.
+def test_gram_residuals_match_the_direct_dense_residuals(d):
+    # The direct route, in the computational basis with no K: phi-hat, the
+    # Schmidt reconstruction at the weights of the Gram matrices M M^H,
+    # is built with np.kron from each state's own SVD, and the two-copy
+    # outputs of psi-hat and phi-hat come from apply_two_copies.  Their
+    # trace distance, on a 41-point grid over the whole t range plus 0 and
+    # +-1e-7, stays at or below that of the inputs (contraction), which
+    # stays at or below the library's bound, each within rounding on the
+    # checked states and within 1e-9 relative on perturbed_states.  At
+    # d = 2 and t = -1 the channel is unitary, so there the outputs are as
+    # far apart as the inputs.  Each grid point costs 32 eigensolves of
+    # the d^2 x d^2 residual, so d = 16 takes every eighth point of the
+    # grid, both ends included.
     psi = checked_states(d, np.random.default_rng(271 + d))
     weights = entropy._schmidt_weights(psi, d)
-    plain = entropy._reference_factors
-
-    def before(states, lam):
-        return plain(np.roll(states, 1, axis=0), np.roll(lam, 1, axis=0))
-
-    def frobenius(stack):
-        return np.linalg.norm(stack.reshape(len(stack), -1), axis=1)
-
-    eye, diagonal = np.eye(d), np.arange(d * d)
     lo, hi = td.t_range(d)
-    grid = np.linspace(lo, hi, 41).tolist()
-    recombined_at = {*grid[::4], -1e-7, 0.0, 1e-7}
+    grid = np.linspace(lo, hi, 41).tolist()[:: 8 if d == 16 else 1]
     grid = sorted({*grid, -1e-7, 0.0, 1e-7})
-    assert grid[0] == lo and grid[-1] == hi and {lo, hi} <= recombined_at
-    for factors, states in ((plain, psi), (before, (1.0 + 1e-3) * psi)):
-        monkeypatch.setattr(entropy, "_reference_factors", factors)
-        norms = entropy._coefficient_norms(states, weights)
-        bounds = norms @ residual_weights(d)
-        p, q, w = factors(states, weights)
-        x = states.conj()
-        m = states.reshape(-1, d, d)
-        kron = np.array([np.kron(a, eye) for a in p]) + np.array([np.kron(eye, b) for b in q])
-        outer_w = w[:, :, None] * w.conj()[:, None, :]
-        partial = np.array([np.kron(a.conj() @ a.T, eye) + np.kron(eye, a.conj().T @ a) for a in m])
-        coefficients = [
-            x[:, :, None] * x.conj()[:, None, :] - outer_w,
-            (partial - kron) / d,
-            ((np.linalg.norm(states, axis=1) ** 2 - 1.0) / d**2)[:, None, None] * np.eye(d * d),
-        ]
-        want = np.stack([frobenius(c) for c in coefficients], axis=1)
-        assert np.all(np.abs(norms - want) <= 5e-16 + 1e-12 * want), (d, norms.tolist(), want.tolist())
-        dense = states[:, :, None] * states.conj()[:, None, :]
+    assert grid[0] == lo and grid[-1] == hi
+
+    def trace_distances(a, b):
+        return 0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum(axis=1)
+
+    for states, lam, relative in ((psi, weights, 0.0), (*perturbed_states(psi, weights), 1e-9)):
+        bounds = entropy._reconstruction_bounds(states, lam)
+        unit = states / np.linalg.norm(states, axis=1, keepdims=True)
+        phi = []
+        for state, row in zip(unit, lam):
+            u, _, vh = np.linalg.svd(state.reshape(d, d))
+            phi.append(np.kron(u, vh.T) @ schmidt_state(row / row.sum()))
+        phi = np.array(phi)
+        inputs = [v[:, :, None] * v.conj()[:, None, :] for v in (unit, phi)]
+        before = trace_distances(*inputs)
+        assert np.all(before <= bounds * (1.0 + relative) + 5e-16), (d, (before - bounds).max())
         for t in grid:
             ch = td.new_channel(d, t)
-            residual = td.apply_two_copies(ch, dense)
-            residual -= 0.5 * ch.c2 * kron
-            residual -= ch.t2 * outer_w
-            residual[:, diagonal, diagonal] -= ch.c1
-            direct = frobenius(residual)
-            assert np.all(direct <= bounds + 5e-16), (d, t, direct.tolist(), bounds.tolist())
-            if t in recombined_at:
-                for weight, coefficient in zip(t_coefficients(t), coefficients):
-                    residual -= weight * coefficient
-                gap = frobenius(residual)
-                assert np.all(gap <= 2e-15 + 1e-12 * direct), (d, t, gap.tolist(), direct.tolist())
+            after = trace_distances(*(td.apply_two_copies(ch, x) for x in inputs))
+            assert np.all(after <= before * (1.0 + relative) + 5e-16), (d, t, (after - before).max())
+            if d == 2 and t == -1.0 and relative:
+                assert np.all(np.abs(after - before) <= 1e-9 * before + 5e-16), (after / before - 1.0).tolist()
 
 
 def test_a_mismatch_names_the_worst_state_and_its_least_schmidt_weight():
     # State 2 has a Schmidt weight of 1e-20, which eigvalsh(M M^H) resolves
-    # only to about 1e-17: the bound on its residual is far past the
-    # tolerance.  The message gives the bound, the term that contributes
-    # most to it, d, and names the state and its least weight; it names no
-    # t, since the bound holds over the whole t range.
+    # only to about 1e-17: w sees its square root, and the bound is far past
+    # the tolerance.  The message gives the bound, the tolerance, d, and
+    # names the state and its least weight; it names no t, since the bound
+    # holds over the whole t range.
     d = 3
     rng = np.random.default_rng(7)
     psi = haar_states(4, d * d, philox_stream(5, _TAG_HAAR))
@@ -682,12 +706,11 @@ def test_a_mismatch_names_the_worst_state_and_its_least_schmidt_weight():
     assert weights[2].min() < 1e-9
     with pytest.raises(CovarianceMismatch) as raised:
         entropy._check_covariance(psi, weights)
-    terms = entropy._coefficient_norms(psi, weights)[2] * residual_weights(d)
-    top = ("t^2", "t(1-t)", "(1-t)^2")[int(terms.argmax())]
+    bound = entropy._reconstruction_bounds(psi, weights)[2]
     assert str(raised.value) == (
-        f"dense and closed-form two-copy outputs differ by up to {terms.sum():.3e} > {entropy._residual_tol(d):.3e}"
-        f" (Frobenius bound) at d=3 over its t range, most from the {top} term ({terms.max():.3e});"
-        f" worst checked state 2, least Schmidt weight {weights[2].min():.3e}"
+        f"dense and closed-form two-copy outputs differ by up to {bound:.3e} > {entropy._residual_tol(d):.3e}"
+        f" (trace distance) at d=3 over its t range; worst checked state 2,"
+        f" least Schmidt weight {weights[2].min():.3e}"
     )
 
 
@@ -774,17 +797,11 @@ def test_haar_samples_are_keyed_by_seed_d_and_count_and_read_only(monkeypatch, c
         assert weights.shape == (count, 3)
         psi = haar_states(count, 9, philox_stream(11, _TAG_HAAR))
         assert bits(weights.tolist()) == bits(entropy._schmidt_weights(psi, 3).tolist())
-        # The build checks the first k states at their weights, with the
-        # factors of K sigma12 K^H read off each state as the d x d matrix
-        # M: P = conj(M M^H), Q = M^H M and w = conj(psi).
+        # The build checks the first k states at their weights, and each
+        # lies within rounding of its Schmidt reconstruction, conj(w).
         dense, lam = checks[-1]
         assert np.array_equal(dense, psi[:k]) and np.array_equal(lam, weights[:k])
-        p, q, w = entropy._reference_factors(dense, lam)
-        m = dense.reshape(-1, 3, 3)
-        assert p.shape == q.shape == (len(dense), 3, 3) and w.shape == dense.shape
-        assert np.max(np.abs(p - (m @ m.conj().swapaxes(1, 2)).conj())) <= 1e-14
-        assert np.max(np.abs(q - m.conj().swapaxes(1, 2) @ m)) <= 1e-14
-        assert np.max(np.abs(w - dense.conj())) <= 1e-14
+        assert entropy._reconstruction_bounds(dense, lam).max() <= 1e-14
         assert not weights.flags.writeable
         with pytest.raises(ValueError):
             weights[0, 0] = 0.5
@@ -831,19 +848,18 @@ def test_a_key_whose_check_fails_raises_again_and_builds_clean_once_mended(monke
 
 
 def test_a_dense_fault_after_the_build_shows_at_the_next_build(monkeypatch, cold_haar_cache):
-    # What the one build per key gives up: P, Q and w are formed only when
-    # a sample is built and checked, so a fault introduced into them
-    # afterwards passes every warm cell and raises once the sample is built
-    # again.
-    plain = entropy._reference_factors
+    # What the one build per key gives up: w is formed only when a sample
+    # is built and checked, so a fault introduced into it afterwards passes
+    # every warm cell and raises once the sample is built again.
+    plain = entropy._reconstruction_bounds
     cfg = td.OptimizerConfig(restarts=1, n_random=5, seed=3)
     want = td.additivity_gap(td.new_channel(3, 0.1), cfg)
     td.additivity_gap(td.new_channel(3, -0.4), cfg)
 
     def scaled(states, lam):
-        return [(1.0 + 1e-6) * factor for factor in plain(states, lam)]
+        return plain(states, (1.0 + 1e-6) ** 2 * lam)
 
-    monkeypatch.setattr(entropy, "_reference_factors", scaled)
+    monkeypatch.setattr(entropy, "_reconstruction_bounds", scaled)
     assert td.additivity_gap(td.new_channel(3, 0.1), cfg) == want
     entropy._haar_sample.cache_clear()
     with pytest.raises(CovarianceMismatch, match="differ by"):

@@ -8,6 +8,7 @@ import tdchan as td
 from tdchan.errors import (
     BadK,
     BadLength,
+    ConfigError,
     LengthMismatch,
     OutOfRange,
     SumMismatch,
@@ -101,6 +102,15 @@ def test_majorizes_guards_non_finite_entries(x, y):
         td.majorizes(x, y)
 
 
+@pytest.mark.parametrize("slack", [math.nan, math.inf, -math.inf])
+def test_majorizes_rejects_a_non_finite_slack(slack):
+    # A NaN slack makes every prefix comparison false and an infinite one
+    # makes it true for any pair, so either switches the comparison off.
+    with pytest.raises(OutOfRange, match="slack must be finite"):
+        td.majorizes([0.5, 0.5], [1.0, 0.0], slack=slack)
+    assert td.majorizes([1.0, 0.0], [0.5, 0.5], slack=0.0)
+
+
 def test_t_transform_frozen():
     out = td.t_transform(td.SchmidtVector(np.array([0.7, 0.1, 0.2])), 0, 1, 0.25)
     assert out.values == pytest.approx([0.55, 0.25, 0.2])
@@ -151,6 +161,22 @@ def test_elem_sym_matches_brute():
         v = rng.uniform(-1.0, 1.0, size=n)
         for q in range(n + 1):
             assert td.elem_sym(v, q) == pytest.approx(elem_sym_brute(v, q), abs=1e-12)
+
+
+@pytest.mark.parametrize("values, q", [([math.nan, 1.0], 1), ([1.0, math.inf], 0), ([-math.inf], 5)])
+def test_elem_sym_rejects_non_finite_entries(values, q):
+    # Unchecked, elem_sym([nan, 1.0], 1) returns nan.  The check comes
+    # before q is compared with the length.
+    with pytest.raises(OutOfRange, match="must be finite"):
+        td.elem_sym(values, q)
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, "1", None, np.float64(2.0)])
+def test_elem_sym_rejects_a_q_that_is_no_integer(q):
+    # Unchecked, these raise numpy's raw IndexError or a TypeError.
+    with pytest.raises(ConfigError, match="q must be an integer"):
+        td.elem_sym([1.0, 2.0, 3.0], q)
+    assert td.elem_sym([1.0, 2.0, 3.0], np.int64(2)) == pytest.approx(11.0)
 
 
 def test_phi_k_frozen():

@@ -9,6 +9,7 @@ from scipy import optimize, stats
 import tdchan as td
 from tdchan import verification
 from tdchan.errors import (
+    BadDimension,
     BadK,
     BadLength,
     BadSignPattern,
@@ -259,6 +260,34 @@ def test_final_polynomial():
 
 
 # ------------------------------------------------------------------- sampling
+
+
+@pytest.mark.parametrize(
+    "d, points, error",
+    [
+        (0, 9, BadDimension),
+        (1, 9, BadDimension),
+        (-3, 9, BadDimension),
+        (2.5, 9, BadDimension),
+        (np.float64(3.0), 9, BadDimension),
+        (3, 1, ConfigError),
+        (3, 2.5, ConfigError),
+        (3, "9", ConfigError),
+        (3, None, ConfigError),
+    ],
+)
+def test_default_t_grid_rejects_bad_dimensions_and_point_counts(d, points, error):
+    # d goes through t_range and points through _whole.  Unchecked, d = 0
+    # gives a grid from 1.0, d = 1 a ZeroDivisionError, and d = -3 and 2.5
+    # grids outside any t range.
+    with pytest.raises(error):
+        default_t_grid(d, points)
+
+
+def test_default_t_grid_keeps_the_bits_of_every_grid_run_scan_builds():
+    for d in range(2, 256):
+        assert default_t_grid(d).tobytes() == np.linspace(-1.0 / (d - 1), -1e-6, 9).tobytes(), d
+    assert default_t_grid(np.int64(4), np.int64(5)).tobytes() == np.linspace(-1.0 / 3.0, -1e-6, 5).tobytes()
 
 
 def test_sample_polytope_feasibility():
