@@ -19,57 +19,16 @@ simplex plus Haar-random bipartite pure states, both compared against 2h.
 
 Natural logarithms throughout; CLI handles base conversion on output.
 
-The probe evaluates the two-copy entropy on a fixed batch of Schmidt
-vectors: the d vertices, the barycenter, cfg.restarts uniform draws and
-one nonincreasing row per permutation orbit of the finest simplex
-lattice {k / m} whose C(m + d - 1, d - 1) rows fit _LATTICE_ROWS.  The
-channel is unitarily covariant, Phi(U mu U^H) = conj(U) Phi(mu) U^T.
-Permuting the Schmidt weights is the product unitary P x P on the
-input, which conjugates the two-copy output by a unitary, so every
-permutation of a row has the same output spectrum and one row stands
-for its orbit (_simplex_lattice gives the row counts).  So _LATTICE_ROWS
-sets m, the full lattice's budget, not the number of rows probed.  The rows of
-one orbit agree to rounding, not bit for bit: wherever |t| >= 1e-6 the
-probe gives the minimum and argmin of the full lattice bit for bit, but
-near t = 0, where the entropy is flat to rounding, the minimum may move
-by a few ulp (by at most 1.8e-15, at |t| <= 1e-9, on 702 cells
-compared).  The tests find the entropy concave on the simplex (chord
-slacks over the whole t range, the worst one at 50 digits), so its
-minimum sits at a vertex, where it equals 2h; the other rows are
-evidence that no interior point beats it.
-
-The Haar-random states of a cell are the rows of one standard-normal
-block from one stream.  The channel is unitarily covariant, so the
-two-copy output of a pure input has the spectrum of the Schmidt-diagonal
-input with the same Schmidt weights.  The weights of every state come
-from one batched eigvalsh of M M^H, with M the state as a d x d matrix.
-
-Both legs need only the least entropy of a batch of rows, and both get
-it from one evaluator, _row_entropies.  S1 takes the pair values of every
-row as one array.  S2 needs the roots of each row's secular block, but
-a closed form of the block's trace M and squared Frobenius norm F
-brackets it without them: Shannon entropy is at least Renyi-2 entropy,
-which gives the floor M ln(M / F), and at a fixed index of coincidence
-it is largest at one large and d - 1 equal roots (Harremoes and
-Topsoe), which gives the ceiling.  The row with the least S1 + floor
-gives the batch's ceiling, S1 + ceiling of that row.  Only the rows
-whose S1 + floor does not exceed it by more than _PRUNE_MARGIN = 1e-9,
-and the probe's vertices, get their roots, from one
-spectrum._secular_block_roots call, the kernel behind secular_roots and
-secular_roots_batch; every other row gets +inf.  A row gets the same
-bits there as alone, so the vertex values are those of
-simplex_output_entropy, and the least value and its row are those of an
-evaluation of every row.  The margin covers the rounding of S against
-its bounds (_row_entropies gives the count).  What this gives up: a
-pruned row's spectrum is never computed, so a NotPSD or a kernel fault
-confined to that row goes unseen.  On the perfbench additivity
-workload, 666 of 3,726 rows per pass are diagonalized at seed 1.
-
-Only the t-dependent work runs per cell.  Three read-only caches hold
-the rest, each built on first use: _probe_rows keeps the probe's rows
-for the last (seed, d, restarts), _haar_sample the Schmidt weights of
-every state for the last (seed, d, n_random), and _pair_index the pair
-table of S1 for each d.  Their docstrings give what each entry holds.
+The probe of the Schmidt simplex, and why one row stands for each
+permutation orbit of Schmidt weights, the d vertices included: see
+minimize_simplex_entropy.  The Haar-random states, whose two-copy
+entropy is that of their Schmidt weights by the same covariance:
+_haar_sample and _check_covariance.  Both legs get their least entropy
+from one evaluator, _row_entropies, which brackets each row's secular
+entropy and diagonalizes only the rows that can still hold the minimum,
+within _prune_margin.  What does not depend on t is built once per key
+and kept in a read-only cache: _probe_rows, _haar_sample and
+_pair_index.
 
 The covariance check holds the reduction to the Schmidt weights on the
 first _DENSE_CHECK_STATES states of a sample, once, as _haar_sample
@@ -105,8 +64,9 @@ _LATTICE_ROWS = 500
 # Schmidt weights, and the largest |S_dense - S_closed| it allows.
 _DENSE_CHECK_STATES = 16
 _COVARIANCE_TOL = 1e-10
-# How far an entropy floor may exceed the ceiling that _row_entropies
-# prunes against before the row is pruned; it covers their rounding.
+# The least margin by which an entropy floor may exceed the ceiling that
+# _row_entropies prunes against before the row is pruned; _prune_margin
+# widens it where the rounding it covers grows past half of it.
 _PRUNE_MARGIN = 1e-9
 
 # The Philox cell keys of the three sample families.  A scan cell's key
@@ -123,9 +83,9 @@ class OptimizerConfig:
     The class name and the field name restarts are kept for API
     compatibility: no optimizer runs and nothing restarts.  restarts
     sizes two unrelated samples: the random simplex rows of
-    minimize_simplex_entropy, probed besides the vertices, the barycenter
-    and one row per permutation orbit of the lattice, and the random unit
-    vectors of min_output_entropy.
+    minimize_simplex_entropy, probed besides one row per permutation
+    orbit of the lattice and the barycenter, and the random unit vectors
+    of min_output_entropy.
     n_random counts the Haar-random states of additivity_gap, whose
     entropies come from their Schmidt weights, and of which the first
     _DENSE_CHECK_STATES go through _check_covariance once per sample,
@@ -281,7 +241,7 @@ def _secular_block_moments(ch: Channel, rows: np.ndarray) -> tuple[float, np.nda
     S2 itself, and at t = -1/(d-1) it is 0, so the roots are flat on their
     support and the floor is S2 itself.  Both terms of F are nonnegative
     on the whole t range except 2 c1 k, which is at most a few times F,
-    so rounding moves the bounds by a few ulp of M ln M.  _row_entropies
+    so rounding moves the bounds by a few ulp of M ln M.  _prune_margin
     counts the cost of taking each row's sum as 1.
     """
     d, c1, t4 = rows.shape[1], ch.c1, ch.t2 * ch.t2
@@ -290,7 +250,39 @@ def _secular_block_moments(ch: Channel, rows: np.ndarray) -> tuple[float, np.nda
     return d * c1 + k, d * c1 * c1 + 2.0 * c1 * k + t4 + (k * k - t4) * squares
 
 
-def _row_entropies(ch: Channel, rows: np.ndarray, keep: int = 0) -> np.ndarray:
+@functools.cache
+def _prune_margin(d: int) -> float:
+    """max(_PRUNE_MARGIN, twice the rounding count below): 1e-9 up to d = 241, 1.09e-9 at d = 255.
+
+    The margin covers the rounding between a computed S and its bounds in
+    _row_entropies, half of it on each side.  S1 is the same array in S
+    and in both bounds, and the bounds are closed forms, off by a few ulp,
+    so only S2 needs a count, with eta(x) = -x ln x, which is concave and
+    has |eta(x) - eta(y)| <= eta(|x - y|) for |x - y| <= 1/e.
+      - The bounds take each row's sum as 1, and rows sum to 1 within
+        SCHMIDT_SUM_TOL = 1e-12.  A row of sum s has the roots
+        c1 + s (g - c1), with g those of the row divided by s.  The
+        g - c1 are the roots of diag(c2 lam) + t^2 sqrt(lam) sqrt(lam)^T,
+        so the shifts |s - 1| |g - c1| add up to at most
+        (|c2| + t^2) 1e-12 <= 3e-12, and S2 moves by at most
+        3e-12 ln(d / 3e-12): 8.2e-11 at d = 2 and 9.6e-11 at d = 255.
+      - eigvalsh is backward stable and the block has norm at most
+        M <= 1, so each root is within a small multiple of eps of the
+        exact one, taken here as d eps.  With the 0 ln 0 clamp of roots
+        at or below ENTROPY_CLAMP, S2 is off by at most
+        d eta(d eps) + d eta(ENTROPY_CLAMP): 5e-12 at d = 24, 3e-11 at
+        d = 64 and 4.5e-10 at d = 255.
+    The count first passes _PRUNE_MARGIN / 2 at d = 242.  Pruning only
+    decides which rows get +inf, so a wider margin moves no output.
+    """
+    def eta(x: float) -> float:
+        return -x * math.log(x)
+
+    count = 3e-12 * math.log(d / 3e-12) + d * eta(d * np.finfo(float).eps) + d * eta(ENTROPY_CLAMP)
+    return max(_PRUNE_MARGIN, 2.0 * count)
+
+
+def _row_entropies(ch: Channel, rows: np.ndarray) -> np.ndarray:
     """S1 + S2 of each row of rows that can still hold the least of them, +inf for the others; (N,).
 
     rows are validated Schmidt vectors.  S1 comes from _pair_entropies
@@ -301,35 +293,16 @@ def _row_entropies(ch: Channel, rows: np.ndarray, keep: int = 0) -> np.ndarray:
     one per row.  It is the least ceiling of the batch on every batch of
     the perfbench additivity workload and of the CI runs at d = 8 and 16,
     which keep the same rows with either.  A row whose S1 + floor exceeds
-    it by more than _PRUNE_MARGIN lies above the row with that ceiling,
-    so it can neither attain nor tie the minimum; its S2 is not computed
-    and it gets +inf.  The first keep rows are evaluated whatever their
-    bounds.  The evaluated rows go through one _secular_block_roots call
-    and _entropy_rows, and get the bits of _split_rows, alone or in any
-    batch, so the least value, its first index and every evaluated row's
-    value are those of an evaluation of every row.  At t = 0 every block
-    is c1 I and no row is pruned.
-
-    The margin covers the rounding between a computed S and its bounds,
-    half of it on each side.  S1 is the same array in S and in both
-    bounds, and the bounds are closed forms, off by a few ulp, so only S2
-    needs a count, with eta(x) = -x ln x, which is concave and has
-    |eta(x) - eta(y)| <= eta(|x - y|) for |x - y| <= 1/e.
-      - The bounds take each row's sum as 1, and rows sum to 1 within
-        SCHMIDT_SUM_TOL = 1e-12.  A row of sum s has the roots
-        c1 + s (g - c1), with g those of the row divided by s.  The
-        g - c1 are the roots of diag(c2 lam) + t^2 sqrt(lam) sqrt(lam)^T,
-        so the shifts |s - 1| |g - c1| add up to at most
-        (|c2| + t^2) 1e-12 <= 3e-12, and S2 moves by at most
-        3e-12 ln(d / 3e-12), below 1e-10 up to d = 200.
-      - eigvalsh is backward stable and the block has norm at most
-        M <= 1, so each root is within a small multiple of eps of the
-        exact one, taken here as d eps.  With the 0 ln 0 clamp of roots
-        at or below ENTROPY_CLAMP, S2 is off by at most
-        d eta(d eps) + d eta(ENTROPY_CLAMP): 5e-12 at d = 24, 3e-11 at
-        d = 64 and 2.8e-10 at d = 200.
-    The two stay within _PRUNE_MARGIN / 2 = 5e-10 up to d = 200 by this
-    count.
+    it by more than _prune_margin(d) lies above the row with that
+    ceiling, so it can neither attain nor tie the minimum; its S2 is not
+    computed and it gets +inf.  A row that holds the minimum is never
+    pruned: its floor is at most its S, which is at most the batch's
+    ceiling, and the margin covers their rounding.  The other rows go
+    through one _secular_block_roots call and _entropy_rows, and get the
+    bits of _split_rows, alone or in any batch, so the least value, its
+    first index and every evaluated row's value are those of an
+    evaluation of every row.  At t = 0 every block is c1 I and no row is
+    pruned.
 
     What pruning gives up: a pruned row's spectrum is never computed, so
     a NotPSD or a kernel fault confined to such a row goes unseen.
@@ -339,8 +312,7 @@ def _row_entropies(ch: Channel, rows: np.ndarray, keep: int = 0) -> np.ndarray:
     low = s1 + _renyi_floor(trace, frobenius)
     best = int(low.argmin())
     high = s1[best] + _coincidence_ceiling(trace, float(frobenius[best]), rows.shape[1])
-    live = low <= high + _PRUNE_MARGIN
-    live[:keep] = True
+    live = low <= high + _prune_margin(rows.shape[1])
     values = np.full(len(rows), math.inf)
     values[live] = s1[live] + _entropy_rows(_secular_block_roots(ch, rows[live]))
     return values
@@ -429,17 +401,17 @@ def _simplex_lattice(d: int) -> np.ndarray:
 def _probe_rows(seed: int, d: int, restarts: int) -> np.ndarray:
     """The rows minimize_simplex_entropy probes at (seed, d, restarts); (N, d), read-only.
 
-    The d vertices, the barycenter, restarts uniform-simplex draws from
-    the _TAG_SIMPLEX stream of seed and _simplex_lattice(d), in that
-    order, checked by _check_schmidt_rows.  None of it depends on t, so
-    a t grid at one key builds them once.  The one cached entry stays
-    alive until a call with another key replaces it: d doubles per row,
-    for d + 1 + restarts + len(_simplex_lattice(d)) rows.  At d = 24,
-    with its 2 lattice rows, that is 15 kB at restarts = 50 and 0.19 GB
-    at 10^6 rows.
+    _simplex_lattice(d), whose first row is the vertex e_1, the
+    barycenter and restarts uniform-simplex draws from the _TAG_SIMPLEX
+    stream of seed, in that order, checked by _check_schmidt_rows.  None
+    of it depends on t, so a t grid at one key builds them once.  The one
+    cached entry stays alive until a call with another key replaces it:
+    d doubles per row, for len(_simplex_lattice(d)) + 1 + restarts rows.
+    At d = 24, with its 2 lattice rows, that is 10 kB at restarts = 50
+    and 0.19 GB at 10^6 rows.
     """
     draws = _lambda_rows(philox_stream(seed, _TAG_SIMPLEX).random((restarts, d)))
-    rows = np.vstack([np.eye(d), np.full((1, d), 1.0 / d), draws, _simplex_lattice(d)])
+    rows = np.vstack([_simplex_lattice(d), np.full((1, d), 1.0 / d), draws])
     _check_schmidt_rows(rows)
     rows.flags.writeable = False
     return rows
@@ -450,36 +422,44 @@ def minimize_simplex_entropy(
 ) -> tuple[float, SchmidtVector]:
     """Minimum of simplex_output_entropy over a fixed probe of the simplex.
 
-    The probe is one batch of rows: the d vertices, the barycenter,
-    cfg.restarts uniform-simplex draws (_lambda_rows of d doubles per row
-    from one stream, so the first k rows do not depend on cfg.restarts)
-    and _simplex_lattice(d), one nonincreasing row per permutation orbit
-    of the lattice, since the entropy does not change under a permutation
-    of the Schmidt weights.  _probe_rows builds and checks them once per
-    (seed, d, restarts), and one _row_entropies call evaluates them: it
-    diagonalizes the vertices and every row whose entropy floor does not
-    exceed the batch's entropy ceiling by more than _PRUNE_MARGIN, with
-    the bits simplex_output_entropy gives each alone, and gives every
-    other row +inf.  Such a row cannot attain or tie the minimum, so the value and
-    argmin are those of a probe that diagonalizes every row.  When the
-    best row does not beat the best vertex by more than 1e-12, that
-    vertex is reported as argmin, with the lower of the two values; the
-    argmin is a copy of its row, never a view of the shared rows.
+    The probe is one batch of rows, built and checked once per
+    (seed, d, restarts) by _probe_rows: _simplex_lattice(d), the
+    barycenter and cfg.restarts uniform-simplex draws (_lambda_rows of d
+    doubles per row from one stream, so the first k draws do not depend
+    on cfg.restarts).  The lattice is the finest {k / m} whose full
+    C(m + d - 1, d - 1) rows fit _LATTICE_ROWS, with one nonincreasing
+    row per permutation orbit.  The channel is unitarily covariant,
+    Phi(U mu U^H) = conj(U) Phi(mu) U^T.  Permuting the Schmidt weights
+    is the product unitary P x P on the input, which conjugates the
+    two-copy output by a unitary, so every permutation of a row has the
+    same output spectrum and one row stands for its orbit.  The d
+    vertices are one orbit, and the lattice's first row,
+    (m, 0, ..., 0) / m, is the vertex e_1 bit for bit; it stands for all
+    of them.  The rows of one orbit agree to rounding, not bit for bit:
+    the tests hold every vertex's entropy within 16 d eps max(2h, 1) of
+    2h, and near t = 0, where the entropy is flat to rounding, the
+    minimum over the other orbits may move by a few ulp against a probe
+    of the full lattice (by at most 1.8e-15, at |t| <= 1e-9, on 702
+    cells compared).
 
-    restarts counts the random rows: at restarts = 20 the batch has 115
-    rows at d = 3 and 59 at d = 4.  Wherever the entropy is concave on
-    the simplex, which the tests check on chords, its minimum lies at a
-    vertex and no other row can beat it.  Wherever |t| >= 1e-6 the
-    result has the bits of a probe of every lattice row; nearer t = 0,
-    where the entropy is flat to rounding, the value may differ from it
-    by a few ulp.
+    One _row_entropies call evaluates the batch: each row it does not
+    prune gets the bits simplex_output_entropy gives it alone, and a
+    pruned row, +inf, can neither attain nor tie the minimum.  e_1 is
+    never pruned where it holds the minimum.  When the best row does not
+    beat e_1 by more than 1e-12, e_1 is reported as argmin, with the
+    lower of the two values; the argmin is a copy of its row, never a
+    view of the shared rows.
+
+    restarts counts the random rows: at restarts = 20 the batch has 112
+    rows at d = 3 and 55 at d = 4.  The tests find the entropy concave on
+    the simplex (chord slacks over the whole t range, the worst one at 50
+    digits), so its minimum sits at a vertex, where it equals 2h; the
+    other rows are evidence that no interior point beats it.
     """
     rows = _probe_rows(cfg.seed, ch.d, cfg.restarts)
-    values = _row_entropies(ch, rows, keep=ch.d)
-
+    values = _row_entropies(ch, rows)
     best = int(np.argmin(values))
-    vertex = int(np.argmin(values[: ch.d]))
-    argmin = vertex if values[vertex] <= values[best] + 1e-12 else best
+    argmin = 0 if values[0] <= values[best] + 1e-12 else best
     return float(values[best]), SchmidtVector(rows[argmin].copy())
 
 
@@ -624,8 +604,8 @@ def _random_state_entropies(ch: Channel, cfg: OptimizerConfig) -> np.ndarray:
     The states' Schmidt weights come from _haar_sample, checked and built
     once per (seed, d, count) and shared by every t, and go through one
     _row_entropies call: a state whose entropy floor exceeds the batch's
-    entropy ceiling by more than _PRUNE_MARGIN gets +inf, since it cannot
-    hold the minimum, and every other state the bits of a one-row
+    entropy ceiling by more than _prune_margin(d) gets +inf, since it
+    cannot hold the minimum, and every other state the bits of a one-row
     _split_rows call.  So the least entropy is that of an evaluation of
     every state; the other entries are exact where finite.
     """

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import Channel, ChannelRows, DensityMatrix, by_row, check_finite
+from .channel import Channel, ChannelRows, DensityMatrix, _whole, by_row, check_finite
 from .errors import OutOfRange, SumMismatch
 
 SCHMIDT_SUM_TOL = 1e-12
@@ -66,8 +66,7 @@ class SchmidtVector:
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float).reshape(-1)
         object.__setattr__(self, "values", v)
-        if v.size < 2:
-            raise OutOfRange("need at least two Schmidt coefficients")
+        _length(v.size)
         _check_schmidt_rows(v[None, :])
 
     @property
@@ -76,13 +75,31 @@ class SchmidtVector:
 
     @staticmethod
     def uniform(d: int) -> "SchmidtVector":
+        """(1/d, ..., 1/d); ConfigError unless d is an integer, OutOfRange unless d >= 2."""
+        d = _length(d)
         return SchmidtVector(np.full(d, 1.0 / d))
 
     @staticmethod
     def vertex(d: int, alpha: int = 0) -> "SchmidtVector":
+        """The simplex vertex e_alpha in R^d.
+
+        ConfigError unless d and alpha are integers, OutOfRange unless
+        d >= 2 and 0 <= alpha < d.
+        """
+        d, alpha = _length(d), _whole(alpha, "alpha")
+        if not 0 <= alpha < d:
+            raise OutOfRange(f"vertex index alpha must be in [0, {d}), got {alpha}")
         v = np.zeros(d)
         v[alpha] = 1.0
         return SchmidtVector(v)
+
+
+def _length(d) -> int:
+    """d as an int; ConfigError unless it is an integer, OutOfRange unless it is at least 2."""
+    d = _whole(d, "d")
+    if d < 2:
+        raise OutOfRange("need at least two Schmidt coefficients")
+    return d
 
 
 @dataclass(frozen=True)

@@ -331,7 +331,7 @@ def test_random_state_entropy_matches_the_kraus_route():
         # lies above the least entropy by more than half the pruning margin.
         evaluated = np.isfinite(got)
         assert np.max(np.abs(got[evaluated] - want[evaluated])) <= 1e-12
-        assert (want[~evaluated] > want.min() + entropy._PRUNE_MARGIN / 2).all()
+        assert (want[~evaluated] > want.min() + entropy._prune_margin(d) / 2).all()
         assert td.additivity_gap(ch, cfg)[2] == pytest.approx(min(want), abs=1e-12)
 
 
@@ -1071,18 +1071,26 @@ def cold_probe_cache():
     entropy._probe_rows.cache_clear()
 
 
+def full_lattice_with_one_vertex(d):
+    """Every row of the full lattice but the vertices, after the one vertex e_1."""
+    full = simplex_lattice_full(d, entropy._LATTICE_ROWS)
+    return np.vstack([np.eye(d)[:1], full[full.max(axis=1) < 1.0]])
+
+
 def test_probe_on_orbits_gives_the_full_lattice_probe(monkeypatch, cold_probe_cache):
     # Wherever |t| >= 1e-6 the orbit rows give the minimum and argmin of
     # every lattice row bit for bit.  Nearer t = 0 the entropy is flat to
     # rounding and the minimum may move by a few ulp, the argmin not.
-    # At t = 0 itself every row has the same value, bit for bit.  Each
+    # At t = 0 itself every row has the same value, bit for bit.  Both
+    # probes hold the vertex orbit as e_1 in row 0, whose argument is
+    # test_every_vertex_has_the_closed_form_and_e_1_is_never_pruned.  Each
     # call builds its rows afresh, so the full lattice is used where it
     # is patched in.
     for ch, cfg in orbit_probe_cells():
         entropy._probe_rows.cache_clear()
         val, arg = td.minimize_simplex_entropy(ch, cfg)
         with monkeypatch.context() as m:
-            m.setattr(entropy, "_simplex_lattice", lambda d: simplex_lattice_full(d, entropy._LATTICE_ROWS))
+            m.setattr(entropy, "_simplex_lattice", full_lattice_with_one_vertex)
             entropy._probe_rows.cache_clear()
             want_val, want_arg = td.minimize_simplex_entropy(ch, cfg)
         assert bits(arg.values.tolist()) == bits(want_arg.values.tolist()), (ch.d, ch.t)
@@ -1094,6 +1102,8 @@ def test_probe_on_orbits_gives_the_full_lattice_probe(monkeypatch, cold_probe_ca
 
 @pytest.mark.parametrize("restarts", [0, 7])
 def test_probe_is_one_batch_of_vertices_barycenter_draws_and_lattice(monkeypatch, restarts):
+    # The lattice, whose first row is the vertex e_1 and stands for every
+    # vertex, then the barycenter and the draws.
     d = 4
     cfg = td.OptimizerConfig(restarts=restarts, seed=3)
     _, calls = probe_calls(monkeypatch, td.new_channel(d, -0.2), cfg)
@@ -1107,36 +1117,40 @@ def test_probe_is_one_batch_of_vertices_barycenter_draws_and_lattice(monkeypatch
         for x in spacings[1:]:
             total += x
         draws.append([x / total for x in spacings])
-    want = np.eye(d).tolist() + [[1.0 / d] * d] + draws + entropy._simplex_lattice(d).tolist()
-    assert calls == [want]
+    lattice = entropy._simplex_lattice(d).tolist()
+    assert lattice[0] == np.eye(d)[0].tolist()
+    assert calls == [lattice + [[1.0 / d] * d] + draws]
 
 
 def test_probe_takes_the_first_k_random_rows_of_any_larger_restarts(monkeypatch):
-    d, ch = 5, td.new_channel(5, -0.1)
+    ch = td.new_channel(5, -0.1)
+    first = len(entropy._simplex_lattice(5)) + 1
     _, [every] = probe_calls(monkeypatch, ch, td.OptimizerConfig(restarts=12, seed=29))
     for k in (0, 1, 4, 11):
         _, [rows] = probe_calls(monkeypatch, ch, td.OptimizerConfig(restarts=k, seed=29))
-        assert bits(rows[d + 1 : d + 1 + k]) == bits(every[d + 1 : d + 1 + k]), k
+        assert len(rows) == first + k
+        assert bits(rows[first:]) == bits(every[first : first + k]), k
 
 
 @pytest.mark.parametrize("row", ["barycenter", "draw", "lattice"])
 def test_interior_row_that_beats_every_vertex_is_the_argmin(monkeypatch, row):
-    # One interior row is handed a value below the best vertex.  By more
-    # than 1e-12 it is the argmin; by less, the best vertex is reported,
-    # with the row's lower value.  The value is handed in through the row's
-    # S1, which its bounds see too, so the row is not pruned.  The vertices
-    # are evaluated even where the row lies 1e-3 below them, far enough for
-    # their floors to clear its ceiling.
+    # One interior row is handed a value below the vertex e_1, row 0, which
+    # stands for every vertex.  By more than 1e-12 it is the argmin; by
+    # less, e_1 is reported, with the row's lower value.  The value is
+    # handed in through the row's S1, which its bounds see too, so the row
+    # is not pruned.  e_1 is evaluated wherever its floor does not clear the
+    # batch's ceiling, up to 1e-3 below it here; at 0.1 below it is pruned,
+    # since a row provably lies below it, and that row is the argmin.
     d = 3
     ch = td.new_channel(d, -0.3)
     cfg = td.OptimizerConfig(restarts=4, seed=9)
     lattice = entropy._simplex_lattice(d)
     index = {
-        "barycenter": d,
-        "draw": d + 1,
-        "lattice": d + 1 + cfg.restarts + int(np.flatnonzero((lattice > 0).all(axis=1))[0]),
+        "barycenter": len(lattice),
+        "draw": len(lattice) + 1,
+        "lattice": int(np.flatnonzero((lattice > 0).all(axis=1))[0]),
     }[row]
-    best_vertex = min(td.simplex_output_entropy(ch, np.eye(d)[a].tolist()) for a in range(d))
+    vertex = td.simplex_output_entropy(ch, np.eye(d)[0].tolist())
     s2 = td.entropy_split(ch, entropy._probe_rows(cfg.seed, d, cfg.restarts)[index].tolist()).s2
     plain, kernel_rows = entropy._secular_block_roots, []
 
@@ -1145,17 +1159,22 @@ def test_interior_row_that_beats_every_vertex_is_the_argmin(monkeypatch, row):
         return plain(ch, rows)
 
     monkeypatch.setattr(entropy, "_secular_block_roots", recording)
-    for below, vertex_wins in ((1e-3, False), (1e-9, False), (1e-13, True)):
-        lowered = (best_vertex - below - s2) + s2
-        assert abs(lowered - (best_vertex - below)) <= 1e-15
+    for below, vertex_evaluated, vertex_wins in (
+        (0.1, False, False),
+        (1e-3, True, False),
+        (1e-9, True, False),
+        (1e-13, True, True),
+    ):
+        lowered = (vertex - below - s2) + s2
+        assert abs(lowered - (vertex - below)) <= 1e-15
 
         def values(rows, s1):
-            s1[index] = best_vertex - below - s2
+            s1[index] = vertex - below - s2
             return s1
 
         (val, arg), [rows] = probe_calls(monkeypatch, ch, cfg, values)
-        assert min(rows[index]) > 0.0
-        assert kernel_rows[-1][:d] == np.eye(d).tolist() and rows[index] in kernel_rows[-1]
+        assert min(rows[index]) > 0.0 and rows[0] == np.eye(d)[0].tolist()
+        assert (rows[0] in kernel_rows[-1]) == vertex_evaluated and rows[index] in kernel_rows[-1]
         assert bits(val) == bits(lowered)
         if vertex_wins:
             assert arg.values.tolist() == np.eye(d)[0].tolist()
@@ -1234,7 +1253,7 @@ def test_probe_rows_are_keyed_by_seed_d_and_restarts_and_read_only(monkeypatch, 
     assert info.maxsize == info.currsize == 1
 
     rows = entropy._probe_rows(11, 3, 4)
-    assert rows.shape == (3 + 1 + 4 + len(entropy._simplex_lattice(3)), 3)
+    assert rows.shape == (len(entropy._simplex_lattice(3)) + 1 + 4, 3)
     assert not rows.flags.writeable
     with pytest.raises(ValueError):
         rows[0, 0] = 0.5
@@ -1268,14 +1287,14 @@ def retained_bytes(arrays):
     return sum(owners.values())
 
 
-@pytest.mark.parametrize("d, probe_bytes, haar_bytes", [(3, 3_480, 4_800), (24, 14_784, 38_400)])
+@pytest.mark.parametrize("d, probe_bytes, haar_bytes", [(3, 3_408, 4_800), (24, 10_176, 38_400)])
 def test_cache_entries_keep_only_rows_and_weights(cold_probe_cache, cold_haar_cache, d, probe_bytes, haar_bytes):
     # At the default restarts = 50 and n_random = 200: d doubles per probe
     # row and d doubles of weights per state.  The covariance check keeps
     # nothing.
     restarts, count = 50, 200
     rows = entropy._probe_rows(0, d, restarts)
-    assert retained_bytes([rows]) == (d + 1 + restarts + len(entropy._simplex_lattice(d))) * d * 8 == probe_bytes
+    assert retained_bytes([rows]) == (len(entropy._simplex_lattice(d)) + 1 + restarts) * d * 8 == probe_bytes
     assert retained_bytes([entropy._haar_sample(0, d, count)]) == count * d * 8 == haar_bytes
 
 
@@ -1291,16 +1310,19 @@ def test_pair_index_is_built_once_per_d_and_read_only():
 
 
 def test_probe_returns_the_best_vertex_bit_for_bit():
-    # The minimum over the whole probe is the best exact vertex value, in
-    # bits, at a vertex argmin: the first vertex with that value.
+    # The minimum over the whole probe is the exact value of the vertex
+    # e_1, in bits, at the argmin e_1; every other vertex agrees with it to
+    # rounding.
     cfg = td.OptimizerConfig(restarts=20, seed=17)
+    eps = np.finfo(float).eps
     for d in (2, 3, 4, 5, 6):
         for t in np.linspace(*td.t_range(d), 9).tolist():
             ch = td.new_channel(d, t)
             val, arg = td.minimize_simplex_entropy(ch, cfg)
             vertex = [td.simplex_output_entropy(ch, np.eye(d)[a].tolist()) for a in range(d)]
-            assert bits(val) == bits(min(vertex)), (d, t)
-            assert arg.values.tolist() == np.eye(d)[int(np.argmin(vertex))].tolist(), (d, t)
+            assert bits(val) == bits(vertex[0]), (d, t)
+            assert arg.values.tolist() == np.eye(d)[0].tolist(), (d, t)
+            assert max(vertex) - min(vertex) <= 16 * d * eps * max(val, 1.0), (d, t)
 
 
 def search_cases():
@@ -1318,22 +1340,21 @@ def test_probe_gives_the_value_and_argmin_of_a_call_per_row(monkeypatch):
         (val, arg), [rows] = probe_calls(monkeypatch, ch, cfg)
         values = [td.simplex_output_entropy(ch, row) for row in rows]
         best = min(values)
-        vertex = min(values[: ch.d])
-        want = rows[values.index(vertex) if vertex <= best + 1e-12 else values.index(best)]
+        want = rows[0 if values[0] <= best + 1e-12 else values.index(best)]
         assert bits(val) == bits(best), (ch.d, ch.t)
         assert bits(arg.values.tolist()) == bits(want), (ch.d, ch.t)
 
 
 def test_probe_gives_each_row_the_bits_of_a_one_row_split(monkeypatch):
-    # Every evaluated row of the batch, vertices and barycenter and draws
-    # and lattice, gets the S1 + S2 bits of a one-row _split_rows call.
-    # Every vertex is evaluated; a pruned row (+inf) lies above the least
-    # value by more than half the pruning margin.
+    # Every evaluated row of the batch, lattice and barycenter and draws,
+    # gets the S1 + S2 bits of a one-row _split_rows call.  The vertex e_1
+    # is evaluated; a pruned row (+inf) lies above the least value by more
+    # than half the pruning margin.
     cfg = td.OptimizerConfig(restarts=3, seed=41)
     plain, evaluations = entropy._row_entropies, []
 
-    def record(ch, rows, keep=0):
-        evaluations.append((ch, rows, plain(ch, rows, keep)))
+    def record(ch, rows):
+        evaluations.append((ch, rows, plain(ch, rows)))
         return evaluations[-1][2]
 
     monkeypatch.setattr(entropy, "_row_entropies", record)
@@ -1343,15 +1364,15 @@ def test_probe_gives_each_row_the_bits_of_a_one_row_split(monkeypatch):
     for ch, rows, batch in evaluations:
         alone = np.array([all_rows_values(ch, [row])[0] for row in rows])
         evaluated = np.isfinite(batch)
-        assert evaluated[: ch.d].all(), (ch.d, ch.t)
+        assert evaluated[0], (ch.d, ch.t)
         assert bits(batch[evaluated].tolist()) == bits(alone[evaluated].tolist()), (ch.d, ch.t)
-        assert (alone[~evaluated] > alone.min() + entropy._PRUNE_MARGIN / 2).all(), (ch.d, ch.t)
+        assert (alone[~evaluated] > alone.min() + entropy._prune_margin(ch.d) / 2).all(), (ch.d, ch.t)
 
 
 def test_probe_makes_one_secular_kernel_call(monkeypatch):
-    # One secular-roots kernel call per probe, over the vertices and the
-    # rows that can still hold the minimum at once; at t = 0 that is every
-    # row, and at the lower end of the t range fewer.
+    # One secular-roots kernel call per probe, over the rows that can still
+    # hold the minimum at once, the vertex e_1 first; at t = 0 that is
+    # every row, and at the lower end of the t range fewer.
     plain, calls = entropy._secular_block_roots, []
 
     def counted(ch, rows):
@@ -1365,7 +1386,7 @@ def test_probe_makes_one_secular_kernel_call(monkeypatch):
         calls.clear()
         td.minimize_simplex_entropy(td.new_channel(4, t), cfg)
         [rows] = calls
-        assert rows[:4] == np.eye(4).tolist()
+        assert rows[0] == np.eye(4)[0].tolist()
         assert all(row in every for row in rows)
         assert (len(rows) < len(every)) == pruned, t
 
@@ -1465,7 +1486,7 @@ def test_secular_entropy_bounds_bracket_the_entropy(d):
     # S and in both bounds, so S2 carries the whole comparison.
     rng = np.random.default_rng(1000 + d)
     rows = bound_rows(d, rng)
-    half = entropy._PRUNE_MARGIN / 2
+    half = entropy._prune_margin(d) / 2
     for t in bound_ts(d):
         ch = td.new_channel(d, t)
         floor, ceiling = secular_bounds(ch, rows)
@@ -1541,13 +1562,71 @@ def test_the_batch_ceiling_keeps_the_rows_of_the_least_ceiling(d, seed, restarts
     lo, hi = td.t_range(d)
     for t in np.linspace(lo, hi, 9):
         ch = td.new_channel(d, t)
-        batches = (entropy._probe_rows(seed, d, restarts), d), (entropy._haar_sample(seed, d, n_random), 0)
-        for rows, keep in batches:
+        for rows in entropy._probe_rows(seed, d, restarts), entropy._haar_sample(seed, d, n_random):
             s1 = entropy._pair_entropies(ch, rows)
             floor, ceiling = secular_bounds(ch, rows)
-            want = s1 + floor <= (s1 + ceiling).min() + entropy._PRUNE_MARGIN
-            want[:keep] = True
-            assert np.isfinite(entropy._row_entropies(ch, rows, keep)).tolist() == want.tolist(), (t, keep)
+            want = s1 + floor <= (s1 + ceiling).min() + entropy._prune_margin(d)
+            assert np.isfinite(entropy._row_entropies(ch, rows)).tolist() == want.tolist(), (t, len(rows))
+
+
+def test_the_pruning_margin_covers_the_rounding_count_at_every_d():
+    # Twice the count of _prune_margin's docstring, at 30 digits: the S2
+    # shift of a row sum off by SCHMIDT_SUM_TOL, the eigvalsh error of
+    # d roots of d eps each and the 0 ln 0 clamp.  The margin is 1e-9
+    # wherever that covers it, up to d = 241, and the count past that.
+    eta = lambda x: -x * mpmath.log(x)
+    with mpmath.workdps(30):
+        eps, clamp, shift = mpmath.mpf(2) ** -52, mpmath.mpf(ENTROPY_CLAMP), mpmath.mpf("3e-12")
+        for d in range(2, 1025):
+            count = shift * mpmath.log(d / shift) + d * eta(d * eps) + d * eta(clamp)
+            margin = entropy._prune_margin(d)
+            assert margin >= 2 * count * (1 - mpmath.mpf("1e-14")), d
+            if d <= 241:
+                assert margin == 1e-9, d
+            else:
+                assert 2 * count > mpmath.mpf("1e-9") and margin == pytest.approx(float(2 * count), rel=1e-14), d
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 16, 64])
+def test_every_vertex_has_the_closed_form_and_e_1_is_never_pruned(d):
+    # The d vertices are one permutation orbit, so the probe holds only
+    # e_1, row 0.  Over the 9-point grid, t = 0 and +-1e-9: every vertex's
+    # entropy, from one _split_rows call with the bits of
+    # simplex_output_entropy, is 2h within 16 d eps max(2h, 1), and the
+    # evaluator never prunes e_1, on the probe rows of the benchmark's
+    # seeds and more.
+    eps = np.finfo(float).eps
+    vertices = np.array([td.SchmidtVector.vertex(d, a).values for a in range(d)])
+    for t in np.linspace(*td.t_range(d), 9).tolist() + [0.0, -1e-9, 1e-9]:
+        ch = td.new_channel(d, t)
+        two_h = 2.0 * td.min_entropy_closed_form(ch)
+        off = all_rows_values(ch, vertices) - two_h
+        assert np.abs(off).max() <= 16 * d * eps * max(two_h, 1.0), (d, t, off.tolist())
+        for seed, restarts in ((0, 0), (1, 20), (17, 20), (3, 200)):
+            rows = entropy._probe_rows(seed, d, restarts)
+            assert rows[0].tolist() == np.eye(d)[0].tolist()
+            assert math.isfinite(entropy._row_entropies(ch, rows)[0]), (d, t, seed, restarts)
+
+
+@pytest.mark.parametrize("d", [242, 300])
+def test_pruning_keeps_the_bits_of_an_evaluation_of_every_row_past_d_241(monkeypatch, d):
+    # Where _prune_margin grows past 1e-9, the pruned probe and Haar leg
+    # still give the bits of an evaluation of every row, and so do they
+    # with the margin held at 1e-9: pruning decides only which rows get
+    # +inf.  restarts 5 and n_random 20, as CI runs d = 300.
+    cfg = td.OptimizerConfig(restarts=5, n_random=20, seed=0)
+    lo, hi = td.t_range(d)
+    for t in (lo, -1e-9, 0.0, hi):
+        ch = td.new_channel(d, t)
+        want_val, want_arg = all_rows_probe(ch, cfg)
+        min_random = float(all_rows_values(ch, entropy._haar_sample(0, d, 20)).min())
+        want = bits([want_val, want_arg, min_random])
+        val, arg = td.minimize_simplex_entropy(ch, cfg)
+        assert bits([val, arg.values.tolist(), float(_random_state_entropies(ch, cfg).min())]) == want, t
+        with monkeypatch.context() as m:
+            m.setattr(entropy, "_prune_margin", lambda d: entropy._PRUNE_MARGIN)
+            val, arg = td.minimize_simplex_entropy(ch, cfg)
+            assert bits([val, arg.values.tolist(), float(_random_state_entropies(ch, cfg).min())]) == want, t
 
 
 def all_rows_probe(ch, cfg):
@@ -1555,8 +1634,7 @@ def all_rows_probe(ch, cfg):
     rows = entropy._probe_rows(cfg.seed, ch.d, cfg.restarts)
     values = all_rows_values(ch, rows)
     best = int(np.argmin(values))
-    vertex = int(np.argmin(values[: ch.d]))
-    argmin = vertex if values[vertex] <= values[best] + 1e-12 else best
+    argmin = 0 if values[0] <= values[best] + 1e-12 else best
     return float(values[best]), rows[argmin].tolist()
 
 

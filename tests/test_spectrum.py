@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tdchan as td
-from tdchan.errors import OutOfRange, SumMismatch
+from tdchan.errors import ConfigError, OutOfRange, SumMismatch
 from tdchan.spectrum import SCHMIDT_SUM_TOL, _as_schmidt, _check_schmidt_rows
 
 from oracles import (
@@ -38,6 +38,41 @@ def test_schmidt_vector_builders():
     v = td.SchmidtVector.vertex(3, 1)
     assert v.values == pytest.approx([0.0, 1.0, 0.0])
     assert v.d == 3
+
+
+BAD_BUILDS = [
+    ("vertex", (3, -1), OutOfRange),
+    ("vertex", (3, 3), OutOfRange),
+    ("vertex", (3, 1.5), ConfigError),
+    ("vertex", (3, "0"), ConfigError),
+    ("vertex", (2.0, 0), ConfigError),
+    ("vertex", (1, 0), OutOfRange),
+    ("vertex", (0, 0), OutOfRange),
+    ("uniform", (0,), OutOfRange),
+    ("uniform", (1,), OutOfRange),
+    ("uniform", (-2,), OutOfRange),
+    ("uniform", (2.5,), ConfigError),
+    ("uniform", (None,), ConfigError),
+]
+
+
+@pytest.mark.parametrize(
+    "build, args, error", BAD_BUILDS, ids=[f"{build}{args!r}".replace(" ", "") for build, args, _ in BAD_BUILDS]
+)
+def test_schmidt_vector_builders_validate_their_arguments(build, args, error):
+    with pytest.raises(error):
+        getattr(td.SchmidtVector, build)(*args)
+
+
+def test_schmidt_vector_builders_keep_their_bits():
+    # Any integer type passes, with the bits of a plain zeros or full array.
+    for d in (2, 3, 7, 255):
+        for size in (d, np.int64(d)):
+            assert td.SchmidtVector.uniform(size).values.tolist() == np.full(d, 1.0 / d).tolist()
+            for alpha in (0, np.int32(d - 1)):
+                want = np.zeros(d)
+                want[int(alpha)] = 1.0
+                assert td.SchmidtVector.vertex(size, alpha).values.tolist() == want.tolist()
 
 
 def test_schmidt_vector_validation():
